@@ -11,6 +11,11 @@ mc-compare     trajectory Monte Carlo against the density-picture solvers
 table1-report  the four quantum/classical correspondence rows as executed
                checks
 
+A command's parameters, with their defaults and admitted ranges, are its
+``DEFAULT_PARAMETERS`` entry; a scenario's are read from its function's
+signature (``SCENARIO_PARAMETERS``). ``normalize_config`` refuses every other
+name and every value outside a field's range with ``ConfigInvalid``.
+
 Every run writes ``manifest.json`` (config echo, version, seed, timestamps,
 check results, output digests), ``checks.json`` and one CSV per array output.
 Outputs are byte-stable under rerun with the same config; the manifest differs
@@ -22,7 +27,11 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import hashlib
+import inspect
 import json
+import math
+import numbers
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -62,13 +71,12 @@ from .qm import (
     reduced_state_post,
 )
 from .scenarios import (
+    DEFAULT_EPSILON,
     SCENARIOS,
+    NonNegative,
     ScenarioCheck,
+    Signed,
     number_basis_initial_state,
-    scenario_gaussian_bessel,
-    scenario_interference,
-    scenario_number_basis,
-    scenario_two_delta,
 )
 from .states import (
     DensityOperator,
@@ -85,16 +93,50 @@ SCHEMA_VERSION = 1
 
 COMMANDS = ("run-scenario", "evolve-qm", "evolve-cm", "mc-compare", "table1-report")
 
+# The top-level fields of a config document.
+CONFIG_FIELDS = ("schema_version", "command", "parameters", "tolerances")
+
+# The coupling's two descriptions: give one, the other is derived through epsilon.
+COUPLING_PAIR = ("tau", "sigma_P")
+
+
+class Seed(int):
+    """A seed default: it keys the Philox streams ``seed`` and ``seed + 1``."""
+
+
+class Choice(str):
+    """A string default together with every value the field admits."""
+
+    def __new__(cls, default: str, options):
+        choice = super().__new__(cls, default)
+        choice.options = tuple(options)
+        return choice
+
+
+# What a numeric field admits, by the type of its default.
+RANGES = {
+    int: (lambda v: v >= 2, "an integer >= 2"),
+    Seed: (lambda v: 0 <= v < 2**128 - 1, "an integer in [0, 2**128 - 1)"),
+    float: (lambda v: v > 0, "a finite number > 0"),
+    NonNegative: (lambda v: v >= 0, "a finite number >= 0"),
+    Signed: (lambda v: True, "a finite number"),
+}
+
+# Each command's parameters: name, default, and through the default's type the
+# admitted range (RANGES). ``tau`` has no default: it is derived from sigma_P.
 DEFAULT_PARAMETERS: dict[str, dict] = {
-    "run-scenario": {"scenario": "two_delta", "sigma_P": 0.3},
+    # A scenario takes the parameters of its function (SCENARIO_PARAMETERS);
+    # sigma_P here is the probe momentum width those fields default to.
+    "run-scenario": {"scenario": Choice("two_delta", SCENARIOS), "sigma_P": 0.3},
     "evolve-qm": {
         "n_x": 256,
         "grid_halfwidth": 8.0,
         "sigma_x": 1.0,
-        "center_x": 0.25,
+        "center_x": Signed(0.25),
         "sigma_Q": 0.2,
         "epsilon": 1.0,
         "sigma_P": 0.6,
+        "tau": None,
         "hbar": 1.0,
     },
     "evolve-cm": {
@@ -104,30 +146,33 @@ DEFAULT_PARAMETERS: dict[str, dict] = {
         "grid_halfwidth_p": 12.0,
         "sigma_q": 1.0,
         "sigma_p": 1.0,
-        "center_q": 0.25,
+        "center_q": Signed(0.25),
         "sigma_Q": 0.2,
         "epsilon": 1.0,
         "sigma_P": 0.6,
+        "tau": None,
     },
     "mc-compare": {
         "n_samples": 100000,
-        "seed": 20240801,
+        "seed": Seed(20240801),
         "bins": 24,
         "sigma_q": 1.0,
         "sigma_p": 1.0,
         "sigma_Q": 0.4,
         "epsilon": 1.0,
         "sigma_P": 0.6,
-        "branch": "both",
+        "tau": None,
+        "branch": Choice("both", ("position", "action", "both")),
     },
     "table1-report": {
         "n_x": 256,
         "grid_halfwidth": 8.0,
         "sigma_x": 1.0,
-        "center": 0.25,
+        "center": Signed(0.25),
         "sigma_Q": 0.25,
         "epsilon": 2.0,
         "sigma_P": 0.3,
+        "tau": None,
         "hbar": 1.0,
     },
 }
@@ -159,85 +204,164 @@ DEFAULT_TOLERANCES: dict[str, dict[str, float]] = {
 
 
 # ---------------------------------------------------------------------------
+# Scenario parameters, read from the scenario signatures
+# ---------------------------------------------------------------------------
+
+def _is_coupling(annotation) -> bool:
+    return CouplingParams in (annotation, *typing.get_args(annotation))
+
+
+def _fields(arg: inspect.Parameter) -> dict:
+    """The config fields one scenario argument flattens into, with defaults."""
+    kind, default = arg.annotation, arg.default
+    sigma_P = DEFAULT_PARAMETERS["run-scenario"]["sigma_P"]
+    if kind is ProbeSpec:
+        return {"sigma_Q": default.sigma_Q, "sigma_P": sigma_P}
+    if _is_coupling(kind):
+        epsilon = DEFAULT_EPSILON if default is None else default.epsilon
+        return {"epsilon": epsilon, "sigma_P": sigma_P, "tau": None}
+    if kind is complex:
+        z = complex(default)
+        return {f"{arg.name}_re": Signed(z.real), f"{arg.name}_im": Signed(z.imag)}
+    return {arg.name: kind(default)}
+
+
+def _argument(arg: inspect.Parameter, params: dict):
+    """The value of one scenario argument, rebuilt from its config fields."""
+    if arg.annotation is ProbeSpec:
+        return ProbeSpec(sigma_Q=params["sigma_Q"], sigma_P=params["sigma_P"])
+    if _is_coupling(arg.annotation):
+        return CouplingParams(epsilon=params["epsilon"], tau=params["tau"])
+    if arg.annotation is complex:
+        return complex(params[f"{arg.name}_re"], params[f"{arg.name}_im"])
+    return params[arg.name]
+
+
+_SIGNATURES = {
+    name: inspect.signature(fn, eval_str=True).parameters.values()
+    for name, fn in SCENARIOS.items()
+}
+
+SCENARIO_PARAMETERS: dict[str, dict] = {
+    name: {field: default for arg in args for field, default in _fields(arg).items()}
+    for name, args in _SIGNATURES.items()
+}
+
+# The CSV tables of each scenario: file name, then output key -> column header.
+SCENARIO_TABLES: dict[str, list[tuple[str, dict[str, str]]]] = {
+    "two_delta": [("probe_marginal.csv", {
+        "Q": "Q (probe position units)", "probe_marginal": "density (1/Q units)"})],
+    "interference": [
+        ("position_density.csv", {
+            "x": "x (position units)",
+            "position_density_superposition": "superposition (1/x units)",
+            "position_density_mixture": "mixture (1/x units)"}),
+        ("pointer.csv", {
+            "Q": "Q (probe position units)",
+            "pointer_superposition": "superposition (1/Q units)",
+            "pointer_mixture": "mixture (1/Q units)"})],
+    "number_basis": [("occupation.csv", {
+        "levels": "level (action units)", "occupation": "probability"})],
+    "gaussian_bessel": [("angle_average.csv", {
+        "xi": "xi (action units)", "numeric_average": "numeric (1/xi units)",
+        "closed_form": "closed_form (1/xi units)"})],
+}
+
+
+# ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
 
-def _require_positive(params: dict, names: tuple[str, ...]) -> None:
-    for name in names:
-        if name in params and not params[name] > 0:
-            raise ConfigInvalid(f"parameter {name!r} must be strictly positive")
+def _checked(name: str, value, default, what: str = "parameter"):
+    """``value`` as the plain type of ``default``, if the field admits it."""
+    if name in COUPLING_PAIR:
+        if value is None:  # derived from the other member
+            return None
+        default = NonNegative()
+    if isinstance(default, Choice):
+        if value not in default.options:
+            raise ConfigInvalid(
+                f"{what} {name!r} must be one of {', '.join(default.options)}; got {value!r}"
+            )
+        return str(value)
+    admits, admitted = RANGES[type(default)]
+    integral = isinstance(default, int)
+    try:
+        ok = (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (not integral or value == int(value))
+            and admits(value)
+        )
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise ConfigInvalid(f"{what} {name!r} must be {admitted}; got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _object(raw: dict, field: str) -> dict:
+    value = raw.get(field, {})
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"config field {field!r} must be a JSON object; got {value!r}")
+    return value
+
+
+def _spec(command: str, user: dict) -> tuple[str, dict]:
+    """(who takes the parameters, their spec) for a command's user parameters."""
+    if command != "run-scenario":
+        return f"command {command!r}", DEFAULT_PARAMETERS[command]
+    choice = DEFAULT_PARAMETERS[command]["scenario"]
+    name = _checked("scenario", user.get("scenario", choice), choice)
+    return f"scenario {name!r}", {"scenario": choice, **SCENARIO_PARAMETERS[name]}
 
 
 def normalize_config(command: str, raw: dict | None) -> dict:
     """Merge defaults, derive the coupling pair, validate every field."""
     if command not in COMMANDS:
         raise ConfigInvalid(f"unknown command {command!r}")
-    raw = dict(raw or {})
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"config must be a JSON object; got {type(raw).__name__}")
+    for key in raw:
+        if key not in CONFIG_FIELDS:
+            raise ConfigInvalid(f"unknown config field {key!r}")
     if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigInvalid(f"unsupported schema_version {raw.get('schema_version')!r}")
     if raw.get("command", command) != command:
         raise ConfigInvalid(f"config field 'command' ({raw['command']!r}) conflicts with {command!r}")
-    params = dict(DEFAULT_PARAMETERS[command])
-    user = dict(raw.get("parameters", {}))
-    known = set(params) | {"tau", "sigma_P", "seed"}
-    if command == "run-scenario":
-        known |= {
-            "q0", "q1", "n_q", "n_Q", "alpha_re", "alpha_im", "beta_re", "beta_im",
-            "separation", "sigma_x", "n_x", "sigma_qbar", "sigma_pbar", "dim",
-            "hbar", "xi_compare_max", "n_xi", "n_theta", "sigma_Q", "epsilon",
-        }
-    for key in user:
-        if key not in known:
-            raise ConfigInvalid(f"unknown parameter {key!r} for command {command!r}")
-    params.update(user)
-    # A user-supplied member of the (tau, sigma_P) pair displaces the default
-    # of the other; the pair is re-derived below.
-    user_tau = user.get("tau") is not None
-    user_sp = user.get("sigma_P") is not None
-    if user_tau and not user_sp:
-        params["sigma_P"] = None
-    elif user_sp and not user_tau:
-        params["tau"] = None
-
-    if command == "run-scenario" and params.get("scenario") not in SCENARIOS:
-        raise ConfigInvalid(f"unknown scenario {params.get('scenario')!r}")
-    needs_coupling = command != "run-scenario" or params.get("scenario") != "gaussian_bessel"
-    if needs_coupling:
-        has_tau = "tau" in params and params["tau"] is not None
-        has_sp = "sigma_P" in params and params["sigma_P"] is not None
-        _require_positive(params, ("epsilon",))
-        eps = float(params.get("epsilon", 1.0))
-        if has_tau and has_sp:
-            # Accept an already-normalized config; reject inconsistent pairs.
-            derived = 0.5 * (eps * params["sigma_P"]) ** 2
-            if abs(params["tau"] - derived) > 1e-12 * max(1.0, abs(params["tau"])):
-                raise ConfigInvalid("give exactly one of 'tau' or 'sigma_P', not both")
-        elif not has_tau and not has_sp:
+    user = _object(raw, "parameters")
+    tolerances = _object(raw, "tolerances")
+    owner, spec = _spec(command, user)
+    for name in user:
+        if name not in spec:
+            raise ConfigInvalid(f"unknown parameter {name!r} for {owner}")
+    params = {name: _checked(name, user.get(name, default), default)
+              for name, default in spec.items()}
+    if "tau" in spec:
+        # A user-supplied member of the pair displaces the default of the other.
+        if params["tau"] is not None and user.get("sigma_P") is None:
+            params["sigma_P"] = None
+        tau, sigma_P, eps = params["tau"], params["sigma_P"], params["epsilon"]
+        if tau is None and sigma_P is None:
             raise ConfigInvalid("exactly one of 'tau' or 'sigma_P' must be given")
-        elif has_tau:
-            if params["tau"] < 0:
-                raise ConfigInvalid("parameter 'tau' must be non-negative")
-            params["tau"] = float(params["tau"])
-            params["sigma_P"] = float(np.sqrt(2.0 * params["tau"]) / eps)
-        else:
-            if params["sigma_P"] < 0:
-                raise ConfigInvalid("parameter 'sigma_P' must be non-negative")
-            params["sigma_P"] = float(params["sigma_P"])
-            params["tau"] = float(0.5 * (eps * params["sigma_P"]) ** 2)
-    _require_positive(
-        params,
-        ("sigma_Q", "sigma_x", "sigma_q", "sigma_p", "sigma_qbar", "sigma_pbar", "hbar"),
-    )
-    for name in ("n_x", "n_q", "n_p", "n_Q", "n_samples", "bins", "dim", "n_xi", "n_theta"):
-        if name in params and (int(params[name]) != params[name] or params[name] < 2):
-            raise ConfigInvalid(f"parameter {name!r} must be an integer >= 2")
-    if command == "mc-compare" and params.get("branch") not in ("position", "action", "both"):
-        raise ConfigInvalid("parameter 'branch' must be position, action or both")
+        try:
+            derived = None if sigma_P is None else 0.5 * (eps * sigma_P) ** 2
+        except OverflowError:
+            derived = math.inf
+        if tau is None:
+            params["tau"] = _checked("tau", derived, None)
+        elif sigma_P is None:
+            params["sigma_P"] = _checked("sigma_P", math.sqrt(2.0 * tau) / eps, None)
+        elif abs(tau - derived) > 1e-12 * max(1.0, abs(tau)):
+            # An already-normalized config carries both; they must agree.
+            raise ConfigInvalid("give exactly one of 'tau' or 'sigma_P', not both")
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "parameters": params,
-        "tolerances": dict(raw.get("tolerances", {})),
+        "tolerances": dict(tolerances),
     }
 
 
@@ -247,7 +371,7 @@ def resolve_tolerances(command: str, config: dict, overrides: dict[str, float]) 
         for name, value in source.items():
             if name not in tol:
                 raise ConfigInvalid(f"unknown tolerance {name!r} for command {command!r}")
-            tol[name] = float(value)
+            tol[name] = _checked(name, value, NonNegative(), "tolerance")
     return tol
 
 
@@ -384,6 +508,12 @@ def run_mc_compare(params: dict, tol: dict):
     bins = int(params["bins"])
     seed = int(params["seed"])
     budget = tol["l1_coefficient"] / np.sqrt(n)
+    if budget >= 2.0:
+        raise ConfigInvalid(
+            f"parameter 'n_samples' = {n} gives the L1 budget {budget:.3g}, at least 2, "
+            "the largest L1 distance between densities: the histogram checks would pass "
+            "whatever the samples"
+        )
     checks: list[ScenarioCheck] = []
     scalars: dict = {"l1_budget": budget, "seed": seed}
     tables: list[Table] = []
@@ -461,6 +591,12 @@ def run_table1_report(params: dict, tol: dict):
     xgrid = Grid1D(-half, half, n)
     rows = []
 
+    def add_row(description: str, qm: float, cm: float, **expected) -> None:
+        """One report row from the measured pair and the last two checks."""
+        rows.append({"row": len(rows) + 1, "description": description, "qm_measured": qm,
+                     "cm_measured": cm, **expected, "qm_passed": checks[-2].passed,
+                     "cm_passed": checks[-1].passed})
+
     # Row 1: mean pointer shift over epsilon equals <A> on both sides.
     psi = gaussian_wavepacket(xgrid, center=params["center"], sigma_x=params["sigma_x"], hbar=hbar)
     rho_qm = density_from_wavefunction(psi, xgrid)
@@ -483,16 +619,8 @@ def run_table1_report(params: dict, tol: dict):
         ScenarioCheck("row 1 (CM): <Q>'/epsilon equals <A>", cm_row1, expect_row1,
                       tol["row1_expectation"], "analytic"),
     ]
-    rows.append({
-        "row": 1,
-        "description": "expectation values: <Q>'/epsilon = <A>",
-        "qm_measured": qm_row1,
-        "cm_measured": cm_row1,
-        "expected": expect_row1,
-        "tolerance": tol["row1_expectation"],
-        "qm_passed": checks[-2].passed,
-        "cm_passed": checks[-1].passed,
-    })
+    add_row("expectation values: <Q>'/epsilon = <A>", qm_row1, cm_row1,
+            expected=expect_row1, tolerance=tol["row1_expectation"])
 
     # Row 2: pointer resolution scale sigma_Q / epsilon on both sides.
     two_level = SpectralObservable.from_diagonal(np.array([0.0, 1.0]))
@@ -517,16 +645,9 @@ def run_table1_report(params: dict, tol: dict):
         ScenarioCheck("row 2 (CM): deconvolved pointer width over epsilon", cm_row2,
                       expect_row2, tol["row2_uncertainty_cm"], "analytic"),
     ]
-    rows.append({
-        "row": 2,
-        "description": "uncertainty: pointer resolution scale sigma_Q/epsilon",
-        "qm_measured": qm_row2,
-        "cm_measured": cm_row2,
-        "expected": expect_row2,
-        "tolerance": max(tol["row2_uncertainty_qm"], tol["row2_uncertainty_cm"]),
-        "qm_passed": checks[-2].passed,
-        "cm_passed": checks[-1].passed,
-    })
+    add_row("uncertainty: pointer resolution scale sigma_Q/epsilon", qm_row2, cm_row2,
+            expected=expect_row2,
+            tolerance=max(tol["row2_uncertainty_qm"], tol["row2_uncertainty_cm"]))
 
     # Row 3: both final reduced states grow the momentum variance by 2*tau.
     s2 = (hbar / (2.0 * params["sigma_x"])) ** 2
@@ -545,16 +666,8 @@ def run_table1_report(params: dict, tol: dict):
         ScenarioCheck("row 3 (CM): diffused density momentum variance", cm_row3, expect_row3,
                       tol["row3_variance"], "closed-form"),
     ]
-    rows.append({
-        "row": 3,
-        "description": "final reduced state: momentum variance s^2 + 2*tau",
-        "qm_measured": qm_row3,
-        "cm_measured": cm_row3,
-        "expected": expect_row3,
-        "tolerance": tol["row3_variance"],
-        "qm_passed": checks[-2].passed,
-        "cm_passed": checks[-1].passed,
-    })
+    add_row("final reduced state: momentum variance s^2 + 2*tau", qm_row3, cm_row3,
+            expected=expect_row3, tolerance=tol["row3_variance"])
 
     # Row 4: generator consistency, finite differences against the rhs.
     dim = 48  # tail weight ~e^-34 at these widths
@@ -588,18 +701,9 @@ def run_table1_report(params: dict, tol: dict):
         ScenarioCheck("row 4 (CM): double-bracket convergence order under halving",
                       cm_row4, 2.0, tol["row4_cm_order"], "oracle"),
     ]
-    rows.append({
-        "row": 4,
-        "description": "diffusion equation: generator consistency",
-        "qm_measured": qm_row4,
-        "cm_measured": cm_row4,
-        "expected_qm": 0.0,
-        "expected_cm": 2.0,
-        "tolerance_qm": tol["row4_qm_derivative"],
-        "tolerance_cm": tol["row4_cm_order"],
-        "qm_passed": checks[-2].passed,
-        "cm_passed": checks[-1].passed,
-    })
+    add_row("diffusion equation: generator consistency", qm_row4, cm_row4,
+            expected_qm=0.0, expected_cm=2.0,
+            tolerance_qm=tol["row4_qm_derivative"], tolerance_cm=tol["row4_cm_order"])
 
     scalars = {"rows": rows, "epsilon": eps, "tau": tau}
     tables: list[Table] = [
@@ -612,68 +716,11 @@ def run_table1_report(params: dict, tol: dict):
 
 def run_scenario_command(params: dict, tol: dict):
     name = params["scenario"]
-    probewidth = params.get("sigma_Q", 0.05 if name == "two_delta" else 0.1)
-    if name in ("two_delta", "interference"):
-        probe = ProbeSpec(sigma_Q=probewidth, sigma_P=params["sigma_P"])
-        coupling = CouplingParams(epsilon=params.get("epsilon", 1.0), tau=params["tau"])
-    if name == "two_delta":
-        result = scenario_two_delta(
-            q0=params.get("q0", 0.0),
-            q1=params.get("q1", 1.0),
-            probe=probe,
-            coupling=coupling,
-            n_q=int(params.get("n_q", 1024)),
-            n_Q=int(params.get("n_Q", 2048)),
-        )
-        tables = [("probe_marginal.csv",
-                   ["Q (probe position units)", "density (1/Q units)"],
-                   [result.outputs["Q"], result.outputs["probe_marginal"]])]
-    elif name == "interference":
-        alpha = complex(params.get("alpha_re", 1 / np.sqrt(2)), params.get("alpha_im", 0.0))
-        beta = complex(params.get("beta_re", 1 / np.sqrt(2)), params.get("beta_im", 0.0))
-        result = scenario_interference(
-            alpha=alpha,
-            beta=beta,
-            separation=params.get("separation", 2.0),
-            probe=probe,
-            coupling=coupling,
-            sigma_x=params.get("sigma_x", 1.0),
-            n_x=int(params.get("n_x", 1024)),
-            n_Q=int(params.get("n_Q", 1024)),
-        )
-        tables = [
-            ("position_density.csv",
-             ["x (position units)", "superposition (1/x units)", "mixture (1/x units)"],
-             [result.outputs["x"], result.outputs["position_density_superposition"],
-              result.outputs["position_density_mixture"]]),
-            ("pointer.csv",
-             ["Q (probe position units)", "superposition (1/Q units)", "mixture (1/Q units)"],
-             [result.outputs["Q"], result.outputs["pointer_superposition"],
-              result.outputs["pointer_mixture"]]),
-        ]
-    elif name == "number_basis":
-        result = scenario_number_basis(
-            sigma_qbar=params.get("sigma_qbar", 1.0),
-            sigma_pbar=params.get("sigma_pbar", 1.0),
-            dim=int(params.get("dim", 64)),
-            coupling=CouplingParams(epsilon=params.get("epsilon", 1.0), tau=params["tau"]),
-            hbar=params.get("hbar", 1.0),
-        )
-        tables = [("occupation.csv",
-                   ["level (action units)", "probability"],
-                   [result.outputs["levels"], result.outputs["occupation"]])]
-    else:
-        result = scenario_gaussian_bessel(
-            sigma_qbar=params.get("sigma_qbar", 1.0),
-            sigma_pbar=params.get("sigma_pbar", 2.0),
-            xi_compare_max=params.get("xi_compare_max", 10.0),
-            n_xi=int(params.get("n_xi", 481)),
-            n_theta=int(params.get("n_theta", 512)),
-        )
-        tables = [("angle_average.csv",
-                   ["xi (action units)", "numeric (1/xi units)", "closed_form (1/xi units)"],
-                   [result.outputs["xi"], result.outputs["numeric_average"],
-                    result.outputs["closed_form"]])]
+    result = SCENARIOS[name](**{arg.name: _argument(arg, params) for arg in _SIGNATURES[name]})
+    tables: list[Table] = [
+        (filename, list(columns.values()), [result.outputs[key] for key in columns])
+        for filename, columns in SCENARIO_TABLES[name]
+    ]
     scalars = {
         k: v for k, v in result.outputs.items() if np.isscalar(v) or isinstance(v, (bool, int, float))
     }
@@ -681,14 +728,30 @@ def run_scenario_command(params: dict, tol: dict):
     return list(result.checks), scalars, tables
 
 
+def _run(command: str, raw, seed: int | None = None, tolerance_overrides: dict | None = None):
+    """Normalize, apply the seed override, resolve tolerances and run: the one
+    path of ``main``, ``execute`` and ``table1_report``.
+
+    Returns the normalized config (tolerances resolved) and the runner's
+    (checks, scalars, tables).
+    """
+    config = normalize_config(command, raw)
+    params = config["parameters"]
+    if seed is not None:
+        spec = _spec(command, params)[1]
+        if "seed" not in spec:
+            raise ConfigInvalid(f"command {command!r} takes no 'seed'")
+        params["seed"] = _checked("seed", seed, spec["seed"])
+    config["tolerances"] = resolve_tolerances(command, config, tolerance_overrides or {})
+    return config, RUNNERS[command](params, config["tolerances"])
+
+
 def table1_report(config: dict | None = None, tolerance_overrides: dict | None = None) -> dict:
     """Run the four correspondence rows and return {rows, checks, all_passed}.
 
     In-memory variant of the ``table1-report`` command (no files written).
     """
-    cfg = normalize_config("table1-report", config)
-    tol = resolve_tolerances("table1-report", cfg, tolerance_overrides or {})
-    checks, scalars, _tables = run_table1_report(cfg["parameters"], tol)
+    _, (checks, scalars, _tables) = _run("table1-report", config, None, tolerance_overrides)
     return {
         "rows": scalars["rows"],
         "checks": [c.as_dict() for c in checks],
@@ -752,19 +815,16 @@ def execute(
     tolerance_overrides: dict[str, float] | None = None,
 ) -> dict:
     """Run one configured job, write its artifacts, return the manifest."""
-    command = config["command"]
-    config = normalize_config(command, config)
-    if seed is not None:
-        config["parameters"]["seed"] = int(seed)
-    tol = resolve_tolerances(command, config, tolerance_overrides or {})
-    config["tolerances"] = tol
+    return _execute(config["command"], config, out_dir, seed, tolerance_overrides)
+
+
+def _execute(command: str, raw, out_dir: Path, seed: int | None,
+             tolerance_overrides: dict[str, float] | None) -> dict:
+    started = dt.datetime.now(dt.timezone.utc).isoformat()
+    config, (checks, scalars, tables) = _run(command, raw, seed, tolerance_overrides)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started = dt.datetime.now(dt.timezone.utc).isoformat()
-
-    checks, scalars, tables = RUNNERS[command](config["parameters"], tol)
-
     for filename, headers, columns in tables:
         write_table(out_dir / filename, headers, columns)
     checks_doc = {
@@ -824,15 +884,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw = {}
+        raw = None
         if args.config is not None:
             try:
                 raw = json.loads(args.config.read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigInvalid(f"cannot read config file {args.config}: {exc}") from exc
         overrides = dict(_parse_tolerance(t) for t in args.tolerance)
-        config = normalize_config(args.command, raw)
-        manifest = execute(config, args.out, seed=args.seed, tolerance_overrides=overrides)
+        manifest = _execute(args.command, raw, args.out, args.seed, overrides)
     except ConfigInvalid as exc:
         print(f"config invalid: {exc}")
         return 2

@@ -12,7 +12,6 @@ falls back to explicit stepping of the double-bracket PDE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.ndimage import convolve1d
@@ -70,21 +69,15 @@ def apply_liouville_generator(
     return obs.dA_dq(qq, pp) * df_dp - obs.dA_dp(qq, pp) * df_dq
 
 
-MODE_FLOW_SHIFT = "flow-shift"
-MODE_FINITE_DIFFERENCE = "finite-difference"
-
-
 @dataclass(frozen=True)
 class LiouvilleGenerator:
-    """The generator paired with how it is applied for its observable kind."""
+    """The generator of one observable, applied on a grid."""
 
     observable: ClassicalObservable
-    mode: str
 
     @classmethod
     def from_observable(cls, obs: ClassicalObservable) -> "LiouvilleGenerator":
-        mode = MODE_FINITE_DIFFERENCE if obs.kind == KIND_GENERAL else MODE_FLOW_SHIFT
-        return cls(observable=obs, mode=mode)
+        return cls(observable=obs)
 
     def apply(self, values, qgrid, pgrid) -> np.ndarray:
         return apply_liouville_generator(values, qgrid, pgrid, self.observable)
@@ -127,26 +120,19 @@ def flow_map(obs: ClassicalObservable, q, p, s):
 ORDER_FLOW_SYSTEM = "flow-system"     # flow applied to the system factor only
 ORDER_FLOW_PRODUCT = "flow-product"   # flow applied to the full product
 
-MAX_JOINT_CELLS = 64**4
-
 
 @dataclass(frozen=True)
 class JointEvolvedState:
-    """rho'(q, p, Q, P): materialized 4-axis array or a lazy evaluator."""
+    """rho'(q, p, Q, P) as a materialized 4-axis array."""
 
     qgrid: Grid1D
     pgrid: Grid1D
     Qgrid: Grid1D
     Pgrid: Grid1D
-    density: np.ndarray | None = None
-    evaluator: Callable | None = None
+    density: np.ndarray
 
     def values(self) -> np.ndarray:
-        if self.density is not None:
-            return self.density
-        return self.evaluator(
-            self.qgrid.nodes, self.pgrid.nodes, self.Qgrid.nodes, self.Pgrid.nodes
-        )
+        return self.density
 
     def mass(self) -> float:
         v = self.values()
@@ -168,7 +154,6 @@ def joint_state_post(
     Qgrid: Grid1D,
     Pgrid: Grid1D,
     ordering: str = ORDER_FLOW_SYSTEM,
-    max_cells: int = MAX_JOINT_CELLS,
 ) -> JointEvolvedState:
     """Joint state after the kick, in either of the two commuting factorizations.
 
@@ -186,25 +171,20 @@ def joint_state_post(
     if ordering not in (ORDER_FLOW_SYSTEM, ORDER_FLOW_PRODUCT):
         raise InvariantViolation(f"unknown ordering {ordering!r}")
     eps = coupling.epsilon
-
-    def evaluate(qn, pn, Qn, Pn):
-        qq, pp, PP = np.meshgrid(qn, pn, Pn, indexing="ij")
-        fq, fp = flow_map(obs, qq, pp, eps * PP)
-        system = sample_phase_density(rho_s, fq, fp)          # (nq, np, nP)
-        mom = probe.momentum_density(Pn)
-        if ordering == ORDER_FLOW_PRODUCT:
-            a = obs.eval(fq, fp)                              # (nq, np, nP)
-            pos = probe.position_density(Qn[None, None, None, :] - eps * a[..., None])
-            return np.einsum("ijl,ijlk,l->ijkl", system, pos, mom, optimize=True)
+    qn, pn, Qn, Pn = rho_s.qgrid.nodes, rho_s.pgrid.nodes, Qgrid.nodes, Pgrid.nodes
+    qq, pp, PP = np.meshgrid(qn, pn, Pn, indexing="ij")
+    fq, fp = flow_map(obs, qq, pp, eps * PP)
+    system = sample_phase_density(rho_s, fq, fp)          # (nq, np, nP)
+    mom = probe.momentum_density(Pn)
+    if ordering == ORDER_FLOW_PRODUCT:
+        a = obs.eval(fq, fp)                              # (nq, np, nP)
+        pos = probe.position_density(Qn[None, None, None, :] - eps * a[..., None])
+        dens = np.einsum("ijl,ijlk,l->ijkl", system, pos, mom, optimize=True)
+    else:
         a = obs.eval(*np.meshgrid(qn, pn, indexing="ij"))     # (nq, np)
         pos = probe.position_density(Qn[None, None, :] - eps * a[..., None])
-        return np.einsum("ijl,ijk,l->ijkl", system, pos, mom, optimize=True)
-
-    cells = rho_s.qgrid.n * rho_s.pgrid.n * Qgrid.n * Pgrid.n
-    if cells <= max_cells:
-        dens = evaluate(rho_s.qgrid.nodes, rho_s.pgrid.nodes, Qgrid.nodes, Pgrid.nodes)
-        return JointEvolvedState(rho_s.qgrid, rho_s.pgrid, Qgrid, Pgrid, density=dens)
-    return JointEvolvedState(rho_s.qgrid, rho_s.pgrid, Qgrid, Pgrid, evaluator=evaluate)
+        dens = np.einsum("ijl,ijk,l->ijkl", system, pos, mom, optimize=True)
+    return JointEvolvedState(rho_s.qgrid, rho_s.pgrid, Qgrid, Pgrid, density=dens)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +410,7 @@ def angle_spectral_solve(
     damped = np.where(kept[None, :], c * np.exp(-tau * rate), 0.0)
     values = np.real(np.fft.ifft(damped * rho.thetagrid.n, axis=1))
     values = _monitored_clip(values, "angle spectral solver")
-    return AngleActionDensity(rho.xigrid, rho.thetagrid, values, fourier_coeffs=damped)
+    return AngleActionDensity(rho.xigrid, rho.thetagrid, values)
 
 
 def strong_coupling_limit_cm(rho: AngleActionDensity) -> AngleActionDensity:

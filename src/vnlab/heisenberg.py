@@ -11,7 +11,6 @@ validate the density-picture solvers statistically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,60 +20,6 @@ from .observables import ClassicalObservable, CouplingParams, ProbeSpec
 from .states import PhaseSpaceDensity
 
 _SAMPLE_CHUNK = 8192
-
-
-# ---------------------------------------------------------------------------
-# Coupling pulse
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CouplingProfile:
-    """Smooth unit-mass pulse g(t) with compact support around t1.
-
-    G(t) is the running integral, rising monotonically from 0 to 1; the final
-    state of every flow map corresponds to G = 1.
-    """
-
-    t1: float
-    width: float
-    resolution: int = 4001
-
-    def __post_init__(self):
-        if not self.width > 0:
-            raise InvariantViolation("pulse width must be positive")
-
-    @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = np.linspace(self.t1 - self.width, self.t1 + self.width, self.resolution)
-        u = (t - self.t1) / self.width
-        with np.errstate(divide="ignore", over="ignore"):
-            raw = np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
-        h = t[1] - t[0]
-        cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (raw[1:] + raw[:-1]) * h)])
-        g = raw / cumulative[-1]
-        G = cumulative / cumulative[-1]
-        return t, g, G
-
-    def g(self, t) -> np.ndarray:
-        tt, g, _ = self._tables
-        return np.interp(np.asarray(t, dtype=float), tt, g, left=0.0, right=0.0)
-
-    def G(self, t) -> np.ndarray:
-        tt, _, G = self._tables
-        return np.interp(np.asarray(t, dtype=float), tt, G, left=0.0, right=1.0)
-
-    def validate(self, tol: float = 1e-10) -> None:
-        tt, g, G = self._tables
-        h = tt[1] - tt[0]
-        total = float(np.sum(0.5 * (g[1:] + g[:-1]) * h))
-        if abs(total - 1.0) > tol:
-            raise InvariantViolation(f"pulse integral {total!r} deviates from 1")
-        if np.any(np.diff(G) < -1e-15) or abs(G[0]) > tol or abs(G[-1] - 1.0) > tol:
-            raise InvariantViolation("running integral must rise monotonically 0 -> 1")
-
-
-def bump_profile(t1: float = 1.0, width: float = 0.5) -> CouplingProfile:
-    return CouplingProfile(t1=t1, width=width)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,14 @@ ArrayMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # Quantum side
 # ---------------------------------------------------------------------------
 
+def require_hermitian(matrix) -> np.ndarray:
+    """``matrix`` as an array; NonHermitianObservable unless square and Hermitian within 1e-12."""
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or np.max(np.abs(m - m.conj().T)) > 1e-12:
+        raise NonHermitianObservable("matrix is not Hermitian within 1e-12")
+    return m
+
+
 @dataclass(frozen=True)
 class SpectralObservable:
     """Discrete spectral resolution: sorted eigenvalues with orthogonal projectors.
@@ -69,10 +77,7 @@ class SpectralObservable:
     @classmethod
     def from_hermitian(cls, matrix, degeneracy_tol: float = 1e-9) -> "SpectralObservable":
         """Spectral data of a Hermitian matrix, grouping near-equal eigenvalues."""
-        m = np.asarray(matrix)
-        if m.shape[0] != m.shape[1] or np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise NonHermitianObservable("matrix is not Hermitian within 1e-12")
-        vals, vecs = np.linalg.eigh(m)
+        vals, vecs = np.linalg.eigh(require_hermitian(matrix))
         groups: list[list[int]] = [[0]]
         for k in range(1, len(vals)):
             if vals[k] - vals[groups[-1][0]] <= degeneracy_tol:

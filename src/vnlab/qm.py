@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    KernelMismatch,
-    NegligibleProbability,
-    NonHermitianObservable,
-)
+from .errors import DimensionMismatch, KernelMismatch, NegligibleProbability
 from .grids import Grid1D
-from .observables import CouplingParams, ProbeSpec, SpectralObservable
+from .observables import CouplingParams, ProbeSpec, SpectralObservable, require_hermitian
 from .states import DensityOperator, trace_with
 
 
@@ -170,9 +165,7 @@ def lindblad_evolve(
     rho_s: DensityOperator, obs_matrix: np.ndarray, tau: float, hbar: float = 1.0
 ) -> DensityOperator:
     """Exact solution at strength tau of drho/dtau = -[A,[A,rho]]/hbar^2."""
-    a = np.asarray(obs_matrix)
-    if np.max(np.abs(a - a.conj().T)) > 1e-12:
-        raise NonHermitianObservable("observable matrix is not Hermitian")
+    a = require_hermitian(obs_matrix)
     if a.shape != rho_s.matrix.shape:
         raise DimensionMismatch("observable and state dimensions differ")
     vals, vecs = np.linalg.eigh(a)
@@ -185,9 +178,7 @@ def lindblad_evolve(
 
 def lindblad_rhs(rho: DensityOperator, obs_matrix: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     """-[A,[A,rho]]/hbar^2, the generator of the channel."""
-    a = np.asarray(obs_matrix)
-    if np.max(np.abs(a - a.conj().T)) > 1e-12:
-        raise NonHermitianObservable("observable matrix is not Hermitian")
+    a = require_hermitian(obs_matrix)
     inner = a @ rho.matrix - rho.matrix @ a
     return -(a @ inner - inner @ a) / hbar**2
 

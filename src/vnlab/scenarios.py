@@ -40,6 +40,22 @@ PROV_ANALYTIC = "analytic"
 PROV_CLOSED_FORM = "closed-form"
 PROV_ORACLE = "oracle"
 
+# Coupling strength of a scenario called without a coupling.
+DEFAULT_EPSILON = 1.0
+
+
+class Signed(float):
+    """Annotates a real parameter of either sign, such as a position.
+
+    The command line reads a parameter's admitted range from its annotation:
+    ``float`` is positive, ``NonNegative`` may be zero, ``Signed`` may be
+    negative, ``int`` is a size of at least 2.
+    """
+
+
+class NonNegative(float):
+    """Annotates a real parameter that may be zero (a distance)."""
+
 
 @dataclass(frozen=True)
 class ScenarioCheck:
@@ -90,8 +106,8 @@ def _count_peaks(values: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 def scenario_two_delta(
-    q0: float = 0.0,
-    q1: float = 1.0,
+    q0: Signed = 0.0,
+    q1: Signed = 1.0,
     probe: ProbeSpec = ProbeSpec(sigma_Q=0.05, sigma_P=0.3),
     coupling: CouplingParams | None = None,
     n_q: int = 1024,
@@ -105,7 +121,7 @@ def scenario_two_delta(
     sigma_Q/eps versus |q1 - q0|.
     """
     if coupling is None:
-        coupling = CouplingParams.from_probe(1.0, probe)
+        coupling = CouplingParams.from_probe(DEFAULT_EPSILON, probe)
     eps = coupling.epsilon
     half = max(abs(q0), abs(q1)) + 4.0
     qgrid = Grid1D(-half, half, n_q)
@@ -217,7 +233,7 @@ def scenario_two_delta(
 def scenario_interference(
     alpha: complex = 1.0 / np.sqrt(2.0),
     beta: complex = 1.0 / np.sqrt(2.0),
-    separation: float = 2.0,
+    separation: NonNegative = 2.0,
     probe: ProbeSpec = ProbeSpec(sigma_Q=0.1, sigma_P=0.3),
     coupling: CouplingParams | None = None,
     sigma_x: float = 1.0,
@@ -231,7 +247,7 @@ def scenario_interference(
     two pointer distributions.
     """
     if coupling is None:
-        coupling = CouplingParams.from_probe(1.0, probe)
+        coupling = CouplingParams.from_probe(DEFAULT_EPSILON, probe)
     eps = coupling.epsilon
     half = separation / 2.0 + 8.0 * sigma_x
     xgrid = Grid1D(-half, half, n_x)
@@ -363,7 +379,7 @@ def scenario_number_basis(
     sigma_qbar: float = 1.0,
     sigma_pbar: float = 1.0,
     dim: int = 64,
-    coupling: CouplingParams = CouplingParams.from_sigma_P(1.0, 3.0),
+    coupling: CouplingParams = CouplingParams.from_sigma_P(DEFAULT_EPSILON, 3.0),
     hbar: float = 1.0,
 ) -> ScenarioResult:
     """Occupation statistics and the pinched strong-coupling state.

@@ -157,7 +157,6 @@ class AngleActionDensity:
     xigrid: Grid1D
     thetagrid: PeriodicGrid
     values: np.ndarray
-    fourier_coeffs: np.ndarray | None = None
 
     def __post_init__(self):
         if self.xigrid.lo != 0.0:
@@ -166,8 +165,6 @@ class AngleActionDensity:
         if v.shape != (self.xigrid.n, self.thetagrid.n):
             raise ShapeMismatch("values shape does not match (xi, theta) grids")
         object.__setattr__(self, "values", _freeze(v))
-        if self.fourier_coeffs is not None:
-            object.__setattr__(self, "fourier_coeffs", _freeze(np.asarray(self.fourier_coeffs)))
 
     def mass(self) -> float:
         return grid2d_integrate(self.xigrid, self.thetagrid, self.values)
@@ -186,7 +183,7 @@ class AngleActionDensity:
             raise InvariantViolation(f"angle-action mass {m!r} deviates from 1")
 
     def normalized(self) -> "AngleActionDensity":
-        return replace(self, values=self.values / self.mass(), fourier_coeffs=None)
+        return replace(self, values=self.values / self.mass())
 
 
 def angle_density_from_function(xigrid, thetagrid, f, normalize=True) -> AngleActionDensity:
@@ -228,11 +225,6 @@ def to_bar_coordinates(rho: PhaseSpaceDensity, units: UnitsConfig) -> PhaseSpace
     qbar = Grid1D(c * rho.qgrid.lo, c * rho.qgrid.hi, rho.qgrid.n)
     pbar = Grid1D(rho.pgrid.lo / c, rho.pgrid.hi / c, rho.pgrid.n)
     return PhaseSpaceDensity(qbar, pbar, rho.values)
-
-
-def from_bar_coordinates(rho: PhaseSpaceDensity, units: UnitsConfig) -> PhaseSpaceDensity:
-    inv = UnitsConfig(hbar=units.hbar, scale_C=1.0 / units.scale_C)
-    return to_bar_coordinates(rho, inv)
 
 
 def to_angle_action(

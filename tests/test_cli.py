@@ -1,6 +1,7 @@
 """The command-line front end: configs, artifacts, exit codes, determinism."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,15 +10,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vnlab
 from vnlab.cli import (
+    COUPLING_PAIR,
+    DEFAULT_PARAMETERS,
+    DEFAULT_TOLERANCES,
+    SCENARIO_PARAMETERS,
+    Choice,
+    Seed,
     execute,
     main,
     normalize_config,
     resolve_tolerances,
 )
 from vnlab.errors import ConfigInvalid
+from vnlab.scenarios import NonNegative, Signed
 
 
 class TestConfigValidation:
@@ -67,6 +77,102 @@ class TestConfigValidation:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigInvalid, match="scenario"):
             normalize_config("run-scenario", {"parameters": {"scenario": "flying"}})
+
+    def test_scenario_defaults_come_from_its_signature(self):
+        params = normalize_config("run-scenario", {"parameters": {"scenario": "interference"}})[
+            "parameters"
+        ]
+        assert params["n_x"] == 1024 and params["separation"] == 2.0
+        assert params["sigma_Q"] == 0.1 and params["epsilon"] == 1.0
+        assert params["alpha_re"] == pytest.approx(2**-0.5) and params["beta_im"] == 0.0
+        # The command line's probe momentum width, not number_basis's own 3.0.
+        nb = normalize_config("run-scenario", {"parameters": {"scenario": "number_basis"}})
+        assert nb["parameters"]["sigma_P"] == 0.3 and nb["parameters"]["tau"] == 0.045
+
+    def test_integral_float_accepted_for_integer_field(self):
+        cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 128.0}})
+        assert cfg["parameters"]["n_x"] == 128 and isinstance(cfg["parameters"]["n_x"], int)
+
+    def test_seed_override_validated(self, tmp_path):
+        with pytest.raises(ConfigInvalid, match="seed"):
+            execute({"command": "mc-compare"}, tmp_path / "o", seed=-1)
+        with pytest.raises(ConfigInvalid, match="seed"):
+            execute({"command": "evolve-qm"}, tmp_path / "o", seed=3)
+        assert not (tmp_path / "o").exists()
+
+
+def _spec_fields():
+    """(command, fixed parameters, field, default) for every command and scenario field."""
+    fields = [
+        (command, {}, name, default)
+        for command, spec in DEFAULT_PARAMETERS.items()
+        if command != "run-scenario"
+        for name, default in spec.items()
+    ]
+    fields.append(("run-scenario", {}, "scenario", DEFAULT_PARAMETERS["run-scenario"]["scenario"]))
+    for scenario, spec in SCENARIO_PARAMETERS.items():
+        fields += [("run-scenario", {"scenario": scenario}, name, default)
+                   for name, default in spec.items()]
+    return fields
+
+
+def _out_of_range(name, default):
+    """Values outside the range that the field's default type admits."""
+    finite = {"allow_nan": False, "allow_infinity": False}
+    if name in COUPLING_PAIR or isinstance(default, NonNegative):
+        return st.floats(max_value=0.0, exclude_max=True, **finite)
+    if isinstance(default, Choice):
+        return st.text(max_size=8).filter(lambda v: v not in default.options)
+    if isinstance(default, Seed):
+        return st.integers(max_value=-1) | st.integers(min_value=2**128 - 1)
+    if isinstance(default, int):
+        non_integral = st.floats(**finite).filter(lambda v: v != int(v))
+        return st.integers(max_value=1) | non_integral
+    if isinstance(default, Signed):
+        return st.nothing()
+    return st.floats(max_value=0.0, **finite)
+
+
+def _bad_values(name, default):
+    wrong_type = st.text(max_size=8) | st.lists(st.integers(), max_size=2) | st.dictionaries(
+        st.text(max_size=3), st.integers(), max_size=2
+    )
+    if isinstance(default, Choice):
+        wrong_type = wrong_type.filter(lambda v: v not in default.options) | st.floats()
+    if name not in COUPLING_PAIR:  # None asks for the pair member derived from the other
+        wrong_type |= st.none()
+    nonfinite = st.sampled_from([math.inf, -math.inf, math.nan])
+    return wrong_type | st.booleans() | nonfinite | _out_of_range(name, default)
+
+
+class TestParameterSpec:
+    """Every field of every command and scenario refuses what its spec does not admit."""
+
+    @pytest.mark.parametrize(
+        "command, fixed, name, default",
+        _spec_fields(),
+        ids=[f"{f.get('scenario', c)}.{n}" for c, f, n, _ in _spec_fields()],
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_bad_value_raises_config_invalid_naming_field(self, command, fixed, name, default, data):
+        value = data.draw(_bad_values(name, default), label=name)
+        with pytest.raises(ConfigInvalid) as info:
+            normalize_config(command, {"parameters": {**fixed, name: value}})
+        assert repr(name) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [(c, n) for c, tol in DEFAULT_TOLERANCES.items() for n in tol],
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_bad_tolerance_raises_config_invalid_naming_it(self, command, name, data):
+        cfg = normalize_config(command, {"tolerances": {name: data.draw(
+            _bad_values(name, NonNegative(0.0)), label=name)}})
+        with pytest.raises(ConfigInvalid) as info:
+            resolve_tolerances(command, cfg, {})
+        assert repr(name) in str(info.value)
 
 
 class TestExecution:
@@ -129,10 +235,18 @@ class TestExecution:
         assert manifest["config"]["parameters"]["seed"] == 99
 
     def test_manifest_config_reruns_bit_identically(self, tmp_path):
-        cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 96}})
-        first = execute(cfg, tmp_path / "a")
-        replay = execute(first["config"], tmp_path / "b")
-        assert replay["outputs"] == first["outputs"]
+        configs = [
+            ("evolve-qm", {"n_x": 96}),
+            # Its manifest echoes every scenario field, the complex amplitudes as parts.
+            ("run-scenario", {"scenario": "interference", "n_x": 256, "n_Q": 128,
+                              "alpha_im": 0.25, "tau": 0.02}),
+        ]
+        for command, params in configs:
+            cfg = normalize_config(command, {"parameters": params})
+            first = execute(cfg, tmp_path / command / "a")
+            replay = execute(first["config"], tmp_path / command / "b")
+            assert replay["outputs"] == first["outputs"]
+            assert replay["config"] == first["config"]
 
     def test_table1_report_in_memory(self):
         from vnlab.cli import table1_report
@@ -202,6 +316,44 @@ class TestMainEntryPoint:
 
     def test_malformed_tolerance_exits_2(self, tmp_path):
         assert main(["evolve-qm", "--out", str(tmp_path / "o"), "--tolerance", "x"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, config, extra, named",
+        [
+            ("evolve-cm", {"parameters": {"n_q": "abc"}}, [], "'n_q'"),
+            ("evolve-qm", {"parameters": None}, [], "'parameters'"),
+            ("evolve-qm", [1, 2], [], "config must be a JSON object; got list"),
+            ("mc-compare", {"parameters": {"seed": -1}}, [], "'seed'"),
+            ("mc-compare", None, ["--seed", "-1"], "'seed'"),
+            ("evolve-qm", {"parameters": {"epsilon": "1"}}, [], "'epsilon'"),
+            ("evolve-qm", {"parameters": {"sigma_Q": math.inf}}, [], "'sigma_Q'"),
+            ("evolve-qm", {"parameters": {"n_x": True}}, [], "'n_x'"),
+            ("run-scenario", {"parameters": {"scenario": "two_delta", "dim": 3}}, [], "'dim'"),
+            ("run-scenario", {"parameters": {"scenario": "gaussian_bessel", "sigma_P": -5}},
+             [], "'sigma_P'"),
+            # L1 budget 5/sqrt(2) = 3.5 >= 2, the largest L1 distance: a vacuous check.
+            ("mc-compare", {"parameters": {"n_samples": 2, "branch": "position"}}, [],
+             "'n_samples'"),
+        ],
+        ids=["string-int", "null-parameters", "array-config", "negative-seed",
+             "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
+             "foreign-scenario-field", "field-of-no-scenario", "vacuous-l1-budget"],
+    )
+    def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
+        argv = [command, "--out", str(tmp_path / "o"), *extra]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_l1_budget_below_two_runs(self, tmp_path):
+        # 5/sqrt(7) = 1.89 < 2: admitted, whether or not its checks pass.
+        cfg = normalize_config("mc-compare", {"parameters": {"n_samples": 7, "branch": "position"}})
+        assert execute(cfg, tmp_path / "o")["config"]["parameters"]["n_samples"] == 7
 
     def test_small_mc_compare_passes(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -14,7 +14,6 @@ from vnlab import (
 )
 from vnlab.cm import probe_marginal_Q, reduced_state_post_cm
 from vnlab.heisenberg import (
-    bump_profile,
     flow_action,
     flow_position,
     histogram_l1_distance,
@@ -30,22 +29,6 @@ PGRID = Grid1D(-12.0, 12.0, 256)
 
 def standard_state():
     return build_gaussian_phase_density(QGRID, PGRID, 1.0, 1.0)
-
-
-class TestCouplingProfile:
-    def test_pulse_normalization_and_monotone_integral(self):
-        prof = bump_profile(t1=1.0, width=0.5)
-        prof.validate(tol=1e-10)
-        assert prof.G(0.0) == 0.0
-        assert prof.G(5.0) == 1.0
-        t = np.linspace(0.4, 1.6, 301)
-        assert np.all(np.diff(prof.G(t)) >= 0)
-
-    def test_compact_support(self):
-        prof = bump_profile(t1=2.0, width=0.25)
-        assert prof.g(1.7) == 0.0
-        assert prof.g(2.3) == 0.0
-        assert prof.g(2.0) > 0.0
 
 
 class TestSampling:
