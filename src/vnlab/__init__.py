@@ -23,8 +23,6 @@ from .errors import (
     NegligibleProbability,
     NonHermitianObservable,
     ShapeMismatch,
-    StepSizeTooLarge,
-    ToleranceExceeded,
     TruncationTooSmall,
     UnsupportedObservable,
     VnLabError,

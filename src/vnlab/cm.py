@@ -20,7 +20,6 @@ from .errors import (
     InvariantViolation,
     ModeCutoffTooSmall,
     NegligibleProbability,
-    StepSizeTooLarge,
     UnsupportedObservable,
 )
 from .grids import TWO_PI, Grid1D, grid2d_integrate
@@ -42,13 +41,6 @@ from .states import (
 )
 
 NEGATIVITY_MONITOR = -1e-10
-
-
-def _require_independent(probe: ProbeSpec) -> None:
-    # The factorized probe density rho_pi(Q) * rho_pi(P) underlies every
-    # marginalization below.
-    if not probe.independent:
-        raise InvariantViolation("this operation requires an independent (Q, P) probe")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +157,6 @@ def joint_state_post(
     Requires sigma_P > 0 (the P axis carries a density) and an observable kind
     with an exact flow map.
     """
-    _require_independent(probe)
     if obs.kind == KIND_GENERAL:
         raise UnsupportedObservable("joint evolution needs a position or action observable")
     if ordering not in (ORDER_FLOW_SYSTEM, ORDER_FLOW_PRODUCT):
@@ -223,7 +214,6 @@ def probe_marginal_Q(
     position density; an action observable on an angle-action state reduces to
     a 1-D integral over xi.
     """
-    _require_independent(probe)
     eps = coupling.epsilon
     Q = Qgrid.nodes
     if isinstance(rho_s, AngleActionDensity):
@@ -262,36 +252,23 @@ def _monitored_clip(values: np.ndarray, where: str) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def _diffuse_rows_p(values: np.ndarray, h_p: float, sigmas: np.ndarray) -> np.ndarray:
-    """Gaussian smoothing along the p axis, row sigma given per q node.
+def _diffuse_rows_p(values: np.ndarray, h_p: float, sigma: float) -> np.ndarray:
+    """Gaussian smoothing of every row along the p axis with width sigma.
 
     Kernels wider than two grid steps are applied in real space (point-sampled,
     sum-normalized, absorbing ends); narrower ones multiply the p-spectrum by
     the exact Gaussian characteristic function, where wraparound is negligible.
     """
-    out = np.empty_like(values)
-    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (values.shape[0],))
+    if sigma >= 2.0 * h_p:
+        reach = int(np.ceil(7.0 * sigma / h_p))
+        offsets = np.arange(-reach, reach + 1) * h_p
+        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+        kernel /= kernel.sum()
+        return convolve1d(values, kernel, axis=-1, mode="constant", cval=0.0)
     k_fft = TWO_PI * np.fft.rfftfreq(values.shape[1], d=h_p)
-
-    def smooth_block(rows: np.ndarray, sigma: float) -> np.ndarray:
-        if sigma == 0.0:
-            return rows.copy()
-        if sigma >= 2.0 * h_p:
-            reach = int(np.ceil(7.0 * sigma / h_p))
-            offsets = np.arange(-reach, reach + 1) * h_p
-            kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-            kernel /= kernel.sum()
-            return convolve1d(rows, kernel, axis=-1, mode="constant", cval=0.0)
-        spectrum = np.fft.rfft(rows, axis=-1)
-        spectrum *= np.exp(-0.5 * (sigma * k_fft) ** 2)
-        return np.fft.irfft(spectrum, n=rows.shape[-1], axis=-1)
-
-    if np.all(sigmas == sigmas[0]):
-        out[:] = smooth_block(values, float(sigmas[0]))
-    else:
-        for i, s in enumerate(sigmas):
-            out[i] = smooth_block(values[i : i + 1], float(s))[0]
-    return out
+    spectrum = np.fft.rfft(values, axis=-1)
+    spectrum *= np.exp(-0.5 * (sigma * k_fft) ** 2)
+    return np.fft.irfft(spectrum, n=values.shape[-1], axis=-1)
 
 
 def cm_diffusion_rhs(rho: PhaseSpaceDensity, obs: ClassicalObservable) -> np.ndarray:
@@ -312,13 +289,8 @@ def pde_stability_bound(
     return 0.25 / rate
 
 
-def _pde_evolve(
-    rho: PhaseSpaceDensity, obs: ClassicalObservable, tau: float, dtau: float | None
-) -> PhaseSpaceDensity:
-    bound = pde_stability_bound(rho.qgrid, rho.pgrid, obs)
-    if dtau is not None and dtau > bound:
-        raise StepSizeTooLarge(f"dtau={dtau:.3e} exceeds stability bound {bound:.3e}")
-    step = min(dtau if dtau is not None else bound, tau)
+def _pde_evolve(rho: PhaseSpaceDensity, obs: ClassicalObservable, tau: float) -> PhaseSpaceDensity:
+    step = min(pde_stability_bound(rho.qgrid, rho.pgrid, obs), tau)
     n_steps = int(np.ceil(tau / step))
     step = tau / n_steps
     values = rho.values.copy()
@@ -329,20 +301,14 @@ def _pde_evolve(
     return work
 
 
-def reduced_state_post_cm(
-    rho_s,
-    obs: ClassicalObservable,
-    tau: float,
-    pde_dtau: float | None = None,
-    mode_cutoff: int | None = None,
-):
+def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
     """Reduced system state exp(tau * A_op^2) rho_s.
 
     Dispatch by observable kind: A = q gets the exact Gaussian convolution in
-    p (kernel variance 2*tau*(dA/dq)^2); A(xi) gets the Fourier angle solver
-    (on an angle-action state directly, otherwise through the canonical
-    transform and back); anything else is explicit PDE stepping with a
-    CFL-limited step. ``mode_cutoff`` defaults to every mode the theta grid
+    p (kernel variance 2*tau, as dA/dq = 1); A(xi) gets the Fourier angle
+    solver (on an angle-action state directly, otherwise through the canonical
+    transform and back); anything else is explicit PDE stepping at the
+    stability bound. The angle solver keeps every mode the theta grid
     represents, so the channel itself never truncates.
     """
     if tau < 0:
@@ -352,20 +318,16 @@ def reduced_state_post_cm(
     if isinstance(rho_s, AngleActionDensity):
         if obs.kind != KIND_ACTION:
             raise UnsupportedObservable("angle-action states pair with action observables")
-        M = mode_cutoff if mode_cutoff is not None else rho_s.thetagrid.n // 2
-        return angle_spectral_solve(rho_s, obs, tau, M=M)
+        return angle_spectral_solve(rho_s, obs, tau, M=rho_s.thetagrid.n // 2)
     if obs.kind == KIND_POSITION:
-        a = obs.dA_dq(rho_s.qgrid.nodes, np.zeros(rho_s.qgrid.n))
-        sigmas = np.sqrt(2.0 * tau) * np.abs(a)
-        values = _diffuse_rows_p(rho_s.values, rho_s.pgrid.h, sigmas)
+        values = _diffuse_rows_p(rho_s.values, rho_s.pgrid.h, np.sqrt(2.0 * tau))
         values = _monitored_clip(values, "position-kind channel")
         return PhaseSpaceDensity(rho_s.qgrid, rho_s.pgrid, values)
     if obs.kind == KIND_ACTION:
         aa = to_angle_action(rho_s)
-        M = mode_cutoff if mode_cutoff is not None else aa.thetagrid.n // 2
-        solved = angle_spectral_solve(aa, obs, tau, M=M)
+        solved = angle_spectral_solve(aa, obs, tau, M=aa.thetagrid.n // 2)
         return from_angle_action(solved, rho_s.qgrid, rho_s.pgrid)
-    return _pde_evolve(rho_s, obs, tau, pde_dtau)
+    return _pde_evolve(rho_s, obs, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +400,6 @@ def conditional_state_cm(
     Q = eps*q0 the q-marginal concentrates at q0 while the momentum profile is
     the diffused conditional at q0.
     """
-    _require_independent(probe)
     if obs.kind != KIND_POSITION:
         raise UnsupportedObservable("classical conditioning is implemented for A = q")
     eps = coupling.epsilon

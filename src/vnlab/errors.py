@@ -49,10 +49,6 @@ class UnsupportedObservable(VnLabError):
     """The observable kind is not handled by the requested code path."""
 
 
-class StepSizeTooLarge(VnLabError):
-    """An explicit PDE step exceeds its stability bound."""
-
-
 class ModeCutoffTooSmall(VnLabError):
     """The Fourier mode cutoff drops a non-negligible amount of mass."""
 
@@ -63,7 +59,3 @@ class TruncationTooSmall(VnLabError):
 
 class ConfigInvalid(VnLabError):
     """A run configuration failed validation; the message names the field."""
-
-
-class ToleranceExceeded(VnLabError):
-    """At least one executed check failed its tolerance."""

@@ -53,9 +53,6 @@ class Grid1D:
     def integrate(self, f: np.ndarray) -> float:
         return float(self.weights @ np.asarray(f))
 
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class PeriodicGrid:
@@ -93,14 +90,11 @@ class PeriodicGrid:
 
 @dataclass(frozen=True)
 class UnitsConfig:
-    """Global unit choices: hbar and the rescaling constant C of qbar = C q."""
+    """The rescaling constant C of the equal-unit coordinates qbar = C q."""
 
-    hbar: float = 1.0
     scale_C: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise InvariantViolation("hbar must be positive")
         if not self.scale_C > 0:
             raise InvariantViolation("scale_C must be positive")
 

@@ -28,23 +28,18 @@ _SAMPLE_CHUNK = 8192
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Sampled (q, p, Q, P) quadruples with their master seed."""
+    """Sampled (q, p, Q, P) quadruples."""
 
     q: np.ndarray
     p: np.ndarray
     Q: np.ndarray
     P: np.ndarray
-    seed: int
 
     def __post_init__(self):
         n = self.q.size
         for name in ("p", "Q", "P"):
             if getattr(self, name).size != n:
                 raise InvariantViolation("ensemble component lengths differ")
-
-    @property
-    def n(self) -> int:
-        return self.q.size
 
 
 @dataclass(frozen=True)
@@ -55,11 +50,6 @@ class ActionEnsemble:
     theta: np.ndarray
     Q: np.ndarray
     P: np.ndarray
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.xi.size
 
 
 def _inverse_cdf_rows(cdf_rows: np.ndarray, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -124,7 +114,7 @@ def sample_initial(
 
     Q = probe.sigma_Q * z_Q
     P = probe.sigma_P * z_P
-    return TrajectoryEnsemble(q=q, p=p, Q=Q, P=P, seed=seed)
+    return TrajectoryEnsemble(q=q, p=p, Q=Q, P=P)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +129,6 @@ def flow_position(ens: TrajectoryEnsemble, coupling: CouplingParams) -> Trajecto
         p=ens.p - eps * ens.P,
         Q=ens.Q + eps * ens.q,
         P=ens.P,
-        seed=ens.seed,
     )
 
 
@@ -155,7 +144,7 @@ def to_action_ensemble(
     qbar, pbar = c * ens.q, ens.p / c
     xi = 0.5 * (qbar**2 + pbar**2)
     theta = np.mod(np.arctan2(pbar, qbar), TWO_PI)
-    return ActionEnsemble(xi=xi, theta=theta, Q=c * ens.Q, P=ens.P / c, seed=ens.seed)
+    return ActionEnsemble(xi=xi, theta=theta, Q=c * ens.Q, P=ens.P / c)
 
 
 def flow_action(
@@ -180,7 +169,6 @@ def flow_action(
         theta=theta,
         Q=ens.Q + eps * obs.A_of_xi(ens.xi),
         P=ens.P,
-        seed=ens.seed,
     )
 
 

@@ -1,16 +1,15 @@
 """Observables, probe specifications and coupling parameters.
 
-Quantum observables carry their spectral data (eigenvalues plus orthogonal
-projectors); classical observables carry A(q, p) with its partial derivatives,
-which drive the Liouville generator. The probe is a zero-mean Gaussian in both
-position and momentum, and the effective measurement strength is
-tau = (epsilon * sigma_P)^2 / 2.
+Quantum observables carry their spectral data (eigenvalues over an
+orthonormal eigenbasis); classical observables carry A(q, p) with its partial
+derivatives, which drive the Liouville generator. The probe is a zero-mean
+Gaussian in both position and momentum, and the effective measurement
+strength is tau = (epsilon * sigma_P)^2 / 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,19 +37,17 @@ def require_hermitian(matrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralObservable:
-    """Discrete spectral resolution: sorted eigenvalues with orthogonal projectors.
+    """Discrete spectral resolution: sorted eigenvalues over an eigenbasis.
 
     ``basis`` columns are an orthonormal eigenbasis and ``block_index[k]`` maps
-    column k to its eigenvalue index; both are derived from the projectors when
-    not supplied. ``basis is None`` means the eigenbasis is the computational
-    one (diagonal observable), which avoids materializing dense projectors for
-    large grids.
+    column k to its eigenvalue index. ``basis is None`` means the eigenbasis is
+    the computational one (diagonal observable), which avoids materializing
+    dense projectors for large grids.
     """
 
     eigenvalues: np.ndarray
-    _projectors: tuple | None = None
-    basis: np.ndarray | None = None
-    block_index: np.ndarray | None = None
+    basis: np.ndarray | None
+    block_index: np.ndarray
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -58,29 +55,19 @@ class SpectralObservable:
         object.__setattr__(self, "eigenvalues", ev)
         if np.any(np.diff(ev) <= 0):
             raise InvariantViolation("eigenvalues must be strictly ascending")
-        if self._projectors is None and self.block_index is None:
-            raise InvariantViolation("need projectors or an eigenbasis layout")
-        if self.block_index is not None:
-            bi = np.asarray(self.block_index, dtype=int)
-            bi.flags.writeable = False
-            object.__setattr__(self, "block_index", bi)
+        bi = np.asarray(self.block_index, dtype=int)
+        bi.flags.writeable = False
+        object.__setattr__(self, "block_index", bi)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_projectors(cls, eigenvalues, projectors) -> "SpectralObservable":
-        projs = tuple(np.asarray(p, dtype=complex) for p in projectors)
-        if len(projs) != len(eigenvalues):
-            raise DimensionMismatch("one projector per eigenvalue required")
-        return cls(np.asarray(eigenvalues, dtype=float), _projectors=projs)
-
-    @classmethod
-    def from_hermitian(cls, matrix, degeneracy_tol: float = 1e-9) -> "SpectralObservable":
-        """Spectral data of a Hermitian matrix, grouping near-equal eigenvalues."""
+    def from_hermitian(cls, matrix) -> "SpectralObservable":
+        """Spectral data of a Hermitian matrix, grouping eigenvalues within 1e-9."""
         vals, vecs = np.linalg.eigh(require_hermitian(matrix))
         groups: list[list[int]] = [[0]]
         for k in range(1, len(vals)):
-            if vals[k] - vals[groups[-1][0]] <= degeneracy_tol:
+            if vals[k] - vals[groups[-1][0]] <= 1e-9:
                 groups[-1].append(k)
             else:
                 groups.append([k])
@@ -102,29 +89,10 @@ class SpectralObservable:
             raise InvariantViolation("diagonal values must be strictly ascending")
         return cls(v, basis=None, block_index=np.arange(v.size))
 
-    # -- derived layout ----------------------------------------------------
-
-    @cached_property
-    def _layout(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """(basis, block_index), derived from projectors when needed."""
-        if self.block_index is not None:
-            return self.basis, self.block_index
-        cols = []
-        blocks = []
-        for n, p in enumerate(self._projectors):
-            vals, vecs = np.linalg.eigh(p)
-            keep = vals > 0.5
-            cols.append(vecs[:, keep])
-            blocks.extend([n] * int(np.sum(keep)))
-        basis = np.hstack(cols)
-        if basis.shape[0] != basis.shape[1]:
-            raise InvariantViolation("projectors do not resolve the identity")
-        return basis, np.asarray(blocks, dtype=int)
+    # -- derived quantities ------------------------------------------------
 
     @property
     def dim(self) -> int:
-        if self._projectors is not None:
-            return self._projectors[0].shape[0]
         return len(self.block_index)
 
     @property
@@ -133,54 +101,49 @@ class SpectralObservable:
 
     @property
     def projectors(self) -> list[np.ndarray]:
-        if self._projectors is not None:
-            return list(self._projectors)
-        basis, blocks = self._layout
         out = []
         for n in range(self.n_eigenvalues):
-            cols = np.flatnonzero(blocks == n)
-            if basis is None:
+            cols = np.flatnonzero(self.block_index == n)
+            if self.basis is None:
                 p = np.zeros((self.dim, self.dim), dtype=complex)
                 p[cols, cols] = 1.0
             else:
-                v = basis[:, cols]
+                v = self.basis[:, cols]
                 p = v @ v.conj().T
             out.append(p)
         return out
 
     def matrix(self) -> np.ndarray:
         """The observable as a dense Hermitian matrix."""
-        basis, blocks = self._layout
-        diag = self.eigenvalues[blocks]
-        if basis is None:
+        diag = self.eigenvalues[self.block_index]
+        if self.basis is None:
             return np.diag(diag.astype(complex))
-        return (basis * diag) @ basis.conj().T
+        return (self.basis * diag) @ self.basis.conj().T
 
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        basis, _ = self._layout
-        if basis is None:
+        if self.basis is None:
             return matrix
-        return basis.conj().T @ matrix @ basis
+        return self.basis.conj().T @ matrix @ self.basis
 
     def from_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        basis, _ = self._layout
-        if basis is None:
+        if self.basis is None:
             return matrix
-        return basis @ matrix @ basis.conj().T
+        return self.basis @ matrix @ self.basis.conj().T
 
     def min_gap(self) -> float:
         return float(np.min(np.diff(self.eigenvalues)))
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
+        """The projectors resolve the identity and are orthogonal idempotents, within 1e-10."""
         projs = self.projectors
         total = sum(projs)
-        if np.max(np.abs(total - np.eye(self.dim))) > tol:
+        if np.max(np.abs(total - np.eye(self.dim))) > 1e-10:
             raise InvariantViolation("projectors do not sum to the identity")
         for m, pm in enumerate(projs):
             for n, pn in enumerate(projs):
                 prod = pm @ pn
                 ref = pn if m == n else 0.0
-                if np.max(np.abs(prod - ref)) > tol:
+                if np.max(np.abs(prod - ref)) > 1e-10:
                     raise InvariantViolation(f"projectors {m},{n} not orthogonal/idempotent")
 
 
@@ -260,7 +223,6 @@ class ProbeSpec:
 
     sigma_Q: float
     sigma_P: float
-    independent: bool = True
 
     def __post_init__(self):
         if not self.sigma_Q > 0:

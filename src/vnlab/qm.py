@@ -26,8 +26,6 @@ class DecoherenceKernel:
     """Off-diagonal damping factors g_mn over eigenvalue index pairs."""
 
     gmn: np.ndarray
-    tau: float
-    hbar: float
     eigenvalues: np.ndarray
 
     def __post_init__(self):
@@ -46,25 +44,25 @@ def decoherence_kernel(
     a = obs.eigenvalues
     diff = a[:, None] - a[None, :]
     g = np.exp(-coupling.tau * diff**2 / hbar**2)
-    return DecoherenceKernel(gmn=g, tau=coupling.tau, hbar=hbar, eigenvalues=a.copy())
+    return DecoherenceKernel(gmn=g, eigenvalues=a.copy())
 
 
 def decoherence_kernel_quadrature(
     obs: SpectralObservable,
     coupling: CouplingParams,
     hbar: float = 1.0,
-    n: int = 20001,
-    span_sigmas: float = 12.0,
 ) -> np.ndarray:
     """g_mn by direct quadrature of the probe-momentum Fourier integral.
 
-    Independent of the closed form above; used as its oracle.
+    Trapezoid rule on 20001 nodes over +-12 sigma_P. Independent of the
+    closed form above; used as its oracle.
     """
     sigma_P = coupling.sigma_P
     a = obs.eigenvalues
     if sigma_P == 0.0:
         return np.ones((a.size, a.size))
-    P = np.linspace(-span_sigmas * sigma_P, span_sigmas * sigma_P, n)
+    n = 20001
+    P = np.linspace(-12.0 * sigma_P, 12.0 * sigma_P, n)
     w = np.full(n, P[1] - P[0])
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -81,8 +79,7 @@ def born_weights(rho_s: DensityOperator, obs: SpectralObservable) -> np.ndarray:
         raise DimensionMismatch("observable and state dimensions differ")
     rot = obs.to_eigenbasis(rho_s.matrix)
     diag = np.real(np.diag(rot))
-    _, blocks = obs._layout
-    return np.bincount(blocks, weights=diag, minlength=obs.n_eigenvalues)
+    return np.bincount(obs.block_index, weights=diag, minlength=obs.n_eigenvalues)
 
 
 def auto_pointer_grid(
@@ -129,8 +126,7 @@ def _kernel_channel(
     rho_s: DensityOperator, obs: SpectralObservable, block_factors: np.ndarray
 ) -> DensityOperator:
     """Conjugate into the eigenbasis, scale block pairs, conjugate back."""
-    _, blocks = obs._layout
-    factors = block_factors[np.ix_(blocks, blocks)]
+    factors = block_factors[np.ix_(obs.block_index, obs.block_index)]
     rot = obs.to_eigenbasis(rho_s.matrix)
     out = obs.from_eigenbasis(factors * rot)
     return DensityOperator(out, grid=rho_s.grid)
@@ -205,19 +201,6 @@ def conditional_state(
     numerator_factors = np.outer(chi, chi)
     out = _kernel_channel(rho_s, obs, numerator_factors)
     return DensityOperator(out.matrix / denom, grid=rho_s.grid)
-
-
-def conditional_probability_density(
-    rho_s: DensityOperator,
-    obs: SpectralObservable,
-    probe: ProbeSpec,
-    coupling: CouplingParams,
-    Q: float,
-) -> float:
-    """p'_pi(Q) for a pure Gaussian probe; the normalizer of conditioning."""
-    chi = probe.position_wavefunction(Q - coupling.epsilon * obs.eigenvalues)
-    weights = born_weights(rho_s, obs)
-    return float(np.sum(weights * chi**2))
 
 
 def position_disturbance_scale(

@@ -1,8 +1,8 @@
 """Canned, parameterized demonstrations with self-reported checks.
 
 Each scenario runs one worked configuration end to end and returns a
-``ScenarioResult``: the full input record, named output arrays/scalars, and a
-list of checks, each carrying its tolerance and a provenance note (analytic,
+``ScenarioResult``: its name, named output arrays/scalars, and a list of
+checks, each carrying its tolerance and a provenance note (analytic,
 closed-form, or oracle). Scenarios are pure functions of their inputs, so
 results are bit-reproducible.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cm import probe_marginal_Q, strong_coupling_limit_cm
-from .errors import TruncationTooSmall
+from .errors import ConfigInvalid, InvariantViolation, TruncationTooSmall
 from .grids import TWO_PI, Grid1D, PeriodicGrid, grid2d_integrate
 from .observables import (
     CouplingParams,
@@ -83,7 +83,6 @@ class ScenarioCheck:
 @dataclass(frozen=True)
 class ScenarioResult:
     name: str
-    inputs: dict
     outputs: dict
     checks: list[ScenarioCheck] = field(default_factory=list)
 
@@ -203,17 +202,6 @@ def scenario_two_delta(
             )
     return ScenarioResult(
         name="two_delta",
-        inputs={
-            "q0": q0,
-            "q1": q1,
-            "sigma_Q": probe.sigma_Q,
-            "sigma_P": probe.sigma_P,
-            "epsilon": eps,
-            "tau": coupling.tau,
-            "n_q": n_q,
-            "n_Q": n_Q,
-            "delta_width": w,
-        },
         outputs={
             "Q": Qgrid.nodes,
             "probe_marginal": marg,
@@ -253,7 +241,10 @@ def scenario_interference(
     xgrid = Grid1D(-half, half, n_x)
     psi1 = gaussian_wavepacket(xgrid, center=-separation / 2.0, sigma_x=sigma_x)
     psi2 = gaussian_wavepacket(xgrid, center=+separation / 2.0, sigma_x=sigma_x)
-    psi = superposition_wavefunction(PureSuperposition(alpha, beta, psi1, psi2), xgrid)
+    try:
+        psi = superposition_wavefunction(PureSuperposition(alpha, beta, psi1, psi2), xgrid)
+    except InvariantViolation as exc:
+        raise ConfigInvalid(f"'alpha' and 'beta' give no normalizable superposition: {exc}") from exc
     p_sup = np.abs(psi) ** 2
 
     wsum = abs(alpha) ** 2 + abs(beta) ** 2
@@ -315,17 +306,6 @@ def scenario_interference(
         )
     return ScenarioResult(
         name="interference",
-        inputs={
-            "alpha": complex(alpha),
-            "beta": complex(beta),
-            "separation": separation,
-            "sigma_x": sigma_x,
-            "sigma_Q": probe.sigma_Q,
-            "sigma_P": probe.sigma_P,
-            "epsilon": eps,
-            "n_x": n_x,
-            "n_Q": n_Q,
-        },
         outputs={
             "x": xgrid.nodes,
             "position_density_superposition": p_sup,
@@ -452,15 +432,6 @@ def scenario_number_basis(
         )
     return ScenarioResult(
         name="number_basis",
-        inputs={
-            "sigma_qbar": sigma_qbar,
-            "sigma_pbar": sigma_pbar,
-            "dim": dim,
-            "epsilon": coupling.epsilon,
-            "tau": coupling.tau,
-            "hbar": hbar,
-            "truncation_convention": "exact dim+2 quadratures, renormalize after cut",
-        },
         outputs={
             "levels": levels,
             "occupation": p_n,
@@ -580,13 +551,6 @@ def scenario_gaussian_bessel(
     ]
     return ScenarioResult(
         name="gaussian_bessel",
-        inputs={
-            "sigma_qbar": sigma_qbar,
-            "sigma_pbar": sigma_pbar,
-            "xi_compare_max": xi_compare_max,
-            "n_xi": n_xi,
-            "n_theta": n_theta,
-        },
         outputs={
             "xi": xigrid.nodes,
             "numeric_average": numeric,

@@ -49,13 +49,13 @@ def bessel_i0(x) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def bessel_i0_quadrature(x, n: int = 4096) -> np.ndarray:
+def bessel_i0_quadrature(x) -> np.ndarray:
     """Reference values from I0(x) = (1/pi) * int_0^pi exp(x cos t) dt.
 
-    Periodic-trapezoid on the full circle, spectrally accurate; used only to
-    validate ``bessel_i0``.
+    Periodic-trapezoid on 4096 nodes of the full circle, spectrally accurate;
+    used only to validate ``bessel_i0``.
     """
     x = np.asarray(x, dtype=float)
-    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     vals = np.exp(np.multiply.outer(x, np.cos(t)))
     return vals.mean(axis=-1)

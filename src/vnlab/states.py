@@ -33,7 +33,7 @@ from .errors import (
 from .grids import TWO_PI, Grid1D, PeriodicGrid, UnitsConfig, grid2d_integrate
 from .observables import ClassicalObservable, MixtureSpec, PureSuperposition
 
-DEFAULT_LEAKAGE_BUDGET = 1e-6
+LEAKAGE_BUDGET = 1e-6
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -69,34 +69,29 @@ class PhaseSpaceDensity:
     def p_marginal(self) -> np.ndarray:
         return self.qgrid.weights @ self.values
 
-    def edge_leakage(self, band: float = 0.05) -> float:
-        """Mass inside the outer ``band`` fraction of either axis."""
+    def edge_leakage(self) -> float:
+        """Mass inside the outer 5% of either axis."""
         q, p = self.qgrid.nodes, self.pgrid.nodes
         qspan, pspan = self.qgrid.hi - self.qgrid.lo, self.pgrid.hi - self.pgrid.lo
-        inner_q = (q >= self.qgrid.lo + band * qspan) & (q <= self.qgrid.hi - band * qspan)
-        inner_p = (p >= self.pgrid.lo + band * pspan) & (p <= self.pgrid.hi - band * pspan)
+        inner_q = (q >= self.qgrid.lo + 0.05 * qspan) & (q <= self.qgrid.hi - 0.05 * qspan)
+        inner_p = (p >= self.pgrid.lo + 0.05 * pspan) & (p <= self.pgrid.hi - 0.05 * pspan)
         interior = self.values * inner_q[:, None] * inner_p[None, :]
         return self.mass() - grid2d_integrate(self.qgrid, self.pgrid, interior)
 
-    def validate(
-        self,
-        mass_tol: float = 1e-8,
-        negativity_tol: float = -1e-12,
-        leakage_budget: float | None = DEFAULT_LEAKAGE_BUDGET,
-    ) -> None:
-        if float(self.values.min(initial=0.0)) < negativity_tol:
+    def validate(self) -> None:
+        """Non-negative to -1e-12, unit mass within 1e-8, edge leakage within budget."""
+        if float(self.values.min(initial=0.0)) < -1e-12:
             raise InvariantViolation(
                 f"density has negative values down to {self.values.min():.3e}"
             )
         m = self.mass()
-        if abs(m - 1.0) > mass_tol:
-            raise InvariantViolation(f"density mass {m!r} deviates from 1 beyond {mass_tol}")
-        if leakage_budget is not None:
-            leak = self.edge_leakage()
-            if leak > leakage_budget:
-                raise LeakageBudgetExceeded(
-                    f"edge-band mass {leak:.3e} exceeds budget {leakage_budget:.1e}"
-                )
+        if abs(m - 1.0) > 1e-8:
+            raise InvariantViolation(f"density mass {m!r} deviates from 1 beyond 1e-08")
+        leak = self.edge_leakage()
+        if leak > LEAKAGE_BUDGET:
+            raise LeakageBudgetExceeded(
+                f"edge-band mass {leak:.3e} exceeds budget {LEAKAGE_BUDGET:.1e}"
+            )
 
     def normalized(self) -> "PhaseSpaceDensity":
         return replace(self, values=self.values / self.mass())
@@ -106,11 +101,6 @@ def phase_density_from_values(qgrid, pgrid, values, normalize=True) -> PhaseSpac
     v = np.clip(np.asarray(values, dtype=float), 0.0, None)
     rho = PhaseSpaceDensity(qgrid, pgrid, v)
     return rho.normalized() if normalize else rho
-
-
-def phase_density_from_function(qgrid, pgrid, f, normalize=True) -> PhaseSpaceDensity:
-    qq, pp = np.meshgrid(qgrid.nodes, pgrid.nodes, indexing="ij")
-    return phase_density_from_values(qgrid, pgrid, f(qq, pp), normalize=normalize)
 
 
 def build_gaussian_phase_density(
@@ -175,11 +165,12 @@ class AngleActionDensity:
     def theta_marginal(self) -> np.ndarray:
         return self.xigrid.weights @ self.values
 
-    def validate(self, mass_tol: float = 1e-8, negativity_tol: float = -1e-12) -> None:
-        if float(self.values.min(initial=0.0)) < negativity_tol:
+    def validate(self) -> None:
+        """Non-negative to -1e-12 and unit mass within 1e-8."""
+        if float(self.values.min(initial=0.0)) < -1e-12:
             raise InvariantViolation("angle-action density has negative values")
         m = self.mass()
-        if abs(m - 1.0) > mass_tol:
+        if abs(m - 1.0) > 1e-8:
             raise InvariantViolation(f"angle-action mass {m!r} deviates from 1")
 
     def normalized(self) -> "AngleActionDensity":
@@ -232,23 +223,18 @@ def to_angle_action(
     units: UnitsConfig = UnitsConfig(),
     n_xi: int = 256,
     n_theta: int = 256,
-    xi_max: float | None = None,
 ) -> AngleActionDensity:
     """Resample onto (xi, theta) with xi = (qbar^2 + pbar^2)/2.
 
-    The rescaling qbar = C q, pbar = p / C is applied first. The default
-    xi_max is the inscribed disc, so no sample ever falls outside the source
-    grid. dqbar dpbar = dxi dtheta, so values carry over with no Jacobian
-    factor; the result is renormalized (corner mass outside the disc must be
-    negligible for the input to be represented faithfully).
+    The rescaling qbar = C q, pbar = p / C is applied first. The xi grid ends
+    at the disc inscribed in the rescaled grid, so no sample ever falls
+    outside the source grid. dqbar dpbar = dxi dtheta, so values carry over
+    with no Jacobian factor; the result is renormalized (corner mass outside
+    the disc must be negligible for the input to be represented faithfully).
     """
     bar = to_bar_coordinates(rho, units)
     reach = min(abs(bar.qgrid.lo), bar.qgrid.hi, abs(bar.pgrid.lo), bar.pgrid.hi)
-    if xi_max is None:
-        xi_max = 0.5 * reach**2
-    elif np.sqrt(2.0 * xi_max) > reach:
-        raise GridTooNarrow("xi_max reaches outside the Cartesian grid")
-    xigrid = Grid1D(0.0, xi_max, n_xi)
+    xigrid = Grid1D(0.0, 0.5 * reach**2, n_xi)
     thetagrid = PeriodicGrid(n_theta)
     xx, tt = np.meshgrid(xigrid.nodes, thetagrid.nodes, indexing="ij")
     r = np.sqrt(2.0 * xx)
@@ -301,10 +287,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def is_position_basis(self) -> bool:
-        return self.grid is not None
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -314,20 +296,16 @@ class DensityOperator:
             raise BasisMismatch("position density needs a position-grid basis")
         return np.real(np.diag(self.matrix)) / self.grid.h
 
-    def validate(
-        self,
-        hermiticity_tol: float = 1e-12,
-        trace_tol: float = 1e-10,
-        eigen_tol: float = -1e-10,
-    ) -> None:
+    def validate(self) -> None:
+        """Hermitian within 1e-12, unit trace within 1e-10, eigenvalues above -1e-10."""
         m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > hermiticity_tol:
+        if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise InvariantViolation("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m) - 1.0) > trace_tol:
+        if abs(np.trace(m) - 1.0) > 1e-10:
             raise InvariantViolation(f"trace {np.trace(m)!r} deviates from 1")
         w = np.linalg.eigvalsh(m)
-        if w.min() < eigen_tol:
-            raise InvariantViolation(f"minimum eigenvalue {w.min():.3e} below {eigen_tol}")
+        if w.min() < -1e-10:
+            raise InvariantViolation(f"minimum eigenvalue {w.min():.3e} below -1e-10")
 
     def normalized(self) -> "DensityOperator":
         return replace(self, matrix=self.matrix / np.trace(self.matrix))
@@ -353,11 +331,17 @@ def gaussian_wavepacket(grid: Grid1D, center=0.0, momentum=0.0, sigma_x=1.0, hba
 
 
 def superposition_wavefunction(sup: PureSuperposition, grid: Grid1D) -> np.ndarray:
-    """Normalized alpha*psi1 + beta*psi2 on the grid."""
+    """Normalized alpha*psi1 + beta*psi2 on the grid.
+
+    The squared norm must be a finite normal float: zero (cancelling or
+    underflowing amplitudes), subnormal (too few digits left to normalize) and
+    infinite (overflowing amplitudes) norms are refused.
+    """
     psi = sup.alpha * np.asarray(sup.psi1) + sup.beta * np.asarray(sup.psi2)
-    norm = grid.integrate(np.abs(psi) ** 2)
-    if norm <= 0:
-        raise InvariantViolation("superposition has vanishing norm")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        norm = grid.integrate(np.abs(psi) ** 2)
+    if not np.finfo(float).tiny <= norm < np.inf:
+        raise InvariantViolation(f"superposition has squared norm {norm:.3e}, not a normal float")
     return psi / np.sqrt(norm)
 
 

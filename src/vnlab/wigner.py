@@ -48,9 +48,10 @@ class WignerFunction:
     def p_marginal_density(self) -> np.ndarray:
         return (self.qgrid.weights @ self.values) / (2.0 * np.pi * self.hbar)
 
-    def validate(self, norm_tol: float = 1e-6) -> None:
+    def validate(self) -> None:
+        """Unit normalization within 1e-6."""
         n = self.normalization()
-        if abs(n - 1.0) > norm_tol:
+        if abs(n - 1.0) > 1e-6:
             raise InvariantViolation(f"Wigner normalization {n!r} deviates from 1")
 
 

@@ -334,10 +334,27 @@ class TestMainEntryPoint:
             # L1 budget 5/sqrt(2) = 3.5 >= 2, the largest L1 distance: a vacuous check.
             ("mc-compare", {"parameters": {"n_samples": 2, "branch": "position"}}, [],
              "'n_samples'"),
+            # Superpositions whose squared norm on the grid is 0, subnormal or infinite.
+            ("run-scenario", {"parameters": {"scenario": "interference", "alpha_re": 0.0,
+                                             "alpha_im": 0.0, "beta_re": 0.0, "beta_im": 0.0}},
+             [], "'alpha' and 'beta'"),
+            ("run-scenario", {"parameters": {"scenario": "interference", "alpha_re": 1.0,
+                                             "beta_re": -1.0, "separation": 0.0}},
+             [], "'alpha' and 'beta'"),
+            ("run-scenario", {"parameters": {"scenario": "interference", "alpha_re": 1e-200,
+                                             "alpha_im": 0.0, "beta_re": 0.0, "beta_im": 0.0}},
+             [], "'alpha' and 'beta'"),
+            ("run-scenario", {"parameters": {"scenario": "interference", "alpha_re": 1e-160,
+                                             "alpha_im": 0.0, "beta_re": 0.0, "beta_im": 0.0}},
+             [], "'alpha' and 'beta'"),
+            ("run-scenario", {"parameters": {"scenario": "interference", "alpha_re": 1e200}},
+             [], "'alpha' and 'beta'"),
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
-             "foreign-scenario-field", "field-of-no-scenario", "vacuous-l1-budget"],
+             "foreign-scenario-field", "field-of-no-scenario", "vacuous-l1-budget",
+             "zero-amplitudes", "cancelling-amplitudes", "underflowing-amplitude",
+             "subnormal-norm", "overflowing-amplitude"],
     )
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
         argv = [command, "--out", str(tmp_path / "o"), *extra]

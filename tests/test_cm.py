@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnlab import (
     CouplingParams,
@@ -10,7 +12,6 @@ from vnlab import (
     NegligibleProbability,
     PeriodicGrid,
     ProbeSpec,
-    StepSizeTooLarge,
     UnsupportedObservable,
     action_observable,
     build_gaussian_phase_density,
@@ -26,7 +27,6 @@ from vnlab.cm import (
     cm_diffusion_rhs,
     conditional_state_cm,
     joint_state_post,
-    pde_stability_bound,
     probe_marginal_Q,
     probe_mean_Q,
     reduced_state_post_cm,
@@ -44,6 +44,12 @@ from helpers import density_variance, random_gaussian_mixture
 
 POSITION = position_observable()
 ACTION_LINEAR = action_observable(lambda xi: xi, lambda xi: np.ones_like(xi))
+
+# Channel strengths for the semigroup properties. On the p grid of
+# TestReducedChannel.test_semigroup_property (step h = 28/383) the position
+# kernel width sqrt(2*tau) crosses the 2h switch from Fourier to real-space
+# smoothing at tau = 2h^2 = 0.0107, inside this range.
+TAUS = st.floats(min_value=1e-5, max_value=1.0)
 
 
 class TestLiouvilleGenerator:
@@ -152,19 +158,6 @@ class TestJointState:
         with pytest.raises(UnsupportedObservable):
             joint_state_post(rho, probe, obs, CouplingParams(1.0, 0.1),
                              Grid1D(-1, 1, 4), Grid1D(-1, 1, 4))
-
-    def test_correlated_probe_rejected(self):
-        from vnlab import InvariantViolation
-
-        g = Grid1D(-8.0, 8.0, 64)
-        rho = build_gaussian_phase_density(g, g, 1.0, 1.0)
-        probe = ProbeSpec(sigma_Q=0.4, sigma_P=0.5, independent=False)
-        with pytest.raises(InvariantViolation):
-            joint_state_post(rho, probe, POSITION, CouplingParams(1.0, 0.1),
-                             Grid1D(-1, 1, 4), Grid1D(-1, 1, 4))
-        with pytest.raises(InvariantViolation):
-            probe_marginal_Q(rho, probe, POSITION, CouplingParams(1.0, 0.1),
-                             Grid1D(-1, 1, 8))
 
     def test_joint_state_total_mass_and_probe_marginal(self):
         # Grids wide enough to hold the full joint state: unit mass, and
@@ -279,13 +272,16 @@ class TestReducedChannel:
         assert density_variance(pg, out.p_marginal()) == pytest.approx(1.0 + 2 * tau, abs=1e-6)
         assert np.max(np.abs(out.q_marginal() - rho.q_marginal())) < 1e-8
 
-    def test_semigroup_property(self):
+    @settings(max_examples=100, deadline=None)
+    @given(tau1=TAUS, tau2=TAUS)
+    def test_semigroup_property(self, tau1, tau2):
+        # Bound 1e-8, that of the pinned (0.4, 0.6) pair this property replaces.
         qg = Grid1D(-8.0, 8.0, 256)
         pg = Grid1D(-14.0, 14.0, 384)
         rng = np.random.default_rng(3)
         rho = random_gaussian_mixture(qg, pg, rng)
-        two_step = reduced_state_post_cm(reduced_state_post_cm(rho, POSITION, 0.4), POSITION, 0.6)
-        one_step = reduced_state_post_cm(rho, POSITION, 1.0)
+        two_step = reduced_state_post_cm(reduced_state_post_cm(rho, POSITION, tau1), POSITION, tau2)
+        one_step = reduced_state_post_cm(rho, POSITION, tau1 + tau2)
         assert np.max(np.abs(two_step.values - one_step.values)) < 1e-8
 
     def test_mixture_linearity(self):
@@ -383,16 +379,6 @@ class TestReducedChannel:
         assert np.max(np.abs(pde.values - exact.values)) / scale < 5e-3
         assert abs(pde.mass() - 1.0) < 1e-6
 
-    def test_step_size_guard(self):
-        qg = Grid1D(-8.0, 8.0, 128)
-        rho = build_gaussian_phase_density(qg, qg, 1.0, 1.0)
-        obs = general_observable(
-            lambda q, p: q + 0 * p, lambda q, p: 1.0 + 0 * q, lambda q, p: 0.0 * q
-        )
-        bound = pde_stability_bound(qg, qg, obs)
-        with pytest.raises(StepSizeTooLarge):
-            reduced_state_post_cm(rho, obs, 0.5, pde_dtau=10 * bound)
-
     def test_negative_tau_rejected(self):
         g = Grid1D(-8.0, 8.0, 64)
         rho = build_gaussian_phase_density(g, g, 1.0, 1.0)
@@ -472,6 +458,19 @@ class TestAngleSpectralSolver:
         aa = AngleActionDensity(xig, tg, vals / TWO_PI)
         with pytest.raises(ModeCutoffTooSmall):
             angle_spectral_solve(aa, ACTION_LINEAR, 0.1, M=64)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tau1=TAUS, tau2=TAUS)
+    def test_semigroup_property(self, tau1, tau2):
+        # Bound 1e-12, that of test_single_mode_damps_exactly: each mode is
+        # damped by a closed-form factor, so only roundoff separates the paths.
+        xig = Grid1D(0.0, 20.0, 128)
+        tg = PeriodicGrid(128)
+        vals = np.exp(-xig.nodes)[:, None] * (1.0 + 0.8 * np.cos(tg.nodes) + 0.3 * np.sin(2 * tg.nodes))
+        aa = AngleActionDensity(xig, tg, vals / TWO_PI)
+        two_step = angle_spectral_solve(angle_spectral_solve(aa, ACTION_LINEAR, tau1), ACTION_LINEAR, tau2)
+        one_step = angle_spectral_solve(aa, ACTION_LINEAR, tau1 + tau2)
+        assert np.max(np.abs(two_step.values - one_step.values)) < 1e-12
 
     def test_xi_dependent_rate(self):
         # dA/dxi = xi damps the m-th mode by exp(-m^2 xi^2 tau) at each xi.

@@ -148,12 +148,6 @@ class TestAngleActionTransform:
         aa = to_angle_action(rho, units=units)
         assert abs(aa.mass() - 1.0) < 1e-6
 
-    def test_xi_max_guard(self):
-        g = Grid1D(-8.0, 8.0, 128)
-        rho = build_gaussian_phase_density(g, g, 1.0, 1.0)
-        with pytest.raises(GridTooNarrow):
-            to_angle_action(rho, xi_max=100.0)
-
     def test_fourier_reality_pairing(self):
         g = Grid1D(-8.0, 8.0, 192)
         rng = np.random.default_rng(3)
@@ -188,6 +182,19 @@ class TestDensityOperator:
         sup = PureSuperposition(alpha=0.8, beta=0.6j, psi1=psi1, psi2=psi2)
         psi = superposition_wavefunction(sup, g)
         assert g.integrate(np.abs(psi) ** 2) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, center2",
+        [(0.0, 0.0, 1.0), (1.0, -1.0, -1.0), (1e-200, 0.0, 1.0), (1e-160, 0.0, 1.0),
+         (1e200, 0.0, 1.0)],
+        ids=["zero", "cancelling", "underflowing", "subnormal", "overflowing"],
+    )
+    def test_unnormalizable_superposition_rejected(self, alpha, beta, center2):
+        g = Grid1D(-10.0, 10.0, 256)
+        psi1 = gaussian_wavepacket(g, center=-1.0)
+        psi2 = gaussian_wavepacket(g, center=center2)
+        with pytest.raises(InvariantViolation, match="norm"):
+            superposition_wavefunction(PureSuperposition(alpha, beta, psi1, psi2), g)
 
     def test_shape_mismatch_rejected(self):
         g = Grid1D(-1.0, 1.0, 4)

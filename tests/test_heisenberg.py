@@ -146,7 +146,7 @@ class TestFlowAction:
 
         ens = TrajectoryEnsemble(
             q=np.array([1.0]), p=np.array([2.0]),
-            Q=np.array([0.5]), P=np.array([3.0]), seed=0,
+            Q=np.array([0.5]), P=np.array([3.0]),
         )
         act = to_action_ensemble(ens, UnitsConfig(scale_C=2.0))
         assert act.xi[0] == pytest.approx(0.5 * (4.0 + 1.0))

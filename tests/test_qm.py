@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnlab import (
     CouplingParams,
@@ -158,7 +160,7 @@ class TestReducedState:
         obs = random_spectral_observable(5, rng)
         weights = rng.random(5)
         weights /= weights.sum()
-        basis, blocks = obs._layout
+        basis, blocks = obs.basis, obs.block_index
         rho = DensityOperator((basis * weights[blocks]) @ basis.conj().T)
         kernel = decoherence_kernel(obs, CouplingParams.from_sigma_P(1.0, 1.2))
         out = reduced_state_post(rho, obs, kernel)
@@ -174,6 +176,26 @@ class TestReducedState:
         assert out.matrix[0, 1] == pytest.approx(c * np.exp(-1.0), abs=1e-14)
         assert out.matrix[0, 1] == pytest.approx(c * oracle, abs=1e-10)
         out.validate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        tau1=st.floats(min_value=1e-5, max_value=1.0),
+        tau2=st.floats(min_value=1e-5, max_value=1.0),
+    )
+    def test_semigroup_property(self, seed, tau1, tau2):
+        # Bound 1e-12, that of TestLindblad.test_semigroup_composition for the
+        # exact Lindblad solve of the same channel.
+        rng = np.random.default_rng(seed)
+        obs = random_spectral_observable(5, rng)
+        rho = random_density_matrix(5, rng)
+
+        def channel(state, tau):
+            return reduced_state_post(state, obs, decoherence_kernel(obs, CouplingParams(1.0, tau)))
+
+        two_step = channel(channel(rho, tau1), tau2)
+        one_step = channel(rho, tau1 + tau2)
+        assert np.max(np.abs(two_step.matrix - one_step.matrix)) < 1e-12
 
     def test_strong_coupling_matches_pinching(self):
         rng = np.random.default_rng(33)
