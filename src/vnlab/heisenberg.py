@@ -52,31 +52,27 @@ class ActionEnsemble:
     P: np.ndarray
 
 
-def _inverse_cdf_rows(cdf_rows: np.ndarray, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Invert one monotone CDF per row at one target per row (vectorized)."""
-    totals = cdf_rows[:, -1]
-    targets = u * totals
-    idx = np.minimum(
-        np.sum(cdf_rows < targets[:, None], axis=1), cdf_rows.shape[1] - 1
-    )
-    idx = np.maximum(idx, 1)
-    c_lo = np.take_along_axis(cdf_rows, (idx - 1)[:, None], axis=1)[:, 0]
-    c_hi = np.take_along_axis(cdf_rows, idx[:, None], axis=1)[:, 0]
-    span = np.maximum(c_hi - c_lo, 1e-300)
-    frac = np.clip((targets - c_lo) / span, 0.0, 1.0)
-    h = nodes[1] - nodes[0]
-    return nodes[idx - 1] + frac * h
-
-
 def sample_initial(
     rho_s: PhaseSpaceDensity, probe: ProbeSpec, n: int, seed: int
 ) -> TrajectoryEnsemble:
     """Draw n quadruples from rho_s(q, p) * rho_pi(Q, P), deterministically.
 
     System pairs come from inverse-CDF sampling: q from the q-marginal, then p
-    from the row-interpolated conditional. Probe pairs are the independent
-    Gaussians; sigma_P = 0 yields exactly zero momenta. The counter-based
-    Philox stream makes the draw schedule-independent for a given seed.
+    from the conditional whose CDF is the two bracketing row CDFs blended
+    linearly in q. Probe pairs are the independent Gaussians; sigma_P = 0
+    yields exactly zero momenta. The counter-based Philox stream makes the
+    draw schedule-independent for a given seed.
+
+    The conditional draw binary-searches the blended CDF without building it:
+    ceil(log2(n_p - 1)) steps per sample for n_p momentum nodes, each
+    evaluating one blended entry, so N draws cost O(N log n_p) time, and
+    working in chunks of ``_SAMPLE_CHUNK`` samples bounds the extra memory by
+    the chunk. For non-negative values every row CDF, and so every blend of
+    two, is non-decreasing in floating point (rounding is monotone), and the
+    search lands on the first entry not below the target: the count of
+    entries below it, clamped to [1, n_p - 1], as a linear scan gives. For a
+    row that dips (values down to the admitted -1e-12) the search still ends
+    on a crossing blend[k-1] < target <= blend[k], or at either end.
     """
     if n < 1:
         raise InvariantViolation("need at least one sample")
@@ -98,19 +94,40 @@ def sample_initial(
     frac = np.clip((targets - cdf_q[idx - 1]) / span, 0.0, 1.0)
     q = qnodes[idx - 1] + frac * h_q
 
-    # Conditional p draw: blend the two bracketing row CDFs linearly in q.
+    # Conditional p draw: invert the blend of the two bracketing row CDFs.
+    m = rho_s.pgrid.n
     row_cdf = np.concatenate(
         [np.zeros((rho_s.qgrid.n, 1)), np.cumsum(0.5 * (rho_s.values[:, 1:] + rho_s.values[:, :-1]) * h_p, axis=1)],
         axis=1,
-    )
-    pos = np.clip((q - qnodes[0]) / h_q, 0.0, rho_s.qgrid.n - 1 - 1e-12)
-    left = pos.astype(int)
-    w = pos - left
+    ).ravel()
+    h_node = pnodes[1] - pnodes[0]
     p = np.empty(n)
     for start in range(0, n, _SAMPLE_CHUNK):
         sl = slice(start, min(start + _SAMPLE_CHUNK, n))
-        blend = (1.0 - w[sl, None]) * row_cdf[left[sl]] + w[sl, None] * row_cdf[left[sl] + 1]
-        p[sl] = _inverse_cdf_rows(blend, pnodes, u_p[sl])
+        pos = np.clip((q[sl] - qnodes[0]) / h_q, 0.0, rho_s.qgrid.n - 1 - 1e-12)
+        left = pos.astype(int)
+        w = pos - left
+        v = 1.0 - w
+        row = left * m
+
+        def blend(k):
+            return v * row_cdf[row + k] + w * row_cdf[row + m + k]
+
+        targets = u_p[sl] * blend(m - 1)
+        # Search k in [1, m - 1]: blend[lo - 1] < target, blend[hi] >= target
+        # wherever probed; lo passes hi only when blend[m - 1] < target.
+        lo = np.ones(w.size, dtype=np.intp)
+        hi = np.full(w.size, m - 1, dtype=np.intp)
+        for _ in range((m - 2).bit_length()):
+            mid = (lo + hi) // 2
+            below = blend(mid) < targets
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        idx = np.minimum(lo, hi)
+        c_lo = blend(idx - 1)
+        span = np.maximum(blend(idx) - c_lo, 1e-300)
+        frac = np.clip((targets - c_lo) / span, 0.0, 1.0)
+        p[sl] = pnodes[idx - 1] + frac * h_node
 
     Q = probe.sigma_Q * z_Q
     P = probe.sigma_P * z_P

@@ -247,7 +247,14 @@ def scenario_interference(
         raise ConfigInvalid(f"'alpha' and 'beta' give no normalizable superposition: {exc}") from exc
     p_sup = np.abs(psi) ** 2
 
-    wsum = abs(alpha) ** 2 + abs(beta) ** 2
+    # Nearly cancelling amplitudes keep the norm on the grid finite while
+    # |alpha|^2 + |beta|^2 overflows: Python's ** raises, + returns inf.
+    try:
+        wsum = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        wsum = np.inf
+    if not np.finfo(float).tiny <= wsum < np.inf:
+        raise ConfigInvalid(f"'alpha' and 'beta' give |alpha|^2 + |beta|^2 = {wsum:.3e}, not a normal float")
     w1, w2 = abs(alpha) ** 2 / wsum, abs(beta) ** 2 / wsum
     p_mix = w1 * np.abs(psi1) ** 2 + w2 * np.abs(psi2) ** 2
 

@@ -59,3 +59,62 @@ def density_variance(grid: Grid1D, density: np.ndarray) -> float:
     mass = grid.integrate(density)
     mean = grid.integrate(grid.nodes * density) / mass
     return grid.integrate((grid.nodes - mean) ** 2 * density) / mass
+
+
+def _inverse_cdf_rows(cdf_rows: np.ndarray, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Invert one monotone CDF per row at one target per row by a linear count."""
+    totals = cdf_rows[:, -1]
+    targets = u * totals
+    idx = np.minimum(
+        np.sum(cdf_rows < targets[:, None], axis=1), cdf_rows.shape[1] - 1
+    )
+    idx = np.maximum(idx, 1)
+    c_lo = np.take_along_axis(cdf_rows, (idx - 1)[:, None], axis=1)[:, 0]
+    c_hi = np.take_along_axis(cdf_rows, idx[:, None], axis=1)[:, 0]
+    span = np.maximum(c_hi - c_lo, 1e-300)
+    frac = np.clip((targets - c_lo) / span, 0.0, 1.0)
+    h = nodes[1] - nodes[0]
+    return nodes[idx - 1] + frac * h
+
+
+def reference_sample_initial(rho_s: PhaseSpaceDensity, probe, n: int, seed: int):
+    """The O(N*n_p) sampler: blend both bracketing row CDFs in full, then count.
+
+    Oracle for ``heisenberg.sample_initial``, which must return the same four
+    arrays bit for bit: both evaluate the same floating-point expressions.
+    """
+    from vnlab.heisenberg import TrajectoryEnsemble
+
+    chunk = 8192
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u_q = rng.random(n)
+    u_p = rng.random(n)
+    z_Q = rng.standard_normal(n)
+    z_P = rng.standard_normal(n)
+
+    qnodes = rho_s.qgrid.nodes
+    pnodes = rho_s.pgrid.nodes
+    h_q, h_p = rho_s.qgrid.h, rho_s.pgrid.h
+
+    marg = rho_s.q_marginal()
+    cdf_q = np.concatenate([[0.0], np.cumsum(0.5 * (marg[1:] + marg[:-1]) * h_q)])
+    targets = u_q * cdf_q[-1]
+    idx = np.clip(np.searchsorted(cdf_q, targets), 1, cdf_q.size - 1)
+    span = np.maximum(cdf_q[idx] - cdf_q[idx - 1], 1e-300)
+    frac = np.clip((targets - cdf_q[idx - 1]) / span, 0.0, 1.0)
+    q = qnodes[idx - 1] + frac * h_q
+
+    row_cdf = np.concatenate(
+        [np.zeros((rho_s.qgrid.n, 1)), np.cumsum(0.5 * (rho_s.values[:, 1:] + rho_s.values[:, :-1]) * h_p, axis=1)],
+        axis=1,
+    )
+    pos = np.clip((q - qnodes[0]) / h_q, 0.0, rho_s.qgrid.n - 1 - 1e-12)
+    left = pos.astype(int)
+    w = pos - left
+    p = np.empty(n)
+    for start in range(0, n, chunk):
+        sl = slice(start, min(start + chunk, n))
+        blend = (1.0 - w[sl, None]) * row_cdf[left[sl]] + w[sl, None] * row_cdf[left[sl] + 1]
+        p[sl] = _inverse_cdf_rows(blend, pnodes, u_p[sl])
+
+    return TrajectoryEnsemble(q=q, p=p, Q=probe.sigma_Q * z_Q, P=probe.sigma_P * z_P)

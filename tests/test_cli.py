@@ -349,12 +349,19 @@ class TestMainEntryPoint:
              [], "'alpha' and 'beta'"),
             ("run-scenario", {"parameters": {"scenario": "interference", "alpha_re": 1e200}},
              [], "'alpha' and 'beta'"),
+            ("run-scenario", {"parameters": {"scenario": "interference", "alpha_re": 2e154,
+                                             "beta_re": -2e154, "separation": 0.001}},
+             [], "'alpha' and 'beta'"),
+            ("run-scenario", {"parameters": {"scenario": "interference", "alpha_re": 1.2e154,
+                                             "beta_re": -1.2e154, "separation": 0.001}},
+             [], "'alpha' and 'beta'"),
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
              "foreign-scenario-field", "field-of-no-scenario", "vacuous-l1-budget",
              "zero-amplitudes", "cancelling-amplitudes", "underflowing-amplitude",
-             "subnormal-norm", "overflowing-amplitude"],
+             "subnormal-norm", "overflowing-amplitude", "overflowing-weight-square",
+             "overflowing-weight-sum"],
     )
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
         argv = [command, "--out", str(tmp_path / "o"), *extra]

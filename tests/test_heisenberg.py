@@ -1,7 +1,11 @@
 """Trajectory ensembles: sampling, flow maps, picture equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnlab import (
     CouplingParams,
@@ -22,6 +26,9 @@ from vnlab.heisenberg import (
     to_action_ensemble,
     uncertainty_disturbance_product,
 )
+from vnlab.states import phase_density_from_values
+
+from helpers import random_gaussian_mixture, reference_sample_initial
 
 QGRID = Grid1D(-8.0, 8.0, 256)
 PGRID = Grid1D(-12.0, 12.0, 256)
@@ -29,6 +36,23 @@ PGRID = Grid1D(-12.0, 12.0, 256)
 
 def standard_state():
     return build_gaussian_phase_density(QGRID, PGRID, 1.0, 1.0)
+
+
+@st.composite
+def sampling_densities(draw):
+    """Non-negative densities: a Gaussian mixture, or a compact bump whose
+    outer rows and columns are exactly zero; grids from 2 nodes per axis."""
+    qgrid = Grid1D(-6.0, 6.0, draw(st.integers(2, 300)))
+    pgrid = Grid1D(-6.0, 6.0, draw(st.integers(2, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_gaussian_mixture(qgrid, pgrid, rng, k=int(rng.integers(1, 4)))
+    # Centred on a node, so at least one value is positive.
+    cq = qgrid.nodes[rng.integers(qgrid.n)]
+    cp = pgrid.nodes[rng.integers(pgrid.n)]
+    rq, rp = rng.uniform(0.3, 6.0, size=2)
+    qq, pp = np.meshgrid(qgrid.nodes, pgrid.nodes, indexing="ij")
+    return phase_density_from_values(qgrid, pgrid, 1.0 - ((qq - cq) / rq) ** 2 - ((pp - cp) / rp) ** 2)
 
 
 class TestSampling:
@@ -50,6 +74,38 @@ class TestSampling:
         ens = sample_initial(standard_state(), probe, 1000, seed=3)
         assert np.all(ens.P == 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rho=sampling_densities(),
+        n=st.sampled_from([1, 8191, 8192, 8193, 20000]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_full_blend_bitwise(self, rho, n, seed):
+        # Exact: the search evaluates the same floating-point expressions as
+        # the full blend and, on a non-decreasing row, lands on its count.
+        probe = ProbeSpec(sigma_Q=0.5, sigma_P=0.5)
+        got = sample_initial(rho, probe, n, seed)
+        want = reference_sample_initial(rho, probe, n, seed)
+        for name in ("q", "p", "Q", "P"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_peak_allocation_bounded_by_chunk(self):
+        # mc-compare's position grid at 1e6 samples. Peak traced allocation in
+        # units of 8N bytes: 10.1 when the search runs in chunks, 22.2 when
+        # the same search runs over the whole ensemble at once, 21.5 for the
+        # full (chunk, n_p) blend it replaced. The bound 16 separates them.
+        rho = build_gaussian_phase_density(QGRID, PGRID, 1.0, 1.0)
+        probe = ProbeSpec(sigma_Q=0.4, sigma_P=0.6)
+        n = 1_000_000
+        sample_initial(rho, probe, 10, seed=0)  # fill cached grid nodes
+        tracemalloc.start()
+        try:
+            sample_initial(rho, probe, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * n
+
     def test_correlated_state_sampling(self):
         # A two-bump mixture: conditional momentum depends on position.
         qg = Grid1D(-8.0, 8.0, 256)
@@ -58,8 +114,6 @@ class TestSampling:
         vals = np.exp(-0.5 * ((qq + 2) ** 2 + (pp + 1.5) ** 2)) + np.exp(
             -0.5 * ((qq - 2) ** 2 + (pp - 1.5) ** 2)
         )
-        from vnlab.states import phase_density_from_values
-
         rho = phase_density_from_values(qg, pg, vals)
         probe = ProbeSpec(sigma_Q=0.5, sigma_P=0.5)
         ens = sample_initial(rho, probe, 60000, seed=11)
