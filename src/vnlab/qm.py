@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, KernelMismatch, NegligibleProbability
 from .grids import Grid1D
 from .observables import CouplingParams, ProbeSpec, SpectralObservable, require_hermitian
-from .states import DensityOperator, trace_with
+from .states import DensityOperator
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,13 @@ def pointer_distribution(
 def pointer_mean(
     rho_s: DensityOperator, obs: SpectralObservable, coupling: CouplingParams
 ) -> float:
-    """<Q>' = epsilon * <A>, the mean pointer shift (probe mean is zero)."""
-    return coupling.epsilon * float(np.real(trace_with(rho_s, obs.matrix())))
+    """<Q>' = epsilon * <A>, the mean pointer shift (probe mean is zero).
+
+    <A> is the Born weights against the eigenvalues, so the dense matrix of A
+    is never built: O(n) for a diagonal observable, one eigenbasis rotation
+    (O(n^3), as in ``born_weights``) otherwise.
+    """
+    return coupling.epsilon * float(born_weights(rho_s, obs) @ obs.eigenvalues)
 
 
 def _kernel_channel(

@@ -13,8 +13,10 @@ from vnlab import (
 from vnlab.states import phase_density_from_values
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
-    """Mixture of Haar-like random pure states."""
+def random_density_matrix(
+    dim: int, rng: np.random.Generator, rank: int | None = None, grid: Grid1D | None = None
+) -> DensityOperator:
+    """Mixture of Haar-like random pure states; on ``grid`` when one is given."""
     rank = rank or dim
     m = np.zeros((dim, dim), dtype=complex)
     weights = rng.random(rank)
@@ -23,7 +25,7 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None =
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         m += w * np.outer(v, v.conj())
-    return DensityOperator(m)
+    return DensityOperator(m, grid=grid)
 
 
 def random_spectral_observable(dim: int, rng: np.random.Generator) -> SpectralObservable:
@@ -59,6 +61,30 @@ def density_variance(grid: Grid1D, density: np.ndarray) -> float:
     mass = grid.integrate(density)
     mean = grid.integrate(grid.nodes * density) / mass
     return grid.integrate((grid.nodes - mean) ** 2 * density) / mass
+
+
+def reference_wigner(rho: DensityOperator, pgrid: Grid1D, hbar: float = 1.0, spec=None) -> np.ndarray:
+    """Wigner values from every signed anti-diagonal and one complex-phase product.
+
+    The unfolded transform, oracle for the Hermitian fold in ``vnlab.wigner``.
+    With a ``WignerEvolutionSpec`` the y-integrand is damped by
+    exp(-tau DeltaA^2 / hbar^2), as ``evolved_wigner`` does.
+    """
+    matrix = rho.matrix / rho.grid.h
+    n = matrix.shape[0]
+    mmax = (n - 1) // 2
+    offsets = np.arange(-mmax, mmax + 1)
+    D = np.zeros((offsets.size, n), dtype=complex)
+    idx = np.arange(n)
+    for row, m in enumerate(offsets):
+        i = idx[abs(m):n - abs(m)]
+        D[row, i] = matrix[i + m, i - m]
+    y = 2.0 * rho.grid.h * offsets
+    if spec is not None:
+        dA = spec.delta_A(rho.grid.nodes[None, :], y[:, None])
+        D = D * np.exp(-spec.tau * dA**2 / hbar**2)
+    phases = np.exp(-1j / hbar * np.outer(pgrid.nodes, y))  # (n_p, n_y)
+    return (2.0 * rho.grid.h * (phases @ D).T).real
 
 
 def _inverse_cdf_rows(cdf_rows: np.ndarray, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -196,6 +196,25 @@ class TestDensityOperator:
         with pytest.raises(InvariantViolation, match="norm"):
             superposition_wavefunction(PureSuperposition(alpha, beta, psi1, psi2), g)
 
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 130])
+    def test_hermitian_residue_is_max_entry_of_rho_minus_rho_dagger(self, dim):
+        # The residue is swept in 64-row bands over the upper triangle; a
+        # one-entry defect at any band edge, on either side of the diagonal,
+        # must be found exactly.
+        edges = sorted({k for k in (0, 63, 64, 127, 128, dim - 1) if k < dim})
+        for i in edges:
+            for j in edges:
+                m = np.zeros((dim, dim), dtype=complex)
+                m[i, j] = 3e-9 * np.exp(0.4j)
+                naive = float(np.max(np.abs(m - m.conj().T)))
+                assert DensityOperator(m).hermitian_residue == naive > 0.0
+
+    def test_non_hermitian_state_fails_validation_with_its_residue(self):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = 2e-12
+        with pytest.raises(InvariantViolation, match="2.000e-12"):
+            DensityOperator(m).validate()
+
     def test_shape_mismatch_rejected(self):
         g = Grid1D(-1.0, 1.0, 4)
         with pytest.raises(ShapeMismatch):

@@ -14,6 +14,7 @@ from vnlab import (
     NegligibleProbability,
     ProbeSpec,
     SpectralObservable,
+    trace_with,
 )
 from vnlab.qm import (
     auto_pointer_grid,
@@ -119,6 +120,29 @@ class TestPointerMean:
             dist = pointer_distribution(rho, obs, probe, coupling, grid)
             moment = grid.integrate(grid.nodes * dist)
             assert abs(moment - pointer_mean(rho, obs, coupling)) < 1e-8
+
+    def test_matches_dense_trace(self):
+        # Oracle epsilon * Re Tr(rho A) with A built densely; bound 1e-12, a
+        # few ulp of the dimension-6 sums. The degenerate observable groups
+        # columns through block_index.
+        rng = np.random.default_rng(8)
+        coupling = CouplingParams.from_sigma_P(1.7, 0.4)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        unitary = np.linalg.qr(g)[0]
+        spectrum = np.array([-1.0, -1.0, 0.5, 2.0, 2.0, 2.0])
+        degenerate = SpectralObservable.from_hermitian((unitary * spectrum) @ unitary.conj().T)
+        assert degenerate.n_eigenvalues == 3
+        diagonal = SpectralObservable.from_diagonal(np.sort(rng.standard_normal(6)))
+        rho = random_density_matrix(6, rng)
+        for obs in (diagonal, degenerate):
+            dense = coupling.epsilon * np.real(np.trace(rho.matrix @ obs.matrix()))
+            assert abs(pointer_mean(rho, obs, coupling) - dense) < 1e-12
+
+    def test_trace_with_matches_matrix_product(self):
+        rng = np.random.default_rng(9)
+        rho = random_density_matrix(7, rng)
+        op = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))  # not Hermitian
+        assert abs(trace_with(rho, op) - np.trace(rho.matrix @ op)) < 1e-12
 
 
 class TestDecoherenceKernel:

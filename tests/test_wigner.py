@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnlab import (
     BasisMismatch,
     DensityOperator,
     Grid1D,
     InsufficientSamples,
+    InvariantViolation,
     MixtureSpec,
     SpectralObservable,
     density_from_wavefunction,
     gaussian_wavepacket,
     mix_density_operators,
 )
+from vnlab.cli import DEFAULT_TOLERANCES
 from vnlab.observables import CouplingParams
 from vnlab.qm import decoherence_kernel, reduced_state_post
 from vnlab.wigner import (
@@ -23,7 +27,7 @@ from vnlab.wigner import (
     wigner_transform,
 )
 
-from helpers import density_variance
+from helpers import density_variance, random_density_matrix, reference_wigner
 
 XGRID = Grid1D(-8.0, 8.0, 256)
 PGRID = Grid1D(-8.0, 8.0, 256)
@@ -116,6 +120,92 @@ class TestEvolvedWigner:
         via_channel = wigner_transform(reduced_state_post(rho, obs, kernel), pg)
         via_damping = evolved_wigner(rho, WignerEvolutionSpec(A=lambda x: x, tau=tau), pg)
         assert np.max(np.abs(via_channel.values - via_damping.values)) < 1e-12
+
+
+OBSERVABLES = {"x": lambda x: x, "x**3 - x": lambda x: x**3 - x}
+
+
+@st.composite
+def position_states(draw) -> DensityOperator:
+    """A random mixed state or an off-centre, boosted Gaussian packet, n >= 3 nodes."""
+    n = draw(st.integers(3, 96))
+    grid = Grid1D(-8.0, 8.0, n)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return random_density_matrix(n, rng, rank=draw(st.integers(1, n)), grid=grid)
+    psi = gaussian_wavepacket(
+        grid,
+        center=draw(st.floats(-1.5, 1.5)),
+        momentum=draw(st.floats(-2.0, 2.0)),
+        sigma_x=draw(st.floats(0.5, 1.0)),
+    )
+    return density_from_wavefunction(psi, grid)
+
+
+class TestHermitianFold:
+    """The folded real products against the unfolded complex transform.
+
+    Tolerance 1e-12 of max|W|: the two differ only in summation order (the
+    largest difference seen at n = 2048 was 3.3e-15 of max|W|).
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rho=position_states(),
+        n_p=st.integers(3, 96),
+        hbar=st.floats(0.5, 2.0),
+        observable=st.sampled_from(sorted(OBSERVABLES)),
+        tau=st.floats(0.0, 2.0),
+    )
+    def test_matches_unfolded_transform(self, rho, n_p, hbar, observable, tau):
+        pgrid = Grid1D(-6.0, 6.0, n_p)
+        spec = WignerEvolutionSpec(A=OBSERVABLES[observable], tau=tau)
+        for got, oracle in (
+            (wigner_transform(rho, pgrid, hbar=hbar), reference_wigner(rho, pgrid, hbar=hbar)),
+            (evolved_wigner(rho, spec, pgrid, hbar=hbar),
+             reference_wigner(rho, pgrid, hbar=hbar, spec=spec)),
+        ):
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(got.values - oracle)) <= 1e-12 * scale
+
+    def test_non_hermitian_state_refused_with_its_residue(self):
+        matrix = ground_state().matrix.copy()
+        matrix[0, 1] += 1e-9
+        rho = DensityOperator(matrix, grid=XGRID)
+        assert rho.hermitian_residue == pytest.approx(1e-9, rel=1e-6)
+        spec = WignerEvolutionSpec(A=lambda x: x, tau=0.1)
+        for transform in (
+            lambda: wigner_transform(rho, PGRID),
+            lambda: evolved_wigner(rho, spec, PGRID),
+        ):
+            with pytest.raises(InvariantViolation, match=f"{rho.hermitian_residue:.3e}"):
+                transform()
+
+
+class TestVarianceLaw:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sigma_x=st.floats(0.6, 1.1),
+        center=st.floats(-1.0, 1.0),
+        tau=st.floats(0.0, 2.0),
+    )
+    def test_position_measurement_adds_two_tau(self, sigma_x, center, tau):
+        """Var p after the channel is s^2 + 2 tau, s = hbar / (2 sigma_x).
+
+        Grids as in ``evolve-qm``: 256 nodes on +-8, p range
+        +-8 sqrt(s^2 + 2 tau). The tolerance is that command's
+        ``variance_growth`` check.
+        """
+        tol = DEFAULT_TOLERANCES["evolve-qm"]["variance_growth"]
+        rho = density_from_wavefunction(
+            gaussian_wavepacket(XGRID, center=center, sigma_x=sigma_x), XGRID
+        )
+        s2 = (1.0 / (2.0 * sigma_x)) ** 2
+        p_half = 8.0 * np.sqrt(s2 + 2.0 * tau)
+        pgrid = Grid1D(-p_half, p_half, 256)
+        w = evolved_wigner(rho, WignerEvolutionSpec(A=lambda x: x, tau=tau), pgrid)
+        var = density_variance(pgrid, w.p_marginal_density())
+        assert abs(var - (s2 + 2.0 * tau)) <= tol
 
 
 class TestWignerPde:
