@@ -47,18 +47,53 @@ NEGATIVITY_MONITOR = -1e-10
 # The Liouville generator
 # ---------------------------------------------------------------------------
 
+def _liouville_operator(qgrid: Grid1D, pgrid: Grid1D, obs: ClassicalObservable):
+    """A_op on one grid, as a function ``apply(values)``.
+
+    The coefficient fields are built once, with the 1/(2h) of the centered
+    difference folded in, and two difference buffers are reused by every
+    call, so a call costs two in-place stencils and one output array. The
+    stencil is that of ``np.gradient(edge_order=2)``: f[i+1] - f[i-1] inside,
+    -3f0 + 4f1 - f2 and 3f[-1] - 4f[-2] + f[-3] at the ends, which need at
+    least 3 nodes per axis.
+    """
+    for axis, grid in (("q", qgrid), ("p", pgrid)):
+        if grid.n < 3:
+            raise InvariantViolation(
+                f"the Liouville generator needs >= 3 nodes per axis; the {axis} grid has {grid.n}"
+            )
+    qq, pp = np.meshgrid(qgrid.nodes, pgrid.nodes, indexing="ij")
+    c_p = obs.dA_dq(qq, pp) / (2.0 * pgrid.h)
+    c_q = obs.dA_dp(qq, pp) / (2.0 * qgrid.h)
+    d_q = np.empty(qq.shape)
+    d_p = np.empty(qq.shape)
+
+    def apply(f: np.ndarray) -> np.ndarray:
+        np.subtract(f[2:], f[:-2], out=d_q[1:-1])
+        d_q[0] = 4.0 * f[1] - 3.0 * f[0] - f[2]
+        d_q[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
+        np.subtract(f[:, 2:], f[:, :-2], out=d_p[:, 1:-1])
+        d_p[:, 0] = 4.0 * f[:, 1] - 3.0 * f[:, 0] - f[:, 2]
+        d_p[:, -1] = 3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]
+        np.multiply(c_p, d_p, out=d_p)
+        np.multiply(c_q, d_q, out=d_q)
+        return np.subtract(d_p, d_q)
+
+    return apply
+
+
 def apply_liouville_generator(
     values: np.ndarray, qgrid: Grid1D, pgrid: Grid1D, obs: ClassicalObservable
 ) -> np.ndarray:
     """A_op f = (dA/dq) df/dp - (dA/dp) df/dq on the grid.
 
     Coefficients come from the observable's supplied derivative maps; the
-    operand derivatives are second-order centered differences.
+    operand derivatives are second-order centered differences, one-sided at
+    the ends, so each axis needs at least 3 nodes (InvariantViolation
+    otherwise). Builds the coefficient fields on every call: a solver that
+    applies A_op repeatedly builds them once with ``_liouville_operator``.
     """
-    qq, pp = np.meshgrid(qgrid.nodes, pgrid.nodes, indexing="ij")
-    df_dq = np.gradient(values, qgrid.h, axis=0, edge_order=2)
-    df_dp = np.gradient(values, pgrid.h, axis=1, edge_order=2)
-    return obs.dA_dq(qq, pp) * df_dp - obs.dA_dp(qq, pp) * df_dq
+    return _liouville_operator(qgrid, pgrid, obs)(values)
 
 
 @dataclass(frozen=True)
@@ -155,7 +190,9 @@ def joint_state_post(
     factors commute, so both orderings agree.
 
     Requires sigma_P > 0 (the P axis carries a density) and an observable kind
-    with an exact flow map.
+    with an exact flow map. The result is the only 4-axis allocation: the
+    system-times-momentum weight and the probe shift are 3-axis, and the
+    4-axis array is filled one q-slice at a time.
     """
     if obs.kind == KIND_GENERAL:
         raise UnsupportedObservable("joint evolution needs a position or action observable")
@@ -165,16 +202,14 @@ def joint_state_post(
     qn, pn, Qn, Pn = rho_s.qgrid.nodes, rho_s.pgrid.nodes, Qgrid.nodes, Pgrid.nodes
     qq, pp, PP = np.meshgrid(qn, pn, Pn, indexing="ij")
     fq, fp = flow_map(obs, qq, pp, eps * PP)
-    system = sample_phase_density(rho_s, fq, fp)          # (nq, np, nP)
-    mom = probe.momentum_density(Pn)
+    weight = sample_phase_density(rho_s, fq, fp) * probe.momentum_density(Pn)  # (nq, np, nP)
     if ordering == ORDER_FLOW_PRODUCT:
-        a = obs.eval(fq, fp)                              # (nq, np, nP)
-        pos = probe.position_density(Qn[None, None, None, :] - eps * a[..., None])
-        dens = np.einsum("ijl,ijlk,l->ijkl", system, pos, mom, optimize=True)
+        shift = eps * obs.eval(fq, fp)[:, :, None, :]                          # (nq, np, 1, nP)
     else:
-        a = obs.eval(*np.meshgrid(qn, pn, indexing="ij"))     # (nq, np)
-        pos = probe.position_density(Qn[None, None, :] - eps * a[..., None])
-        dens = np.einsum("ijl,ijk,l->ijkl", system, pos, mom, optimize=True)
+        shift = eps * obs.eval(*np.meshgrid(qn, pn, indexing="ij"))[:, :, None, None]
+    dens = np.empty((qn.size, pn.size, Qn.size, Pn.size))
+    for i in range(qn.size):
+        dens[i] = probe.position_density(Qn[None, :, None] - shift[i]) * weight[i][:, None, :]
     return JointEvolvedState(rho_s.qgrid, rho_s.pgrid, Qgrid, Pgrid, density=dens)
 
 
@@ -212,7 +247,9 @@ def probe_marginal_Q(
 
     For A = q this reduces to a convolution of the q-marginal with the probe
     position density; an action observable on an angle-action state reduces to
-    a 1-D integral over xi.
+    a 1-D integral over xi. Any other observable is summed over the whole
+    (q, p) grid, a few Q rows at a time: each chunk holds at most 2^16 kernel
+    values (512 KiB), so the chunk and its temporaries stay in cache.
     """
     eps = coupling.epsilon
     Q = Qgrid.nodes
@@ -229,7 +266,7 @@ def probe_marginal_Q(
     a = obs.eval(qq, pp).ravel()
     cell = (np.outer(rho_s.qgrid.weights, rho_s.pgrid.weights) * rho_s.values).ravel()
     out = np.empty(Qgrid.n)
-    chunk = max(1, 2**22 // a.size)
+    chunk = max(1, 2**16 // a.size)
     for start in range(0, Qgrid.n, chunk):
         qs = Q[start : start + chunk, None]
         out[start : start + chunk] = probe.position_density(qs - eps * a[None, :]) @ cell
@@ -273,8 +310,8 @@ def _diffuse_rows_p(values: np.ndarray, h_p: float, sigma: float) -> np.ndarray:
 
 def cm_diffusion_rhs(rho: PhaseSpaceDensity, obs: ClassicalObservable) -> np.ndarray:
     """[A, [A, rho]]_PB by nested centered differences; d^2/dp^2 for A = q."""
-    inner = apply_liouville_generator(rho.values, rho.qgrid, rho.pgrid, obs)
-    return apply_liouville_generator(inner, rho.qgrid, rho.pgrid, obs)
+    a_op = _liouville_operator(rho.qgrid, rho.pgrid, obs)
+    return a_op(a_op(rho.values))
 
 
 def pde_stability_bound(
@@ -290,15 +327,20 @@ def pde_stability_bound(
 
 
 def _pde_evolve(rho: PhaseSpaceDensity, obs: ClassicalObservable, tau: float) -> PhaseSpaceDensity:
+    """Explicit Euler on d rho/d tau = A_op^2 rho, at the stability bound.
+
+    A_op's coefficient fields are built once per solve; each step then costs
+    two generator applications (four in-place stencils) and four arrays the
+    size of the grid. Both axes need at least 3 nodes.
+    """
     step = min(pde_stability_bound(rho.qgrid, rho.pgrid, obs), tau)
     n_steps = int(np.ceil(tau / step))
     step = tau / n_steps
-    values = rho.values.copy()
-    work = PhaseSpaceDensity(rho.qgrid, rho.pgrid, values)
+    a_op = _liouville_operator(rho.qgrid, rho.pgrid, obs)
+    values = rho.values
     for _ in range(n_steps):
-        values = values + step * cm_diffusion_rhs(work, obs)
-        work = PhaseSpaceDensity(rho.qgrid, rho.pgrid, values)
-    return work
+        values = values + step * a_op(a_op(values))
+    return PhaseSpaceDensity(rho.qgrid, rho.pgrid, values)
 
 
 def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):

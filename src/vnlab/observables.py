@@ -231,9 +231,20 @@ class ProbeSpec:
             raise InvariantViolation("sigma_P must be >= 0")
 
     def position_density(self, Q) -> np.ndarray:
+        """exp(-Q^2 / (2 s2)) / sqrt(2 pi s2), evaluated in one output buffer.
+
+        The operations run in the order of that expression, so the values are
+        bit for bit those of the plain formula; ``Q`` itself is not modified.
+        A 0-d or scalar ``Q`` gives a NumPy scalar.
+        """
         q = np.asarray(Q, dtype=float)
         s2 = self.sigma_Q**2
-        return np.exp(-0.5 * q * q / s2) / np.sqrt(2.0 * np.pi * s2)
+        out = np.multiply(-0.5, q, out=np.empty(q.shape))
+        out *= q
+        out /= s2
+        np.exp(out, out=out)
+        out /= np.sqrt(2.0 * np.pi * s2)
+        return out if out.ndim else out[()]
 
     def momentum_density(self, P) -> np.ndarray:
         if self.sigma_P == 0.0:

@@ -40,7 +40,12 @@ HERMITIAN_TOLERANCE = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only C-contiguous copy of ``a``.
+
+    Copying keeps a state immutable: a view of the caller's array cannot
+    write into it, and the caller's array stays writeable.
+    """
+    a = np.array(a, order="C", copy=True)
     a.flags.writeable = False
     return a
 

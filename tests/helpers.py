@@ -10,7 +10,8 @@ from vnlab import (
     PhaseSpaceDensity,
     SpectralObservable,
 )
-from vnlab.states import phase_density_from_values
+from vnlab.cm import ORDER_FLOW_PRODUCT, flow_map, pde_stability_bound
+from vnlab.states import phase_density_from_values, sample_phase_density
 
 
 def random_density_matrix(
@@ -85,6 +86,55 @@ def reference_wigner(rho: DensityOperator, pgrid: Grid1D, hbar: float = 1.0, spe
         D = D * np.exp(-spec.tau * dA**2 / hbar**2)
     phases = np.exp(-1j / hbar * np.outer(pgrid.nodes, y))  # (n_p, n_y)
     return (2.0 * rho.grid.h * (phases @ D).T).real
+
+
+def reference_liouville_generator(values, qgrid: Grid1D, pgrid: Grid1D, obs) -> np.ndarray:
+    """A_op f from ``np.gradient`` and coefficient fields built on every call.
+
+    Oracle for ``vnlab.cm``'s generator, which folds 1/(2h) into the fields
+    and takes the same stencil in place.
+    """
+    qq, pp = np.meshgrid(qgrid.nodes, pgrid.nodes, indexing="ij")
+    df_dq = np.gradient(values, qgrid.h, axis=0, edge_order=2)
+    df_dp = np.gradient(values, pgrid.h, axis=1, edge_order=2)
+    return obs.dA_dq(qq, pp) * df_dp - obs.dA_dp(qq, pp) * df_dq
+
+
+def reference_pde_evolve(rho: PhaseSpaceDensity, obs, tau: float) -> np.ndarray:
+    """Explicit Euler on d rho/d tau = A_op^2 rho with the oracle generator.
+
+    The step is the one ``vnlab.cm`` takes: the stability bound, shortened to
+    divide ``tau`` evenly.
+    """
+    bound = pde_stability_bound(rho.qgrid, rho.pgrid, obs)
+    n_steps = int(np.ceil(tau / min(bound, tau)))
+    step = tau / n_steps
+    values = rho.values
+    for _ in range(n_steps):
+        inner = reference_liouville_generator(values, rho.qgrid, rho.pgrid, obs)
+        values = values + step * reference_liouville_generator(inner, rho.qgrid, rho.pgrid, obs)
+    return values
+
+
+def reference_joint_density(rho_s, probe, obs, coupling, Qgrid, Pgrid, ordering) -> np.ndarray:
+    """rho'(q, p, Q, P) from a 4-axis probe-position array and one ``einsum``.
+
+    Oracle for ``vnlab.cm.joint_state_post``, which fills the result one
+    q-slice at a time and allocates no other 4-axis array.
+    """
+    eps = coupling.epsilon
+    qn, pn, Qn, Pn = rho_s.qgrid.nodes, rho_s.pgrid.nodes, Qgrid.nodes, Pgrid.nodes
+    qq, pp, PP = np.meshgrid(qn, pn, Pn, indexing="ij")
+    fq, fp = flow_map(obs, qq, pp, eps * PP)
+    system = sample_phase_density(rho_s, fq, fp)
+    mom = probe.momentum_density(Pn)
+    if ordering == ORDER_FLOW_PRODUCT:
+        a = obs.eval(fq, fp)
+        pos = probe.position_density(Qn[None, None, None, :] - eps * a[..., None])
+        return np.einsum("ijl,ijlk,l->ijkl", system, pos, mom, optimize=True)
+    a = obs.eval(*np.meshgrid(qn, pn, indexing="ij"))
+    pos = probe.position_density(Qn[None, None, :] - eps * a[..., None])
+    return np.einsum("ijl,ijk,l->ijkl", system, pos, mom, optimize=True)
 
 
 def _inverse_cdf_rows(cdf_rows: np.ndarray, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vnlab import (
     CouplingParams,
     Grid1D,
+    InvariantViolation,
     ModeCutoffTooSmall,
     NegligibleProbability,
     PeriodicGrid,
@@ -22,6 +23,7 @@ from vnlab.cm import (
     LiouvilleGenerator,
     ORDER_FLOW_PRODUCT,
     ORDER_FLOW_SYSTEM,
+    _pde_evolve,
     angle_spectral_solve,
     apply_liouville_generator,
     cm_diffusion_rhs,
@@ -40,10 +42,23 @@ from vnlab.states import (
     sample_phase_density,
 )
 
-from helpers import density_variance, random_gaussian_mixture
+from helpers import (
+    density_variance,
+    random_gaussian_mixture,
+    reference_joint_density,
+    reference_liouville_generator,
+    reference_pde_evolve,
+)
 
 POSITION = position_observable()
 ACTION_LINEAR = action_observable(lambda xi: xi, lambda xi: np.ones_like(xi))
+# A(xi) = xi written as a general observable, so that it takes the PDE path.
+GENERAL_XI = general_observable(
+    lambda q, p: 0.5 * (q**2 + p**2),
+    lambda q, p: q + 0.0 * p,
+    lambda q, p: p + 0.0 * q,
+)
+GENERATOR_OBSERVABLES = {"A = q": POSITION, "A(xi)": ACTION_LINEAR, "general xi": GENERAL_XI}
 
 # Channel strengths for the semigroup properties. On the p grid of
 # TestReducedChannel.test_semigroup_property (step h = 28/383) the position
@@ -97,8 +112,120 @@ class TestLiouvilleGenerator:
         out = apply_liouville_generator(rho.values, g, g, obs)
         assert abs(grid2d_integrate(g, g, out)) < 1e-10
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_q=st.integers(3, 40),
+        n_p=st.integers(3, 40),
+        lo_q=st.floats(-6.0, 2.0),
+        lo_p=st.floats(-6.0, 2.0),
+        h_q=st.floats(1e-3, 1.0),
+        h_p=st.floats(1e-3, 1.0),
+        name=st.sampled_from(sorted(GENERATOR_OBSERVABLES)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_gradient_oracle(self, n_q, n_p, lo_q, lo_p, h_q, h_p, name, seed):
+        # 1e-14 of max|A_op f|: both sides take the same stencil and differ
+        # only in where 1/(2h) is applied and in the order of the end-stencil
+        # terms, a few ulps of the largest term per entry.
+        assume(n_q != n_p)
+        qgrid = Grid1D(lo_q, lo_q + h_q * (n_q - 1), n_q)
+        pgrid = Grid1D(lo_p, lo_p + h_p * (n_p - 1), n_p)
+        obs = GENERATOR_OBSERVABLES[name]
+        f = np.random.default_rng(seed).standard_normal((n_q, n_p))
+        expected = reference_liouville_generator(f, qgrid, pgrid, obs)
+        out = apply_liouville_generator(f, qgrid, pgrid, obs)
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_pde_evolve_matches_gradient_euler_loop(self):
+        # 1e-13 of the peak: about a hundred Euler steps, each within a few
+        # ulps of the oracle's step, and explicit Euler at the stability
+        # bound does not amplify the difference.
+        g = Grid1D(-8.0, 8.0, 32)
+        rho = build_gaussian_phase_density(g, g, 1.1, 1.2, center_q=0.4, center_p=-0.3)
+        out = _pde_evolve(rho, GENERAL_XI, 0.05)
+        expected = reference_pde_evolve(rho, GENERAL_XI, 0.05)
+        assert np.max(np.abs(out.values - expected)) <= 1e-13 * float(rho.values.max())
+
+    @pytest.mark.parametrize("n_q, n_p", [(2, 5), (5, 2)])
+    def test_two_node_axis_rejected_with_its_length(self, n_q, n_p):
+        qgrid, pgrid = Grid1D(-1.0, 1.0, n_q), Grid1D(-1.0, 1.0, n_p)
+        values = np.ones((n_q, n_p))
+        with pytest.raises(InvariantViolation, match="grid has 2"):
+            apply_liouville_generator(values, qgrid, pgrid, GENERAL_XI)
+        rho = phase_density_from_values(qgrid, pgrid, values)
+        with pytest.raises(InvariantViolation, match="grid has 2"):
+            reduced_state_post_cm(rho, GENERAL_XI, 0.1)
+
+
+# The joint-state properties: state centres in [-1, 1]^2 and widths in
+# [1.2, 1.4], so +-6 sigma fits the +-10 (q, p) grids; the probe and the
+# coupling of the benchmark's joint-state operations. The Q grids hold eps*A
+# wherever the state has mass, with margins of at least 5 sigma_Q.
+JOINT_STATES = st.tuples(
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(1.2, 1.4), st.floats(1.2, 1.4)
+)
+JOINT_CASES = {
+    "position": (POSITION, (-12.0, 12.0)),
+    "action": (ACTION_LINEAR, (-6.0, 40.0)),
+}
+JOINT_PROBE = ProbeSpec(sigma_Q=1.0, sigma_P=0.6)
+JOINT_COUPLING = CouplingParams.from_probe(0.7, JOINT_PROBE)
+
+
+def _joint_inputs(state, kind, n_q, n_p, n_Q, n_P):
+    cq, cp, sq, sp = state
+    obs, (Q_lo, Q_hi) = JOINT_CASES[kind]
+    qg, pg = Grid1D(-10.0, 10.0, n_q), Grid1D(-10.0, 10.0, n_p)
+    rho = build_gaussian_phase_density(qg, pg, sq, sp, center_q=cq, center_p=cp)
+    return rho, obs, Grid1D(Q_lo, Q_hi, n_Q), Grid1D(-3.8, 3.8, n_P)
+
 
 class TestJointState:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        state=JOINT_STATES,
+        kind=st.sampled_from(sorted(JOINT_CASES)),
+        n_q=st.integers(5, 24),
+        n_p=st.integers(5, 24),
+        n_Q=st.integers(5, 24),
+        n_P=st.integers(5, 24),
+    )
+    def test_matches_reference_construction(self, state, kind, n_q, n_p, n_Q, n_P):
+        assume(n_Q != n_P)
+        rho, obs, Qg, Pg = _joint_inputs(state, kind, n_q, n_p, n_Q, n_P)
+        joint = {}
+        for ordering in (ORDER_FLOW_SYSTEM, ORDER_FLOW_PRODUCT):
+            dens = joint_state_post(rho, JOINT_PROBE, obs, JOINT_COUPLING, Qg, Pg, ordering).values()
+            expected = reference_joint_density(rho, JOINT_PROBE, obs, JOINT_COUPLING, Qg, Pg, ordering)
+            # 1e-14 of the peak: the same products of the same factors, in a
+            # different association, a few ulps apart.
+            assert np.max(np.abs(dens - expected)) <= 1e-14 * np.max(expected)
+            # Exactly non-negative: a product of clipped samples and Gaussians.
+            assert dens.min() >= 0.0
+            joint[ordering] = dens
+        # 1e-10, the bound of test_ordering_equivalence.
+        assert np.max(np.abs(joint[ORDER_FLOW_SYSTEM] - joint[ORDER_FLOW_PRODUCT])) < 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        state=JOINT_STATES,
+        kind=st.sampled_from(sorted(JOINT_CASES)),
+        ordering=st.sampled_from([ORDER_FLOW_SYSTEM, ORDER_FLOW_PRODUCT]),
+        n_q=st.integers(44, 52),
+        n_p=st.integers(44, 52),
+        n_Q=st.integers(48, 56),
+        n_P=st.integers(14, 24),
+    )
+    def test_unit_mass_on_resolved_grids(self, state, kind, ordering, n_q, n_p, n_Q, n_P):
+        # 1e-6, the bound of test_joint_state_total_mass_and_probe_marginal.
+        # Unit mass needs every axis to resolve its Gaussian: the trapezoid
+        # rule needs a step at most about one width, and the spline of the
+        # flowed state one of about a third of the state's width. A 5-node
+        # axis has neither, so the sizes here start where both hold.
+        rho, obs, Qg, Pg = _joint_inputs(state, kind, n_q, n_p, n_Q, n_P)
+        joint = joint_state_post(rho, JOINT_PROBE, obs, JOINT_COUPLING, Qg, Pg, ordering)
+        assert abs(joint.mass() - 1.0) < 1e-6
+
     def test_position_kind_matches_hand_composition(self):
         g = Grid1D(-8.0, 8.0, 192)
         rho = build_gaussian_phase_density(g, g, 1.0, 1.0)
@@ -367,13 +494,8 @@ class TestReducedChannel:
         half = 8.0
         g = Grid1D(-half, half, 128)
         rho = build_gaussian_phase_density(g, g, 1.0, 1.3)
-        obs = general_observable(
-            lambda q, p: 0.5 * (q**2 + p**2),
-            lambda q, p: q + 0.0 * p,
-            lambda q, p: p + 0.0 * q,
-        )
         tau = 0.05
-        pde = reduced_state_post_cm(rho, obs, tau)
+        pde = reduced_state_post_cm(rho, GENERAL_XI, tau)
         exact = reduced_state_post_cm(rho, ACTION_LINEAR, tau)
         scale = float(rho.values.max())
         assert np.max(np.abs(pde.values - exact.values)) / scale < 5e-3

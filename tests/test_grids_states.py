@@ -10,6 +10,7 @@ from vnlab import (
     InvariantViolation,
     MixtureSpec,
     PeriodicGrid,
+    PhaseSpaceDensity,
     PureSuperposition,
     ShapeMismatch,
     UnitsConfig,
@@ -75,6 +76,15 @@ class TestGaussianBuilder:
         g = Grid1D(-5.0, 5.0, 64)
         with pytest.raises(GridTooNarrow):
             build_gaussian_phase_density(g, g, 1.0, 1.0)  # 6 sigma > 5
+
+    def test_state_values_are_a_read_only_copy(self):
+        g = Grid1D(-1.0, 1.0, 3)
+        values = np.ones((3, 3))
+        rho = PhaseSpaceDensity(g, g, values)
+        values[1, 1] = 5.0
+        assert values.flags.writeable
+        assert not rho.values.flags.writeable
+        assert np.array_equal(rho.values, np.ones((3, 3)))
 
     def test_validate_passes_for_constructed_state(self):
         g = Grid1D(-8.0, 8.0, 256)
@@ -219,6 +229,18 @@ class TestDensityOperator:
         g = Grid1D(-1.0, 1.0, 4)
         with pytest.raises(ShapeMismatch):
             DensityOperator(np.eye(3) / 3.0, grid=g)
+
+    def test_earlier_view_cannot_write_into_the_state(self):
+        base = np.eye(2, dtype=complex) / 2
+        alias = base[:]
+        rho = DensityOperator(base)
+        residue = rho.hermitian_residue
+        alias[0, 1] = 1.0
+        assert np.array_equal(rho.matrix, np.eye(2) / 2)
+        assert rho.hermitian_residue == residue == 0.0
+        assert float(np.max(np.abs(rho.matrix - rho.matrix.conj().T))) == 0.0
+        assert base.flags.writeable
+        assert not rho.matrix.flags.writeable
 
     def test_thermal_number_state(self):
         from vnlab.states import thermal_number_state

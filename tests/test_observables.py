@@ -113,6 +113,26 @@ class TestProbeSpec:
         g = Grid1D(-3.0, 3.0, 2001)
         assert g.integrate(probe.position_density(g.nodes)) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "Q",
+        [
+            np.linspace(-4.0, 4.0, 257),
+            np.arange(-5, 6),
+            np.array(0.7),
+            -1.3,
+        ],
+        ids=["float array", "int array", "0-d array", "python float"],
+    )
+    def test_position_density_is_bitwise_the_plain_formula(self, Q):
+        probe = ProbeSpec(sigma_Q=0.37, sigma_P=0.5)
+        before = np.array(Q, copy=True)
+        out = probe.position_density(Q)
+        q = np.asarray(Q, dtype=float)
+        s2 = 0.37**2
+        assert np.array_equal(out, np.exp(-0.5 * q * q / s2) / np.sqrt(2.0 * np.pi * s2))
+        assert np.shape(out) == np.shape(Q)
+        assert np.array_equal(Q, before)
+
     def test_wavefunction_squares_to_density(self):
         probe = ProbeSpec(sigma_Q=0.7, sigma_P=0.5)
         x = np.linspace(-3, 3, 101)
