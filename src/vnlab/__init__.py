@@ -15,11 +15,9 @@ from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     GridTooNarrow,
-    InsufficientSamples,
     InvariantViolation,
     KernelMismatch,
     LeakageBudgetExceeded,
-    ModeCutoffTooSmall,
     NegligibleProbability,
     NonHermitianObservable,
     ShapeMismatch,
@@ -27,11 +25,10 @@ from .errors import (
     UnsupportedObservable,
     VnLabError,
 )
-from .grids import Grid1D, PeriodicGrid, UnitsConfig
+from .grids import Grid1D, PeriodicGrid
 from .observables import (
     ClassicalObservable,
     CouplingParams,
-    MixtureSpec,
     ProbeSpec,
     PureSuperposition,
     SpectralObservable,
@@ -48,11 +45,7 @@ from .states import (
     expectation,
     from_angle_action,
     gaussian_wavepacket,
-    marginal,
-    mix_density_operators,
-    mix_phase_densities,
     to_angle_action,
-    to_bar_coordinates,
     trace_with,
 )
 

@@ -381,6 +381,19 @@ def _probe_coupling(params: dict) -> tuple[ProbeSpec, CouplingParams]:
     return probe, coupling
 
 
+def _require_resolved(name: str, grid: Grid1D, params: dict) -> None:
+    """Refuse a system width below the step of the grid it is sampled on.
+
+    A narrower Gaussian falls between the nodes: its samples underflow to
+    zero, and its normalization divides by zero or overflows.
+    """
+    if params[name] < grid.h:
+        raise ConfigInvalid(
+            f"parameter {name!r} = {params[name]!r} is below the step {grid.h:.6g} "
+            "of the grid it is sampled on"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Command implementations: each returns (checks, scalars, tables)
 # ---------------------------------------------------------------------------
@@ -402,6 +415,7 @@ def run_evolve_qm(params: dict, tol: dict):
     probe, coupling = _probe_coupling(params)
     hbar = params["hbar"]
     xgrid = Grid1D(-params["grid_halfwidth"], params["grid_halfwidth"], int(params["n_x"]))
+    _require_resolved("sigma_x", xgrid, params)
     psi = gaussian_wavepacket(xgrid, center=params["center_x"], sigma_x=params["sigma_x"], hbar=hbar)
     rho = density_from_wavefunction(psi, xgrid)
     obs = SpectralObservable.from_diagonal(xgrid.nodes)
@@ -455,6 +469,8 @@ def run_evolve_cm(params: dict, tol: dict):
     probe, coupling = _probe_coupling(params)
     qgrid = Grid1D(-params["grid_halfwidth_q"], params["grid_halfwidth_q"], int(params["n_q"]))
     pgrid = Grid1D(-params["grid_halfwidth_p"], params["grid_halfwidth_p"], int(params["n_p"]))
+    _require_resolved("sigma_q", qgrid, params)
+    _require_resolved("sigma_p", pgrid, params)
     rho = build_gaussian_phase_density(
         qgrid, pgrid, params["sigma_q"], params["sigma_p"], center_q=params["center_q"]
     )
@@ -521,6 +537,8 @@ def run_mc_compare(params: dict, tol: dict):
     if params["branch"] in ("position", "both"):
         qgrid = Grid1D(-8.0, 8.0, 256)
         pgrid = Grid1D(-12.0, 12.0, 256)
+        _require_resolved("sigma_q", qgrid, params)
+        _require_resolved("sigma_p", pgrid, params)
         rho = build_gaussian_phase_density(qgrid, pgrid, params["sigma_q"], params["sigma_p"])
         obs = position_observable()
         ens0 = sample_initial(rho, probe, n, seed)
@@ -551,6 +569,8 @@ def run_mc_compare(params: dict, tol: dict):
     if params["branch"] in ("action", "both"):
         half = 8.0 * max(params["sigma_q"], params["sigma_p"])
         grid = Grid1D(-half, half, 384)
+        _require_resolved("sigma_q", grid, params)
+        _require_resolved("sigma_p", grid, params)
         rho = build_gaussian_phase_density(grid, grid, params["sigma_q"], params["sigma_p"])
         obs = action_observable(lambda xi: xi, lambda xi: np.ones_like(xi))
         ens0 = to_action_ensemble(sample_initial(rho, probe, n, seed + 1))
@@ -589,6 +609,7 @@ def run_table1_report(params: dict, tol: dict):
     n = int(params["n_x"])
     half = params["grid_halfwidth"]
     xgrid = Grid1D(-half, half, n)
+    _require_resolved("sigma_x", xgrid, params)
     rows = []
 
     def add_row(description: str, qm: float, cm: float, **expected) -> None:
@@ -728,37 +749,6 @@ def run_scenario_command(params: dict, tol: dict):
     return list(result.checks), scalars, tables
 
 
-def _run(command: str, raw, seed: int | None = None, tolerance_overrides: dict | None = None):
-    """Normalize, apply the seed override, resolve tolerances and run: the one
-    path of ``main``, ``execute`` and ``table1_report``.
-
-    Returns the normalized config (tolerances resolved) and the runner's
-    (checks, scalars, tables).
-    """
-    config = normalize_config(command, raw)
-    params = config["parameters"]
-    if seed is not None:
-        spec = _spec(command, params)[1]
-        if "seed" not in spec:
-            raise ConfigInvalid(f"command {command!r} takes no 'seed'")
-        params["seed"] = _checked("seed", seed, spec["seed"])
-    config["tolerances"] = resolve_tolerances(command, config, tolerance_overrides or {})
-    return config, RUNNERS[command](params, config["tolerances"])
-
-
-def table1_report(config: dict | None = None, tolerance_overrides: dict | None = None) -> dict:
-    """Run the four correspondence rows and return {rows, checks, all_passed}.
-
-    In-memory variant of the ``table1-report`` command (no files written).
-    """
-    _, (checks, scalars, _tables) = _run("table1-report", config, None, tolerance_overrides)
-    return {
-        "rows": scalars["rows"],
-        "checks": [c.as_dict() for c in checks],
-        "all_passed": all(c.passed for c in checks),
-    }
-
-
 RUNNERS = {
     "run-scenario": run_scenario_command,
     "evolve-qm": run_evolve_qm,
@@ -820,8 +810,18 @@ def execute(
 
 def _execute(command: str, raw, out_dir: Path, seed: int | None,
              tolerance_overrides: dict[str, float] | None) -> dict:
+    """Normalize, apply the seed override, resolve tolerances, run, write: the
+    one path of ``main`` and ``execute``."""
     started = dt.datetime.now(dt.timezone.utc).isoformat()
-    config, (checks, scalars, tables) = _run(command, raw, seed, tolerance_overrides)
+    config = normalize_config(command, raw)
+    params = config["parameters"]
+    if seed is not None:
+        spec = _spec(command, params)[1]
+        if "seed" not in spec:
+            raise ConfigInvalid(f"command {command!r} takes no 'seed'")
+        params["seed"] = _checked("seed", seed, spec["seed"])
+    config["tolerances"] = resolve_tolerances(command, config, tolerance_overrides or {})
+    checks, scalars, tables = RUNNERS[command](params, config["tolerances"])
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from .errors import (
-    InvariantViolation,
-    ModeCutoffTooSmall,
-    NegligibleProbability,
-    UnsupportedObservable,
-)
+from .errors import InvariantViolation, NegligibleProbability, UnsupportedObservable
 from .grids import TWO_PI, Grid1D, grid2d_integrate
 from .observables import (
     KIND_ACTION,
@@ -94,31 +89,6 @@ def apply_liouville_generator(
     applies A_op repeatedly builds them once with ``_liouville_operator``.
     """
     return _liouville_operator(qgrid, pgrid, obs)(values)
-
-
-@dataclass(frozen=True)
-class LiouvilleGenerator:
-    """The generator of one observable, applied on a grid."""
-
-    observable: ClassicalObservable
-
-    @classmethod
-    def from_observable(cls, obs: ClassicalObservable) -> "LiouvilleGenerator":
-        return cls(observable=obs)
-
-    def apply(self, values, qgrid, pgrid) -> np.ndarray:
-        return apply_liouville_generator(values, qgrid, pgrid, self.observable)
-
-    def self_annihilation_residual(self, qgrid, pgrid) -> float:
-        """max |A_op A| on the grid; zero analytically."""
-        qq, pp = np.meshgrid(qgrid.nodes, pgrid.nodes, indexing="ij")
-        return float(np.max(np.abs(self.apply(self.observable.eval(qq, pp), qgrid, pgrid))))
-
-    def product_rule_residual(self, f, g, qgrid, pgrid) -> float:
-        """max |A_op(fg) - (A_op f) g - f (A_op g)|; finite-difference scale."""
-        lhs = self.apply(f * g, qgrid, pgrid)
-        rhs = self.apply(f, qgrid, pgrid) * g + f * self.apply(g, qgrid, pgrid)
-        return float(np.max(np.abs(lhs - rhs)))
 
 
 def flow_map(obs: ClassicalObservable, q, p, s):
@@ -350,8 +320,7 @@ def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
     p (kernel variance 2*tau, as dA/dq = 1); A(xi) gets the Fourier angle
     solver (on an angle-action state directly, otherwise through the canonical
     transform and back); anything else is explicit PDE stepping at the
-    stability bound. The angle solver keeps every mode the theta grid
-    represents, so the channel itself never truncates.
+    stability bound.
     """
     if tau < 0:
         raise InvariantViolation("tau must be >= 0")
@@ -360,14 +329,14 @@ def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
     if isinstance(rho_s, AngleActionDensity):
         if obs.kind != KIND_ACTION:
             raise UnsupportedObservable("angle-action states pair with action observables")
-        return angle_spectral_solve(rho_s, obs, tau, M=rho_s.thetagrid.n // 2)
+        return angle_spectral_solve(rho_s, obs, tau)
     if obs.kind == KIND_POSITION:
         values = _diffuse_rows_p(rho_s.values, rho_s.pgrid.h, np.sqrt(2.0 * tau))
         values = _monitored_clip(values, "position-kind channel")
         return PhaseSpaceDensity(rho_s.qgrid, rho_s.pgrid, values)
     if obs.kind == KIND_ACTION:
         aa = to_angle_action(rho_s)
-        solved = angle_spectral_solve(aa, obs, tau, M=aa.thetagrid.n // 2)
+        solved = angle_spectral_solve(aa, obs, tau)
         return from_angle_action(solved, rho_s.qgrid, rho_s.pgrid)
     return _pde_evolve(rho_s, obs, tau)
 
@@ -375,9 +344,6 @@ def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
 # ---------------------------------------------------------------------------
 # Angle diffusion: Fourier solver and the strong-coupling limit
 # ---------------------------------------------------------------------------
-
-DEFAULT_MODE_CUTOFF = 64
-
 
 def angle_fourier_coefficients(rho: AngleActionDensity) -> tuple[np.ndarray, np.ndarray]:
     """(modes, c) with rho(xi, theta) = sum_m c_m(xi) exp(i m theta)."""
@@ -388,30 +354,18 @@ def angle_fourier_coefficients(rho: AngleActionDensity) -> tuple[np.ndarray, np.
 
 
 def angle_spectral_solve(
-    rho: AngleActionDensity,
-    obs: ClassicalObservable,
-    tau: float,
-    M: int = DEFAULT_MODE_CUTOFF,
+    rho: AngleActionDensity, obs: ClassicalObservable, tau: float
 ) -> AngleActionDensity:
     """Damp angle mode m by exp(-m^2 (dA/dxi)^2 tau) at each xi.
 
-    Mode 0 is untouched, so the xi-marginal is preserved exactly. Modes above
-    the cutoff M are dropped; if they carry more than 1e-10 of L1 mass the
-    cutoff is rejected.
+    Every mode the theta grid represents is kept, so nothing is truncated.
+    Mode 0 is untouched, so the xi-marginal is preserved exactly.
     """
     if obs.dA_dxi is None:
         raise UnsupportedObservable("angle solver needs dA/dxi")
     modes, c = angle_fourier_coefficients(rho)
-    kept = np.abs(modes) <= M
-    dropped = np.abs(c[:, ~kept])
-    if dropped.size:
-        dropped_mass = TWO_PI * float(rho.xigrid.weights @ dropped.sum(axis=1))
-        if dropped_mass > 1e-10:
-            raise ModeCutoffTooSmall(
-                f"modes above {M} carry L1 mass {dropped_mass:.3e} (> 1e-10)"
-            )
     rate = (obs.dA_dxi(rho.xigrid.nodes) ** 2)[:, None] * (modes[None, :] ** 2)
-    damped = np.where(kept[None, :], c * np.exp(-tau * rate), 0.0)
+    damped = c * np.exp(-tau * rate)
     values = np.real(np.fft.ifft(damped * rho.thetagrid.n, axis=1))
     values = _monitored_clip(values, "angle spectral solver")
     return AngleActionDensity(rho.xigrid, rho.thetagrid, values)

@@ -41,16 +41,8 @@ class NegligibleProbability(VnLabError):
     """Conditioning was requested on an outcome of negligible probability."""
 
 
-class InsufficientSamples(VnLabError):
-    """Not enough samples to form the requested finite difference."""
-
-
 class UnsupportedObservable(VnLabError):
     """The observable kind is not handled by the requested code path."""
-
-
-class ModeCutoffTooSmall(VnLabError):
-    """The Fourier mode cutoff drops a non-negligible amount of mass."""
 
 
 class TruncationTooSmall(VnLabError):

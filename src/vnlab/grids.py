@@ -1,4 +1,4 @@
-"""Uniform grids, trapezoid quadrature and unit conventions.
+"""Uniform grids and trapezoid quadrature.
 
 All arrays in this package live on uniform 1-D grids; 2-D quantities use the
 outer product of two of them with ``values[i, j]`` indexed as (first axis,
@@ -86,17 +86,6 @@ class PeriodicGrid:
 
     def integrate(self, f: np.ndarray) -> float:
         return float(self.weights @ np.asarray(f))
-
-
-@dataclass(frozen=True)
-class UnitsConfig:
-    """The rescaling constant C of the equal-unit coordinates qbar = C q."""
-
-    scale_C: float = 1.0
-
-    def __post_init__(self):
-        if not self.scale_C > 0:
-            raise InvariantViolation("scale_C must be positive")
 
 
 def grid2d_integrate(xgrid: Grid1D, ygrid: Grid1D | PeriodicGrid, values: np.ndarray) -> float:

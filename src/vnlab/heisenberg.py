@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .grids import TWO_PI, Grid1D, UnitsConfig
+from .grids import TWO_PI, Grid1D
 from .observables import ClassicalObservable, CouplingParams, ProbeSpec
 from .states import PhaseSpaceDensity
 
@@ -149,34 +149,23 @@ def flow_position(ens: TrajectoryEnsemble, coupling: CouplingParams) -> Trajecto
     )
 
 
-def to_action_ensemble(
-    ens: TrajectoryEnsemble, units: UnitsConfig = UnitsConfig()
-) -> ActionEnsemble:
-    """Canonical transform of the rescaled pair: xi = (qbar^2 + pbar^2)/2.
+def to_action_ensemble(ens: TrajectoryEnsemble) -> ActionEnsemble:
+    """Canonical transform of the system pair: xi = (q^2 + p^2)/2, theta = atan2(p, q).
 
-    The equal-unit rescaling qbar = C q, pbar = p / C is applied to system and
-    probe pairs alike before the polar transform.
+    The probe pair (Q, P) carries over unchanged.
     """
-    c = units.scale_C
-    qbar, pbar = c * ens.q, ens.p / c
-    xi = 0.5 * (qbar**2 + pbar**2)
-    theta = np.mod(np.arctan2(pbar, qbar), TWO_PI)
-    return ActionEnsemble(xi=xi, theta=theta, Q=c * ens.Q, P=ens.P / c)
+    xi = 0.5 * (ens.q**2 + ens.p**2)
+    theta = np.mod(np.arctan2(ens.p, ens.q), TWO_PI)
+    return ActionEnsemble(xi=xi, theta=theta, Q=ens.Q, P=ens.P)
 
 
-def flow_action(
-    ens,
-    obs: ClassicalObservable,
-    coupling: CouplingParams,
-    units: UnitsConfig = UnitsConfig(),
-) -> ActionEnsemble:
+def flow_action(ens, obs: ClassicalObservable, coupling: CouplingParams) -> ActionEnsemble:
     """xi' = xi0, P' = P0; theta' = theta0 - eps*(dA/dxi)|_xi0 * P0 mod 2pi; Q' = Q0 + eps*A(xi0).
 
-    Accepts a Cartesian ensemble (rescaled and transformed first) or an
-    ActionEnsemble already in equal-unit coordinates.
+    Accepts a Cartesian ensemble (transformed first) or an ActionEnsemble.
     """
     if isinstance(ens, TrajectoryEnsemble):
-        ens = to_action_ensemble(ens, units)
+        ens = to_action_ensemble(ens)
     if obs.dA_dxi is None or obs.A_of_xi is None:
         raise InvariantViolation("action flow needs A(xi) and dA/dxi")
     eps = coupling.epsilon
@@ -190,29 +179,8 @@ def flow_action(
 
 
 # ---------------------------------------------------------------------------
-# Uncertainty-disturbance product and histogram comparisons
+# Histogram comparisons
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UncertaintyDisturbance:
-    """(sigma_Q/eps) * (eps*sigma_P) = sigma_Q*sigma_P; a scaling, not a bound."""
-
-    uncertainty: float
-    disturbance: float
-
-    @property
-    def product(self) -> float:
-        return self.uncertainty * self.disturbance
-
-
-def uncertainty_disturbance_product(
-    probe: ProbeSpec, coupling: CouplingParams
-) -> UncertaintyDisturbance:
-    eps = coupling.epsilon
-    return UncertaintyDisturbance(
-        uncertainty=probe.sigma_Q / eps, disturbance=eps * probe.sigma_P
-    )
-
 
 def histogram_l1_distance(
     samples: np.ndarray, grid: Grid1D, density: np.ndarray, bins: int = 24

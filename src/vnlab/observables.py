@@ -9,7 +9,7 @@ strength is tau = (epsilon * sigma_P)^2 / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -161,7 +161,7 @@ class ClassicalObservable:
     """A(q, p) with the partial derivatives that drive the Liouville generator.
 
     kind "position" is A = q exactly; kind "action" depends on (q, p) only
-    through xi = (p^2 + q^2)/2 (bar coordinates) and also carries dA/dxi;
+    through xi = (p^2 + q^2)/2 and also carries dA/dxi;
     kind "general" is anything else.
     """
 
@@ -190,7 +190,7 @@ def position_observable() -> ClassicalObservable:
 
 
 def action_observable(A_of_xi, dA_dxi) -> ClassicalObservable:
-    """A = A(xi) with xi = (q^2 + p^2)/2 in equal-unit (bar) coordinates."""
+    """A = A(xi) with xi = (q^2 + p^2)/2."""
 
     def _xi(q, p):
         return 0.5 * (np.asarray(q) ** 2 + np.asarray(p) ** 2)
@@ -295,25 +295,8 @@ class CouplingParams:
 
 
 # ---------------------------------------------------------------------------
-# Convex combinations and pure superpositions
+# Pure superpositions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Two-component convex combination: weights p1, p2 >= 0 summing to 1."""
-
-    p1: float
-    p2: float
-    components: tuple = field(default=())
-
-    def __post_init__(self):
-        if self.p1 < 0 or self.p2 < 0:
-            raise InvariantViolation("mixture weights must be non-negative")
-        if abs(self.p1 + self.p2 - 1.0) > 1e-12:
-            raise InvariantViolation("mixture weights must sum to 1 within 1e-12")
-        if self.components and len(self.components) != 2:
-            raise InvariantViolation("exactly two components expected")
-
 
 @dataclass(frozen=True)
 class PureSuperposition:

@@ -47,32 +47,6 @@ def decoherence_kernel(
     return DecoherenceKernel(gmn=g, eigenvalues=a.copy())
 
 
-def decoherence_kernel_quadrature(
-    obs: SpectralObservable,
-    coupling: CouplingParams,
-    hbar: float = 1.0,
-) -> np.ndarray:
-    """g_mn by direct quadrature of the probe-momentum Fourier integral.
-
-    Trapezoid rule on 20001 nodes over +-12 sigma_P. Independent of the
-    closed form above; used as its oracle.
-    """
-    sigma_P = coupling.sigma_P
-    a = obs.eigenvalues
-    if sigma_P == 0.0:
-        return np.ones((a.size, a.size))
-    n = 20001
-    P = np.linspace(-12.0 * sigma_P, 12.0 * sigma_P, n)
-    w = np.full(n, P[1] - P[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    dens = np.exp(-0.5 * (P / sigma_P) ** 2) / np.sqrt(2.0 * np.pi * sigma_P**2)
-    diff = (a[:, None] - a[None, :]).ravel()
-    phases = np.exp(-1j * coupling.epsilon / hbar * np.outer(diff, P))
-    g = phases @ (dens * w)
-    return np.real(g).reshape(a.size, a.size)
-
-
 def born_weights(rho_s: DensityOperator, obs: SpectralObservable) -> np.ndarray:
     """p_s(a_n) = Tr(rho P_n) for every eigenvalue, in spectral order."""
     if obs.dim != rho_s.dim:

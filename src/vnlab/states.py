@@ -31,8 +31,8 @@ from .errors import (
     LeakageBudgetExceeded,
     ShapeMismatch,
 )
-from .grids import TWO_PI, Grid1D, PeriodicGrid, UnitsConfig, grid2d_integrate
-from .observables import ClassicalObservable, MixtureSpec, PureSuperposition
+from .grids import TWO_PI, Grid1D, PeriodicGrid, grid2d_integrate
+from .observables import ClassicalObservable, PureSuperposition
 
 LEAKAGE_BUDGET = 1e-6
 # Largest |rho - rho^H| entry a density matrix may have.
@@ -134,13 +134,6 @@ def build_gaussian_phase_density(
     return phase_density_from_values(qgrid, pgrid, values)
 
 
-def mix_phase_densities(spec: MixtureSpec) -> PhaseSpaceDensity:
-    a, b = spec.components
-    if a.qgrid != b.qgrid or a.pgrid != b.pgrid:
-        raise ShapeMismatch("mixture components must share grids")
-    return PhaseSpaceDensity(a.qgrid, a.pgrid, spec.p1 * a.values + spec.p2 * b.values)
-
-
 def delta_width(grid: Grid1D) -> float:
     """Width of the narrow Gaussian standing in for a Dirac delta: 2 grid steps."""
     return 2.0 * grid.h
@@ -185,13 +178,6 @@ class AngleActionDensity:
         return replace(self, values=self.values / self.mass())
 
 
-def angle_density_from_function(xigrid, thetagrid, f, normalize=True) -> AngleActionDensity:
-    xx, tt = np.meshgrid(xigrid.nodes, thetagrid.nodes, indexing="ij")
-    v = np.clip(np.asarray(f(xx, tt), dtype=float), 0.0, None)
-    rho = AngleActionDensity(xigrid, thetagrid, v)
-    return rho.normalized() if normalize else rho
-
-
 # ---------------------------------------------------------------------------
 # Interpolation and the canonical transform
 # ---------------------------------------------------------------------------
@@ -216,49 +202,29 @@ def sample_phase_density(rho: PhaseSpaceDensity, q_pts, p_pts) -> np.ndarray:
     return np.clip(np.where(inside, out, 0.0), 0.0, None)
 
 
-def to_bar_coordinates(rho: PhaseSpaceDensity, units: UnitsConfig) -> PhaseSpaceDensity:
-    """Rescale (q, p) -> (qbar, pbar) = (C q, p / C); the Jacobian is one."""
-    c = units.scale_C
-    if c == 1.0:
-        return rho
-    qbar = Grid1D(c * rho.qgrid.lo, c * rho.qgrid.hi, rho.qgrid.n)
-    pbar = Grid1D(rho.pgrid.lo / c, rho.pgrid.hi / c, rho.pgrid.n)
-    return PhaseSpaceDensity(qbar, pbar, rho.values)
-
-
 def to_angle_action(
-    rho: PhaseSpaceDensity,
-    units: UnitsConfig = UnitsConfig(),
-    n_xi: int = 256,
-    n_theta: int = 256,
+    rho: PhaseSpaceDensity, n_xi: int = 256, n_theta: int = 256
 ) -> AngleActionDensity:
-    """Resample onto (xi, theta) with xi = (qbar^2 + pbar^2)/2.
+    """Resample onto (xi, theta) with xi = (q^2 + p^2)/2, theta = atan2(p, q).
 
-    The rescaling qbar = C q, pbar = p / C is applied first. The xi grid ends
-    at the disc inscribed in the rescaled grid, so no sample ever falls
-    outside the source grid. dqbar dpbar = dxi dtheta, so values carry over
-    with no Jacobian factor; the result is renormalized (corner mass outside
-    the disc must be negligible for the input to be represented faithfully).
+    The xi grid ends at the disc inscribed in the (q, p) grid, so no sample
+    ever falls outside the source grid. dq dp = dxi dtheta, so values carry
+    over with no Jacobian factor; the result is renormalized (corner mass
+    outside the disc must be negligible for the input to be represented
+    faithfully).
     """
-    bar = to_bar_coordinates(rho, units)
-    reach = min(abs(bar.qgrid.lo), bar.qgrid.hi, abs(bar.pgrid.lo), bar.pgrid.hi)
+    reach = min(abs(rho.qgrid.lo), rho.qgrid.hi, abs(rho.pgrid.lo), rho.pgrid.hi)
     xigrid = Grid1D(0.0, 0.5 * reach**2, n_xi)
     thetagrid = PeriodicGrid(n_theta)
     xx, tt = np.meshgrid(xigrid.nodes, thetagrid.nodes, indexing="ij")
     r = np.sqrt(2.0 * xx)
-    vals = sample_phase_density(bar, r * np.cos(tt), r * np.sin(tt))
+    vals = sample_phase_density(rho, r * np.cos(tt), r * np.sin(tt))
     return AngleActionDensity(xigrid, thetagrid, vals).normalized()
 
 
-def from_angle_action(
-    aa: AngleActionDensity,
-    qgrid: Grid1D,
-    pgrid: Grid1D,
-    units: UnitsConfig = UnitsConfig(),
-) -> PhaseSpaceDensity:
+def from_angle_action(aa: AngleActionDensity, qgrid: Grid1D, pgrid: Grid1D) -> PhaseSpaceDensity:
     """Inverse resampling of ``to_angle_action`` onto a Cartesian grid."""
-    c = units.scale_C
-    qq, pp = np.meshgrid(qgrid.nodes * c, pgrid.nodes / c, indexing="ij")
+    qq, pp = np.meshgrid(qgrid.nodes, pgrid.nodes, indexing="ij")
     xi = 0.5 * (qq**2 + pp**2)
     theta = np.mod(np.arctan2(pp, qq), TWO_PI)
     # Pad theta periodically so the spline sees smooth data across the seam.
@@ -370,33 +336,9 @@ def superposition_wavefunction(sup: PureSuperposition, grid: Grid1D) -> np.ndarr
     return psi / np.sqrt(norm)
 
 
-def mix_density_operators(spec: MixtureSpec) -> DensityOperator:
-    a, b = spec.components
-    if a.dim != b.dim or a.grid != b.grid:
-        raise ShapeMismatch("mixture components must share basis and dimension")
-    return DensityOperator(spec.p1 * a.matrix + spec.p2 * b.matrix, grid=a.grid)
-
-
-def thermal_number_state(mean_occupation: float, dim: int) -> DensityOperator:
-    """Geometric (thermal) diagonal state in a truncated number basis."""
-    nbar = mean_occupation
-    r = nbar / (1.0 + nbar)
-    w = (1.0 - r) * r ** np.arange(dim)
-    return DensityOperator(np.diag(w / w.sum()).astype(complex))
-
-
 # ---------------------------------------------------------------------------
-# Marginals, expectations, traces
+# Expectations and traces
 # ---------------------------------------------------------------------------
-
-def marginal(rho: PhaseSpaceDensity, axis: str) -> np.ndarray:
-    """Marginal of a phase-space density along 'q' or 'p'."""
-    if axis == "q":
-        return rho.q_marginal()
-    if axis == "p":
-        return rho.p_marginal()
-    raise ShapeMismatch(f"unknown marginal axis {axis!r}")
-
 
 def expectation(state, observable) -> float:
     """<A> for classical states.

@@ -1,12 +1,10 @@
-"""Wigner representation of position-basis states and its diffusion dynamics.
+"""Wigner representation of position-basis states, before and after the channel.
 
 The transform is the anti-diagonal Fourier integral of the density matrix,
 W(q, p) = int dy exp(-i p y / hbar) rho(q + y/2, q - y/2), evaluated by
 quadrature over the matrix anti-diagonals (y steps by twice the grid
 spacing). The measurement channel multiplies the y-integrand by
-exp(-tau * DeltaA(q, y)^2 / hbar^2) with DeltaA(q, y) = A(q+y/2) - A(q-y/2),
-and the resulting family obeys a pseudo-differential diffusion equation in p
-whose right-hand side is diagonal in the Fourier dual of p.
+exp(-tau * DeltaA(q, y)^2 / hbar^2) with DeltaA(q, y) = A(q+y/2) - A(q-y/2).
 
 The state must be Hermitian (max|rho - rho^H| <= 1e-12, checked on entry):
 then the anti-diagonal at offset -m is the conjugate of the one at +m, and
@@ -20,11 +18,11 @@ as one stacked product, and W is real by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import BasisMismatch, InsufficientSamples, InvariantViolation, ShapeMismatch
+from .errors import BasisMismatch, InvariantViolation, ShapeMismatch
 from .grids import Grid1D, grid2d_integrate
 from .states import HERMITIAN_TOLERANCE, DensityOperator
 
@@ -139,46 +137,3 @@ def evolved_wigner(
     D *= np.exp(-spec.tau * dA**2 / hbar**2)
     return _wigner_from_antidiagonals(y, D, rho.grid, pgrid, hbar)
 
-
-def apply_wigner_generator(
-    w: WignerFunction, spec: WignerEvolutionSpec, hbar: float = 1.0
-) -> np.ndarray:
-    """Right-hand side [(1/i hbar) DeltaA(q, i hbar d/dp)]^2 W.
-
-    Evaluated in the Fourier dual of p, where the operator is multiplication
-    by -DeltaA(q, y)^2 / hbar^2 (even in y, so the fft sign convention is
-    immaterial).
-    """
-    n_p = w.pgrid.n
-    y = 2.0 * np.pi * hbar * np.fft.fftfreq(n_p, d=w.pgrid.h)
-    spectrum = np.fft.fft(w.values, axis=1)
-    dA = spec.delta_A(w.qgrid.nodes[:, None], y[None, :])
-    spectrum *= -(dA**2) / hbar**2
-    return np.real(np.fft.ifft(spectrum, axis=1))
-
-
-def wigner_pde_residual(
-    wigners: Sequence[WignerFunction],
-    taus: Sequence[float],
-    spec: WignerEvolutionSpec,
-    hbar: float = 1.0,
-) -> float:
-    """Max-norm residual of the diffusion equation along a tau-sampled family.
-
-    Forward first-order differencing: for consecutive samples the residual is
-    |(W_{k+1} - W_k)/dtau - generator(W_k)|; the return value is the max over
-    pairs and grid nodes. First-order in dtau by construction.
-    """
-    if len(wigners) < 3:
-        raise InsufficientSamples("need at least 3 tau samples")
-    if len(wigners) != len(taus):
-        raise ShapeMismatch("one tau per Wigner sample required")
-    worst = 0.0
-    for k in range(len(wigners) - 1):
-        dtau = taus[k + 1] - taus[k]
-        if dtau <= 0:
-            raise InvariantViolation("tau samples must be increasing")
-        lhs = (wigners[k + 1].values - wigners[k].values) / dtau
-        rhs = apply_wigner_generator(wigners[k], spec, hbar=hbar)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from vnlab import (
+    AngleActionDensity,
     DensityOperator,
     Grid1D,
+    PeriodicGrid,
     PhaseSpaceDensity,
     SpectralObservable,
 )
@@ -51,6 +53,16 @@ def random_gaussian_mixture(
             2.0 * np.pi * sq * sp
         )
     return phase_density_from_values(qgrid, pgrid, vals)
+
+
+def angle_density_from_function(
+    xigrid: Grid1D, thetagrid: PeriodicGrid, f, normalize: bool = True
+) -> AngleActionDensity:
+    """f(xi, theta) sampled on the (xi, theta) grids, clipped at zero."""
+    xx, tt = np.meshgrid(xigrid.nodes, thetagrid.nodes, indexing="ij")
+    v = np.clip(np.asarray(f(xx, tt), dtype=float), 0.0, None)
+    rho = AngleActionDensity(xigrid, thetagrid, v)
+    return rho.normalized() if normalize else rho
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

@@ -248,13 +248,6 @@ class TestExecution:
             assert replay["outputs"] == first["outputs"]
             assert replay["config"] == first["config"]
 
-    def test_table1_report_in_memory(self):
-        from vnlab.cli import table1_report
-
-        report = table1_report({"parameters": {"n_x": 128}})
-        assert report["all_passed"]
-        assert len(report["rows"]) == 4
-
     def test_table1_rows_carry_pass_flags(self, tmp_path):
         cfg = normalize_config("table1-report", {"parameters": {"n_x": 128}})
         execute(cfg, tmp_path / "out")
@@ -355,13 +348,22 @@ class TestMainEntryPoint:
             ("run-scenario", {"parameters": {"scenario": "interference", "alpha_re": 1.2e154,
                                              "beta_re": -1.2e154, "separation": 0.001}},
              [], "'alpha' and 'beta'"),
+            # System widths below the step of the grid they are sampled on.
+            ("evolve-qm", {"parameters": {"sigma_x": 1e-300}}, [], "'sigma_x'"),
+            ("evolve-qm", {"parameters": {"sigma_x": 1e-160}}, [], "'sigma_x'"),
+            ("table1-report", {"parameters": {"sigma_x": 1e-300}}, [], "'sigma_x'"),
+            ("evolve-cm", {"parameters": {"sigma_q": 1e-300}}, [], "'sigma_q'"),
+            ("evolve-cm", {"parameters": {"sigma_p": 1e-300}}, [], "'sigma_p'"),
+            ("mc-compare", {"parameters": {"sigma_q": 1e-300}}, [], "'sigma_q'"),
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
              "foreign-scenario-field", "field-of-no-scenario", "vacuous-l1-budget",
              "zero-amplitudes", "cancelling-amplitudes", "underflowing-amplitude",
              "subnormal-norm", "overflowing-amplitude", "overflowing-weight-square",
-             "overflowing-weight-sum"],
+             "overflowing-weight-sum", "sub-step-sigma_x", "sub-step-sigma_x-overflow",
+             "sub-step-table1-sigma_x", "sub-step-sigma_q", "sub-step-sigma_p",
+             "sub-step-mc-sigma_q"],
     )
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
         argv = [command, "--out", str(tmp_path / "o"), *extra]

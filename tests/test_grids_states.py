@@ -8,21 +8,16 @@ from vnlab import (
     Grid1D,
     GridTooNarrow,
     InvariantViolation,
-    MixtureSpec,
     PeriodicGrid,
     PhaseSpaceDensity,
     PureSuperposition,
     ShapeMismatch,
-    UnitsConfig,
     build_gaussian_phase_density,
     density_from_wavefunction,
     expectation,
     from_angle_action,
     gaussian_wavepacket,
-    marginal,
-    mix_phase_densities,
     to_angle_action,
-    to_bar_coordinates,
     trace_with,
 )
 from vnlab.grids import TWO_PI
@@ -53,6 +48,10 @@ class TestGrids:
         assert g.nodes[0] == 0.0
         assert g.nodes[-1] < TWO_PI
         assert g.integrate(np.ones(8)) == pytest.approx(TWO_PI)
+
+    def test_delta_width_is_two_spacings(self):
+        g = Grid1D(0.0, 1.0, 11)
+        assert delta_width(g) == pytest.approx(0.2)
 
 
 class TestGaussianBuilder:
@@ -146,18 +145,6 @@ class TestAngleActionTransform:
         l1 = float(g.weights @ np.abs(back.values - rho.values) @ g.weights)
         assert l1 < 1e-4
 
-    def test_bar_coordinate_rescaling_preserves_mass(self):
-        qg = Grid1D(-8.0, 8.0, 256)
-        pg = Grid1D(-2.0, 2.0, 256)
-        rho = build_gaussian_phase_density(qg, pg, 1.0, 0.25)
-        units = UnitsConfig(scale_C=0.5)
-        bar = to_bar_coordinates(rho, units)
-        assert abs(bar.mass() - 1.0) < 1e-10
-        assert bar.qgrid.hi == pytest.approx(4.0)
-        assert bar.pgrid.hi == pytest.approx(4.0)
-        aa = to_angle_action(rho, units=units)
-        assert abs(aa.mass() - 1.0) < 1e-6
-
     def test_fourier_reality_pairing(self):
         g = Grid1D(-8.0, 8.0, 192)
         rng = np.random.default_rng(3)
@@ -242,15 +229,6 @@ class TestDensityOperator:
         assert base.flags.writeable
         assert not rho.matrix.flags.writeable
 
-    def test_thermal_number_state(self):
-        from vnlab.states import thermal_number_state
-
-        rho = thermal_number_state(mean_occupation=0.6, dim=48)
-        rho.validate()
-        w = np.real(np.diag(rho.matrix))
-        assert np.mean(w[1:10] / w[:9]) == pytest.approx(0.6 / 1.6, abs=1e-12)
-        assert np.sum(w * np.arange(48)) == pytest.approx(0.6, abs=1e-8)
-
 
 class TestMarginalsExpectations:
     def test_centered_gaussian_position_mean_is_zero(self):
@@ -272,28 +250,8 @@ class TestMarginalsExpectations:
     def test_marginals_normalize(self):
         g = Grid1D(-8.0, 8.0, 256)
         rho = build_gaussian_phase_density(g, g, 1.0, 1.0)
-        assert g.integrate(marginal(rho, "q")) == pytest.approx(1.0, abs=1e-10)
-        assert g.integrate(marginal(rho, "p")) == pytest.approx(1.0, abs=1e-10)
-        with pytest.raises(ShapeMismatch):
-            marginal(rho, "x")
-
-
-class TestMixtures:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(InvariantViolation):
-            MixtureSpec(p1=0.6, p2=0.5)
-
-    def test_mixture_of_densities(self):
-        g = Grid1D(-8.0, 8.0, 128)
-        a = build_gaussian_phase_density(g, g, 1.0, 1.0, center_q=-0.5)
-        b = build_gaussian_phase_density(g, g, 0.8, 1.1, center_q=+0.5)
-        mix = mix_phase_densities(MixtureSpec(p1=0.3, p2=0.7, components=(a, b)))
-        assert abs(mix.mass() - 1.0) < 1e-10
-        assert np.allclose(mix.values, 0.3 * a.values + 0.7 * b.values)
-
-    def test_delta_width_is_two_spacings(self):
-        g = Grid1D(0.0, 1.0, 11)
-        assert delta_width(g) == pytest.approx(0.2)
+        assert g.integrate(rho.q_marginal()) == pytest.approx(1.0, abs=1e-10)
+        assert g.integrate(rho.p_marginal()) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestAngleActionDensityType:

@@ -3,7 +3,6 @@
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +23,6 @@ from vnlab.heisenberg import (
     periodic_histogram_l1_distance,
     sample_initial,
     to_action_ensemble,
-    uncertainty_disturbance_product,
 )
 from vnlab.states import phase_density_from_values
 
@@ -194,19 +192,6 @@ class TestFlowAction:
         )
         assert l1 < 5.0 / np.sqrt(n)
 
-    def test_unit_rescaling_enters_the_transform(self):
-        from vnlab import UnitsConfig
-        from vnlab.heisenberg import TrajectoryEnsemble
-
-        ens = TrajectoryEnsemble(
-            q=np.array([1.0]), p=np.array([2.0]),
-            Q=np.array([0.5]), P=np.array([3.0]),
-        )
-        act = to_action_ensemble(ens, UnitsConfig(scale_C=2.0))
-        assert act.xi[0] == pytest.approx(0.5 * (4.0 + 1.0))
-        assert act.theta[0] == pytest.approx(np.arctan2(1.0, 2.0))
-        assert act.Q[0] == 1.0 and act.P[0] == 1.5
-
     def test_mean_pointer_shift_tracks_mean_action(self):
         g = Grid1D(-8.0, 8.0, 256)
         rho = build_gaussian_phase_density(g, g, 1.0, 1.0)
@@ -222,20 +207,6 @@ class TestFlowAction:
 
 
 class TestUncertaintyDisturbance:
-    def test_product_is_width_product(self):
-        probe = ProbeSpec(sigma_Q=0.1, sigma_P=0.2)
-        for eps in (0.5, 1.0, 4.0):
-            coupling = CouplingParams.from_probe(eps, probe)
-            ud = uncertainty_disturbance_product(probe, coupling)
-            assert ud.product == pytest.approx(0.02, abs=1e-15)
-            assert ud.uncertainty == pytest.approx(0.1 / eps)
-            assert ud.disturbance == pytest.approx(eps * 0.2)
-
-    def test_zero_momentum_width_means_no_disturbance(self):
-        probe = ProbeSpec(sigma_Q=0.3, sigma_P=0.0)
-        ud = uncertainty_disturbance_product(probe, CouplingParams.from_probe(1.0, probe))
-        assert ud.product == 0.0
-
     def test_momentum_kick_scale_from_trajectories(self):
         probe = ProbeSpec(sigma_Q=0.3, sigma_P=0.7)
         coupling = CouplingParams.from_probe(1.4, probe)

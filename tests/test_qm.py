@@ -21,7 +21,6 @@ from vnlab.qm import (
     born_weights,
     conditional_state,
     decoherence_kernel,
-    decoherence_kernel_quadrature,
     lindblad_evolve,
     lindblad_rhs,
     lueders_nonselective,
@@ -37,6 +36,7 @@ from helpers import (
     random_spectral_observable,
     trace_distance,
 )
+from oracles import decoherence_kernel_quadrature
 
 TWO_LEVEL = SpectralObservable.from_diagonal(np.array([0.0, 1.0]))
 

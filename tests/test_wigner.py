@@ -9,13 +9,10 @@ from vnlab import (
     BasisMismatch,
     DensityOperator,
     Grid1D,
-    InsufficientSamples,
     InvariantViolation,
-    MixtureSpec,
     SpectralObservable,
     density_from_wavefunction,
     gaussian_wavepacket,
-    mix_density_operators,
 )
 from vnlab.cli import DEFAULT_TOLERANCES
 from vnlab.observables import CouplingParams
@@ -23,11 +20,11 @@ from vnlab.qm import decoherence_kernel, reduced_state_post
 from vnlab.wigner import (
     WignerEvolutionSpec,
     evolved_wigner,
-    wigner_pde_residual,
     wigner_transform,
 )
 
 from helpers import density_variance, random_density_matrix, reference_wigner
+from oracles import wigner_pde_residual
 
 XGRID = Grid1D(-8.0, 8.0, 256)
 PGRID = Grid1D(-8.0, 8.0, 256)
@@ -61,7 +58,7 @@ class TestWignerTransform:
     def test_linearity_over_mixtures(self):
         a = density_from_wavefunction(gaussian_wavepacket(XGRID, center=-1.0), XGRID)
         b = density_from_wavefunction(gaussian_wavepacket(XGRID, center=+1.0), XGRID)
-        mix = mix_density_operators(MixtureSpec(p1=0.5, p2=0.5, components=(a, b)))
+        mix = DensityOperator(0.5 * a.matrix + 0.5 * b.matrix, grid=XGRID)
         w_mix = wigner_transform(mix, PGRID)
         w_a = wigner_transform(a, PGRID)
         w_b = wigner_transform(b, PGRID)
@@ -247,5 +244,5 @@ class TestWignerPde:
     def test_requires_three_samples(self):
         spec = WignerEvolutionSpec(A=lambda x: x, tau=0.0)
         fam = self._family(lambda x: x, [0.1, 0.2])
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(ValueError, match="at least 3"):
             wigner_pde_residual(fam, [0.1, 0.2], spec)
