@@ -38,6 +38,7 @@ import numpy as np
 
 from . import __version__
 from .cm import (
+    auto_probe_grid,
     cm_diffusion_rhs,
     probe_marginal_Q,
     probe_mean_Q,
@@ -77,6 +78,7 @@ from .scenarios import (
     ScenarioCheck,
     Signed,
     number_basis_initial_state,
+    require_resolved,
 )
 from .states import (
     DensityOperator,
@@ -381,19 +383,6 @@ def _probe_coupling(params: dict) -> tuple[ProbeSpec, CouplingParams]:
     return probe, coupling
 
 
-def _require_resolved(name: str, grid: Grid1D, params: dict) -> None:
-    """Refuse a system width below the step of the grid it is sampled on.
-
-    A narrower Gaussian falls between the nodes: its samples underflow to
-    zero, and its normalization divides by zero or overflows.
-    """
-    if params[name] < grid.h:
-        raise ConfigInvalid(
-            f"parameter {name!r} = {params[name]!r} is below the step {grid.h:.6g} "
-            "of the grid it is sampled on"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Command implementations: each returns (checks, scalars, tables)
 # ---------------------------------------------------------------------------
@@ -415,7 +404,7 @@ def run_evolve_qm(params: dict, tol: dict):
     probe, coupling = _probe_coupling(params)
     hbar = params["hbar"]
     xgrid = Grid1D(-params["grid_halfwidth"], params["grid_halfwidth"], int(params["n_x"]))
-    _require_resolved("sigma_x", xgrid, params)
+    require_resolved("sigma_x", params["sigma_x"], xgrid)
     psi = gaussian_wavepacket(xgrid, center=params["center_x"], sigma_x=params["sigma_x"], hbar=hbar)
     rho = density_from_wavefunction(psi, xgrid)
     obs = SpectralObservable.from_diagonal(xgrid.nodes)
@@ -469,19 +458,15 @@ def run_evolve_cm(params: dict, tol: dict):
     probe, coupling = _probe_coupling(params)
     qgrid = Grid1D(-params["grid_halfwidth_q"], params["grid_halfwidth_q"], int(params["n_q"]))
     pgrid = Grid1D(-params["grid_halfwidth_p"], params["grid_halfwidth_p"], int(params["n_p"]))
-    _require_resolved("sigma_q", qgrid, params)
-    _require_resolved("sigma_p", pgrid, params)
+    require_resolved("sigma_q", params["sigma_q"], qgrid)
+    require_resolved("sigma_p", params["sigma_p"], pgrid)
     rho = build_gaussian_phase_density(
         qgrid, pgrid, params["sigma_q"], params["sigma_p"], center_q=params["center_q"]
     )
     obs = position_observable()
     rho_post = reduced_state_post_cm(rho, obs, coupling.tau)
 
-    Qgrid = Grid1D(
-        coupling.epsilon * qgrid.lo - 8 * probe.sigma_Q,
-        coupling.epsilon * qgrid.hi + 8 * probe.sigma_Q,
-        1024,
-    )
+    Qgrid = auto_probe_grid(rho, obs, probe, coupling, n=1024)
     marginal = probe_marginal_Q(rho, probe, obs, coupling, Qgrid)
     mean_ratio = _moment(Qgrid, marginal) / coupling.epsilon
     mean_expected = probe_mean_Q(rho, obs, coupling) / coupling.epsilon
@@ -533,12 +518,18 @@ def run_mc_compare(params: dict, tol: dict):
     checks: list[ScenarioCheck] = []
     scalars: dict = {"l1_budget": budget, "seed": seed}
     tables: list[Table] = []
+    qgrid = Grid1D(-8.0, 8.0, 256)
+    pgrid = Grid1D(-12.0, 12.0, 256)
+    half = 8.0 * max(params["sigma_q"], params["sigma_p"])
+    grid = Grid1D(-half, half, 384)
+    branch_grids = {"position": (qgrid, pgrid), "action": (grid, grid)}
+    branches = [b for b in branch_grids if params["branch"] in (b, "both")]
+    # Every branch's widths are refused before either branch runs.
+    for branch in branches:
+        for name, axis_grid in zip(("sigma_q", "sigma_p"), branch_grids[branch]):
+            require_resolved(name, params[name], axis_grid)
 
-    if params["branch"] in ("position", "both"):
-        qgrid = Grid1D(-8.0, 8.0, 256)
-        pgrid = Grid1D(-12.0, 12.0, 256)
-        _require_resolved("sigma_q", qgrid, params)
-        _require_resolved("sigma_p", pgrid, params)
+    if "position" in branches:
         rho = build_gaussian_phase_density(qgrid, pgrid, params["sigma_q"], params["sigma_p"])
         obs = position_observable()
         ens0 = sample_initial(rho, probe, n, seed)
@@ -566,11 +557,7 @@ def run_mc_compare(params: dict, tol: dict):
              [edges[:-1], counts.astype(float)])
         )
 
-    if params["branch"] in ("action", "both"):
-        half = 8.0 * max(params["sigma_q"], params["sigma_p"])
-        grid = Grid1D(-half, half, 384)
-        _require_resolved("sigma_q", grid, params)
-        _require_resolved("sigma_p", grid, params)
+    if "action" in branches:
         rho = build_gaussian_phase_density(grid, grid, params["sigma_q"], params["sigma_p"])
         obs = action_observable(lambda xi: xi, lambda xi: np.ones_like(xi))
         ens0 = to_action_ensemble(sample_initial(rho, probe, n, seed + 1))
@@ -609,7 +596,7 @@ def run_table1_report(params: dict, tol: dict):
     n = int(params["n_x"])
     half = params["grid_halfwidth"]
     xgrid = Grid1D(-half, half, n)
-    _require_resolved("sigma_x", xgrid, params)
+    require_resolved("sigma_x", params["sigma_x"], xgrid)
     rows = []
 
     def add_row(description: str, qm: float, cm: float, **expected) -> None:

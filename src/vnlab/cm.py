@@ -187,6 +187,19 @@ def joint_state_post(
 # Probe marginals
 # ---------------------------------------------------------------------------
 
+def _distribution_of_A(rho_s, obs: ClassicalObservable) -> tuple[np.ndarray, np.ndarray]:
+    """(values a, quadrature weights w): the distribution of A over the system state."""
+    if isinstance(rho_s, AngleActionDensity):
+        if obs.A_of_xi is None:
+            raise UnsupportedObservable("angle-action marginal needs A(xi)")
+        return obs.A_of_xi(rho_s.xigrid.nodes), rho_s.xigrid.weights * rho_s.xi_marginal()
+    if obs.kind == KIND_POSITION:
+        return rho_s.qgrid.nodes, rho_s.qgrid.weights * rho_s.q_marginal()
+    qq, pp = np.meshgrid(rho_s.qgrid.nodes, rho_s.pgrid.nodes, indexing="ij")
+    cell = np.outer(rho_s.qgrid.weights, rho_s.pgrid.weights) * rho_s.values
+    return obs.eval(qq, pp).ravel(), cell.ravel()
+
+
 def auto_probe_grid(
     rho_s,
     obs: ClassicalObservable,
@@ -196,14 +209,7 @@ def auto_probe_grid(
     pad_sigmas: float = 8.0,
 ) -> Grid1D:
     """Q grid covering epsilon*A over the state's support, with Gaussian margins."""
-    if isinstance(rho_s, AngleActionDensity):
-        a = obs.A_of_xi(rho_s.xigrid.nodes)
-    else:
-        qq, pp = np.meshgrid(rho_s.qgrid.nodes, rho_s.pgrid.nodes, indexing="ij")
-        a = obs.eval(qq, pp)
-    lo = coupling.epsilon * float(np.min(a)) - pad_sigmas * probe.sigma_Q
-    hi = coupling.epsilon * float(np.max(a)) + pad_sigmas * probe.sigma_Q
-    return Grid1D(lo, hi, n)
+    return probe.pointer_grid(_distribution_of_A(rho_s, obs)[0], coupling.epsilon, n, pad_sigmas)
 
 
 def probe_marginal_Q(
@@ -215,32 +221,12 @@ def probe_marginal_Q(
 ) -> np.ndarray:
     """rho'_pi(Q) = int rho_s * rho_pi(Q - eps*A) over the system state.
 
-    For A = q this reduces to a convolution of the q-marginal with the probe
-    position density; an action observable on an angle-action state reduces to
-    a 1-D integral over xi. Any other observable is summed over the whole
-    (q, p) grid, a few Q rows at a time: each chunk holds at most 2^16 kernel
-    values (512 KiB), so the chunk and its temporaries stay in cache.
+    The distribution of A over the state (a 1-D one for A = q and for A(xi)
+    on an angle-action state), smeared by ``ProbeSpec.pointer_density`` as on
+    the quantum side.
     """
-    eps = coupling.epsilon
-    Q = Qgrid.nodes
-    if isinstance(rho_s, AngleActionDensity):
-        if obs.A_of_xi is None:
-            raise UnsupportedObservable("angle-action marginal needs A(xi)")
-        weights = rho_s.xigrid.weights * rho_s.xi_marginal()
-        a = obs.A_of_xi(rho_s.xigrid.nodes)
-        return probe.position_density(Q[:, None] - eps * a[None, :]) @ weights
-    if obs.kind == KIND_POSITION:
-        weights = rho_s.qgrid.weights * rho_s.q_marginal()
-        return probe.position_density(Q[:, None] - eps * rho_s.qgrid.nodes[None, :]) @ weights
-    qq, pp = np.meshgrid(rho_s.qgrid.nodes, rho_s.pgrid.nodes, indexing="ij")
-    a = obs.eval(qq, pp).ravel()
-    cell = (np.outer(rho_s.qgrid.weights, rho_s.pgrid.weights) * rho_s.values).ravel()
-    out = np.empty(Qgrid.n)
-    chunk = max(1, 2**16 // a.size)
-    for start in range(0, Qgrid.n, chunk):
-        qs = Q[start : start + chunk, None]
-        out[start : start + chunk] = probe.position_density(qs - eps * a[None, :]) @ cell
-    return out
+    a, w = _distribution_of_A(rho_s, obs)
+    return probe.pointer_density(Qgrid.nodes, a, w, coupling.epsilon)
 
 
 def probe_mean_Q(rho_s, obs: ClassicalObservable, coupling: CouplingParams) -> float:

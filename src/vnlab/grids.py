@@ -56,20 +56,17 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Uniform periodic grid: ``n`` nodes on [0, period), endpoint excluded."""
+    """Uniform periodic grid: ``n`` nodes on [0, 2 pi), endpoint excluded."""
 
     n: int
-    period: float = TWO_PI
 
     def __post_init__(self):
         if self.n < 2:
             raise InvariantViolation(f"periodic grid needs n >= 2, got n={self.n}")
-        if not self.period > 0:
-            raise InvariantViolation("periodic grid needs period > 0")
 
     @property
     def h(self) -> float:
-        return self.period / self.n
+        return TWO_PI / self.n
 
     @cached_property
     def nodes(self) -> np.ndarray:

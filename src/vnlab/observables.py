@@ -19,6 +19,7 @@ from .errors import (
     InvariantViolation,
     NonHermitianObservable,
 )
+from .grids import Grid1D
 
 ArrayMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -50,12 +51,13 @@ class SpectralObservable:
     block_index: np.ndarray
 
     def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
+        # Copies: freezing the caller's array would make it read-only too.
+        ev = np.array(self.eigenvalues, dtype=float)
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
         if np.any(np.diff(ev) <= 0):
             raise InvariantViolation("eigenvalues must be strictly ascending")
-        bi = np.asarray(self.block_index, dtype=int)
+        bi = np.array(self.block_index, dtype=int)
         bi.flags.writeable = False
         object.__setattr__(self, "block_index", bi)
 
@@ -245,6 +247,34 @@ class ProbeSpec:
         np.exp(out, out=out)
         out /= np.sqrt(2.0 * np.pi * s2)
         return out if out.ndim else out[()]
+
+    def pointer_density(self, Q, values, weights, epsilon: float) -> np.ndarray:
+        """The pointer record sum_k weights[k] * rho_pi(Q - epsilon * values[k]).
+
+        The distribution of A smeared by the probe position density (Table 1,
+        row 1), for both theories. ``Q`` is 1-D; ``weights`` is one vector, or a
+        stack (m, K) sharing each kernel chunk, which gives (m, len(Q)). A chunk
+        holds at most 2^16 kernel values (512 KiB), so it stays in cache, and
+        each vector takes one matrix-vector product per chunk: its values do
+        not depend on how many vectors share the chunk.
+        """
+        Q = np.asarray(Q, dtype=float)
+        shift = epsilon * np.asarray(values, dtype=float)
+        stack = np.atleast_2d(weights)
+        out = np.empty((len(stack), Q.size))
+        chunk = max(1, 2**16 // shift.size)
+        for start in range(0, Q.size, chunk):
+            rows = slice(start, start + chunk)
+            kernel = self.position_density(Q[rows, None] - shift[None, :])
+            for record, w in zip(out, stack):
+                record[rows] = kernel @ w
+        return out if np.ndim(weights) > 1 else out[0]
+
+    def pointer_grid(self, values, epsilon: float, n: int, pad_sigmas: float) -> Grid1D:
+        """Q grid over every shifted value epsilon*a, with pad_sigmas*sigma_Q margins."""
+        lo = epsilon * float(np.min(values)) - pad_sigmas * self.sigma_Q
+        hi = epsilon * float(np.max(values)) + pad_sigmas * self.sigma_Q
+        return Grid1D(lo, hi, n)
 
     def momentum_density(self, P) -> np.ndarray:
         if self.sigma_P == 0.0:

@@ -29,10 +29,11 @@ class DecoherenceKernel:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gmn, dtype=float)
+        # A read-only view of the n x n factors (not a copy) and a copy of the eigenvalues.
+        g = np.asarray(self.gmn, dtype=float).view()
         g.flags.writeable = False
         object.__setattr__(self, "gmn", g)
-        ev = np.asarray(self.eigenvalues, dtype=float)
+        ev = np.array(self.eigenvalues, dtype=float)
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
 
@@ -44,7 +45,7 @@ def decoherence_kernel(
     a = obs.eigenvalues
     diff = a[:, None] - a[None, :]
     g = np.exp(-coupling.tau * diff**2 / hbar**2)
-    return DecoherenceKernel(gmn=g, eigenvalues=a.copy())
+    return DecoherenceKernel(gmn=g, eigenvalues=a)
 
 
 def born_weights(rho_s: DensityOperator, obs: SpectralObservable) -> np.ndarray:
@@ -64,9 +65,7 @@ def auto_pointer_grid(
     pad_sigmas: float = 8.0,
 ) -> Grid1D:
     """Q grid covering every shifted peak epsilon*a_n with Gaussian margins."""
-    lo = coupling.epsilon * obs.eigenvalues.min() - pad_sigmas * probe.sigma_Q
-    hi = coupling.epsilon * obs.eigenvalues.max() + pad_sigmas * probe.sigma_Q
-    return Grid1D(lo, hi, n)
+    return probe.pointer_grid(obs.eigenvalues, coupling.epsilon, n, pad_sigmas)
 
 
 def pointer_distribution(
@@ -78,15 +77,13 @@ def pointer_distribution(
 ) -> np.ndarray:
     """Probe-position density after the interaction, sampled on Qgrid.
 
-    Sum over eigenvalues of (Born weight) x (probe position density shifted
-    by epsilon*a_n). Normalized on its own once the grid holds all peaks.
+    The Born weights over the eigenvalues, smeared by the probe position
+    density (``ProbeSpec.pointer_density``): sum_n p(a_n) rho_pi(Q - epsilon*a_n).
+    Normalized on its own once the grid holds all peaks.
     """
-    w = born_weights(rho_s, obs)
-    Q = Qgrid.nodes
-    out = np.zeros(Qgrid.n)
-    for a_n, w_n in zip(obs.eigenvalues, w):
-        out += w_n * probe.position_density(Q - coupling.epsilon * a_n)
-    return out
+    return probe.pointer_density(
+        Qgrid.nodes, obs.eigenvalues, born_weights(rho_s, obs), coupling.epsilon
+    )
 
 
 def pointer_mean(

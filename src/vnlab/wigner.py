@@ -38,7 +38,8 @@ class WignerFunction:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.qgrid.n, self.pgrid.n):
             raise ShapeMismatch("Wigner values do not match the (q, p) grids")
-        v = np.ascontiguousarray(v)
+        # A read-only view, not a copy: the caller's array stays writeable.
+        v = np.ascontiguousarray(v).view()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

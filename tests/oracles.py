@@ -1,4 +1,4 @@
-"""Independent oracles: the quadrature kernel and the Wigner diffusion equation.
+"""Independent oracles: the pointer smear, the quadrature kernel, the Wigner equation.
 
 Each computes a quantity a second way, from its definition, so that the
 package's closed forms and exact solves can be checked against it.
@@ -10,8 +10,23 @@ from typing import Sequence
 
 import numpy as np
 
-from vnlab import CouplingParams, SpectralObservable
+from vnlab import CouplingParams, ProbeSpec, SpectralObservable
 from vnlab.wigner import WignerEvolutionSpec, WignerFunction
+
+
+def pointer_density_loop(
+    probe: ProbeSpec, Q: np.ndarray, values: np.ndarray, weights: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """sum_k weights[k] * rho_pi(Q - epsilon * values[k]), one value at a time.
+
+    The eigenvalue loop of the original pointer distribution: each term is
+    the probe density at the shifted nodes, added in order of k. Oracle of
+    ``ProbeSpec.pointer_density``, which computes the same terms in chunks.
+    """
+    out = np.zeros(np.shape(Q))
+    for a_k, w_k in zip(values, weights):
+        out += w_k * probe.position_density(Q - epsilon * a_k)
+    return out
 
 
 def decoherence_kernel_quadrature(

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vnlab
+from vnlab import cli
 from vnlab.cli import (
     COUPLING_PAIR,
     DEFAULT_PARAMETERS,
@@ -355,6 +356,16 @@ class TestMainEntryPoint:
             ("evolve-cm", {"parameters": {"sigma_q": 1e-300}}, [], "'sigma_q'"),
             ("evolve-cm", {"parameters": {"sigma_p": 1e-300}}, [], "'sigma_p'"),
             ("mc-compare", {"parameters": {"sigma_q": 1e-300}}, [], "'sigma_q'"),
+            ("run-scenario", {"parameters": {"scenario": "interference", "sigma_x": 1e-300}},
+             [], "'sigma_x'"),
+            ("run-scenario", {"parameters": {"scenario": "gaussian_bessel", "sigma_qbar": 1e-300}},
+             [], "'sigma_qbar'"),
+            # Below the step 32/511 of the 512-node Cartesian grid of the resampling route.
+            ("run-scenario", {"parameters": {"scenario": "gaussian_bessel", "sigma_qbar": 0.05}},
+             [], "'sigma_qbar'"),
+            # The truncated state's trace is NaN; the refusal names the three fields that set it.
+            ("run-scenario", {"parameters": {"scenario": "number_basis", "sigma_qbar": 1e-300}},
+             [], "'sigma_qbar', 'sigma_pbar' and 'dim'"),
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
@@ -363,7 +374,9 @@ class TestMainEntryPoint:
              "subnormal-norm", "overflowing-amplitude", "overflowing-weight-square",
              "overflowing-weight-sum", "sub-step-sigma_x", "sub-step-sigma_x-overflow",
              "sub-step-table1-sigma_x", "sub-step-sigma_q", "sub-step-sigma_p",
-             "sub-step-mc-sigma_q"],
+             "sub-step-mc-sigma_q", "sub-step-interference-sigma_x",
+             "sub-step-gaussian_bessel-sigma_qbar", "sub-step-gaussian_bessel-sigma_qbar-0.05",
+             "nan-trace-number_basis"],
     )
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
         argv = [command, "--out", str(tmp_path / "o"), *extra]
@@ -375,6 +388,18 @@ class TestMainEntryPoint:
         captured = capsys.readouterr()
         assert named in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    def test_mc_compare_refuses_both_branches_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # sigma_q = 0.07 is above the position branch's step 16/255 and below
+        # the action branch's 30.4/383: the refusal comes before any sampling.
+        def never(*args, **kwargs):
+            raise AssertionError("sample_initial ran before the widths were checked")
+
+        monkeypatch.setattr(cli, "sample_initial", never)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"parameters": {"sigma_q": 0.07, "sigma_p": 1.9}}))
+        assert main(["mc-compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "'sigma_q'" in capsys.readouterr().out
 
     def test_l1_budget_below_two_runs(self, tmp_path):
         # 5/sqrt(7) = 1.89 < 2: admitted, whether or not its checks pass.

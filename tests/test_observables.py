@@ -44,6 +44,13 @@ class TestSpectralObservable:
         p0 = obs.projectors[0]
         assert p0[0, 0] == 1.0 and np.sum(np.abs(p0)) == 1.0
 
+    def test_caller_arrays_stay_writeable(self):
+        values = np.array([0.0, 1.0])
+        obs = SpectralObservable.from_diagonal(values)
+        values[0] = -1.0  # raised ValueError while the observable froze the caller's array
+        assert np.array_equal(obs.eigenvalues, [0.0, 1.0])
+        assert not obs.eigenvalues.flags.writeable and not obs.block_index.flags.writeable
+
     def test_unsorted_eigenvalues_rejected(self):
         with pytest.raises(InvariantViolation):
             SpectralObservable.from_diagonal([1.0, 0.5])

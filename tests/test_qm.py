@@ -17,6 +17,7 @@ from vnlab import (
     trace_with,
 )
 from vnlab.qm import (
+    DecoherenceKernel,
     auto_pointer_grid,
     born_weights,
     conditional_state,
@@ -146,6 +147,15 @@ class TestPointerMean:
 
 
 class TestDecoherenceKernel:
+    def test_caller_arrays_stay_writeable(self):
+        # The n x n factors are a read-only view, the eigenvalues a copy.
+        gmn, eigenvalues = np.eye(2), np.array([0.0, 1.0])
+        kernel = DecoherenceKernel(gmn=gmn, eigenvalues=eigenvalues)
+        gmn[0, 1] = 0.5
+        eigenvalues[0] = -1.0
+        assert kernel.gmn[0, 1] == 0.5 and kernel.eigenvalues[0] == 0.0
+        assert not kernel.gmn.flags.writeable and not kernel.eigenvalues.flags.writeable
+
     def test_zero_coupling_gives_unit_kernel(self):
         coupling = CouplingParams.from_sigma_P(1.0, 0.0)
         k = decoherence_kernel(TWO_LEVEL, coupling)

@@ -19,6 +19,7 @@ from vnlab.observables import CouplingParams
 from vnlab.qm import decoherence_kernel, reduced_state_post
 from vnlab.wigner import (
     WignerEvolutionSpec,
+    WignerFunction,
     evolved_wigner,
     wigner_transform,
 )
@@ -63,6 +64,15 @@ class TestWignerTransform:
         w_a = wigner_transform(a, PGRID)
         w_b = wigner_transform(b, PGRID)
         assert np.max(np.abs(w_mix.values - 0.5 * (w_a.values + w_b.values))) < 1e-12
+
+    def test_caller_array_stays_writeable(self):
+        # A read-only view of the n x n values, not a copy.
+        g = Grid1D(-1.0, 1.0, 3)
+        values = np.zeros((3, 3))
+        w = WignerFunction(g, g, values)
+        values[1, 1] = 2.0
+        assert w.values[1, 1] == 2.0
+        assert not w.values.flags.writeable
 
     def test_number_basis_rejected(self):
         rho = DensityOperator(np.diag([0.6, 0.4]).astype(complex))
