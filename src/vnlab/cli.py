@@ -89,7 +89,7 @@ from .states import (
     phase_density_from_values,
     to_angle_action,
 )
-from .wigner import WignerEvolutionSpec, evolved_wigner, wigner_transform
+from .wigner import WignerEvolutionSpec, momentum_marginals
 
 SCHEMA_VERSION = 1
 
@@ -423,9 +423,8 @@ def run_evolve_qm(params: dict, tol: dict):
     p_half = 8.0 * np.sqrt(s2 + 2.0 * coupling.tau)
     pgrid = Grid1D(-p_half, p_half, int(params["n_x"]))
     spec = WignerEvolutionSpec(A=lambda x: x, tau=coupling.tau)
-    w_before = wigner_transform(rho, pgrid, hbar=hbar)
-    w_after = evolved_wigner(rho, spec, pgrid, hbar=hbar)
-    var_after = _variance(pgrid, w_after.p_marginal_density())
+    p_before, p_after = momentum_marginals(rho, spec, pgrid, hbar=hbar)
+    var_after = _variance(pgrid, p_after)
 
     checks = [
         ScenarioCheck("pointer distribution mass", pointer_mass, 1.0,
@@ -440,7 +439,7 @@ def run_evolve_qm(params: dict, tol: dict):
     scalars = {
         "tau": coupling.tau,
         "disturbance_scale": position_disturbance_scale(rho, coupling, hbar=hbar),
-        "momentum_variance_before": _variance(pgrid, w_before.p_marginal_density()),
+        "momentum_variance_before": _variance(pgrid, p_before),
         "momentum_variance_after": var_after,
     }
     tables: list[Table] = [
@@ -449,7 +448,7 @@ def run_evolve_qm(params: dict, tol: dict):
          [Qgrid.nodes, pointer]),
         ("momentum_density.csv",
          ["p (momentum units)", "before (1/p units)", "after (1/p units)"],
-         [pgrid.nodes, w_before.p_marginal_density(), w_after.p_marginal_density()]),
+         [pgrid.nodes, p_before, p_after]),
     ]
     return checks, scalars, tables
 
@@ -661,8 +660,8 @@ def run_table1_report(params: dict, tol: dict):
     s2 = (hbar / (2.0 * params["sigma_x"])) ** 2
     p_half = 8.0 * np.sqrt(s2 + 2.0 * tau) + 1.0
     wgrid = Grid1D(-p_half, p_half, n)
-    w_after = evolved_wigner(rho_qm, WignerEvolutionSpec(A=lambda x: x, tau=tau), wgrid, hbar=hbar)
-    qm_row3 = _variance(wgrid, w_after.p_marginal_density())
+    spec = WignerEvolutionSpec(A=lambda x: x, tau=tau)
+    qm_row3 = _variance(wgrid, momentum_marginals(rho_qm, spec, wgrid, hbar=hbar)[1])
 
     rho_cm3 = build_gaussian_phase_density(xgrid, wgrid, params["sigma_x"], np.sqrt(s2))
     cm_post = reduced_state_post_cm(rho_cm3, obs_cm, tau)

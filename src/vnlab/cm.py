@@ -29,6 +29,7 @@ from .observables import (
 from .states import (
     AngleActionDensity,
     PhaseSpaceDensity,
+    _Handover,
     expectation,
     from_angle_action,
     sample_phase_density,
@@ -296,7 +297,7 @@ def _pde_evolve(rho: PhaseSpaceDensity, obs: ClassicalObservable, tau: float) ->
     values = rho.values
     for _ in range(n_steps):
         values = values + step * a_op(a_op(values))
-    return PhaseSpaceDensity(rho.qgrid, rho.pgrid, values)
+    return PhaseSpaceDensity(rho.qgrid, rho.pgrid, _Handover(values))
 
 
 def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
@@ -319,7 +320,7 @@ def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
     if obs.kind == KIND_POSITION:
         values = _diffuse_rows_p(rho_s.values, rho_s.pgrid.h, np.sqrt(2.0 * tau))
         values = _monitored_clip(values, "position-kind channel")
-        return PhaseSpaceDensity(rho_s.qgrid, rho_s.pgrid, values)
+        return PhaseSpaceDensity(rho_s.qgrid, rho_s.pgrid, _Handover(values))
     if obs.kind == KIND_ACTION:
         aa = to_angle_action(rho_s)
         solved = angle_spectral_solve(aa, obs, tau)
@@ -354,14 +355,14 @@ def angle_spectral_solve(
     damped = c * np.exp(-tau * rate)
     values = np.real(np.fft.ifft(damped * rho.thetagrid.n, axis=1))
     values = _monitored_clip(values, "angle spectral solver")
-    return AngleActionDensity(rho.xigrid, rho.thetagrid, values)
+    return AngleActionDensity(rho.xigrid, rho.thetagrid, _Handover(values))
 
 
 def strong_coupling_limit_cm(rho: AngleActionDensity) -> AngleActionDensity:
     """theta-average at each xi: the infinite-coupling (mode-0) limit."""
     avg = rho.values.mean(axis=1)
     values = np.repeat(avg[:, None], rho.thetagrid.n, axis=1)
-    return AngleActionDensity(rho.xigrid, rho.thetagrid, values)
+    return AngleActionDensity(rho.xigrid, rho.thetagrid, _Handover(values))
 
 
 # ---------------------------------------------------------------------------
@@ -392,4 +393,4 @@ def conditional_state_cm(
     diffused = reduced_state_post_cm(rho_s, obs, coupling.tau)
     values = diffused.values * weight_q[:, None]
     norm = grid2d_integrate(rho_s.qgrid, rho_s.pgrid, values)
-    return PhaseSpaceDensity(rho_s.qgrid, rho_s.pgrid, values / norm)
+    return PhaseSpaceDensity(rho_s.qgrid, rho_s.pgrid, _Handover(values / norm))

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, KernelMismatch, NegligibleProbability
 from .grids import Grid1D
 from .observables import CouplingParams, ProbeSpec, SpectralObservable, require_hermitian
-from .states import DensityOperator
+from .states import DensityOperator, _Handover
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def _kernel_channel(
     factors = block_factors[np.ix_(obs.block_index, obs.block_index)]
     rot = obs.to_eigenbasis(rho_s.matrix)
     out = obs.from_eigenbasis(factors * rot)
-    return DensityOperator(out, grid=rho_s.grid)
+    return DensityOperator(_Handover(out), grid=rho_s.grid)
 
 
 def reduced_state_post(
@@ -145,7 +145,7 @@ def lindblad_evolve(
     g = np.exp(-tau * diff**2 / hbar**2)
     rot = vecs.conj().T @ rho_s.matrix @ vecs
     out = vecs @ (g * rot) @ vecs.conj().T
-    return DensityOperator(out, grid=rho_s.grid)
+    return DensityOperator(_Handover(out), grid=rho_s.grid)
 
 
 def lindblad_rhs(rho: DensityOperator, obs_matrix: np.ndarray, hbar: float = 1.0) -> np.ndarray:
@@ -176,7 +176,7 @@ def conditional_state(
         raise NegligibleProbability(f"pointer value Q={Q} has probability {denom:.3e}")
     numerator_factors = np.outer(chi, chi)
     out = _kernel_channel(rho_s, obs, numerator_factors)
-    return DensityOperator(out.matrix / denom, grid=rho_s.grid)
+    return DensityOperator(_Handover(out.matrix / denom), grid=rho_s.grid)
 
 
 def position_disturbance_scale(

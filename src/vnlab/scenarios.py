@@ -9,6 +9,7 @@ results are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,22 +171,7 @@ def scenario_two_delta(
     ]
     n_peaks = _count_peaks(marg)
     resolution_ratio = probe.sigma_Q / eps / gap if gap > 0 else np.inf
-    if gap == 0.0:
-        single = np.exp(-0.5 * ((Qgrid.nodes - eps * q0) / sigma_eff) ** 2) / np.sqrt(
-            TWO_PI * sigma_eff**2
-        )
-        checks.append(
-            ScenarioCheck(
-                "coincident positions give one Gaussian (L1)",
-                float(Qgrid.integrate(np.abs(marg - single))),
-                0.0,
-                1e-6,
-                PROV_ANALYTIC,
-            )
-        )
-        resolved = False
-        valley_ratio = np.nan
-    elif resolution_ratio <= 0.2:
+    if resolution_ratio <= 0.2:
         lo = min(eps * q0, eps * q1)
         hi = max(eps * q0, eps * q1)
         between = (Qgrid.nodes > lo) & (Qgrid.nodes < hi)
@@ -357,7 +343,27 @@ def number_basis_initial_state(
     to dim, so every retained matrix element is exact. The state is
     renormalized after truncation; more than 1e-10 of missing trace, or a
     trace that is not a number, raises TruncationTooSmall.
+
+    Widths that cannot work are refused first, in logarithms so that nothing
+    overflows. The state is a squeezed thermal state with mean occupation
+    <n> = (coth(x) cosh(l) - 1) / 2, x = hbar / (2 sigma_pbar sigma_qbar) and
+    l = log(sigma_qbar / sigma_pbar). A lower bound on <n> above dim raises
+    TruncationTooSmall; then an x whose sinh overflows raises ConfigInvalid.
     """
+    log_x = math.log(hbar / 2.0) - math.log(sigma_pbar) - math.log(sigma_qbar)
+    squeeze = abs(math.log(sigma_qbar) - math.log(sigma_pbar))
+    # log(cosh(l)) without overflow, plus log(coth(x)) >= log(max(1, 1/x)).
+    log_occupation = (max(0.0, -log_x) + squeeze - math.log(2.0)
+                      + math.log1p(math.exp(-2.0 * squeeze)))
+    if log_occupation > math.log(2 * dim + 1):
+        raise TruncationTooSmall(
+            f"the mean occupation exceeds dim={dim}: log(2<n> + 1) >= {log_occupation:.4g}"
+        )
+    if log_x > math.log(math.log(np.finfo(float).max)):
+        raise ConfigInvalid(
+            f"'sigma_qbar', 'sigma_pbar' and 'hbar': hbar / (2 sigma_pbar sigma_qbar) = "
+            f"exp({log_x:.4g}) overflows its sinh in the normalization"
+        )
     a = _ladder(dim + 2)
     ad = a.T.conj()
     qbar = np.sqrt(hbar / 2.0) * (a + ad)
@@ -524,6 +530,14 @@ def scenario_gaussian_bessel(
     grid = Grid1D(-half, half, 512)
     require_resolved("sigma_qbar", sigma_qbar, grid)
     require_resolved("sigma_pbar", sigma_pbar, grid)
+    # The closed form decreases in xi, so the window's edge holds its smallest
+    # value; the relative error divides by it.
+    edge = float(bessel_angle_average(sigma_qbar, sigma_pbar, xi_compare_max))
+    if not edge >= np.finfo(float).tiny:
+        raise ConfigInvalid(
+            f"parameter 'xi_compare_max' = {xi_compare_max!r}: the Bessel closed form there "
+            f"is {edge:.3e}, not a positive normal float"
+        )
     xigrid = Grid1D(0.0, 1.2 * xi_compare_max, n_xi)
     thetagrid = PeriodicGrid(n_theta)
     exact = AngleActionDensity(

@@ -39,13 +39,31 @@ LEAKAGE_BUDGET = 1e-6
 HERMITIAN_TOLERANCE = 1e-12
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only C-contiguous copy of ``a``.
+class _Handover:
+    """An array the package has just computed, handed to a state constructor.
 
-    Copying keeps a state immutable: a view of the caller's array cannot
-    write into it, and the caller's array stays writeable.
+    The state freezes it in place instead of copying it. Wrap only a result
+    that nothing else refers to, never a caller's array or a view of one.
     """
-    a = np.array(a, order="C", copy=True)
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
+def _freeze(a, dtype) -> np.ndarray:
+    """A read-only C-contiguous array of ``a``'s values as ``dtype``.
+
+    Any array but a ``_Handover`` is copied, which keeps a state immutable: a
+    view of the caller's array cannot write into it, and the caller's array
+    stays writeable. A ``_Handover`` is frozen in place (converted only if its
+    dtype or layout differ).
+    """
+    if isinstance(a, _Handover):
+        a = np.ascontiguousarray(a.array, dtype=dtype)
+    else:
+        a = np.array(a, dtype=dtype, order="C")
     a.flags.writeable = False
     return a
 
@@ -61,12 +79,12 @@ class PhaseSpaceDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _freeze(self.values, float)
         if v.shape != (self.qgrid.n, self.pgrid.n):
             raise ShapeMismatch(
                 f"values shape {v.shape} != grid shape {(self.qgrid.n, self.pgrid.n)}"
             )
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
 
     def mass(self) -> float:
         return grid2d_integrate(self.qgrid, self.pgrid, self.values)
@@ -102,13 +120,14 @@ class PhaseSpaceDensity:
             )
 
     def normalized(self) -> "PhaseSpaceDensity":
-        return replace(self, values=self.values / self.mass())
+        return replace(self, values=_Handover(self.values / self.mass()))
 
 
 def phase_density_from_values(qgrid, pgrid, values, normalize=True) -> PhaseSpaceDensity:
     v = np.clip(np.asarray(values, dtype=float), 0.0, None)
-    rho = PhaseSpaceDensity(qgrid, pgrid, v)
-    return rho.normalized() if normalize else rho
+    if normalize:
+        v /= grid2d_integrate(qgrid, pgrid, v)  # as normalized() does, without a second array
+    return PhaseSpaceDensity(qgrid, pgrid, _Handover(v))
 
 
 def build_gaussian_phase_density(
@@ -152,10 +171,10 @@ class AngleActionDensity:
     def __post_init__(self):
         if self.xigrid.lo != 0.0:
             raise InvariantViolation("xi grid must start at 0")
-        v = np.asarray(self.values, dtype=float)
+        v = _freeze(self.values, float)
         if v.shape != (self.xigrid.n, self.thetagrid.n):
             raise ShapeMismatch("values shape does not match (xi, theta) grids")
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
 
     def mass(self) -> float:
         return grid2d_integrate(self.xigrid, self.thetagrid, self.values)
@@ -175,7 +194,7 @@ class AngleActionDensity:
             raise InvariantViolation(f"angle-action mass {m!r} deviates from 1")
 
     def normalized(self) -> "AngleActionDensity":
-        return replace(self, values=self.values / self.mass())
+        return replace(self, values=_Handover(self.values / self.mass()))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +238,7 @@ def to_angle_action(
     xx, tt = np.meshgrid(xigrid.nodes, thetagrid.nodes, indexing="ij")
     r = np.sqrt(2.0 * xx)
     vals = sample_phase_density(rho, r * np.cos(tt), r * np.sin(tt))
-    return AngleActionDensity(xigrid, thetagrid, vals).normalized()
+    return AngleActionDensity(xigrid, thetagrid, _Handover(vals)).normalized()
 
 
 def from_angle_action(aa: AngleActionDensity, qgrid: Grid1D, pgrid: Grid1D) -> PhaseSpaceDensity:
@@ -235,7 +254,7 @@ def from_angle_action(aa: AngleActionDensity, qgrid: Grid1D, pgrid: Grid1D) -> P
     sp = _spline(aa.xigrid.nodes, text, vext)
     vals = sp.ev(xi.ravel(), theta.ravel()).reshape(xi.shape)
     vals = np.where(xi <= aa.xigrid.hi, vals, 0.0)
-    return PhaseSpaceDensity(qgrid, pgrid, np.clip(vals, 0.0, None)).normalized()
+    return PhaseSpaceDensity(qgrid, pgrid, _Handover(np.clip(vals, 0.0, None))).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +269,12 @@ class DensityOperator:
     grid: Grid1D | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _freeze(self.matrix, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeMismatch("density matrix must be square")
         if self.grid is not None and self.grid.n != m.shape[0]:
             raise ShapeMismatch("matrix dimension does not match the position grid")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -299,7 +318,7 @@ class DensityOperator:
             raise InvariantViolation(f"minimum eigenvalue {w.min():.3e} below -1e-10")
 
     def normalized(self) -> "DensityOperator":
-        return replace(self, matrix=self.matrix / np.trace(self.matrix))
+        return replace(self, matrix=_Handover(self.matrix / np.trace(self.matrix)))
 
 
 def density_from_wavefunction(psi, grid: Grid1D) -> DensityOperator:
@@ -307,7 +326,7 @@ def density_from_wavefunction(psi, grid: Grid1D) -> DensityOperator:
     psi = np.asarray(psi, dtype=complex)
     norm = grid.integrate(np.abs(psi) ** 2)
     psi = psi / np.sqrt(norm)
-    return DensityOperator(grid.h * np.outer(psi, psi.conj()), grid=grid)
+    return DensityOperator(_Handover(grid.h * np.outer(psi, psi.conj())), grid=grid)
 
 
 def gaussian_wavepacket(grid: Grid1D, center=0.0, momentum=0.0, sigma_x=1.0, hbar=1.0):

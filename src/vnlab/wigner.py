@@ -13,6 +13,13 @@ W = sum_m w_m [cos(p y_m / hbar) Re D_m + sin(p y_m / hbar) Im D_m] with
 w_0 = 1 and w_m = 2 times the quadrature weight. Both sums are real matrix
 products of half the depth of the complex one, a quarter of its flops, done
 as one stacked product, and W is real by construction.
+
+Where only the momentum marginal is read, as in the 2*tau variance law,
+``momentum_marginals`` takes the same quadrature with the sums in the other
+order: each anti-diagonal is first summed over q with the q-grid weights,
+and the resulting vector is then multiplied by the phase matrix. W is never
+formed, so the cost falls from O(n^3) to O(n^2), and one gather and one phase
+matrix serve the marginal before and after the channel.
 """
 
 from __future__ import annotations
@@ -105,17 +112,30 @@ def _antidiagonals(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * rho.grid.h * np.arange(k), D
 
 
-def _wigner_from_antidiagonals(
-    y: np.ndarray, D: np.ndarray, qgrid: Grid1D, pgrid: Grid1D, hbar: float
-) -> WignerFunction:
+def _phase_matrix(y: np.ndarray, pgrid: Grid1D, hbar: float) -> np.ndarray:
+    """Stacked [cos; sin](p y_m / hbar), shape (2k, n_p), times the fold weights."""
     arg = np.outer(y, pgrid.nodes) / hbar
-    trig = np.concatenate([np.cos(arg), np.sin(arg)])  # (2k, n_p)
+    trig = np.concatenate([np.cos(arg), np.sin(arg)])
     # y-quadrature weight 2h, times 1/h from the matrix convention, times 2
     # for the folded offsets m > 0.
     fold = np.full(y.size, 4.0)
     fold[0] = 2.0
     trig *= np.tile(fold, 2)[:, None]
-    values = D.reshape(2 * y.size, qgrid.n).T @ trig  # (n_q, n_p)
+    return trig
+
+
+def _damp(
+    D: np.ndarray, spec: WignerEvolutionSpec, qgrid: Grid1D, y: np.ndarray, hbar: float
+) -> None:
+    """Multiply the anti-diagonals in place by the channel's exp(-tau DeltaA^2 / hbar^2)."""
+    dA = spec.delta_A(qgrid.nodes[None, :], y[:, None])
+    D *= np.exp(-spec.tau * dA**2 / hbar**2)
+
+
+def _wigner_from_antidiagonals(
+    y: np.ndarray, D: np.ndarray, qgrid: Grid1D, pgrid: Grid1D, hbar: float
+) -> WignerFunction:
+    values = D.reshape(2 * y.size, qgrid.n).T @ _phase_matrix(y, pgrid, hbar)  # (n_q, n_p)
     return WignerFunction(qgrid, pgrid, values, hbar=hbar)
 
 
@@ -134,7 +154,25 @@ def evolved_wigner(
     A(x) = x this is a Gaussian convolution in p of variance 2*tau.
     """
     y, D = _antidiagonals(rho)
-    dA = spec.delta_A(rho.grid.nodes[None, :], y[:, None])
-    D *= np.exp(-spec.tau * dA**2 / hbar**2)
+    _damp(D, spec, rho.grid, y, hbar)
     return _wigner_from_antidiagonals(y, D, rho.grid, pgrid, hbar)
 
+
+def momentum_marginals(
+    rho: DensityOperator, spec: WignerEvolutionSpec, pgrid: Grid1D, hbar: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """int W dq / (2 pi hbar) before and after the channel, without forming W.
+
+    The quadrature of ``WignerFunction.p_marginal_density`` on
+    ``wigner_transform`` and ``evolved_wigner``, summed over q first:
+    P(p) = sum_m (sum_i w_i D[m, i]) trig[m, p] / (2 pi hbar). The q-sum of
+    the plain anti-diagonals is taken, then they are damped in place and
+    summed again, and both vectors share one product with the phase matrix.
+    """
+    y, D = _antidiagonals(rho)
+    rows = D.reshape(2 * y.size, rho.dim)  # a view: the damping below reaches it
+    before = rows @ rho.grid.weights
+    _damp(D, spec, rho.grid, y, hbar)
+    after = rows @ rho.grid.weights
+    marginals = np.stack([before, after]) @ _phase_matrix(y, pgrid, hbar) / (2.0 * np.pi * hbar)
+    return marginals[0], marginals[1]

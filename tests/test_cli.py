@@ -363,9 +363,14 @@ class TestMainEntryPoint:
             # Below the step 32/511 of the 512-node Cartesian grid of the resampling route.
             ("run-scenario", {"parameters": {"scenario": "gaussian_bessel", "sigma_qbar": 0.05}},
              [], "'sigma_qbar'"),
-            # The truncated state's trace is NaN; the refusal names the three fields that set it.
+            # Squeezed beyond 64 levels (the trace used to come out NaN); the refusal names
+            # the three fields that set it.
             ("run-scenario", {"parameters": {"scenario": "number_basis", "sigma_qbar": 1e-300}},
              [], "'sigma_qbar', 'sigma_pbar' and 'dim'"),
+            # The Bessel closed form underflows to 0 at the comparison window's edge.
+            ("run-scenario", {"parameters": {"scenario": "gaussian_bessel",
+                                             "xi_compare_max": 3000.0}},
+             [], "'xi_compare_max'"),
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
@@ -376,7 +381,7 @@ class TestMainEntryPoint:
              "sub-step-table1-sigma_x", "sub-step-sigma_q", "sub-step-sigma_p",
              "sub-step-mc-sigma_q", "sub-step-interference-sigma_x",
              "sub-step-gaussian_bessel-sigma_qbar", "sub-step-gaussian_bessel-sigma_qbar-0.05",
-             "nan-trace-number_basis"],
+             "nan-trace-number_basis", "underflowing-closed-form-gaussian_bessel"],
     )
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
         argv = [command, "--out", str(tmp_path / "o"), *extra]
@@ -388,6 +393,28 @@ class TestMainEntryPoint:
         captured = capsys.readouterr()
         assert named in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "widths",
+        [{"sigma_qbar": 1e-300}, {"sigma_qbar": 1e-200, "sigma_pbar": 1e200}],
+        ids=["narrow", "narrow-and-wide"],
+    )
+    def test_number_basis_refuses_before_any_overflow(self, tmp_path, widths):
+        # In a child process, so that any numpy RuntimeWarning reaches stderr.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"parameters": {"scenario": "number_basis", **widths}}))
+        package_root = str(Path(vnlab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vnlab.cli", "run-scenario", "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "'sigma_qbar', 'sigma_pbar' and 'dim'" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
 
     def test_mc_compare_refuses_both_branches_before_sampling(self, tmp_path, capsys, monkeypatch):
         # sigma_q = 0.07 is above the position branch's step 16/255 and below

@@ -21,9 +21,13 @@ from vnlab import (
     trace_with,
 )
 from vnlab.grids import TWO_PI
+from vnlab.observables import CouplingParams, SpectralObservable
+from vnlab.qm import decoherence_kernel, reduced_state_post
 from vnlab.states import (
     AngleActionDensity,
+    _Handover,
     delta_width,
+    phase_density_from_values,
     superposition_wavefunction,
 )
 
@@ -84,6 +88,18 @@ class TestGaussianBuilder:
         assert values.flags.writeable
         assert not rho.values.flags.writeable
         assert np.array_equal(rho.values, np.ones((3, 3)))
+
+    def test_values_from_the_library_do_not_alias_the_callers(self):
+        # phase_density_from_values clips into a new array, which the state
+        # then keeps without a copy.
+        g = Grid1D(-1.0, 1.0, 3)
+        values = np.ones((3, 3))
+        rho = phase_density_from_values(g, g, values, normalize=False)
+        values[1, 1] = 5.0
+        assert values.flags.writeable
+        assert not rho.values.flags.writeable
+        assert np.array_equal(rho.values, np.ones((3, 3)))
+        assert not rho.normalized().values.flags.writeable
 
     def test_validate_passes_for_constructed_state(self):
         g = Grid1D(-8.0, 8.0, 256)
@@ -228,6 +244,25 @@ class TestDensityOperator:
         assert float(np.max(np.abs(rho.matrix - rho.matrix.conj().T))) == 0.0
         assert base.flags.writeable
         assert not rho.matrix.flags.writeable
+
+    def test_handed_over_array_is_frozen_in_place(self):
+        matrix = np.eye(2, dtype=complex) / 2
+        rho = DensityOperator(_Handover(matrix))
+        assert rho.matrix is matrix
+        assert not matrix.flags.writeable
+
+    def test_library_states_are_read_only_and_apart_from_their_inputs(self):
+        g = Grid1D(-8.0, 8.0, 64)
+        psi = gaussian_wavepacket(g, center=0.3, sigma_x=0.9)
+        rho = density_from_wavefunction(psi, g)
+        obs = SpectralObservable.from_diagonal(g.nodes)
+        post = reduced_state_post(rho, obs, decoherence_kernel(obs, CouplingParams(1.0, 0.2)))
+        scaled = DensityOperator(2.0 * rho.matrix, grid=g).normalized()
+        assert psi.flags.writeable
+        for state in (rho, post, scaled):
+            assert not state.matrix.flags.writeable
+        assert not np.shares_memory(post.matrix, rho.matrix)
+        assert np.array_equal(scaled.matrix, 2.0 * rho.matrix / np.trace(2.0 * rho.matrix))
 
 
 class TestMarginalsExpectations:

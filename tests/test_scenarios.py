@@ -1,9 +1,13 @@
 """The canned demonstrations: each runs green and reproduces its numbers."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from vnlab import ProbeSpec, TruncationTooSmall
+from vnlab import ProbeSpec, TruncationTooSmall, scenarios
+from vnlab.errors import ConfigInvalid
 from vnlab.grids import TWO_PI
 from vnlab.scenarios import (
     bessel_angle_average,
@@ -33,6 +37,19 @@ class TestTwoDelta:
         result = scenario_two_delta(q0=0.4, q1=0.4)
         assert result.all_passed
         assert result.outputs["n_peaks"] == 1
+
+    def test_coincident_positions_run_the_merged_regime_checks(self):
+        # A zero gap has resolution ratio inf >= 1: one peak, nothing resolved.
+        result = scenario_two_delta(q0=0.4, q1=0.4)
+        assert [c.description for c in result.checks] == [
+            "probe marginal mass",
+            "L1 distance to the two-Gaussian sum",
+            "peak count in the merged regime",
+        ]
+        assert result.all_passed
+        assert result.outputs["resolution_ratio"] == np.inf
+        assert result.outputs["resolved"] is False
+        assert np.isnan(result.outputs["valley_ratio"])
 
     def test_deterministic_reruns(self):
         a = scenario_two_delta()
@@ -88,12 +105,50 @@ class TestNumberBasis:
         rho = number_basis_initial_state(1.0, 1.5, dim=64)
         rho.validate()
 
+    def test_mean_occupation_is_the_squeezed_thermal_one(self):
+        # The closed form whose lower bound the width refusal uses:
+        # <n> = (coth(x) cosh(l) - 1) / 2, x = hbar / (2 sigma_pbar sigma_qbar),
+        # l = log(sigma_qbar / sigma_pbar); 1e-8 covers the truncated tail.
+        sigma_qbar, sigma_pbar, hbar, dim = 1.2, 0.7, 0.8, 96
+        rho = number_basis_initial_state(sigma_qbar, sigma_pbar, dim=dim, hbar=hbar)
+        x = hbar / (2.0 * sigma_pbar * sigma_qbar)
+        expected = (math.cosh(math.log(sigma_qbar / sigma_pbar)) / math.tanh(x) - 1.0) / 2.0
+        occupation = float(np.real(np.diag(rho.matrix)) @ np.arange(dim))
+        assert occupation == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "sigma_qbar, sigma_pbar, hbar, error, match",
+        [
+            (1e-300, 1.0, 1.0, TruncationTooSmall, "mean occupation exceeds dim=64"),
+            (1e-200, 1e200, 1.0, TruncationTooSmall, "mean occupation exceeds dim=64"),
+            (1e200, 1e200, 1.0, TruncationTooSmall, "mean occupation exceeds dim=64"),
+            (1e-3, 1e-3, 1.0, ConfigInvalid, "'hbar'"),
+            (1.0, 1.0, 1e300, ConfigInvalid, "'hbar'"),
+        ],
+        ids=["squeezed", "squeezed-beyond-range", "hot", "sinh-overflow", "sinh-overflow-hbar"],
+    )
+    def test_widths_refused_before_any_array_overflows(self, sigma_qbar, sigma_pbar, hbar,
+                                                        error, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                number_basis_initial_state(sigma_qbar, sigma_pbar, dim=64, hbar=hbar)
+
 
 class TestGaussianBessel:
     @pytest.mark.parametrize("sigma_pbar", [0.5, 1.0, 2.0])
     def test_width_ratios(self, sigma_pbar):
         result = scenario_gaussian_bessel(sigma_qbar=1.0, sigma_pbar=sigma_pbar)
         assert result.all_passed, [c.as_dict() for c in result.checks if not c.passed]
+
+    def test_underflowing_closed_form_refused_before_averaging(self, monkeypatch):
+        # exp(-3000 / 2^2) underflows to 0, so the relative error would divide by it.
+        def never(*args, **kwargs):
+            raise AssertionError("the angle average ran before xi_compare_max was checked")
+
+        monkeypatch.setattr(scenarios, "strong_coupling_limit_cm", never)
+        with pytest.raises(ConfigInvalid, match="'xi_compare_max'"):
+            scenario_gaussian_bessel(xi_compare_max=3000.0)
 
     def test_equal_widths_reduce_to_exponential(self):
         sigma = 1.3
