@@ -570,9 +570,7 @@ def run_mc_compare(params: dict, tol: dict):
         )
         conserved = float(np.max(np.abs(ens1.xi - ens0.xi)) + np.max(np.abs(ens1.P - ens0.P)))
         mean_Q = float(np.mean(ens1.Q)) / coupling.epsilon
-        expect_A = float(
-            aa.xigrid.weights @ (aa.xigrid.nodes * aa.xi_marginal())
-        )
+        expect_A = probe_mean_Q(rho, obs, coupling) / coupling.epsilon
         mc_sigma = float(np.std(ens1.Q) / coupling.epsilon / np.sqrt(n))
         checks += [
             ScenarioCheck("action branch: angle histogram vs spectral solution (L1)",

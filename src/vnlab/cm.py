@@ -4,8 +4,9 @@ The impulsive coupling shifts the probe position by epsilon*A(q, p) and kicks
 the system along the generator A_op = (dA/dq) d/dp - (dA/dp) d/dq. Averaging
 over the Gaussian probe momentum turns the kick into the channel
 exp(tau * A_op^2): momentum diffusion for A = q, angle diffusion for A(xi),
-and a degenerate diffusion transverse to A's level sets in general. Exact
-flow/convolution/spectral solvers cover the first two kinds; the general kind
+and a degenerate diffusion transverse to A's level sets in general. The first
+two have an exact flow and damp Fourier mode k of the coordinate it moves by
+exp(-tau c^2 k^2): c = 1 along p, c = dA/dxi along theta. The general kind
 falls back to explicit stepping of the double-bracket PDE.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import InvariantViolation, NegligibleProbability, UnsupportedObservable
 from .grids import TWO_PI, Grid1D, grid2d_integrate
@@ -246,23 +246,18 @@ def _monitored_clip(values: np.ndarray, where: str) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def _diffuse_rows_p(values: np.ndarray, h_p: float, sigma: float) -> np.ndarray:
-    """Gaussian smoothing of every row along the p axis with width sigma.
+def _damp_fourier_modes(values: np.ndarray, h: float, rate, tau: float, pad: int = 0):
+    """Damp Fourier mode k of every row (node spacing h) by exp(-tau * rate * k^2).
 
-    Kernels wider than two grid steps are applied in real space (point-sampled,
-    sum-normalized, absorbing ends); narrower ones multiply the p-spectrum by
-    the exact Gaussian characteristic function, where wraparound is negligible.
+    ``rate`` is c^2, one number or one per row. Rows are periodic, or with
+    ``pad`` > 0 zero-padded by that many nodes, so that spill up to the pad
+    does not wrap round; it is dropped with the pad.
     """
-    if sigma >= 2.0 * h_p:
-        reach = int(np.ceil(7.0 * sigma / h_p))
-        offsets = np.arange(-reach, reach + 1) * h_p
-        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-        kernel /= kernel.sum()
-        return convolve1d(values, kernel, axis=-1, mode="constant", cval=0.0)
-    k_fft = TWO_PI * np.fft.rfftfreq(values.shape[1], d=h_p)
-    spectrum = np.fft.rfft(values, axis=-1)
-    spectrum *= np.exp(-0.5 * (sigma * k_fft) ** 2)
-    return np.fft.irfft(spectrum, n=values.shape[-1], axis=-1)
+    n = values.shape[1]
+    k = TWO_PI * np.fft.rfftfreq(n + pad, d=h)
+    spectrum = np.fft.rfft(values, n=n + pad, axis=1)
+    spectrum *= np.exp(-tau * np.multiply.outer(rate, k * k))
+    return np.fft.irfft(spectrum, n=n + pad, axis=1)[:, :n]
 
 
 def cm_diffusion_rhs(rho: PhaseSpaceDensity, obs: ClassicalObservable) -> np.ndarray:
@@ -303,11 +298,12 @@ def _pde_evolve(rho: PhaseSpaceDensity, obs: ClassicalObservable, tau: float) ->
 def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
     """Reduced system state exp(tau * A_op^2) rho_s.
 
-    Dispatch by observable kind: A = q gets the exact Gaussian convolution in
-    p (kernel variance 2*tau, as dA/dq = 1); A(xi) gets the Fourier angle
-    solver (on an angle-action state directly, otherwise through the canonical
-    transform and back); anything else is explicit PDE stepping at the
-    stability bound.
+    Dispatch by observable kind. A = q and A(xi) get one Fourier-mode damping:
+    along p (a Gaussian of variance 2*tau, rows zero-padded by its 7-width
+    reach, so mass leaving the p grid is lost; a reach beyond the grid raises
+    InvariantViolation), or along theta (on an angle-action state, otherwise
+    through the canonical transform and back). Anything else is explicit PDE
+    stepping at the stability bound.
     """
     if tau < 0:
         raise InvariantViolation("tau must be >= 0")
@@ -318,7 +314,12 @@ def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
             raise UnsupportedObservable("angle-action states pair with action observables")
         return angle_spectral_solve(rho_s, obs, tau)
     if obs.kind == KIND_POSITION:
-        values = _diffuse_rows_p(rho_s.values, rho_s.pgrid.h, np.sqrt(2.0 * tau))
+        sigma, pg = np.sqrt(2.0 * tau), rho_s.pgrid
+        pad = int(np.ceil(7.0 * sigma / pg.h))
+        if pad > pg.n:
+            raise InvariantViolation(f"position-kind channel: 7 kernel widths sqrt(2*tau) = "
+                                     f"{sigma:.4g} exceed the p grid's span {pg.hi - pg.lo:.4g}")
+        values = _damp_fourier_modes(rho_s.values, pg.h, 1.0, tau, pad)
         values = _monitored_clip(values, "position-kind channel")
         return PhaseSpaceDensity(rho_s.qgrid, rho_s.pgrid, _Handover(values))
     if obs.kind == KIND_ACTION:
@@ -332,14 +333,6 @@ def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
 # Angle diffusion: Fourier solver and the strong-coupling limit
 # ---------------------------------------------------------------------------
 
-def angle_fourier_coefficients(rho: AngleActionDensity) -> tuple[np.ndarray, np.ndarray]:
-    """(modes, c) with rho(xi, theta) = sum_m c_m(xi) exp(i m theta)."""
-    n = rho.thetagrid.n
-    c = np.fft.fft(rho.values, axis=1) / n
-    modes = np.rint(n * np.fft.fftfreq(n)).astype(int)
-    return modes, c
-
-
 def angle_spectral_solve(
     rho: AngleActionDensity, obs: ClassicalObservable, tau: float
 ) -> AngleActionDensity:
@@ -350,10 +343,8 @@ def angle_spectral_solve(
     """
     if obs.dA_dxi is None:
         raise UnsupportedObservable("angle solver needs dA/dxi")
-    modes, c = angle_fourier_coefficients(rho)
-    rate = (obs.dA_dxi(rho.xigrid.nodes) ** 2)[:, None] * (modes[None, :] ** 2)
-    damped = c * np.exp(-tau * rate)
-    values = np.real(np.fft.ifft(damped * rho.thetagrid.n, axis=1))
+    rate = obs.dA_dxi(rho.xigrid.nodes) ** 2
+    values = _damp_fourier_modes(rho.values, rho.thetagrid.h, rate, tau)
     values = _monitored_clip(values, "angle spectral solver")
     return AngleActionDensity(rho.xigrid, rho.thetagrid, _Handover(values))
 

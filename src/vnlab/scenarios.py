@@ -525,6 +525,15 @@ def scenario_gaussian_bessel(
     quadrature against the closed form; a resampled route through the
     canonical transform is cross-checked at grid-scale accuracy.
     """
+    # In logarithms, before any width is squared: the resampling grid's squared
+    # reach 64 max(sigma)^2 and the peak density 1/(2 pi sigma_qbar sigma_pbar)
+    # must be normal floats, whose logarithms lie in (-708.4, 709.8).
+    log_reach2 = math.log(64.0) + 2.0 * math.log(max(sigma_qbar, sigma_pbar))
+    log_peak = -math.log(TWO_PI) - math.log(sigma_qbar) - math.log(sigma_pbar)
+    if not (-708.0 < log_peak < 709.0 and log_reach2 < 709.0):
+        raise ConfigInvalid(f"'sigma_qbar' and 'sigma_pbar' = {sigma_qbar!r}, {sigma_pbar!r}: the "
+                            f"squared grid reach exp({log_reach2:.4g}) or the peak density "
+                            f"exp({log_peak:.4g}) leaves the normal float range")
     # The resampling route samples both widths on one Cartesian grid.
     half = 8.0 * max(sigma_qbar, sigma_pbar)
     grid = Grid1D(-half, half, 512)

@@ -359,27 +359,18 @@ def superposition_wavefunction(sup: PureSuperposition, grid: Grid1D) -> np.ndarr
 # Expectations and traces
 # ---------------------------------------------------------------------------
 
-def expectation(state, observable) -> float:
-    """<A> for classical states.
-
-    ``observable`` is a ClassicalObservable, a callable f(q, p) (phase-space
-    state), or a callable f(xi) (angle-action state).
-    """
+def expectation(state, observable: ClassicalObservable) -> float:
+    """<A> for classical states: over (q, p), or over xi through A(xi)."""
     if isinstance(state, PhaseSpaceDensity):
         qq, pp = np.meshgrid(state.qgrid.nodes, state.pgrid.nodes, indexing="ij")
-        f = observable.eval if isinstance(observable, ClassicalObservable) else observable
-        a = np.asarray(f(qq, pp), dtype=float)
+        a = np.asarray(observable.eval(qq, pp), dtype=float)
         if a.shape != state.values.shape:
             raise ShapeMismatch("observable values do not match the state grid")
         return grid2d_integrate(state.qgrid, state.pgrid, a * state.values)
     if isinstance(state, AngleActionDensity):
-        if isinstance(observable, ClassicalObservable):
-            if observable.A_of_xi is None:
-                raise ShapeMismatch("angle-action expectation needs A(xi)")
-            f = observable.A_of_xi
-        else:
-            f = observable
-        a = np.asarray(f(state.xigrid.nodes), dtype=float)
+        if observable.A_of_xi is None:
+            raise ShapeMismatch("angle-action expectation needs A(xi)")
+        a = np.asarray(observable.A_of_xi(state.xigrid.nodes), dtype=float)
         return float(state.xigrid.weights @ (a * state.xi_marginal()))
     raise ShapeMismatch(f"unsupported state type {type(state).__name__}")
 

@@ -1,4 +1,5 @@
-"""Independent oracles: the pointer smear, the quadrature kernel, the Wigner equation.
+"""Independent oracles: the pointer smear, the quadrature kernel, the Wigner
+equation, and the classical diffusions as they were first computed.
 
 Each computes a quantity a second way, from its definition, so that the
 package's closed forms and exact solves can be checked against it.
@@ -9,6 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.ndimage import convolve1d
 
 from vnlab import CouplingParams, ProbeSpec, SpectralObservable
 from vnlab.wigner import WignerEvolutionSpec, WignerFunction
@@ -99,3 +101,37 @@ def wigner_pde_residual(
         rhs = apply_wigner_generator(wigners[k], spec, hbar=hbar)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def diffuse_rows_p_reference(values: np.ndarray, h_p: float, sigma: float) -> np.ndarray:
+    """Gaussian smoothing of every row along p with width sigma, two ways by width.
+
+    Kernels at least two grid steps wide are applied in real space: point-
+    sampled out to 7 sigma, sum-normalized, with absorbing ends. Narrower ones
+    multiply the unpadded p-spectrum by the Gaussian characteristic function.
+    Oracle of the position-kind channel's Fourier-mode damping.
+    """
+    if sigma >= 2.0 * h_p:
+        reach = int(np.ceil(7.0 * sigma / h_p))
+        offsets = np.arange(-reach, reach + 1) * h_p
+        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+        kernel /= kernel.sum()
+        return convolve1d(values, kernel, axis=-1, mode="constant", cval=0.0)
+    k_fft = 2.0 * np.pi * np.fft.rfftfreq(values.shape[1], d=h_p)
+    spectrum = np.fft.rfft(values, axis=-1)
+    spectrum *= np.exp(-0.5 * (sigma * k_fft) ** 2)
+    return np.fft.irfft(spectrum, n=values.shape[-1], axis=-1)
+
+
+def angle_solve_reference(values: np.ndarray, rate: np.ndarray, tau: float) -> np.ndarray:
+    """Damp angle mode m of row i by exp(-tau rate[i] m^2) through the complex FFT.
+
+    The coefficients c_m of rho = sum_m c_m exp(i m theta) over the integer
+    modes of the grid, and the real part of the damped sum. Oracle of the
+    angle solver's Fourier-mode damping.
+    """
+    n = values.shape[1]
+    c = np.fft.fft(values, axis=1) / n
+    modes = np.rint(n * np.fft.fftfreq(n)).astype(int)
+    damped = c * np.exp(-tau * np.asarray(rate)[:, None] * modes[None, :] ** 2)
+    return np.real(np.fft.ifft(damped * n, axis=1))

@@ -249,6 +249,15 @@ class TestExecution:
             assert replay["outputs"] == first["outputs"]
             assert replay["config"] == first["config"]
 
+    def test_action_expected_A_is_the_cartesian_mean(self, tmp_path):
+        # <A> = <(q^2 + p^2)/2> = (sigma_q^2 + sigma_p^2)/2 for the centred
+        # Gaussian, which the Cartesian grid resolves to roundoff.
+        cfg = normalize_config("mc-compare", {"parameters": {
+            "n_samples": 2000, "bins": 16, "sigma_q": 0.7, "sigma_p": 1.3, "branch": "action"}})
+        execute(cfg, tmp_path / "out")
+        scalars = json.loads((tmp_path / "out" / "checks.json").read_text())["scalars"]
+        assert abs(scalars["action_expected_A"] - (0.7**2 + 1.3**2) / 2.0) <= 1e-9
+
     def test_table1_rows_carry_pass_flags(self, tmp_path):
         cfg = normalize_config("table1-report", {"parameters": {"n_x": 128}})
         execute(cfg, tmp_path / "out")
@@ -258,6 +267,18 @@ class TestExecution:
         for row in rows:
             assert row["qm_passed"] is True and row["cm_passed"] is True
             assert "qm_measured" in row and "cm_measured" in row
+
+
+def test_cli_import_leaves_ndimage_and_signal_unloaded():
+    # In a child process, so that no other test's imports count.
+    package_root = str(Path(vnlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = ("import sys, vnlab.cli; "
+             "print(sorted(m for m in ('scipy.ndimage', 'scipy.signal') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _declared_console_script(name):
@@ -371,6 +392,10 @@ class TestMainEntryPoint:
             ("run-scenario", {"parameters": {"scenario": "gaussian_bessel",
                                              "xi_compare_max": 3000.0}},
              [], "'xi_compare_max'"),
+            # Widths whose squares overflow a float.
+            ("run-scenario", {"parameters": {"scenario": "gaussian_bessel",
+                                             "sigma_qbar": 1e200, "sigma_pbar": 1e200}},
+             [], "'sigma_qbar' and 'sigma_pbar'"),
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
@@ -381,7 +406,8 @@ class TestMainEntryPoint:
              "sub-step-table1-sigma_x", "sub-step-sigma_q", "sub-step-sigma_p",
              "sub-step-mc-sigma_q", "sub-step-interference-sigma_x",
              "sub-step-gaussian_bessel-sigma_qbar", "sub-step-gaussian_bessel-sigma_qbar-0.05",
-             "nan-trace-number_basis", "underflowing-closed-form-gaussian_bessel"],
+             "nan-trace-number_basis", "underflowing-closed-form-gaussian_bessel",
+             "overflowing-widths-gaussian_bessel"],
     )
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
         argv = [command, "--out", str(tmp_path / "o"), *extra]
@@ -415,6 +441,15 @@ class TestMainEntryPoint:
         assert "'sigma_qbar', 'sigma_pbar' and 'dim'" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
+
+    def test_evolve_cm_kernel_wider_than_the_p_grid_names_its_cause(self, tmp_path, capsys):
+        # sigma_P = 50 at epsilon = 1: 7 kernel widths sqrt(2*tau) = 50 reach
+        # beyond the 24-wide p grid, so the run stops and says so.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"parameters": {"sigma_P": 50.0}}))
+        assert main(["evolve-cm", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        out = capsys.readouterr().out
+        assert "sqrt(2*tau) = 50" in out and "span 24" in out
 
     def test_mc_compare_refuses_both_branches_before_sampling(self, tmp_path, capsys, monkeypatch):
         # sigma_q = 0.07 is above the position branch's step 16/255 and below

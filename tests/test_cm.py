@@ -48,6 +48,7 @@ from helpers import (
     reference_liouville_generator,
     reference_pde_evolve,
 )
+from oracles import angle_solve_reference, diffuse_rows_p_reference
 
 POSITION = position_observable()
 ACTION_LINEAR = action_observable(lambda xi: xi, lambda xi: np.ones_like(xi))
@@ -61,9 +62,13 @@ GENERATOR_OBSERVABLES = {"A = q": POSITION, "A(xi)": ACTION_LINEAR, "general xi"
 
 # Channel strengths for the semigroup properties. On the p grid of
 # TestReducedChannel.test_semigroup_property (step h = 28/383) the position
-# kernel width sqrt(2*tau) crosses the 2h switch from Fourier to real-space
-# smoothing at tau = 2h^2 = 0.0107, inside this range.
+# kernel width sqrt(2*tau) is two grid steps at tau = 2h^2 = 0.0107, inside
+# this range, so kernels narrower and wider than the grid scale both occur.
 TAUS = st.floats(min_value=1e-5, max_value=1.0)
+# Log-uniform strengths from 1e-6 to 1: on the grids of TestFourierModeDamping
+# (n from 128 to 300 nodes over +-8 sqrt(sigma_p^2 + 2 tau)) the kernel width
+# sqrt(2*tau) falls below two grid steps for tau below 0.002 to 0.07.
+LOG_TAUS = st.floats(min_value=-6.0, max_value=0.0).map(lambda e: 10.0**e)
 
 
 def self_annihilation_residual(obs, grid: Grid1D) -> float:
@@ -454,9 +459,9 @@ class TestReducedChannel:
         inside = xi <= 18.0
         assert np.max(np.abs(out.values - expected)[inside]) < 2e-3
 
-    def test_semigroup_across_kernel_dispatch(self):
-        # tau small enough for the spectral path composed with a wide-kernel
-        # step still matches the single wide-kernel application.
+    def test_semigroup_across_kernel_widths(self):
+        # A kernel narrower than two grid steps composed with a wide one
+        # still matches the single wide-kernel application.
         qg = Grid1D(-8.0, 8.0, 256)
         pg = Grid1D(-14.0, 14.0, 384)
         rho = build_gaussian_phase_density(qg, pg, 1.0, 1.0)
@@ -539,6 +544,101 @@ class TestReducedChannel:
 
         with pytest.raises(InvariantViolation):
             reduced_state_post_cm(rho, POSITION, -0.1)
+
+
+class TestFourierModeDamping:
+    """Both exact channels as one Fourier-mode damping, against reference solvers.
+
+    The references are ``tests/oracles.py``'s real-space p convolution (with
+    its unpadded spectral branch below two grid steps) and complex-FFT angle
+    solver. The 1e-11 of the peak bounds the reference's own kernel cut at
+    7 sigma, whose tail is exp(-24.5) = 2e-11 of the kernel's peak; the
+    marginal and variance bounds are roundoff of the transforms.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_q=st.integers(24, 64),
+        n_p=st.integers(128, 300),
+        sigma_q=st.floats(0.5, 1.1),
+        sigma_p=st.floats(0.6, 1.5),
+        center_q=st.floats(-1.0, 1.0),
+        center_p=st.floats(-2.0, 2.0),
+        tau=LOG_TAUS,
+    )
+    def test_position_kind(self, n_q, n_p, sigma_q, sigma_p, center_q, center_p, tau):
+        qg = Grid1D(-8.0, 8.0, n_q)
+        p_half = 8.0 * np.sqrt(sigma_p**2 + 2.0 * tau)
+        pg = Grid1D(center_p - p_half, center_p + p_half, n_p)
+        rho = build_gaussian_phase_density(
+            qg, pg, sigma_q, sigma_p, center_q=center_q, center_p=center_p
+        )
+        out = reduced_state_post_cm(rho, POSITION, tau)
+        reference = diffuse_rows_p_reference(rho.values, pg.h, np.sqrt(2.0 * tau))
+        peak = float(reference.max())
+        assert np.max(np.abs(out.values - reference)) <= 1e-11 * peak
+        q_before = rho.q_marginal()
+        assert np.max(np.abs(out.q_marginal() - q_before)) <= 1e-12 * float(q_before.max())
+        var_before = density_variance(pg, rho.p_marginal())
+        var_after = density_variance(pg, out.p_marginal())
+        assert abs(var_after - var_before - 2.0 * tau) <= 1e-12 * var_after
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_xi=st.integers(16, 48),
+        n_theta=st.integers(160, 321),
+        sigma_q=st.floats(0.6, 1.2),
+        sigma_p=st.floats(0.6, 1.2),
+        center_q=st.floats(-1.5, 1.5),
+        center_p=st.floats(-1.5, 1.5),
+        tau=LOG_TAUS,
+        rate=st.sampled_from(["constant", "linear"]),
+    )
+    def test_action_kind(self, n_xi, n_theta, sigma_q, sigma_p, center_q, center_p, tau, rate):
+        # An off-centre Gaussian written in (xi, theta), out to 6 widths past its
+        # centre. From 160 theta nodes the arc step at that reach is below 0.6 of
+        # the narrower width, so the damped samples ring below zero by less than
+        # roundoff and the clip moves nothing (at 64 nodes it moved 1e-12).
+        reach = np.hypot(center_q, center_p) + 6.0 * max(sigma_q, sigma_p)
+        xig = Grid1D(0.0, 0.5 * reach**2, n_xi)
+        tg = PeriodicGrid(n_theta)
+
+        def gaussian(xi, th):
+            r = np.sqrt(2.0 * xi)
+            return np.exp(
+                -0.5 * ((r * np.cos(th) - center_q) / sigma_q) ** 2
+                - 0.5 * ((r * np.sin(th) - center_p) / sigma_p) ** 2
+            )
+
+        aa = angle_density_from_function(xig, tg, gaussian)
+        obs = ACTION_LINEAR if rate == "constant" else action_observable(
+            lambda xi: 0.5 * xi**2, lambda xi: xi
+        )
+        out = angle_spectral_solve(aa, obs, tau)
+        reference = angle_solve_reference(aa.values, obs.dA_dxi(xig.nodes) ** 2, tau)
+        assert np.max(np.abs(out.values - reference)) <= 1e-11 * float(reference.max())
+        xi_before = aa.xi_marginal()
+        assert np.max(np.abs(out.xi_marginal() - xi_before)) <= 1e-12 * float(xi_before.max())
+
+    def test_kernel_wider_than_the_p_grid_refused(self):
+        # 16 p nodes, so a missing refusal would transform rows of only
+        # 16 + pad nodes. The kernel reaches ceil(7 sqrt(2 tau) / h) nodes:
+        # 16 runs, 17 is refused, naming sqrt(2*tau) and the grid's span.
+        # At 16 the uniform state spills 11% of its mass, which is lost at
+        # both ends as in the reference's absorbing convolution (a periodic
+        # transform would keep it and differ by 0.4 of the peak).
+        qg = Grid1D(-1.0, 1.0, 8)
+        pg = Grid1D(-4.0, 4.0, 16)
+        rho = phase_density_from_values(qg, pg, np.ones((8, 16)))
+
+        def tau_reaching(nodes):
+            return 0.5 * ((nodes - 0.5) * pg.h / 7.0) ** 2
+
+        out = reduced_state_post_cm(rho, POSITION, tau_reaching(16)).values
+        reference = diffuse_rows_p_reference(rho.values, pg.h, np.sqrt(2.0 * tau_reaching(16)))
+        assert np.max(np.abs(out - reference)) <= 1e-11 * float(reference.max())
+        with pytest.raises(InvariantViolation, match=r"sqrt\(2\*tau\) = 1\.257 .*span 8\b"):
+            reduced_state_post_cm(rho, POSITION, tau_reaching(17))
 
 
 class TestDiffusionRhs:
