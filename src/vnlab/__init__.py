@@ -30,7 +30,6 @@ from .observables import (
     ClassicalObservable,
     CouplingParams,
     ProbeSpec,
-    PureSuperposition,
     SpectralObservable,
     action_observable,
     general_observable,

@@ -44,7 +44,7 @@ from .cm import (
     probe_mean_Q,
     reduced_state_post_cm,
 )
-from .errors import ConfigInvalid, VnLabError
+from .errors import ConfigInvalid, TruncationTooSmall, VnLabError
 from .grids import Grid1D
 from .heisenberg import (
     flow_action,
@@ -85,6 +85,7 @@ from .states import (
     build_gaussian_phase_density,
     delta_width,
     density_from_wavefunction,
+    expectation,
     gaussian_wavepacket,
     phase_density_from_values,
     to_angle_action,
@@ -383,6 +384,22 @@ def _probe_coupling(params: dict) -> tuple[ProbeSpec, CouplingParams]:
     return probe, coupling
 
 
+def _momentum_variance(params: dict) -> float:
+    """s^2 = (hbar / (2 sigma_x))^2, once hbar admits it (ConfigInvalid otherwise).
+
+    Refused in logarithms, before anything overflows: hbar^2 (the channel divides
+    by it) and (8 s)^2, the momentum grid's squared reach, must be normal floats.
+    """
+    hbar, sigma_x = params["hbar"], params["sigma_x"]
+    tiny, huge = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+    if not tiny <= 2.0 * math.log(hbar) < huge:
+        raise ConfigInvalid(f"parameter 'hbar' = {hbar!r}: hbar^2 is not a normal float")
+    if not tiny <= 2.0 * (math.log(4.0 * hbar) - math.log(sigma_x)) < huge:
+        raise ConfigInvalid(f"'hbar' and 'sigma_x': (8 hbar / (2 sigma_x))^2, the square of "
+                            f"the momentum grid's reach, is not a normal float")
+    return (hbar / (2.0 * sigma_x)) ** 2
+
+
 # ---------------------------------------------------------------------------
 # Command implementations: each returns (checks, scalars, tables)
 # ---------------------------------------------------------------------------
@@ -405,6 +422,7 @@ def run_evolve_qm(params: dict, tol: dict):
     hbar = params["hbar"]
     xgrid = Grid1D(-params["grid_halfwidth"], params["grid_halfwidth"], int(params["n_x"]))
     require_resolved("sigma_x", params["sigma_x"], xgrid)
+    s2 = _momentum_variance(params)
     psi = gaussian_wavepacket(xgrid, center=params["center_x"], sigma_x=params["sigma_x"], hbar=hbar)
     rho = density_from_wavefunction(psi, xgrid)
     obs = SpectralObservable.from_diagonal(xgrid.nodes)
@@ -419,7 +437,6 @@ def run_evolve_qm(params: dict, tol: dict):
 
     invariance = float(np.max(np.abs(np.diag(rho_post.matrix) - np.diag(rho.matrix))))
 
-    s2 = (hbar / (2.0 * params["sigma_x"])) ** 2
     p_half = 8.0 * np.sqrt(s2 + 2.0 * coupling.tau)
     pgrid = Grid1D(-p_half, p_half, int(params["n_x"]))
     spec = WignerEvolutionSpec(A=lambda x: x, tau=coupling.tau)
@@ -459,6 +476,10 @@ def run_evolve_cm(params: dict, tol: dict):
     pgrid = Grid1D(-params["grid_halfwidth_p"], params["grid_halfwidth_p"], int(params["n_p"]))
     require_resolved("sigma_q", params["sigma_q"], qgrid)
     require_resolved("sigma_p", params["sigma_p"], pgrid)
+    spread = 6.0 * math.hypot(params["sigma_p"], math.sqrt(2.0 * coupling.tau))
+    if spread > pgrid.hi:  # build_gaussian_phase_density's 6-width rule, once diffused
+        raise ConfigInvalid(f"'sigma_p', 'sigma_P' and 'tau': the diffused spread 6 sqrt(sigma_p^2 "
+                            f"+ 2 tau) = {spread:.4g} exceeds the p grid's half-width {pgrid.hi:.4g}")
     rho = build_gaussian_phase_density(
         qgrid, pgrid, params["sigma_q"], params["sigma_p"], center_q=params["center_q"]
     )
@@ -527,6 +548,11 @@ def run_mc_compare(params: dict, tol: dict):
     for branch in branches:
         for name, axis_grid in zip(("sigma_q", "sigma_p"), branch_grids[branch]):
             require_resolved(name, params[name], axis_grid)
+    # Spill off the p grid is counted by the histogram check; a wider kernel cannot run.
+    reach = 7.0 * math.sqrt(2.0 * coupling.tau)
+    if "position" in branches and reach > pgrid.hi - pgrid.lo:
+        raise ConfigInvalid(f"'sigma_P' and 'tau': 7 kernel widths sqrt(2*tau) = {reach:.4g} "
+                            f"exceed the position branch's p grid span {pgrid.hi - pgrid.lo:.4g}")
 
     if "position" in branches:
         rho = build_gaussian_phase_density(qgrid, pgrid, params["sigma_q"], params["sigma_p"])
@@ -570,7 +596,7 @@ def run_mc_compare(params: dict, tol: dict):
         )
         conserved = float(np.max(np.abs(ens1.xi - ens0.xi)) + np.max(np.abs(ens1.P - ens0.P)))
         mean_Q = float(np.mean(ens1.Q)) / coupling.epsilon
-        expect_A = probe_mean_Q(rho, obs, coupling) / coupling.epsilon
+        expect_A = expectation(rho, obs)
         mc_sigma = float(np.std(ens1.Q) / coupling.epsilon / np.sqrt(n))
         checks += [
             ScenarioCheck("action branch: angle histogram vs spectral solution (L1)",
@@ -594,6 +620,13 @@ def run_table1_report(params: dict, tol: dict):
     half = params["grid_halfwidth"]
     xgrid = Grid1D(-half, half, n)
     require_resolved("sigma_x", params["sigma_x"], xgrid)
+    # Both refusals come before the first row runs.
+    s2 = _momentum_variance(params)
+    dim = 48  # tail weight ~e^-34 at these widths
+    try:
+        rho_nb = number_basis_initial_state(1.0, 1.4, dim, hbar=hbar)
+    except TruncationTooSmall as exc:
+        raise ConfigInvalid(f"parameter 'hbar' = {hbar!r} leaves row 4's number basis: {exc}") from exc
     rows = []
 
     def add_row(description: str, qm: float, cm: float, **expected) -> None:
@@ -655,7 +688,6 @@ def run_table1_report(params: dict, tol: dict):
             tolerance=max(tol["row2_uncertainty_qm"], tol["row2_uncertainty_cm"]))
 
     # Row 3: both final reduced states grow the momentum variance by 2*tau.
-    s2 = (hbar / (2.0 * params["sigma_x"])) ** 2
     p_half = 8.0 * np.sqrt(s2 + 2.0 * tau) + 1.0
     wgrid = Grid1D(-p_half, p_half, n)
     spec = WignerEvolutionSpec(A=lambda x: x, tau=tau)
@@ -675,8 +707,6 @@ def run_table1_report(params: dict, tol: dict):
             expected=expect_row3, tolerance=tol["row3_variance"])
 
     # Row 4: generator consistency, finite differences against the rhs.
-    dim = 48  # tail weight ~e^-34 at these widths
-    rho_nb = number_basis_initial_state(1.0, 1.4, dim, hbar=hbar)
     a_matrix = np.diag(hbar * (np.arange(dim) + 0.5))
     tau0, dtau = 0.2, 1e-4
     mid = lindblad_evolve(rho_nb, a_matrix, tau0, hbar=hbar)
@@ -760,40 +790,30 @@ def write_table(path: Path, headers: list[str], columns: list[np.ndarray]) -> No
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """What ``json`` cannot encode itself: complex as {"re", "im"}, NumPy scalars and arrays."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def execute(
-    config: dict,
-    out_dir: Path,
-    seed: int | None = None,
-    tolerance_overrides: dict[str, float] | None = None,
-) -> dict:
+def execute(config: dict, out_dir: Path, seed: int | None = None) -> dict:
     """Run one configured job, write its artifacts, return the manifest."""
-    return _execute(config["command"], config, out_dir, seed, tolerance_overrides)
+    return _execute(config["command"], config, out_dir, seed, {})
 
 
 def _execute(command: str, raw, out_dir: Path, seed: int | None,
-             tolerance_overrides: dict[str, float] | None) -> dict:
+             tolerance_overrides: dict[str, float]) -> dict:
     """Normalize, apply the seed override, resolve tolerances, run, write: the
     one path of ``main`` and ``execute``."""
     started = dt.datetime.now(dt.timezone.utc).isoformat()
@@ -804,7 +824,7 @@ def _execute(command: str, raw, out_dir: Path, seed: int | None,
         if "seed" not in spec:
             raise ConfigInvalid(f"command {command!r} takes no 'seed'")
         params["seed"] = _checked("seed", seed, spec["seed"])
-    config["tolerances"] = resolve_tolerances(command, config, tolerance_overrides or {})
+    config["tolerances"] = resolve_tolerances(command, config, tolerance_overrides)
     checks, scalars, tables = RUNNERS[command](params, config["tolerances"])
 
     out_dir = Path(out_dir)
@@ -814,18 +834,18 @@ def _execute(command: str, raw, out_dir: Path, seed: int | None,
     checks_doc = {
         "command": command,
         "all_passed": all(c.passed for c in checks),
-        "checks": [_jsonable(c.as_dict()) for c in checks],
-        "scalars": _jsonable(scalars),
+        "checks": [c.as_dict() for c in checks],
+        "scalars": scalars,
     }
     checks_path = out_dir / "checks.json"
-    checks_path.write_text(json.dumps(checks_doc, indent=2, sort_keys=True) + "\n")
+    _write_json(checks_path, checks_doc)
 
     outputs = {t[0]: _sha256(out_dir / t[0]) for t in tables}
     outputs["checks.json"] = _sha256(checks_path)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": _jsonable(config),
+        "config": config,
         "artifact_version": __version__,
         "seed": config["parameters"].get("seed"),
         "started_utc": started,
@@ -834,7 +854,7 @@ def _execute(command: str, raw, out_dir: Path, seed: int | None,
         "checks": checks_doc["checks"],
         "outputs": outputs,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 

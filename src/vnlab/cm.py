@@ -30,6 +30,7 @@ from .states import (
     AngleActionDensity,
     PhaseSpaceDensity,
     _Handover,
+    distribution_of_A,
     expectation,
     from_angle_action,
     sample_phase_density,
@@ -188,19 +189,6 @@ def joint_state_post(
 # Probe marginals
 # ---------------------------------------------------------------------------
 
-def _distribution_of_A(rho_s, obs: ClassicalObservable) -> tuple[np.ndarray, np.ndarray]:
-    """(values a, quadrature weights w): the distribution of A over the system state."""
-    if isinstance(rho_s, AngleActionDensity):
-        if obs.A_of_xi is None:
-            raise UnsupportedObservable("angle-action marginal needs A(xi)")
-        return obs.A_of_xi(rho_s.xigrid.nodes), rho_s.xigrid.weights * rho_s.xi_marginal()
-    if obs.kind == KIND_POSITION:
-        return rho_s.qgrid.nodes, rho_s.qgrid.weights * rho_s.q_marginal()
-    qq, pp = np.meshgrid(rho_s.qgrid.nodes, rho_s.pgrid.nodes, indexing="ij")
-    cell = np.outer(rho_s.qgrid.weights, rho_s.pgrid.weights) * rho_s.values
-    return obs.eval(qq, pp).ravel(), cell.ravel()
-
-
 def auto_probe_grid(
     rho_s,
     obs: ClassicalObservable,
@@ -210,7 +198,7 @@ def auto_probe_grid(
     pad_sigmas: float = 8.0,
 ) -> Grid1D:
     """Q grid covering epsilon*A over the state's support, with Gaussian margins."""
-    return probe.pointer_grid(_distribution_of_A(rho_s, obs)[0], coupling.epsilon, n, pad_sigmas)
+    return probe.pointer_grid(distribution_of_A(rho_s, obs)[0], coupling.epsilon, n, pad_sigmas)
 
 
 def probe_marginal_Q(
@@ -222,11 +210,11 @@ def probe_marginal_Q(
 ) -> np.ndarray:
     """rho'_pi(Q) = int rho_s * rho_pi(Q - eps*A) over the system state.
 
-    The distribution of A over the state (a 1-D one for A = q and for A(xi)
-    on an angle-action state), smeared by ``ProbeSpec.pointer_density`` as on
-    the quantum side.
+    The distribution of A over the state (``states.distribution_of_A``, a
+    1-D one for A = q and for A(xi) on an angle-action state), smeared by
+    ``ProbeSpec.pointer_density`` as on the quantum side.
     """
-    a, w = _distribution_of_A(rho_s, obs)
+    a, w = distribution_of_A(rho_s, obs)
     return probe.pointer_density(Qgrid.nodes, a, w, coupling.epsilon)
 
 

@@ -159,13 +159,15 @@ def to_action_ensemble(ens: TrajectoryEnsemble) -> ActionEnsemble:
     return ActionEnsemble(xi=xi, theta=theta, Q=ens.Q, P=ens.P)
 
 
-def flow_action(ens, obs: ClassicalObservable, coupling: CouplingParams) -> ActionEnsemble:
+def flow_action(
+    ens: ActionEnsemble, obs: ClassicalObservable, coupling: CouplingParams
+) -> ActionEnsemble:
     """xi' = xi0, P' = P0; theta' = theta0 - eps*(dA/dxi)|_xi0 * P0 mod 2pi; Q' = Q0 + eps*A(xi0).
 
-    Accepts a Cartesian ensemble (transformed first) or an ActionEnsemble.
+    A Cartesian ensemble is refused: transform it with ``to_action_ensemble``.
     """
-    if isinstance(ens, TrajectoryEnsemble):
-        ens = to_action_ensemble(ens)
+    if not isinstance(ens, ActionEnsemble):
+        raise InvariantViolation(f"action flow takes an ActionEnsemble, not {type(ens).__name__}")
     if obs.dA_dxi is None or obs.A_of_xi is None:
         raise InvariantViolation("action flow needs A(xi) and dA/dxi")
     eps = coupling.epsilon
@@ -202,13 +204,8 @@ def histogram_l1_distance(
 def periodic_histogram_l1_distance(
     samples: np.ndarray, density_nodes: np.ndarray, density: np.ndarray, bins: int = 24
 ) -> float:
-    """Same as above on [0, 2pi) with periodic rectangle-rule bin masses."""
-    edges = np.linspace(0.0, TWO_PI, bins + 1)
-    counts, _ = np.histogram(np.mod(samples, TWO_PI), bins=edges)
-    empirical = counts / samples.size
-    h = density_nodes[1] - density_nodes[0]
-    ext_nodes = np.concatenate([density_nodes, [TWO_PI]])
-    ext_density = np.concatenate([density, [density[0]]])
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (ext_density[1:] + ext_density[:-1]) * h)])
-    model = np.diff(np.interp(edges, ext_nodes, cdf))
-    return float(np.sum(np.abs(empirical - model)))
+    """Same as above on [0, 2pi): samples wrapped mod 2pi, the density given on
+    the n ``density_nodes`` of a periodic grid and closed by its first node at 2pi."""
+    grid = Grid1D(0.0, TWO_PI, len(density_nodes) + 1)
+    closed = np.concatenate([density, density[:1]])
+    return histogram_l1_distance(np.mod(samples, TWO_PI), grid, closed, bins)

@@ -14,11 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvariantViolation,
-    NonHermitianObservable,
-)
+from .errors import InvariantViolation, NonHermitianObservable
 from .grids import Grid1D
 
 ArrayMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -322,21 +318,3 @@ class CouplingParams:
         if self.epsilon == 0.0:
             return 0.0
         return np.sqrt(2.0 * self.tau) / self.epsilon
-
-
-# ---------------------------------------------------------------------------
-# Pure superpositions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PureSuperposition:
-    """alpha*psi1 + beta*psi2 on a shared position grid (normalized on build)."""
-
-    alpha: complex
-    beta: complex
-    psi1: np.ndarray
-    psi2: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.psi1) != np.shape(self.psi2):
-            raise DimensionMismatch("component wavefunctions must share a grid")

@@ -21,7 +21,6 @@ from .grids import TWO_PI, Grid1D, PeriodicGrid, grid2d_integrate
 from .observables import (
     CouplingParams,
     ProbeSpec,
-    PureSuperposition,
     SpectralObservable,
     position_observable,
 )
@@ -242,7 +241,7 @@ def scenario_interference(
     psi1 = gaussian_wavepacket(xgrid, center=-separation / 2.0, sigma_x=sigma_x)
     psi2 = gaussian_wavepacket(xgrid, center=+separation / 2.0, sigma_x=sigma_x)
     try:
-        psi = superposition_wavefunction(PureSuperposition(alpha, beta, psi1, psi2), xgrid)
+        psi = superposition_wavefunction(alpha, beta, psi1, psi2, xgrid)
     except InvariantViolation as exc:
         raise ConfigInvalid(f"'alpha' and 'beta' give no normalizable superposition: {exc}") from exc
     p_sup = np.abs(psi) ** 2

@@ -26,13 +26,15 @@ from scipy.interpolate import RectBivariateSpline
 
 from .errors import (
     BasisMismatch,
+    DimensionMismatch,
     GridTooNarrow,
     InvariantViolation,
     LeakageBudgetExceeded,
     ShapeMismatch,
+    UnsupportedObservable,
 )
 from .grids import TWO_PI, Grid1D, PeriodicGrid, grid2d_integrate
-from .observables import ClassicalObservable, PureSuperposition
+from .observables import KIND_POSITION, ClassicalObservable
 
 LEAKAGE_BUDGET = 1e-6
 # Largest |rho - rho^H| entry a density matrix may have.
@@ -340,14 +342,17 @@ def gaussian_wavepacket(grid: Grid1D, center=0.0, momentum=0.0, sigma_x=1.0, hba
     return psi
 
 
-def superposition_wavefunction(sup: PureSuperposition, grid: Grid1D) -> np.ndarray:
+def superposition_wavefunction(alpha, beta, psi1, psi2, grid: Grid1D) -> np.ndarray:
     """Normalized alpha*psi1 + beta*psi2 on the grid.
 
-    The squared norm must be a finite normal float: zero (cancelling or
+    The components must share a shape (DimensionMismatch otherwise). The
+    squared norm must be a finite normal float: zero (cancelling or
     underflowing amplitudes), subnormal (too few digits left to normalize) and
     infinite (overflowing amplitudes) norms are refused.
     """
-    psi = sup.alpha * np.asarray(sup.psi1) + sup.beta * np.asarray(sup.psi2)
+    if np.shape(psi1) != np.shape(psi2):
+        raise DimensionMismatch("component wavefunctions must share a grid")
+    psi = alpha * np.asarray(psi1) + beta * np.asarray(psi2)
     with np.errstate(over="ignore"):  # an overflow is refused just below
         norm = grid.integrate(np.abs(psi) ** 2)
     if not np.finfo(float).tiny <= norm < np.inf:
@@ -359,20 +364,33 @@ def superposition_wavefunction(sup: PureSuperposition, grid: Grid1D) -> np.ndarr
 # Expectations and traces
 # ---------------------------------------------------------------------------
 
-def expectation(state, observable: ClassicalObservable) -> float:
-    """<A> for classical states: over (q, p), or over xi through A(xi)."""
-    if isinstance(state, PhaseSpaceDensity):
-        qq, pp = np.meshgrid(state.qgrid.nodes, state.pgrid.nodes, indexing="ij")
-        a = np.asarray(observable.eval(qq, pp), dtype=float)
-        if a.shape != state.values.shape:
-            raise ShapeMismatch("observable values do not match the state grid")
-        return grid2d_integrate(state.qgrid, state.pgrid, a * state.values)
+def distribution_of_A(state, observable: ClassicalObservable) -> tuple[np.ndarray, np.ndarray]:
+    """(values a, weights w) of A over a classical state, the one integral of A: <A> = w @ a.
+
+    A(xi) over an angle-action state's xi-marginal (UnsupportedObservable
+    without A(xi)), q over the q-marginal for A = q, else A(q, p) cell by cell.
+    Another state type, or A off the grid's shape, raises ShapeMismatch.
+    """
     if isinstance(state, AngleActionDensity):
         if observable.A_of_xi is None:
-            raise ShapeMismatch("angle-action expectation needs A(xi)")
-        a = np.asarray(observable.A_of_xi(state.xigrid.nodes), dtype=float)
-        return float(state.xigrid.weights @ (a * state.xi_marginal()))
-    raise ShapeMismatch(f"unsupported state type {type(state).__name__}")
+            raise UnsupportedObservable("an angle-action state needs A(xi)")
+        return observable.A_of_xi(state.xigrid.nodes), state.xigrid.weights * state.xi_marginal()
+    if not isinstance(state, PhaseSpaceDensity):
+        raise ShapeMismatch(f"unsupported state type {type(state).__name__}")
+    if observable.kind == KIND_POSITION:
+        return state.qgrid.nodes, state.qgrid.weights * state.q_marginal()
+    qq, pp = np.meshgrid(state.qgrid.nodes, state.pgrid.nodes, indexing="ij")
+    a = np.asarray(observable.eval(qq, pp), dtype=float)
+    if a.shape != state.values.shape:
+        raise ShapeMismatch("observable values do not match the state grid")
+    cell = np.outer(state.qgrid.weights, state.pgrid.weights) * state.values
+    return a.ravel(), cell.ravel()
+
+
+def expectation(state, observable: ClassicalObservable) -> float:
+    """<A> over a classical state, from ``distribution_of_A``."""
+    a, w = distribution_of_A(state, observable)
+    return float(w @ a)
 
 
 def trace_with(rho: DensityOperator, op: np.ndarray) -> complex:

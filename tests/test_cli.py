@@ -396,6 +396,17 @@ class TestMainEntryPoint:
             ("run-scenario", {"parameters": {"scenario": "gaussian_bessel",
                                              "sigma_qbar": 1e200, "sigma_pbar": 1e200}},
              [], "'sigma_qbar' and 'sigma_pbar'"),
+            # hbar whose square under- or overflows (it used to end in NaN checks or a
+            # traceback), and one the 48-level number basis of row 4 cannot hold.
+            ("evolve-qm", {"parameters": {"hbar": 1e-170}}, [], "'hbar'"),
+            ("evolve-qm", {"parameters": {"hbar": 1e200}}, [], "'hbar'"),
+            ("table1-report", {"parameters": {"hbar": 1e-170}}, [], "'hbar'"),
+            ("table1-report", {"parameters": {"hbar": 1e200}}, [], "'hbar'"),
+            ("table1-report", {"parameters": {"hbar": 0.3}}, [], "'hbar'"),
+            # Probe momentum spreads the p grid cannot hold once diffused.
+            ("evolve-cm", {"parameters": {"sigma_P": 3.0}}, [], "'sigma_P' and 'tau'"),
+            ("mc-compare", {"parameters": {"sigma_P": 20.0, "branch": "position"}}, [],
+             "'sigma_P' and 'tau'"),
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
@@ -407,7 +418,10 @@ class TestMainEntryPoint:
              "sub-step-mc-sigma_q", "sub-step-interference-sigma_x",
              "sub-step-gaussian_bessel-sigma_qbar", "sub-step-gaussian_bessel-sigma_qbar-0.05",
              "nan-trace-number_basis", "underflowing-closed-form-gaussian_bessel",
-             "overflowing-widths-gaussian_bessel"],
+             "overflowing-widths-gaussian_bessel", "underflowing-hbar-evolve-qm",
+             "overflowing-hbar-evolve-qm", "underflowing-hbar-table1",
+             "overflowing-hbar-table1", "row4-truncated-hbar-table1",
+             "spilling-sigma_P-evolve-cm", "wide-sigma_P-mc-compare"],
     )
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
         argv = [command, "--out", str(tmp_path / "o"), *extra]
@@ -443,13 +457,13 @@ class TestMainEntryPoint:
         assert "Traceback" not in proc.stdout + proc.stderr
 
     def test_evolve_cm_kernel_wider_than_the_p_grid_names_its_cause(self, tmp_path, capsys):
-        # sigma_P = 50 at epsilon = 1: 7 kernel widths sqrt(2*tau) = 50 reach
-        # beyond the 24-wide p grid, so the run stops and says so.
+        # sigma_P = 50 at epsilon = 1: the diffused spread 6 sqrt(1 + 2500) =
+        # 300.1 leaves the +-12 p grid, so the config is refused before any run.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"parameters": {"sigma_P": 50.0}}))
-        assert main(["evolve-cm", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert main(["evolve-cm", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         out = capsys.readouterr().out
-        assert "sqrt(2*tau) = 50" in out and "span 24" in out
+        assert "+ 2 tau) = 300.1" in out and "half-width 12" in out
 
     def test_mc_compare_refuses_both_branches_before_sampling(self, tmp_path, capsys, monkeypatch):
         # sigma_q = 0.07 is above the position branch's step 16/255 and below

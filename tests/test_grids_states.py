@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnlab import (
     DensityOperator,
@@ -10,8 +12,9 @@ from vnlab import (
     InvariantViolation,
     PeriodicGrid,
     PhaseSpaceDensity,
-    PureSuperposition,
     ShapeMismatch,
+    UnsupportedObservable,
+    action_observable,
     build_gaussian_phase_density,
     density_from_wavefunction,
     expectation,
@@ -22,6 +25,7 @@ from vnlab import (
     to_angle_action,
     trace_with,
 )
+from vnlab.cm import probe_mean_Q
 from vnlab.grids import TWO_PI
 from vnlab.observables import CouplingParams, SpectralObservable
 from vnlab.qm import decoherence_kernel, reduced_state_post
@@ -181,8 +185,7 @@ class TestDensityOperator:
         g = Grid1D(-10.0, 10.0, 256)
         psi1 = gaussian_wavepacket(g, center=-1.0)
         psi2 = gaussian_wavepacket(g, center=+1.0)
-        sup = PureSuperposition(alpha=0.8, beta=0.6j, psi1=psi1, psi2=psi2)
-        psi = superposition_wavefunction(sup, g)
+        psi = superposition_wavefunction(0.8, 0.6j, psi1, psi2, g)
         assert g.integrate(np.abs(psi) ** 2) == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize(
@@ -196,7 +199,7 @@ class TestDensityOperator:
         psi1 = gaussian_wavepacket(g, center=-1.0)
         psi2 = gaussian_wavepacket(g, center=center2)
         with pytest.raises(InvariantViolation, match="norm"):
-            superposition_wavefunction(PureSuperposition(alpha, beta, psi1, psi2), g)
+            superposition_wavefunction(alpha, beta, psi1, psi2, g)
 
     @pytest.mark.parametrize("dim", [1, 63, 64, 65, 130])
     def test_hermitian_residue_is_max_entry_of_rho_minus_rho_dagger(self, dim):
@@ -279,6 +282,80 @@ class TestMarginalsExpectations:
         rho = build_gaussian_phase_density(g, g, 1.0, 1.0)
         assert g.integrate(rho.q_marginal()) == pytest.approx(1.0, abs=1e-10)
         assert g.integrate(rho.p_marginal()) == pytest.approx(1.0, abs=1e-10)
+
+    def test_refusals(self):
+        g = Grid1D(-8.0, 8.0, 64)
+        rho = build_gaussian_phase_density(g, g, 1.0, 1.0)
+        aa = AngleActionDensity(Grid1D(0.0, 4.0, 16), PeriodicGrid(8), np.ones((16, 8)))
+        scalar = general_observable(lambda q, p: 1.0, lambda q, p: 0.0, lambda q, p: 0.0)
+        with pytest.raises(ShapeMismatch, match="unsupported state type"):
+            expectation(density_from_wavefunction(gaussian_wavepacket(g), g), position_observable())
+        with pytest.raises(ShapeMismatch, match="do not match"):
+            expectation(rho, scalar)
+        with pytest.raises(UnsupportedObservable, match="A\\(xi\\)"):
+            expectation(aa, position_observable())
+
+
+XI = action_observable(lambda xi: xi, lambda xi: np.ones_like(xi))
+QP = general_observable(lambda q, p: q * p, lambda q, p: p, lambda q, p: q)
+
+# Cartesian states: centres within +-2 and widths up to 1.2 on grids reaching
+# +-12 or beyond leave every edge at least 8.3 widths out, so the truncated
+# tail moves the moments by less than 1e-13, and with a step of at most
+# width / 1.8 the trapezoid's aliasing term 2 exp(-2 pi^2 (width / step)^2)
+# is below 1e-27. The q and p grids differ, so that no mix-up of the axes
+# passes.
+# What is left is roundoff: a sum of K <= 256^2 terms is within
+# (K - 1) u sum_k |w_k a_k| of exact (Higham, Accuracy and Stability, 4.2),
+# 65536 * 1.1e-16 * <|A|> with <|A|> <= 5.5 here, i.e. 4e-11; twice that,
+# for the normalization, rounds up to 1e-10.
+CARTESIAN_TOLERANCE = 1e-10
+
+
+class TestExpectationClosedForms:
+    """<A> from the one distribution of A, and the pointer mean over epsilon,
+    against closed forms on off-centre states of both classical types."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(centre_q=st.floats(-2.0, 2.0), centre_p=st.floats(-2.0, 2.0),
+           sigma_q=st.floats(0.5, 1.2), sigma_p=st.floats(0.5, 1.2),
+           n_q=st.integers(97, 256), n_p=st.integers(97, 256), epsilon=st.floats(0.3, 2.0))
+    def test_cartesian_gaussian(self, centre_q, centre_p, sigma_q, sigma_p, n_q, n_p, epsilon):
+        qgrid, pgrid = Grid1D(-12.0, 12.0, n_q), Grid1D(-12.5, 13.5, n_p)
+        rho = build_gaussian_phase_density(qgrid, pgrid, sigma_q, sigma_p, centre_q, centre_p)
+        coupling = CouplingParams.from_sigma_P(epsilon, 0.5)
+        closed = {
+            "q": (position_observable(), centre_q),
+            "xi": (XI, (sigma_q**2 + sigma_p**2 + centre_q**2 + centre_p**2) / 2.0),
+            "qp": (QP, centre_q * centre_p),
+        }
+        for name, (obs, expected) in closed.items():
+            assert abs(expectation(rho, obs) - expected) <= CARTESIAN_TOLERANCE, name
+            mean = probe_mean_Q(rho, obs, coupling) / epsilon
+            assert abs(mean - expected) <= CARTESIAN_TOLERANCE, name
+
+    @settings(max_examples=30, deadline=None)
+    @given(s=st.floats(0.3, 3.0), n_xi=st.integers(512, 4097), n_theta=st.integers(8, 64),
+           ripple=st.floats(0.0, 0.9))
+    def test_angle_action_exponential(self, s, n_xi, n_theta, ripple):
+        # rho = exp(-xi/s) (1 + ripple cos theta) / (2 pi s) has <xi> = s. The
+        # periodic rule integrates the ripple out exactly, and the trapezoid
+        # sum over the infinite xi grid of step h is s (x / sinh x)^2 with
+        # x = h / (2 s), which is s - h^2 / (12 s) + O(h^4). Cutting the grid
+        # at 40 s drops 41 s e^-40 < 2e-16 s; the sum of n_xi terms rounds
+        # within n_xi u <xi> < 5e-13 s. Hence 1e-12 s.
+        xigrid = Grid1D(0.0, 40.0 * s, n_xi)
+        thetagrid = PeriodicGrid(n_theta)
+        xx, tt = np.meshgrid(xigrid.nodes, thetagrid.nodes, indexing="ij")
+        aa = AngleActionDensity(
+            xigrid, thetagrid, np.exp(-xx / s) * (1.0 + ripple * np.cos(tt)) / (TWO_PI * s)
+        )
+        x = xigrid.h / (2.0 * s)
+        trapezoid = s * (x / np.sinh(x)) ** 2
+        coupling = CouplingParams.from_sigma_P(1.3, 0.5)
+        assert abs(expectation(aa, XI) - trapezoid) <= 1e-12 * s
+        assert abs(probe_mean_Q(aa, XI, coupling) / 1.3 - trapezoid) <= 1e-12 * s
+        assert abs(trapezoid - s) <= xigrid.h**2 / (12.0 * s)
 
 
 class TestAngleActionDensityType:

@@ -3,12 +3,14 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnlab import (
     CouplingParams,
     Grid1D,
+    InvariantViolation,
     ProbeSpec,
     action_observable,
     build_gaussian_phase_density,
@@ -171,6 +173,12 @@ class TestFlowAction:
         assert np.array_equal(out.theta, ens.theta)
         assert np.array_equal(out.Q, ens.Q)
 
+    def test_cartesian_ensemble_refused(self):
+        probe = ProbeSpec(sigma_Q=0.5, sigma_P=0.5)
+        ens = sample_initial(standard_state(), probe, 10, seed=4)
+        with pytest.raises(InvariantViolation, match="ActionEnsemble, not TrajectoryEnsemble"):
+            flow_action(ens, self.OBS, CouplingParams.from_probe(1.0, probe))
+
     def test_conserved_components_untouched(self):
         probe = ProbeSpec(sigma_Q=0.5, sigma_P=0.7)
         ens = to_action_ensemble(sample_initial(standard_state(), probe, 500, seed=6))
@@ -184,7 +192,8 @@ class TestFlowAction:
         probe = ProbeSpec(sigma_Q=0.4, sigma_P=0.6)
         coupling = CouplingParams.from_probe(1.0, probe)
         n = 100000
-        ens = flow_action(sample_initial(rho, probe, n, seed=12), self.OBS, coupling)
+        ens0 = to_action_ensemble(sample_initial(rho, probe, n, seed=12))
+        ens = flow_action(ens0, self.OBS, coupling)
         aa = to_angle_action(rho, n_xi=256, n_theta=256)
         solved = reduced_state_post_cm(aa, self.OBS, coupling.tau)
         l1 = periodic_histogram_l1_distance(
@@ -199,7 +208,7 @@ class TestFlowAction:
         coupling = CouplingParams.from_probe(1.0, probe)
         n = 100000
         ens0 = sample_initial(rho, probe, n, seed=13)
-        out = flow_action(ens0, self.OBS, coupling)
+        out = flow_action(to_action_ensemble(ens0), self.OBS, coupling)
         xi0 = 0.5 * (ens0.q**2 + ens0.p**2)
         mc_mean = np.mean(out.Q) / coupling.epsilon
         sem = np.std(out.Q) / coupling.epsilon / np.sqrt(n)
