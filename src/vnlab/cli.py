@@ -63,13 +63,11 @@ from .observables import (
 )
 from .qm import (
     auto_pointer_grid,
-    decoherence_kernel,
     lindblad_evolve,
     lindblad_rhs,
     pointer_distribution,
     pointer_mean,
     position_disturbance_scale,
-    reduced_state_post,
 )
 from .scenarios import (
     DEFAULT_EPSILON,
@@ -400,6 +398,27 @@ def _momentum_variance(params: dict) -> float:
     return (hbar / (2.0 * sigma_x)) ** 2
 
 
+def _wigner_pgrid(params: dict, xgrid: Grid1D, s2: float, tau: float, pad: float = 0.0) -> Grid1D:
+    """n_x nodes over +-(8 sqrt(s^2 + 2 tau) + pad) for the Wigner marginals, within
+    pi hbar / (2h): y steps by 2h, so the marginals are periodic in p with period pi hbar / h."""
+    p_half = 8.0 * np.sqrt(s2 + 2.0 * tau) + pad
+    band = np.pi * params["hbar"] / (2.0 * xgrid.h)
+    if p_half > band:
+        raise ConfigInvalid(f"'hbar', 'n_x', 'grid_halfwidth' and 'sigma_P': the Wigner momentum "
+                            f"grid's half-width {p_half:.4g} exceeds pi hbar / (2 h) = {band:.4g}, "
+                            "half the period in p of the transform at y steps 2h")
+    return Grid1D(-p_half, p_half, int(params["n_x"]))
+
+
+def _require_fits(fields: str, center: float, sigma: float, grid: Grid1D) -> None:
+    """Refuse (ConfigInvalid, naming ``fields``) a Gaussian whose center +- 6 sigma
+    leaves ``grid``: the state builders' bound, checked before any state is built."""
+    lo, hi = center - 6 * sigma, center + 6 * sigma
+    if lo < grid.lo or hi > grid.hi:
+        raise ConfigInvalid(f"{fields}: the Gaussian's center +- 6 widths [{lo:.4g}, {hi:.4g}] "
+                            f"leaves its grid [{grid.lo:.4g}, {grid.hi:.4g}]")
+
+
 # ---------------------------------------------------------------------------
 # Command implementations: each returns (checks, scalars, tables)
 # ---------------------------------------------------------------------------
@@ -422,12 +441,13 @@ def run_evolve_qm(params: dict, tol: dict):
     hbar = params["hbar"]
     xgrid = Grid1D(-params["grid_halfwidth"], params["grid_halfwidth"], int(params["n_x"]))
     require_resolved("sigma_x", params["sigma_x"], xgrid)
+    _require_fits("'center_x', 'sigma_x' and 'grid_halfwidth'", params["center_x"],
+                  params["sigma_x"], xgrid)
     s2 = _momentum_variance(params)
+    pgrid = _wigner_pgrid(params, xgrid, s2, coupling.tau)
     psi = gaussian_wavepacket(xgrid, center=params["center_x"], sigma_x=params["sigma_x"], hbar=hbar)
     rho = density_from_wavefunction(psi, xgrid)
     obs = SpectralObservable.from_diagonal(xgrid.nodes)
-    kernel = decoherence_kernel(obs, coupling, hbar=hbar)
-    rho_post = reduced_state_post(rho, obs, kernel)
 
     Qgrid = auto_pointer_grid(obs, probe, coupling, n=1024)
     pointer = pointer_distribution(rho, obs, probe, coupling, Qgrid)
@@ -435,11 +455,11 @@ def run_evolve_qm(params: dict, tol: dict):
     mean_ratio = _moment(Qgrid, pointer) / coupling.epsilon
     mean_expected = pointer_mean(rho, obs, coupling) / coupling.epsilon
 
-    invariance = float(np.max(np.abs(np.diag(rho_post.matrix) - np.diag(rho.matrix))))
-
-    p_half = 8.0 * np.sqrt(s2 + 2.0 * coupling.tau)
-    pgrid = Grid1D(-p_half, p_half, int(params["n_x"]))
+    # rho's diagonal (offset-0 anti-diagonal) after the channel: times its factor at y = 0.
     spec = WignerEvolutionSpec(A=lambda x: x, tau=coupling.tau)
+    diagonal = np.diag(rho.matrix)
+    invariance = float(np.max(np.abs(diagonal * spec.damping(xgrid.nodes, 0.0, hbar) - diagonal)))
+
     p_before, p_after = momentum_marginals(rho, spec, pgrid, hbar=hbar)
     var_after = _variance(pgrid, p_after)
 
@@ -476,6 +496,8 @@ def run_evolve_cm(params: dict, tol: dict):
     pgrid = Grid1D(-params["grid_halfwidth_p"], params["grid_halfwidth_p"], int(params["n_p"]))
     require_resolved("sigma_q", params["sigma_q"], qgrid)
     require_resolved("sigma_p", params["sigma_p"], pgrid)
+    _require_fits("'center_q', 'sigma_q' and 'grid_halfwidth_q'", params["center_q"],
+                  params["sigma_q"], qgrid)
     spread = 6.0 * math.hypot(params["sigma_p"], math.sqrt(2.0 * coupling.tau))
     if spread > pgrid.hi:  # build_gaussian_phase_density's 6-width rule, once diffused
         raise ConfigInvalid(f"'sigma_p', 'sigma_P' and 'tau': the diffused spread 6 sqrt(sigma_p^2 "
@@ -548,6 +570,7 @@ def run_mc_compare(params: dict, tol: dict):
     for branch in branches:
         for name, axis_grid in zip(("sigma_q", "sigma_p"), branch_grids[branch]):
             require_resolved(name, params[name], axis_grid)
+            _require_fits(repr(name), 0.0, params[name], axis_grid)
     # Spill off the p grid is counted by the histogram check; a wider kernel cannot run.
     reach = 7.0 * math.sqrt(2.0 * coupling.tau)
     if "position" in branches and reach > pgrid.hi - pgrid.lo:
@@ -620,8 +643,12 @@ def run_table1_report(params: dict, tol: dict):
     half = params["grid_halfwidth"]
     xgrid = Grid1D(-half, half, n)
     require_resolved("sigma_x", params["sigma_x"], xgrid)
-    # Both refusals come before the first row runs.
+    # Every refusal comes before the first state is built.
+    _require_fits("'center', 'sigma_x' and 'grid_halfwidth'", params["center"],
+                  params["sigma_x"], xgrid)
+    _require_fits("'grid_halfwidth' (row 4's width-1 q Gaussian)", 0.0, 1.0, xgrid)
     s2 = _momentum_variance(params)
+    wgrid = _wigner_pgrid(params, xgrid, s2, tau, pad=1.0)
     dim = 48  # tail weight ~e^-34 at these widths
     try:
         rho_nb = number_basis_initial_state(1.0, 1.4, dim, hbar=hbar)
@@ -688,8 +715,6 @@ def run_table1_report(params: dict, tol: dict):
             tolerance=max(tol["row2_uncertainty_qm"], tol["row2_uncertainty_cm"]))
 
     # Row 3: both final reduced states grow the momentum variance by 2*tau.
-    p_half = 8.0 * np.sqrt(s2 + 2.0 * tau) + 1.0
-    wgrid = Grid1D(-p_half, p_half, n)
     spec = WignerEvolutionSpec(A=lambda x: x, tau=tau)
     qm_row3 = _variance(wgrid, momentum_marginals(rho_qm, spec, wgrid, hbar=hbar)[1])
 

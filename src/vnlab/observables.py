@@ -211,6 +211,18 @@ def general_observable(eval, dA_dq, dA_dp) -> ClassicalObservable:
 # Probe and coupling
 # ---------------------------------------------------------------------------
 
+def _normal_density(x, s2: float) -> np.ndarray:
+    """exp(-0.5 * x * x / s2) / sqrt(2 pi s2) in one output buffer, in that order of
+    operations: bit for bit the plain formula, ``x`` unmodified, a NumPy scalar for 0-d."""
+    q = np.asarray(x, dtype=float)
+    out = np.multiply(-0.5, q, out=np.empty(q.shape))
+    out *= q
+    out /= s2
+    np.exp(out, out=out)
+    out /= np.sqrt(2.0 * np.pi * s2)
+    return out if out.ndim else out[()]
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
     """Zero-mean Gaussian probe: position width sigma_Q, momentum width sigma_P.
@@ -229,20 +241,8 @@ class ProbeSpec:
             raise InvariantViolation("sigma_P must be >= 0")
 
     def position_density(self, Q) -> np.ndarray:
-        """exp(-Q^2 / (2 s2)) / sqrt(2 pi s2), evaluated in one output buffer.
-
-        The operations run in the order of that expression, so the values are
-        bit for bit those of the plain formula; ``Q`` itself is not modified.
-        A 0-d or scalar ``Q`` gives a NumPy scalar.
-        """
-        q = np.asarray(Q, dtype=float)
-        s2 = self.sigma_Q**2
-        out = np.multiply(-0.5, q, out=np.empty(q.shape))
-        out *= q
-        out /= s2
-        np.exp(out, out=out)
-        out /= np.sqrt(2.0 * np.pi * s2)
-        return out if out.ndim else out[()]
+        """The normal density of variance sigma_Q^2 (``_normal_density``)."""
+        return _normal_density(Q, self.sigma_Q**2)
 
     def pointer_density(self, Q, values, weights, epsilon: float) -> np.ndarray:
         """The pointer record sum_k weights[k] * rho_pi(Q - epsilon * values[k]).
@@ -275,9 +275,7 @@ class ProbeSpec:
     def momentum_density(self, P) -> np.ndarray:
         if self.sigma_P == 0.0:
             raise InvariantViolation("sigma_P = 0 probe has no momentum density")
-        p = np.asarray(P, dtype=float)
-        s2 = self.sigma_P**2
-        return np.exp(-0.5 * p * p / s2) / np.sqrt(2.0 * np.pi * s2)
+        return _normal_density(P, self.sigma_P**2)
 
     def position_wavefunction(self, Q) -> np.ndarray:
         """Pure Gaussian whose |chi|^2 has standard deviation sigma_Q."""

@@ -203,24 +203,20 @@ class AngleActionDensity:
 # Interpolation and the canonical transform
 # ---------------------------------------------------------------------------
 
-def _spline(xnodes, ynodes, values) -> RectBivariateSpline:
-    return RectBivariateSpline(xnodes, ynodes, values, kx=3, ky=3, s=0)
+def _sample(xnodes, ynodes, values, x, y) -> np.ndarray:
+    """Bicubic-spline samples of ``values`` at the points (x, y), clipped at zero.
+
+    Points outside the nodes' rectangle evaluate to 0 (compact-support convention).
+    """
+    out = RectBivariateSpline(xnodes, ynodes, values, kx=3, ky=3, s=0).ev(x.ravel(), y.ravel())
+    inside = (x >= xnodes[0]) & (x <= xnodes[-1]) & (y >= ynodes[0]) & (y <= ynodes[-1])
+    return np.clip(np.where(inside, out.reshape(x.shape), 0.0), 0.0, None)
 
 
 def sample_phase_density(rho: PhaseSpaceDensity, q_pts, p_pts) -> np.ndarray:
-    """Cubic-spline samples of rho at arbitrary points, clipped at zero.
-
-    Points outside the grid evaluate to 0 (compact-support convention).
-    """
-    sp = _spline(rho.qgrid.nodes, rho.pgrid.nodes, rho.values)
-    q = np.asarray(q_pts, dtype=float)
-    p = np.asarray(p_pts, dtype=float)
-    out = sp.ev(q.ravel(), p.ravel()).reshape(q.shape)
-    inside = (
-        (q >= rho.qgrid.lo) & (q <= rho.qgrid.hi)
-        & (p >= rho.pgrid.lo) & (p <= rho.pgrid.hi)
-    )
-    return np.clip(np.where(inside, out, 0.0), 0.0, None)
+    """Cubic-spline samples of rho at arbitrary points (``_sample``)."""
+    q, p = np.asarray(q_pts, dtype=float), np.asarray(p_pts, dtype=float)
+    return _sample(rho.qgrid.nodes, rho.pgrid.nodes, rho.values, q, p)
 
 
 def to_angle_action(
@@ -253,10 +249,9 @@ def from_angle_action(aa: AngleActionDensity, qgrid: Grid1D, pgrid: Grid1D) -> P
     tnodes = aa.thetagrid.nodes
     text = np.concatenate([tnodes[-pad:] - TWO_PI, tnodes, tnodes[:pad] + TWO_PI])
     vext = np.concatenate([aa.values[:, -pad:], aa.values, aa.values[:, :pad]], axis=1)
-    sp = _spline(aa.xigrid.nodes, text, vext)
-    vals = sp.ev(xi.ravel(), theta.ravel()).reshape(xi.shape)
-    vals = np.where(xi <= aa.xigrid.hi, vals, 0.0)
-    return PhaseSpaceDensity(qgrid, pgrid, _Handover(np.clip(vals, 0.0, None))).normalized()
+    # Outside xi <= xi_max reads 0: xi >= 0, and theta lies within the padded nodes.
+    vals = _sample(aa.xigrid.nodes, text, vext, xi, theta)
+    return PhaseSpaceDensity(qgrid, pgrid, _Handover(vals)).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,10 @@ class WignerEvolutionSpec:
         y = np.asarray(y, dtype=float)
         return self.A(q + 0.5 * y) - self.A(q - 0.5 * y)
 
+    def damping(self, q, y, hbar: float) -> np.ndarray:
+        """The channel's factor exp(-tau DeltaA(q, y)^2 / hbar^2) on the y-integrand."""
+        return np.exp(-self.tau * self.delta_A(q, y) ** 2 / hbar**2)
+
 
 def _antidiagonals(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     """Separations y_m = 2hm and the anti-diagonals of rho for offsets m >= 0.
@@ -124,14 +128,6 @@ def _phase_matrix(y: np.ndarray, pgrid: Grid1D, hbar: float) -> np.ndarray:
     return trig
 
 
-def _damp(
-    D: np.ndarray, spec: WignerEvolutionSpec, qgrid: Grid1D, y: np.ndarray, hbar: float
-) -> None:
-    """Multiply the anti-diagonals in place by the channel's exp(-tau DeltaA^2 / hbar^2)."""
-    dA = spec.delta_A(qgrid.nodes[None, :], y[:, None])
-    D *= np.exp(-spec.tau * dA**2 / hbar**2)
-
-
 def _wigner_from_antidiagonals(
     y: np.ndarray, D: np.ndarray, qgrid: Grid1D, pgrid: Grid1D, hbar: float
 ) -> WignerFunction:
@@ -154,7 +150,7 @@ def evolved_wigner(
     A(x) = x this is a Gaussian convolution in p of variance 2*tau.
     """
     y, D = _antidiagonals(rho)
-    _damp(D, spec, rho.grid, y, hbar)
+    D *= spec.damping(rho.grid.nodes, y[:, None], hbar)
     return _wigner_from_antidiagonals(y, D, rho.grid, pgrid, hbar)
 
 
@@ -172,7 +168,7 @@ def momentum_marginals(
     y, D = _antidiagonals(rho)
     rows = D.reshape(2 * y.size, rho.dim)  # a view: the damping below reaches it
     before = rows @ rho.grid.weights
-    _damp(D, spec, rho.grid, y, hbar)
+    D *= spec.damping(rho.grid.nodes, y[:, None], hbar)
     after = rows @ rho.grid.weights
     marginals = np.stack([before, after]) @ _phase_matrix(y, pgrid, hbar) / (2.0 * np.pi * hbar)
     return marginals[0], marginals[1]

@@ -1,5 +1,6 @@
 """Independent oracles: the pointer smear, the quadrature kernel, the Wigner
-equation, and the classical diffusions as they were first computed.
+equation, the classical diffusions and the spline samplers as they were first
+computed.
 
 Each computes a quantity a second way, from its definition, so that the
 package's closed forms and exact solves can be checked against it.
@@ -10,9 +11,12 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.interpolate import RectBivariateSpline
 from scipy.ndimage import convolve1d
 
 from vnlab import CouplingParams, ProbeSpec, SpectralObservable
+from vnlab.grids import TWO_PI, Grid1D
+from vnlab.states import AngleActionDensity, PhaseSpaceDensity, _Handover
 from vnlab.wigner import WignerEvolutionSpec, WignerFunction
 
 
@@ -135,3 +139,40 @@ def angle_solve_reference(values: np.ndarray, rate: np.ndarray, tau: float) -> n
     modes = np.rint(n * np.fft.fftfreq(n)).astype(int)
     damped = c * np.exp(-tau * np.asarray(rate)[:, None] * modes[None, :] ** 2)
     return np.real(np.fft.ifft(damped * n, axis=1))
+
+
+def sample_phase_density_reference(rho: PhaseSpaceDensity, q_pts, p_pts) -> np.ndarray:
+    """Cubic-spline samples of rho, 0 outside the grid's rectangle, clipped at zero.
+
+    The original inline sampler, oracle of ``vnlab.states.sample_phase_density``.
+    """
+    sp = RectBivariateSpline(rho.qgrid.nodes, rho.pgrid.nodes, rho.values, kx=3, ky=3, s=0)
+    q = np.asarray(q_pts, dtype=float)
+    p = np.asarray(p_pts, dtype=float)
+    out = sp.ev(q.ravel(), p.ravel()).reshape(q.shape)
+    inside = (
+        (q >= rho.qgrid.lo) & (q <= rho.qgrid.hi)
+        & (p >= rho.pgrid.lo) & (p <= rho.pgrid.hi)
+    )
+    return np.clip(np.where(inside, out, 0.0), 0.0, None)
+
+
+def from_angle_action_reference(
+    aa: AngleActionDensity, qgrid: Grid1D, pgrid: Grid1D
+) -> PhaseSpaceDensity:
+    """The original inline inverse resampling, oracle of ``vnlab.states.from_angle_action``.
+
+    A spline over the theta nodes padded periodically by 4 on each side, masked
+    to 0 beyond xi_max, clipped at zero and renormalized.
+    """
+    qq, pp = np.meshgrid(qgrid.nodes, pgrid.nodes, indexing="ij")
+    xi = 0.5 * (qq**2 + pp**2)
+    theta = np.mod(np.arctan2(pp, qq), TWO_PI)
+    pad = 4
+    tnodes = aa.thetagrid.nodes
+    text = np.concatenate([tnodes[-pad:] - TWO_PI, tnodes, tnodes[:pad] + TWO_PI])
+    vext = np.concatenate([aa.values[:, -pad:], aa.values, aa.values[:, :pad]], axis=1)
+    sp = RectBivariateSpline(aa.xigrid.nodes, text, vext, kx=3, ky=3, s=0)
+    vals = sp.ev(xi.ravel(), theta.ravel()).reshape(xi.shape)
+    vals = np.where(xi <= aa.xigrid.hi, vals, 0.0)
+    return PhaseSpaceDensity(qgrid, pgrid, _Handover(np.clip(vals, 0.0, None))).normalized()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vnlab
-from vnlab import cli
+from vnlab import cli, qm
 from vnlab.cli import (
     COUPLING_PAIR,
     DEFAULT_PARAMETERS,
@@ -29,6 +29,7 @@ from vnlab.cli import (
 )
 from vnlab.errors import ConfigInvalid
 from vnlab.scenarios import NonNegative, Signed
+from vnlab.wigner import WignerEvolutionSpec
 
 
 class TestConfigValidation:
@@ -258,6 +259,30 @@ class TestExecution:
         scalars = json.loads((tmp_path / "out" / "checks.json").read_text())["scalars"]
         assert abs(scalars["action_expected_A"] - (0.7**2 + 1.3**2) / 2.0) <= 1e-9
 
+    def test_evolve_qm_reads_no_kernel_channel(self, tmp_path, monkeypatch):
+        # The outcome distribution is read from the Wigner channel's factor at
+        # y = 0; the n x n kernel and post-channel matrix are never formed. 65 is
+        # the smallest n_x whose band pi hbar / (2h) = 6.28 holds the default p grid
+        # (+-6.25).
+        def never(*args, **kwargs):
+            raise AssertionError("evolve-qm formed the kernel channel")
+
+        for name in ("decoherence_kernel", "reduced_state_post"):
+            monkeypatch.setattr(cli, name, never, raising=False)
+            monkeypatch.setattr(qm, name, never)
+        cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 65}})
+        assert execute(cfg, tmp_path / "out")["all_passed"]
+
+    def test_outcome_invariance_check_is_not_vacuous(self, tmp_path, monkeypatch):
+        # A(q + y/2) + A(q - y/2) is 2q at y = 0, so the broken channel damps
+        # rho's diagonal and the check must see it.
+        monkeypatch.setattr(WignerEvolutionSpec, "delta_A",
+                            lambda self, q, y: self.A(q + 0.5 * y) + self.A(q - 0.5 * y))
+        cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 65}})
+        checks = {c["description"]: c for c in execute(cfg, tmp_path / "out")["checks"]}
+        invariance = checks["outcome distribution invariance (max drift)"]
+        assert not invariance["passed"] and invariance["measured"] > 1e-3
+
     def test_table1_rows_carry_pass_flags(self, tmp_path):
         cfg = normalize_config("table1-report", {"parameters": {"n_x": 128}})
         execute(cfg, tmp_path / "out")
@@ -407,6 +432,27 @@ class TestMainEntryPoint:
             ("evolve-cm", {"parameters": {"sigma_P": 3.0}}, [], "'sigma_P' and 'tau'"),
             ("mc-compare", {"parameters": {"sigma_P": 20.0, "branch": "position"}}, [],
              "'sigma_P' and 'tau'"),
+            # Wigner momentum grids past pi hbar / (2h), where the folded transform
+            # aliases: the marginal came out flat (variance 7.68 against 0.36), and
+            # row 3 (QM) read 959.8 against 36.25.
+            ("evolve-qm", {"parameters": {"hbar": 0.01}}, [],
+             "'hbar', 'n_x', 'grid_halfwidth' and 'sigma_P'"),
+            ("table1-report", {"parameters": {"sigma_P": 3.0}}, [],
+             "'hbar', 'n_x', 'grid_halfwidth' and 'sigma_P'"),
+            # Gaussians whose center +- 6 widths leave their grid (they used to exit 1
+            # with "run failed: ... grid does not contain ...").
+            ("evolve-cm", {"parameters": {"sigma_q": 2.0}}, [], "'center_q', 'sigma_q'"),
+            ("evolve-cm", {"parameters": {"center_q": 5.0}}, [], "'center_q', 'sigma_q'"),
+            ("evolve-qm", {"parameters": {"sigma_x": 2.0}}, [], "'center_x', 'sigma_x'"),
+            ("evolve-qm", {"parameters": {"center_x": 5.0}}, [], "'center_x', 'sigma_x'"),
+            ("mc-compare", {"parameters": {"sigma_q": 2.0}}, [], "'sigma_q'"),
+            ("mc-compare", {"parameters": {"sigma_p": 2.1, "branch": "position"}}, [],
+             "'sigma_p'"),
+            ("table1-report", {"parameters": {"sigma_x": 2.0}}, [], "'center', 'sigma_x'"),
+            ("table1-report", {"parameters": {"center": 3.0}}, [], "'center', 'sigma_x'"),
+            # Row 4's width-1 q Gaussian needs a half-width of 6; it used to name sigma_q.
+            ("table1-report", {"parameters": {"grid_halfwidth": 5.0, "sigma_x": 0.5}}, [],
+             "'grid_halfwidth'"),
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
@@ -421,8 +467,13 @@ class TestMainEntryPoint:
              "overflowing-widths-gaussian_bessel", "underflowing-hbar-evolve-qm",
              "overflowing-hbar-evolve-qm", "underflowing-hbar-table1",
              "overflowing-hbar-table1", "row4-truncated-hbar-table1",
-             "spilling-sigma_P-evolve-cm", "wide-sigma_P-mc-compare"],
+             "spilling-sigma_P-evolve-cm", "wide-sigma_P-mc-compare",
+             "aliasing-hbar-evolve-qm", "aliasing-sigma_P-table1",
+             "wide-sigma_q-evolve-cm", "off-centre-evolve-cm", "wide-sigma_x-evolve-qm",
+             "off-centre-evolve-qm", "wide-sigma_q-mc-compare", "wide-sigma_p-mc-compare",
+             "wide-sigma_x-table1", "off-centre-table1", "narrow-grid-row4-table1"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
         argv = [command, "--out", str(tmp_path / "o"), *extra]
         if config is not None:

@@ -34,10 +34,12 @@ from vnlab.states import (
     _Handover,
     delta_width,
     phase_density_from_values,
+    sample_phase_density,
     superposition_wavefunction,
 )
 
 from helpers import density_variance, random_gaussian_mixture
+from oracles import from_angle_action_reference, sample_phase_density_reference
 
 
 class TestGrids:
@@ -166,6 +168,53 @@ class TestAngleActionTransform:
         back = from_angle_action(aa, g, g)
         l1 = float(g.weights @ np.abs(back.values - rho.values) @ g.weights)
         assert l1 < 1e-4
+
+
+class TestSplineSampler:
+    """``_sample`` serves both resamplings, bit for bit as their original inline code.
+
+    The references are ``tests/oracles.py``'s copies of that code. Random data
+    makes the splines overshoot below zero, so the clip is exercised too.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_q=st.integers(4, 40), n_p=st.integers(4, 40),
+           q_lo=st.floats(-6.0, -0.1), q_hi=st.floats(0.1, 6.0),
+           p_lo=st.floats(-6.0, -0.1), p_hi=st.floats(0.1, 6.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sample_phase_density(self, n_q, n_p, q_lo, q_hi, p_lo, p_hi, seed):
+        rng = np.random.default_rng(seed)
+        rho = PhaseSpaceDensity(Grid1D(q_lo, q_hi, n_q), Grid1D(p_lo, p_hi, n_p),
+                                rng.random((n_q, n_p)))
+        # Points over twice each span, so that about half fall outside the grid,
+        # and points on each edge and one ulp beyond it.
+        q = rng.uniform(1.5 * q_lo - 0.5 * q_hi, 1.5 * q_hi - 0.5 * q_lo, 120)
+        p = rng.uniform(1.5 * p_lo - 0.5 * p_hi, 1.5 * p_hi - 0.5 * p_lo, 120)
+        edges_q = [q_lo, q_hi, np.nextafter(q_lo, -np.inf), np.nextafter(q_hi, np.inf)]
+        edges_p = [p_lo, p_hi, np.nextafter(p_lo, -np.inf), np.nextafter(p_hi, np.inf)]
+        q[:4], p[4:8] = edges_q, edges_p
+        q, p = q.reshape(8, 15), p.reshape(8, 15)
+        assert np.array_equal(sample_phase_density(rho, q, p),
+                              sample_phase_density_reference(rho, q, p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_xi=st.integers(4, 40), n_theta=st.integers(8, 48), reach=st.floats(0.5, 6.0),
+           n_q=st.integers(4, 40), n_p=st.integers(4, 40),
+           q_lo=st.floats(-1.6, -0.3), q_hi=st.floats(0.3, 1.6),
+           p_lo=st.sampled_from([-1e-17, -0.0, 0.0]) | st.floats(-1.6, -0.3),
+           p_hi=st.floats(0.3, 1.6), seed=st.integers(0, 2**32 - 1))
+    def test_from_angle_action(self, n_xi, n_theta, reach, n_q, n_p, q_lo, q_hi, p_lo, p_hi,
+                               seed):
+        # Grids up to 1.6 times the xi disc's radius put nodes beyond xi_max. A p
+        # grid from 0, -0 or -1e-17 puts a row on the theta seam: theta = 0 and pi
+        # on either side of q = 0, and 2 pi - 1e-17 rounded to 2 pi.
+        rng = np.random.default_rng(seed)
+        aa = AngleActionDensity(Grid1D(0.0, 0.5 * reach**2, n_xi), PeriodicGrid(n_theta),
+                                rng.random((n_xi, n_theta)))
+        qgrid = Grid1D(q_lo * reach, q_hi * reach, n_q)
+        pgrid = Grid1D(p_lo * reach, p_hi * reach, n_p)
+        assert np.array_equal(from_angle_action(aa, qgrid, pgrid).values,
+                              from_angle_action_reference(aa, qgrid, pgrid).values)
 
 
 class TestDensityOperator:

@@ -131,14 +131,17 @@ class TestProbeSpec:
         ids=["float array", "int array", "0-d array", "python float"],
     )
     def test_position_density_is_bitwise_the_plain_formula(self, Q):
-        probe = ProbeSpec(sigma_Q=0.37, sigma_P=0.5)
+        # Both probe densities are the one in-buffer normal density. Neither width is
+        # a power of two, so that a reordered formula rounds differently.
+        probe = ProbeSpec(sigma_Q=0.37, sigma_P=0.53)
         before = np.array(Q, copy=True)
-        out = probe.position_density(Q)
         q = np.asarray(Q, dtype=float)
-        s2 = 0.37**2
-        assert np.array_equal(out, np.exp(-0.5 * q * q / s2) / np.sqrt(2.0 * np.pi * s2))
-        assert np.shape(out) == np.shape(Q)
-        assert np.array_equal(Q, before)
+        for density, width in ((probe.position_density, 0.37), (probe.momentum_density, 0.53)):
+            out = density(Q)
+            s2 = width**2
+            assert np.array_equal(out, np.exp(-0.5 * q * q / s2) / np.sqrt(2.0 * np.pi * s2))
+            assert np.shape(out) == np.shape(Q)
+            assert np.array_equal(Q, before)
 
     def test_wavefunction_squares_to_density(self):
         probe = ProbeSpec(sigma_Q=0.7, sigma_P=0.5)
