@@ -45,7 +45,7 @@ from .cm import (
     reduced_state_post_cm,
 )
 from .errors import ConfigInvalid, TruncationTooSmall, VnLabError
-from .grids import Grid1D
+from .grids import Grid1D, _Handover
 from .heisenberg import (
     flow_action,
     flow_position,
@@ -86,6 +86,7 @@ from .states import (
     expectation,
     gaussian_wavepacket,
     phase_density_from_values,
+    require_fits,
     to_angle_action,
 )
 from .wigner import WignerEvolutionSpec, momentum_marginals
@@ -410,13 +411,27 @@ def _wigner_pgrid(params: dict, xgrid: Grid1D, s2: float, tau: float, pad: float
     return Grid1D(-p_half, p_half, int(params["n_x"]))
 
 
-def _require_fits(fields: str, center: float, sigma: float, grid: Grid1D) -> None:
-    """Refuse (ConfigInvalid, naming ``fields``) a Gaussian whose center +- 6 sigma
-    leaves ``grid``: the state builders' bound, checked before any state is built."""
-    lo, hi = center - 6 * sigma, center + 6 * sigma
-    if lo < grid.lo or hi > grid.hi:
-        raise ConfigInvalid(f"{fields}: the Gaussian's center +- 6 widths [{lo:.4g}, {hi:.4g}] "
-                            f"leaves its grid [{grid.lo:.4g}, {grid.hi:.4g}]")
+# A command's estimated peak memory, in bytes, from its size fields: the slope of
+# its traced peak (tracemalloc) between two small sizes, rounded up. The
+# intercepts, at most 14 MB, are left out. ``_execute`` refuses an estimate past
+# MEMORY_BUDGET before any array is allocated.
+MEMORY_BUDGET = 4 * 2**30
+PEAK_BYTES = {
+    "evolve-qm": ("'n_x'", lambda p: 45.0 * p["n_x"] * p["n_x"]),
+    "table1-report": ("'n_x'", lambda p: 49.0 * p["n_x"] * p["n_x"]),
+    "evolve-cm": ("'n_q' and 'n_p'", lambda p: 23.0 * p["n_q"] * p["n_p"]),
+    "mc-compare": ("'n_samples'", lambda p: 128.0 * p["n_samples"]),
+}
+
+
+def _require_memory(command: str, params: dict) -> None:
+    """Refuse (ConfigInvalid, naming the size fields) a peak estimate past MEMORY_BUDGET."""
+    if command in PEAK_BYTES:
+        fields, estimate = PEAK_BYTES[command]
+        peak = estimate(params)
+        if peak > MEMORY_BUDGET:
+            raise ConfigInvalid(f"{fields}: the estimated peak memory {peak / 2**30:.5g} GiB "
+                                f"exceeds the budget of {MEMORY_BUDGET / 2**30:g} GiB")
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +456,8 @@ def run_evolve_qm(params: dict, tol: dict):
     hbar = params["hbar"]
     xgrid = Grid1D(-params["grid_halfwidth"], params["grid_halfwidth"], int(params["n_x"]))
     require_resolved("sigma_x", params["sigma_x"], xgrid)
-    _require_fits("'center_x', 'sigma_x' and 'grid_halfwidth'", params["center_x"],
-                  params["sigma_x"], xgrid)
+    require_fits("'center_x', 'sigma_x' and 'grid_halfwidth'", params["center_x"],
+                 params["sigma_x"], xgrid)
     s2 = _momentum_variance(params)
     pgrid = _wigner_pgrid(params, xgrid, s2, coupling.tau)
     psi = gaussian_wavepacket(xgrid, center=params["center_x"], sigma_x=params["sigma_x"], hbar=hbar)
@@ -496,8 +511,8 @@ def run_evolve_cm(params: dict, tol: dict):
     pgrid = Grid1D(-params["grid_halfwidth_p"], params["grid_halfwidth_p"], int(params["n_p"]))
     require_resolved("sigma_q", params["sigma_q"], qgrid)
     require_resolved("sigma_p", params["sigma_p"], pgrid)
-    _require_fits("'center_q', 'sigma_q' and 'grid_halfwidth_q'", params["center_q"],
-                  params["sigma_q"], qgrid)
+    require_fits("'center_q', 'sigma_q' and 'grid_halfwidth_q'", params["center_q"],
+                 params["sigma_q"], qgrid)
     spread = 6.0 * math.hypot(params["sigma_p"], math.sqrt(2.0 * coupling.tau))
     if spread > pgrid.hi:  # build_gaussian_phase_density's 6-width rule, once diffused
         raise ConfigInvalid(f"'sigma_p', 'sigma_P' and 'tau': the diffused spread 6 sqrt(sigma_p^2 "
@@ -570,7 +585,7 @@ def run_mc_compare(params: dict, tol: dict):
     for branch in branches:
         for name, axis_grid in zip(("sigma_q", "sigma_p"), branch_grids[branch]):
             require_resolved(name, params[name], axis_grid)
-            _require_fits(repr(name), 0.0, params[name], axis_grid)
+            require_fits(repr(name), 0.0, params[name], axis_grid)
     # Spill off the p grid is counted by the histogram check; a wider kernel cannot run.
     reach = 7.0 * math.sqrt(2.0 * coupling.tau)
     if "position" in branches and reach > pgrid.hi - pgrid.lo:
@@ -644,9 +659,9 @@ def run_table1_report(params: dict, tol: dict):
     xgrid = Grid1D(-half, half, n)
     require_resolved("sigma_x", params["sigma_x"], xgrid)
     # Every refusal comes before the first state is built.
-    _require_fits("'center', 'sigma_x' and 'grid_halfwidth'", params["center"],
-                  params["sigma_x"], xgrid)
-    _require_fits("'grid_halfwidth' (row 4's width-1 q Gaussian)", 0.0, 1.0, xgrid)
+    require_fits("'center', 'sigma_x' and 'grid_halfwidth'", params["center"],
+                 params["sigma_x"], xgrid)
+    require_fits("'grid_halfwidth' (row 4's width-1 q Gaussian)", 0.0, 1.0, xgrid)
     s2 = _momentum_variance(params)
     wgrid = _wigner_pgrid(params, xgrid, s2, tau, pad=1.0)
     dim = 48  # tail weight ~e^-34 at these widths
@@ -689,7 +704,7 @@ def run_table1_report(params: dict, tol: dict):
 
     # Row 2: pointer resolution scale sigma_Q / epsilon on both sides.
     two_level = SpectralObservable.from_diagonal(np.array([0.0, 1.0]))
-    rho2 = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
+    rho2 = DensityOperator(_Handover(np.diag([1.0, 0.0]).astype(complex)))
     Q2 = Grid1D(-8 * probe.sigma_Q, 8 * probe.sigma_Q, 2048)
     p2 = pointer_distribution(rho2, two_level, probe, coupling, Q2)
     qm_row2 = float(np.sqrt(_variance(Q2, p2))) / eps
@@ -850,6 +865,7 @@ def _execute(command: str, raw, out_dir: Path, seed: int | None,
             raise ConfigInvalid(f"command {command!r} takes no 'seed'")
         params["seed"] = _checked("seed", seed, spec["seed"])
     config["tolerances"] = resolve_tolerances(command, config, tolerance_overrides)
+    _require_memory(command, params)
     checks, scalars, tables = RUNNERS[command](params, config["tolerances"])
 
     out_dir = Path(out_dir)

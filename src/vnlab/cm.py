@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NegligibleProbability, UnsupportedObservable
-from .grids import TWO_PI, Grid1D, grid2d_integrate
+from .grids import TWO_PI, Grid1D, _Handover, grid2d_integrate
 from .observables import (
     KIND_ACTION,
     KIND_GENERAL,
@@ -29,7 +29,6 @@ from .observables import (
 from .states import (
     AngleActionDensity,
     PhaseSpaceDensity,
-    _Handover,
     distribution_of_A,
     expectation,
     from_angle_action,

@@ -13,10 +13,6 @@ class LeakageBudgetExceeded(InvariantViolation):
     """Too much probability mass sits in the outer band of a grid."""
 
 
-class GridTooNarrow(VnLabError):
-    """A requested state does not fit inside the grid with safe margins."""
-
-
 class ShapeMismatch(VnLabError):
     """Array shapes or grids of two objects do not line up."""
 
@@ -51,3 +47,7 @@ class TruncationTooSmall(VnLabError):
 
 class ConfigInvalid(VnLabError):
     """A run configuration failed validation; the message names the field."""
+
+
+class GridTooNarrow(ConfigInvalid):
+    """A requested state does not fit inside the grid with safe margins."""

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvariantViolation, NonHermitianObservable
-from .grids import Grid1D
+from .grids import Grid1D, _freeze, _Handover
 
 ArrayMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -47,15 +47,13 @@ class SpectralObservable:
     block_index: np.ndarray
 
     def __post_init__(self):
-        # Copies: freezing the caller's array would make it read-only too.
-        ev = np.array(self.eigenvalues, dtype=float)
-        ev.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", ev)
+        ev = _freeze(self.eigenvalues, float)
         if np.any(np.diff(ev) <= 0):
             raise InvariantViolation("eigenvalues must be strictly ascending")
-        bi = np.array(self.block_index, dtype=int)
-        bi.flags.writeable = False
-        object.__setattr__(self, "block_index", bi)
+        object.__setattr__(self, "eigenvalues", ev)
+        if self.basis is not None:
+            object.__setattr__(self, "basis", _freeze(self.basis, None))
+        object.__setattr__(self, "block_index", _freeze(self.block_index, int))
 
     # -- constructors ------------------------------------------------------
 
@@ -73,7 +71,8 @@ class SpectralObservable:
         block_index = np.empty(len(vals), dtype=int)
         for n, g in enumerate(groups):
             block_index[g] = n
-        return cls(eigenvalues, basis=vecs, block_index=block_index)
+        return cls(_Handover(eigenvalues), basis=_Handover(vecs),
+                   block_index=_Handover(block_index))
 
     @classmethod
     def from_diagonal(cls, values) -> "SpectralObservable":
@@ -82,10 +81,7 @@ class SpectralObservable:
         Used for the continuous-spectrum case discretized on a position grid:
         each grid node is one eigenvalue. No dense projectors are stored.
         """
-        v = np.asarray(values, dtype=float)
-        if np.any(np.diff(v) <= 0):
-            raise InvariantViolation("diagonal values must be strictly ascending")
-        return cls(v, basis=None, block_index=np.arange(v.size))
+        return cls(values, basis=None, block_index=_Handover(np.arange(np.size(values))))
 
     # -- derived quantities ------------------------------------------------
 

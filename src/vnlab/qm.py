@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, KernelMismatch, NegligibleProbability
-from .grids import Grid1D
+from .grids import Grid1D, _freeze, _Handover
 from .observables import CouplingParams, ProbeSpec, SpectralObservable, require_hermitian
-from .states import DensityOperator, _Handover
+from .states import DensityOperator
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,8 @@ class DecoherenceKernel:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        # A read-only view of the n x n factors (not a copy) and a copy of the eigenvalues.
-        g = np.asarray(self.gmn, dtype=float).view()
-        g.flags.writeable = False
-        object.__setattr__(self, "gmn", g)
-        ev = np.array(self.eigenvalues, dtype=float)
-        ev.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", ev)
+        object.__setattr__(self, "gmn", _freeze(self.gmn, float))
+        object.__setattr__(self, "eigenvalues", _freeze(self.eigenvalues, float))
 
 
 def decoherence_kernel(
@@ -45,7 +40,7 @@ def decoherence_kernel(
     a = obs.eigenvalues
     diff = a[:, None] - a[None, :]
     g = np.exp(-coupling.tau * diff**2 / hbar**2)
-    return DecoherenceKernel(gmn=g, eigenvalues=a)
+    return DecoherenceKernel(gmn=_Handover(g), eigenvalues=a)
 
 
 def born_weights(rho_s: DensityOperator, obs: SpectralObservable) -> np.ndarray:

@@ -33,41 +33,12 @@ from .errors import (
     ShapeMismatch,
     UnsupportedObservable,
 )
-from .grids import TWO_PI, Grid1D, PeriodicGrid, grid2d_integrate
+from .grids import TWO_PI, Grid1D, PeriodicGrid, _freeze, _Handover, grid2d_integrate
 from .observables import KIND_POSITION, ClassicalObservable
 
 LEAKAGE_BUDGET = 1e-6
 # Largest |rho - rho^H| entry a density matrix may have.
 HERMITIAN_TOLERANCE = 1e-12
-
-
-class _Handover:
-    """An array the package has just computed, handed to a state constructor.
-
-    The state freezes it in place instead of copying it. Wrap only a result
-    that nothing else refers to, never a caller's array or a view of one.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
-
-
-def _freeze(a, dtype) -> np.ndarray:
-    """A read-only C-contiguous array of ``a``'s values as ``dtype``.
-
-    Any array but a ``_Handover`` is copied, which keeps a state immutable: a
-    view of the caller's array cannot write into it, and the caller's array
-    stays writeable. A ``_Handover`` is frozen in place (converted only if its
-    dtype or layout differ).
-    """
-    if isinstance(a, _Handover):
-        a = np.ascontiguousarray(a.array, dtype=dtype)
-    else:
-        a = np.array(a, dtype=dtype, order="C")
-    a.flags.writeable = False
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +103,15 @@ def phase_density_from_values(qgrid, pgrid, values, normalize=True) -> PhaseSpac
     return PhaseSpaceDensity(qgrid, pgrid, _Handover(v))
 
 
+def require_fits(fields: str, center: float, sigma: float, grid: Grid1D) -> None:
+    """Refuse (GridTooNarrow, naming ``fields``) a Gaussian whose center +- 6 sigma
+    leaves ``grid``; inside it, the truncated mass stays near machine level."""
+    lo, hi = center - 6 * sigma, center + 6 * sigma
+    if lo < grid.lo or hi > grid.hi:
+        raise GridTooNarrow(f"{fields}: the Gaussian's center +- 6 widths [{lo:.4g}, {hi:.4g}] "
+                            f"leaves its grid [{grid.lo:.4g}, {grid.hi:.4g}]")
+
+
 def build_gaussian_phase_density(
     qgrid: Grid1D,
     pgrid: Grid1D,
@@ -140,15 +120,9 @@ def build_gaussian_phase_density(
     center_q: float = 0.0,
     center_p: float = 0.0,
 ) -> PhaseSpaceDensity:
-    """Product Gaussian, normalized on the grid.
-
-    Raises GridTooNarrow unless +-6 sigma around the center fits inside both
-    grids, which keeps truncated mass near machine level.
-    """
-    if center_q - 6 * sigma_q < qgrid.lo or center_q + 6 * sigma_q > qgrid.hi:
-        raise GridTooNarrow("q grid does not contain center +- 6 sigma_q")
-    if center_p - 6 * sigma_p < pgrid.lo or center_p + 6 * sigma_p > pgrid.hi:
-        raise GridTooNarrow("p grid does not contain center +- 6 sigma_p")
+    """Product Gaussian, normalized on the grid; both axes must fit (``require_fits``)."""
+    require_fits("'center_q' and 'sigma_q'", center_q, sigma_q, qgrid)
+    require_fits("'center_p' and 'sigma_p'", center_p, sigma_p, pgrid)
     gq = np.exp(-0.5 * ((qgrid.nodes - center_q) / sigma_q) ** 2)
     gp = np.exp(-0.5 * ((pgrid.nodes - center_p) / sigma_p) ** 2)
     values = np.outer(gq, gp) / (TWO_PI * sigma_q * sigma_p)
@@ -327,9 +301,8 @@ def density_from_wavefunction(psi, grid: Grid1D) -> DensityOperator:
 
 
 def gaussian_wavepacket(grid: Grid1D, center=0.0, momentum=0.0, sigma_x=1.0, hbar=1.0):
-    """Minimum-uncertainty packet: |psi|^2 has standard deviation sigma_x."""
-    if center - 6 * sigma_x < grid.lo or center + 6 * sigma_x > grid.hi:
-        raise GridTooNarrow("grid does not contain the packet +- 6 sigma_x")
+    """Minimum-uncertainty packet: |psi|^2 has standard deviation sigma_x (``require_fits``)."""
+    require_fits("'center' and 'sigma_x'", center, sigma_x, grid)
     x = grid.nodes
     psi = (2.0 * np.pi * sigma_x**2) ** (-0.25) * np.exp(
         -((x - center) ** 2) / (4.0 * sigma_x**2) + 1j * momentum * x / hbar

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BasisMismatch, InvariantViolation, ShapeMismatch
-from .grids import Grid1D, grid2d_integrate
+from .grids import Grid1D, _freeze, _Handover, grid2d_integrate
 from .states import HERMITIAN_TOLERANCE, DensityOperator
 
 
@@ -42,12 +42,9 @@ class WignerFunction:
     hbar: float = 1.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _freeze(self.values, float)
         if v.shape != (self.qgrid.n, self.pgrid.n):
             raise ShapeMismatch("Wigner values do not match the (q, p) grids")
-        # A read-only view, not a copy: the caller's array stays writeable.
-        v = np.ascontiguousarray(v).view()
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def normalization(self) -> float:
@@ -132,7 +129,7 @@ def _wigner_from_antidiagonals(
     y: np.ndarray, D: np.ndarray, qgrid: Grid1D, pgrid: Grid1D, hbar: float
 ) -> WignerFunction:
     values = D.reshape(2 * y.size, qgrid.n).T @ _phase_matrix(y, pgrid, hbar)  # (n_q, n_p)
-    return WignerFunction(qgrid, pgrid, values, hbar=hbar)
+    return WignerFunction(qgrid, pgrid, _Handover(values), hbar=hbar)
 
 
 def wigner_transform(rho: DensityOperator, pgrid: Grid1D, hbar: float = 1.0) -> WignerFunction:

@@ -406,7 +406,8 @@ class TestMainEntryPoint:
              [], "'sigma_x'"),
             ("run-scenario", {"parameters": {"scenario": "gaussian_bessel", "sigma_qbar": 1e-300}},
              [], "'sigma_qbar'"),
-            # Below the step 32/511 of the 512-node Cartesian grid of the resampling route.
+            # Below the step 32/511 of the 512-node Cartesian grid of the resampling route;
+            # at sigma_pbar 2 the width ratio is 40, so the ratio rule refuses it first.
             ("run-scenario", {"parameters": {"scenario": "gaussian_bessel", "sigma_qbar": 0.05}},
              [], "'sigma_qbar'"),
             # Squeezed beyond 64 levels (the trace used to come out NaN); the refusal names
@@ -453,6 +454,10 @@ class TestMainEntryPoint:
             # Row 4's width-1 q Gaussian needs a half-width of 6; it used to name sigma_q.
             ("table1-report", {"parameters": {"grid_halfwidth": 5.0, "sigma_x": 0.5}}, [],
              "'grid_halfwidth'"),
+            # Width ratio 25: the resampling route's L1 reads 2.75e-3 against its 1e-3 budget.
+            ("run-scenario", {"parameters": {"scenario": "gaussian_bessel", "sigma_qbar": 1.0,
+                                             "sigma_pbar": 25.0}},
+             [], "'sigma_qbar' and 'sigma_pbar'"),
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
@@ -471,7 +476,8 @@ class TestMainEntryPoint:
              "aliasing-hbar-evolve-qm", "aliasing-sigma_P-table1",
              "wide-sigma_q-evolve-cm", "off-centre-evolve-cm", "wide-sigma_x-evolve-qm",
              "off-centre-evolve-qm", "wide-sigma_q-mc-compare", "wide-sigma_p-mc-compare",
-             "wide-sigma_x-table1", "off-centre-table1", "narrow-grid-row4-table1"],
+             "wide-sigma_x-table1", "off-centre-table1", "narrow-grid-row4-table1",
+             "width-ratio-25-gaussian_bessel"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
@@ -506,6 +512,47 @@ class TestMainEntryPoint:
         assert "'sigma_qbar', 'sigma_pbar' and 'dim'" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, sizes, named",
+        [
+            ("evolve-qm", {"n_x": 10**6}, "'n_x'"),
+            ("table1-report", {"n_x": 10**6}, "'n_x'"),
+            ("evolve-cm", {"n_q": 10**6, "n_p": 10**6}, "'n_q' and 'n_p'"),
+            ("mc-compare", {"n_samples": 10**12}, "'n_samples'"),
+        ],
+        ids=["evolve-qm", "table1-report", "evolve-cm", "mc-compare"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_memory_guard_refuses_before_running(self, tmp_path, capsys, monkeypatch, command,
+                                                  sizes, named):
+        # The estimate alone refuses: the command itself must never start at these sizes.
+        def never(params, tol):
+            raise AssertionError(f"{command} ran at {sizes}")
+
+        monkeypatch.setitem(cli.RUNNERS, command, never)
+        assert cli.PEAK_BYTES[command][1](normalize_config(command, {"parameters": sizes})
+                                          ["parameters"]) > 1000 * cli.MEMORY_BUDGET
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"parameters": sizes}))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.out and "budget of 4 GiB" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_memory_guard_boundary(self):
+        # 45 B x n_x^2 crosses 4 GiB between n_x 9769 and 9770; only the estimate runs.
+        cli._require_memory("evolve-qm", {"n_x": 9769})
+        with pytest.raises(ConfigInvalid, match="'n_x'"):
+            cli._require_memory("evolve-qm", {"n_x": 9770})
+
+    def test_memory_guard_admits_the_default_and_benchmark_sizes(self):
+        sizes = {"evolve-qm": {"n_x": 2048}, "table1-report": {"n_x": 2048},
+                 "evolve-cm": {"n_q": 1024, "n_p": 1024}, "mc-compare": {"n_samples": 10**6}}
+        for command, fields in sizes.items():
+            for params in ({}, fields):
+                config = normalize_config(command, {"parameters": params})
+                assert cli.PEAK_BYTES[command][1](config["parameters"]) < cli.MEMORY_BUDGET / 10
 
     def test_evolve_cm_kernel_wider_than_the_p_grid_names_its_cause(self, tmp_path, capsys):
         # sigma_P = 50 at epsilon = 1: the diffused spread 6 sqrt(1 + 2500) =
@@ -560,6 +607,17 @@ class TestMainEntryPoint:
         code = main(["run-scenario", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 0
         assert (tmp_path / "o" / "angle_average.csv").exists()
+
+    @pytest.mark.parametrize("sigma_qbar, sigma_pbar", [(1.0, 20.0), (2.0, 0.1)],
+                             ids=["wide-p", "narrow-p"])
+    def test_gaussian_bessel_at_width_ratio_20_passes(self, tmp_path, sigma_qbar, sigma_pbar):
+        # The largest ratio admitted; its resampling L1 reads 9.84e-4 against 1e-3.
+        config = {"command": "run-scenario", "parameters": {
+            "scenario": "gaussian_bessel", "sigma_qbar": sigma_qbar, "sigma_pbar": sigma_pbar}}
+        manifest = execute(config, tmp_path / "o")
+        assert manifest["all_passed"]
+        l1 = [c for c in manifest["checks"] if "resampling" in c["description"]]
+        assert l1 and 9e-4 < l1[0]["measured"] < 1e-3
 
     def test_console_script_installed(self, tmp_path):
         # Runs the declared entry point the way pip's generated wrapper does,

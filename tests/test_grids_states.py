@@ -65,6 +65,15 @@ class TestGrids:
         g = Grid1D(0.0, 1.0, 11)
         assert delta_width(g) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("grid", [Grid1D(-2.0, 2.0, 5), PeriodicGrid(8)],
+                             ids=["Grid1D", "PeriodicGrid"])
+    def test_nodes_and_weights_are_read_only(self, grid):
+        for array in (grid.nodes, grid.weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert grid.nodes is grid.nodes and grid.weights is grid.weights  # computed once
+
 
 class TestGaussianBuilder:
     def test_origin_value_matches_analytic(self):
@@ -420,3 +429,11 @@ class TestAngleActionDensityType:
         vals = np.exp(-xx) * (1.0 + 0.5 * np.cos(tt))
         aa = AngleActionDensity(xig, tg, vals)
         assert np.allclose(aa.values[:, 0], np.exp(-xig.nodes) * 1.5)
+
+    def test_state_values_are_a_read_only_copy(self):
+        values = np.ones((8, 8))
+        aa = AngleActionDensity(Grid1D(0.0, 1.0, 8), PeriodicGrid(8), values)
+        values[1, 1] = 5.0
+        assert values.flags.writeable
+        assert not aa.values.flags.writeable
+        assert np.array_equal(aa.values, np.ones((8, 8)))

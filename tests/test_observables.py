@@ -51,6 +51,13 @@ class TestSpectralObservable:
         assert np.array_equal(obs.eigenvalues, [0.0, 1.0])
         assert not obs.eigenvalues.flags.writeable and not obs.block_index.flags.writeable
 
+    def test_caller_basis_stays_writeable_and_apart(self):
+        basis = np.array([[0.0, 1.0], [1.0, 0.0]])
+        obs = SpectralObservable([0.0, 1.0], basis=basis, block_index=[0, 1])
+        basis[:] = 0.0
+        assert np.array_equal(obs.matrix(), [[1.0, 0.0], [0.0, 0.0]])
+        assert basis.flags.writeable and not obs.basis.flags.writeable
+
     def test_unsorted_eigenvalues_rejected(self):
         with pytest.raises(InvariantViolation):
             SpectralObservable.from_diagonal([1.0, 0.5])

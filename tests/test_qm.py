@@ -148,13 +148,22 @@ class TestPointerMean:
 
 class TestDecoherenceKernel:
     def test_caller_arrays_stay_writeable(self):
-        # The n x n factors are a read-only view, the eigenvalues a copy.
+        # Both arrays are read-only copies: the caller's stay writeable and apart.
         gmn, eigenvalues = np.eye(2), np.array([0.0, 1.0])
         kernel = DecoherenceKernel(gmn=gmn, eigenvalues=eigenvalues)
         gmn[0, 1] = 0.5
         eigenvalues[0] = -1.0
-        assert kernel.gmn[0, 1] == 0.5 and kernel.eigenvalues[0] == 0.0
+        assert kernel.gmn[0, 1] == 0.0 and kernel.eigenvalues[0] == 0.0
         assert not kernel.gmn.flags.writeable and not kernel.eigenvalues.flags.writeable
+        # Reusing the factors' array cannot change the channel: a view would give the
+        # coherence below 5 * 0.5 = 2.5, which no density matrix has.
+        gmn = np.array([[1.0, 0.2], [0.2, 1.0]])
+        kernel = DecoherenceKernel(gmn=gmn, eigenvalues=[0.0, 1.0])
+        gmn[:] = 5.0
+        assert gmn.flags.writeable
+        rho = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
+        post = reduced_state_post(rho, TWO_LEVEL, kernel)
+        assert post.matrix[0, 1] == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_coupling_gives_unit_kernel(self):
         coupling = CouplingParams.from_sigma_P(1.0, 0.0)

@@ -67,13 +67,14 @@ class TestWignerTransform:
         assert np.max(np.abs(w_mix.values - 0.5 * (w_a.values + w_b.values))) < 1e-12
 
     def test_caller_array_stays_writeable(self):
-        # A read-only view of the n x n values, not a copy.
+        # A read-only copy of the n x n values: the caller's array stays writeable and apart.
         g = Grid1D(-1.0, 1.0, 3)
         values = np.zeros((3, 3))
         w = WignerFunction(g, g, values)
         values[1, 1] = 2.0
-        assert w.values[1, 1] == 2.0
+        assert w.values[1, 1] == 0.0
         assert not w.values.flags.writeable
+        assert values.flags.writeable and w.normalization() == 0.0
 
     def test_number_basis_rejected(self):
         rho = DensityOperator(np.diag([0.6, 0.4]).astype(complex))
