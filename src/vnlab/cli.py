@@ -40,11 +40,14 @@ from . import __version__
 from .cm import (
     auto_probe_grid,
     cm_diffusion_rhs,
+    diffused_width,
+    kernel_pad,
     probe_marginal_Q,
     probe_mean_Q,
     reduced_state_post_cm,
+    require_diffusion_resolved,
 )
-from .errors import ConfigInvalid, TruncationTooSmall, VnLabError
+from .errors import ConfigInvalid, InvariantViolation, TruncationTooSmall, VnLabError
 from .grids import Grid1D, _Handover
 from .heisenberg import (
     flow_action,
@@ -76,7 +79,6 @@ from .scenarios import (
     ScenarioCheck,
     Signed,
     number_basis_initial_state,
-    require_resolved,
 )
 from .states import (
     DensityOperator,
@@ -87,6 +89,7 @@ from .states import (
     gaussian_wavepacket,
     phase_density_from_values,
     require_fits,
+    require_resolved,
     to_angle_action,
 )
 from .wigner import WignerEvolutionSpec, momentum_marginals
@@ -127,9 +130,8 @@ RANGES = {
 # Each command's parameters: name, default, and through the default's type the
 # admitted range (RANGES). ``tau`` has no default: it is derived from sigma_P.
 DEFAULT_PARAMETERS: dict[str, dict] = {
-    # A scenario takes the parameters of its function (SCENARIO_PARAMETERS);
-    # sigma_P here is the probe momentum width those fields default to.
-    "run-scenario": {"scenario": Choice("two_delta", SCENARIOS), "sigma_P": 0.3},
+    # A scenario takes the parameters of its function (SCENARIO_PARAMETERS).
+    "run-scenario": {"scenario": Choice("two_delta", SCENARIOS)},
     "evolve-qm": {
         "n_x": 256,
         "grid_halfwidth": 8.0,
@@ -216,12 +218,12 @@ def _is_coupling(annotation) -> bool:
 def _fields(arg: inspect.Parameter) -> dict:
     """The config fields one scenario argument flattens into, with defaults."""
     kind, default = arg.annotation, arg.default
-    sigma_P = DEFAULT_PARAMETERS["run-scenario"]["sigma_P"]
     if kind is ProbeSpec:
-        return {"sigma_Q": default.sigma_Q, "sigma_P": sigma_P}
+        return {"sigma_Q": default.sigma_Q, "sigma_P": default.sigma_P}
     if _is_coupling(kind):
-        epsilon = DEFAULT_EPSILON if default is None else default.epsilon
-        return {"epsilon": epsilon, "sigma_P": sigma_P, "tau": None}
+        if default is None:  # derived from the probe, whose sigma_P is the field's default
+            return {"epsilon": DEFAULT_EPSILON, "tau": None}
+        return {"epsilon": default.epsilon, "sigma_P": default.sigma_P, "tau": None}
     if kind is complex:
         z = complex(default)
         return {f"{arg.name}_re": Signed(z.real), f"{arg.name}_im": Signed(z.imag)}
@@ -349,13 +351,13 @@ def normalize_config(command: str, raw: dict | None) -> dict:
         if tau is None and sigma_P is None:
             raise ConfigInvalid("exactly one of 'tau' or 'sigma_P' must be given")
         try:
-            derived = None if sigma_P is None else 0.5 * (eps * sigma_P) ** 2
+            derived = None if sigma_P is None else CouplingParams.from_sigma_P(eps, sigma_P).tau
         except OverflowError:
             derived = math.inf
         if tau is None:
             params["tau"] = _checked("tau", derived, None)
         elif sigma_P is None:
-            params["sigma_P"] = _checked("sigma_P", math.sqrt(2.0 * tau) / eps, None)
+            params["sigma_P"] = _checked("sigma_P", CouplingParams(eps, tau).sigma_P, None)
         elif abs(tau - derived) > 1e-12 * max(1.0, abs(tau)):
             # An already-normalized config carries both; they must agree.
             raise ConfigInvalid("give exactly one of 'tau' or 'sigma_P', not both")
@@ -513,10 +515,10 @@ def run_evolve_cm(params: dict, tol: dict):
     require_resolved("sigma_p", params["sigma_p"], pgrid)
     require_fits("'center_q', 'sigma_q' and 'grid_halfwidth_q'", params["center_q"],
                  params["sigma_q"], qgrid)
-    spread = 6.0 * math.hypot(params["sigma_p"], math.sqrt(2.0 * coupling.tau))
-    if spread > pgrid.hi:  # build_gaussian_phase_density's 6-width rule, once diffused
-        raise ConfigInvalid(f"'sigma_p', 'sigma_P' and 'tau': the diffused spread 6 sqrt(sigma_p^2 "
-                            f"+ 2 tau) = {spread:.4g} exceeds the p grid's half-width {pgrid.hi:.4g}")
+    require_fits("'sigma_p', 'sigma_P' and 'tau' (the diffused p Gaussian)", 0.0,
+                 diffused_width(params["sigma_p"], coupling.tau), pgrid)
+    require_diffusion_resolved("'sigma_p', 'sigma_P', 'tau', 'n_p' and 'grid_halfwidth_p'",
+                               params["sigma_p"], coupling.tau, pgrid)
     rho = build_gaussian_phase_density(
         qgrid, pgrid, params["sigma_q"], params["sigma_p"], center_q=params["center_q"]
     )
@@ -586,13 +588,15 @@ def run_mc_compare(params: dict, tol: dict):
         for name, axis_grid in zip(("sigma_q", "sigma_p"), branch_grids[branch]):
             require_resolved(name, params[name], axis_grid)
             require_fits(repr(name), 0.0, params[name], axis_grid)
-    # Spill off the p grid is counted by the histogram check; a wider kernel cannot run.
-    reach = 7.0 * math.sqrt(2.0 * coupling.tau)
-    if "position" in branches and reach > pgrid.hi - pgrid.lo:
-        raise ConfigInvalid(f"'sigma_P' and 'tau': 7 kernel widths sqrt(2*tau) = {reach:.4g} "
-                            f"exceed the position branch's p grid span {pgrid.hi - pgrid.lo:.4g}")
 
     if "position" in branches:
+        # Spill off the p grid is counted by the histogram check; a wider kernel cannot run.
+        try:
+            kernel_pad(coupling.tau, pgrid)
+        except InvariantViolation as exc:
+            raise ConfigInvalid(f"'sigma_P' and 'tau': {exc}") from exc
+        require_diffusion_resolved("'sigma_p', 'sigma_P' and 'tau'", params["sigma_p"],
+                                   coupling.tau, pgrid)
         rho = build_gaussian_phase_density(qgrid, pgrid, params["sigma_q"], params["sigma_p"])
         obs = position_observable()
         ens0 = sample_initial(rho, probe, n, seed)

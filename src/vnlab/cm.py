@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NegligibleProbability, UnsupportedObservable
+from .errors import ConfigInvalid, InvariantViolation, NegligibleProbability, UnsupportedObservable
 from .grids import TWO_PI, Grid1D, _Handover, grid2d_integrate
 from .observables import (
     KIND_ACTION,
@@ -37,6 +37,11 @@ from .states import (
 )
 
 NEGATIVITY_MONITOR = -1e-10
+
+# The position-kind damping of a sampled p Gaussian rings below NEGATIVITY_MONITOR
+# when its diffused width sqrt(sigma_p^2 + 2 tau) spans fewer p steps than this
+# (the sweep in CHANGES.md: failures up to 2.25 steps, at 2.5 a worst of -3e-13).
+DIFFUSED_WIDTH_STEPS = 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +238,33 @@ def _monitored_clip(values: np.ndarray, where: str) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
+def diffused_width(sigma_p: float, tau: float) -> float:
+    """sqrt(sigma_p^2 + 2 tau): the momentum width of a Gaussian after the position-kind channel."""
+    return float(np.hypot(sigma_p, np.sqrt(2.0 * tau)))
+
+
+def require_diffusion_resolved(fields: str, sigma_p: float, tau: float, pgrid: Grid1D) -> None:
+    """Refuse (ConfigInvalid, naming ``fields``) a p Gaussian of width sigma_p that the
+    position-kind channel diffuses to fewer than DIFFUSED_WIDTH_STEPS steps of ``pgrid``."""
+    width = diffused_width(sigma_p, tau)
+    if width < DIFFUSED_WIDTH_STEPS * pgrid.h:
+        raise ConfigInvalid(f"{fields}: the diffused momentum width sqrt(sigma_p^2 + 2 tau) = "
+                            f"{width:.4g} spans {width / pgrid.h:.4g} p steps, fewer than "
+                            f"{DIFFUSED_WIDTH_STEPS:g}, where the channel's damping rings negative")
+
+
+def kernel_pad(tau: float, pgrid: Grid1D) -> int:
+    """Nodes by which the position-kind channel zero-pads p: its kernel's reach of 7
+    widths sqrt(2 tau), rounded up; InvariantViolation past the grid's n nodes."""
+    sigma = np.sqrt(2.0 * tau)
+    pad = int(np.ceil(7.0 * sigma / pgrid.h))
+    if pad > pgrid.n:
+        raise InvariantViolation(f"position-kind channel: 7 kernel widths sqrt(2*tau) = {sigma:.4g} "
+                                 f"reach {pad} p steps, past the {pgrid.n} nodes of the p grid's "
+                                 f"span {pgrid.hi - pgrid.lo:.4g}")
+    return pad
+
+
 def _damp_fourier_modes(values: np.ndarray, h: float, rate, tau: float, pad: int = 0):
     """Damp Fourier mode k of every row (node spacing h) by exp(-tau * rate * k^2).
 
@@ -287,10 +319,10 @@ def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
 
     Dispatch by observable kind. A = q and A(xi) get one Fourier-mode damping:
     along p (a Gaussian of variance 2*tau, rows zero-padded by its 7-width
-    reach, so mass leaving the p grid is lost; a reach beyond the grid raises
-    InvariantViolation), or along theta (on an angle-action state, otherwise
-    through the canonical transform and back). Anything else is explicit PDE
-    stepping at the stability bound.
+    reach, ``kernel_pad``, so mass leaving the p grid is lost; a reach beyond
+    the grid raises InvariantViolation), or along theta (on an angle-action
+    state, otherwise through the canonical transform and back). Anything else
+    is explicit PDE stepping at the stability bound.
     """
     if tau < 0:
         raise InvariantViolation("tau must be >= 0")
@@ -301,12 +333,8 @@ def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
             raise UnsupportedObservable("angle-action states pair with action observables")
         return angle_spectral_solve(rho_s, obs, tau)
     if obs.kind == KIND_POSITION:
-        sigma, pg = np.sqrt(2.0 * tau), rho_s.pgrid
-        pad = int(np.ceil(7.0 * sigma / pg.h))
-        if pad > pg.n:
-            raise InvariantViolation(f"position-kind channel: 7 kernel widths sqrt(2*tau) = "
-                                     f"{sigma:.4g} exceed the p grid's span {pg.hi - pg.lo:.4g}")
-        values = _damp_fourier_modes(rho_s.values, pg.h, 1.0, tau, pad)
+        pad = kernel_pad(tau, rho_s.pgrid)
+        values = _damp_fourier_modes(rho_s.values, rho_s.pgrid.h, 1.0, tau, pad)
         values = _monitored_clip(values, "position-kind channel")
         return PhaseSpaceDensity(rho_s.qgrid, rho_s.pgrid, _Handover(values))
     if obs.kind == KIND_ACTION:

@@ -45,10 +45,7 @@ def decoherence_kernel(
 
 def born_weights(rho_s: DensityOperator, obs: SpectralObservable) -> np.ndarray:
     """p_s(a_n) = Tr(rho P_n) for every eigenvalue, in spectral order."""
-    if obs.dim != rho_s.dim:
-        raise DimensionMismatch("observable and state dimensions differ")
-    rot = obs.to_eigenbasis(rho_s.matrix)
-    diag = np.real(np.diag(rot))
+    diag = np.real(np.diag(obs.to_eigenbasis(rho_s.matrix)))
     return np.bincount(obs.block_index, weights=diag, minlength=obs.n_eigenvalues)
 
 
@@ -94,11 +91,10 @@ def pointer_mean(
 
 
 def _kernel_channel(
-    rho_s: DensityOperator, obs: SpectralObservable, block_factors: np.ndarray
+    rho_s: DensityOperator, obs: SpectralObservable, rot: np.ndarray, block_factors: np.ndarray
 ) -> DensityOperator:
-    """Conjugate into the eigenbasis, scale block pairs, conjugate back."""
+    """Scale the block pairs of ``rot``, rho_s in the eigenbasis, and conjugate back."""
     factors = block_factors[np.ix_(obs.block_index, obs.block_index)]
-    rot = obs.to_eigenbasis(rho_s.matrix)
     out = obs.from_eigenbasis(factors * rot)
     return DensityOperator(_Handover(out), grid=rho_s.grid)
 
@@ -111,21 +107,17 @@ def reduced_state_post(
     Diagonal blocks in the eigenbasis are untouched (g_nn = 1), so the
     measured observable's outcome distribution is exactly preserved.
     """
-    if obs.dim != rho_s.dim:
-        raise DimensionMismatch("observable and state dimensions differ")
+    rot = obs.to_eigenbasis(rho_s.matrix)
     if kernel.gmn.shape != (obs.n_eigenvalues, obs.n_eigenvalues) or not np.array_equal(
         kernel.eigenvalues, obs.eigenvalues
     ):
         raise KernelMismatch("kernel was built for a different observable")
-    return _kernel_channel(rho_s, obs, kernel.gmn)
+    return _kernel_channel(rho_s, obs, rot, kernel.gmn)
 
 
 def lueders_nonselective(rho_s: DensityOperator, obs: SpectralObservable) -> DensityOperator:
     """Pinching sum_n P_n rho P_n: the infinite-coupling limit of the channel."""
-    if obs.dim != rho_s.dim:
-        raise DimensionMismatch("observable and state dimensions differ")
-    same_block = np.eye(obs.n_eigenvalues)
-    return _kernel_channel(rho_s, obs, same_block)
+    return _kernel_channel(rho_s, obs, obs.to_eigenbasis(rho_s.matrix), np.eye(obs.n_eigenvalues))
 
 
 def lindblad_evolve(
@@ -162,15 +154,12 @@ def conditional_state(
     With a narrow probe and Q near epsilon*a_nu this collapses onto the
     selected eigenspace, P_nu rho P_nu / Tr(rho P_nu).
     """
-    if obs.dim != rho_s.dim:
-        raise DimensionMismatch("observable and state dimensions differ")
-    chi = probe.position_wavefunction(Q - coupling.epsilon * obs.eigenvalues)
     weights = born_weights(rho_s, obs)
+    chi = probe.position_wavefunction(Q - coupling.epsilon * obs.eigenvalues)
     denom = float(np.sum(weights * chi**2))
     if denom < 1e-12:
         raise NegligibleProbability(f"pointer value Q={Q} has probability {denom:.3e}")
-    numerator_factors = np.outer(chi, chi)
-    out = _kernel_channel(rho_s, obs, numerator_factors)
+    out = _kernel_channel(rho_s, obs, obs.to_eigenbasis(rho_s.matrix), np.outer(chi, chi))
     return DensityOperator(_Handover(out.matrix / denom), grid=rho_s.grid)
 
 

@@ -32,6 +32,7 @@ from .states import (
     delta_width,
     gaussian_wavepacket,
     phase_density_from_values,
+    require_resolved,
     superposition_wavefunction,
     to_angle_action,
 )
@@ -55,19 +56,6 @@ class Signed(float):
 
 class NonNegative(float):
     """Annotates a real parameter that may be zero (a distance)."""
-
-
-def require_resolved(name: str, width: float, grid: Grid1D) -> None:
-    """Refuse (ConfigInvalid, naming ``name``) a width below its grid's step.
-
-    A narrower Gaussian falls between the nodes: its samples underflow to
-    zero, and its normalization divides by zero or overflows.
-    """
-    if width < grid.h:
-        raise ConfigInvalid(
-            f"parameter {name!r} = {width!r} is below the step {grid.h:.6g} "
-            "of the grid it is sampled on"
-        )
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from .errors import (
     BasisMismatch,
+    ConfigInvalid,
     DimensionMismatch,
     GridTooNarrow,
     InvariantViolation,
@@ -34,11 +35,9 @@ from .errors import (
     UnsupportedObservable,
 )
 from .grids import TWO_PI, Grid1D, PeriodicGrid, _freeze, _Handover, grid2d_integrate
-from .observables import KIND_POSITION, ClassicalObservable
+from .observables import HERMITIAN_TOLERANCE, KIND_POSITION, ClassicalObservable, hermitian_residue
 
 LEAKAGE_BUDGET = 1e-6
-# Largest |rho - rho^H| entry a density matrix may have.
-HERMITIAN_TOLERANCE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +109,19 @@ def require_fits(fields: str, center: float, sigma: float, grid: Grid1D) -> None
     if lo < grid.lo or hi > grid.hi:
         raise GridTooNarrow(f"{fields}: the Gaussian's center +- 6 widths [{lo:.4g}, {hi:.4g}] "
                             f"leaves its grid [{grid.lo:.4g}, {grid.hi:.4g}]")
+
+
+def require_resolved(name: str, width: float, grid: Grid1D) -> None:
+    """Refuse (ConfigInvalid, naming ``name``) a width below its grid's step.
+
+    A narrower Gaussian falls between the nodes: its samples underflow to
+    zero, and its normalization divides by zero or overflows.
+    """
+    if width < grid.h:
+        raise ConfigInvalid(
+            f"parameter {name!r} = {width!r} is below the step {grid.h:.6g} "
+            "of the grid it is sampled on"
+        )
 
 
 def build_gaussian_phase_density(
@@ -262,26 +274,19 @@ class DensityOperator:
 
     @cached_property
     def hermitian_residue(self) -> float:
-        """max |rho - rho^H|, computed once per state.
+        """max |rho - rho^H| (``observables.hermitian_residue``), computed once per state."""
+        return hermitian_residue(self.matrix)
 
-        The residue is symmetric, so only the upper triangle is swept, in row
-        bands that keep the temporaries small and cache-resident.
-        """
-        m, band = self.matrix, 64
-        return max(
-            (float(np.max(np.abs(m[i:i + band, i:] - m[i:, i:i + band].T.conj())))
-             for i in range(0, self.dim, band)),
-            default=0.0,
-        )
+    def require_hermitian(self, what: str) -> None:
+        """InvariantViolation, naming ``what`` and the residue, past HERMITIAN_TOLERANCE."""
+        if self.hermitian_residue > HERMITIAN_TOLERANCE:
+            raise InvariantViolation(f"{what}: max|rho - rho^H| = {self.hermitian_residue:.3e} "
+                                     f"exceeds {HERMITIAN_TOLERANCE:.0e}")
 
     def validate(self) -> None:
-        """Hermitian within 1e-12, unit trace within 1e-10, eigenvalues above -1e-10."""
+        """Hermitian (``require_hermitian``), unit trace within 1e-10, eigenvalues above -1e-10."""
         m = self.matrix
-        if self.hermitian_residue > HERMITIAN_TOLERANCE:
-            raise InvariantViolation(
-                f"density matrix is not Hermitian within tolerance: "
-                f"max|rho - rho^H| = {self.hermitian_residue:.3e}"
-            )
+        self.require_hermitian("density matrix is not Hermitian")
         if abs(np.trace(m) - 1.0) > 1e-10:
             raise InvariantViolation(f"trace {np.trace(m)!r} deviates from 1")
         w = np.linalg.eigvalsh(m)

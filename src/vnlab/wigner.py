@@ -6,7 +6,7 @@ quadrature over the matrix anti-diagonals (y steps by twice the grid
 spacing). The measurement channel multiplies the y-integrand by
 exp(-tau * DeltaA(q, y)^2 / hbar^2) with DeltaA(q, y) = A(q+y/2) - A(q-y/2).
 
-The state must be Hermitian (max|rho - rho^H| <= 1e-12, checked on entry):
+The state must be Hermitian (max|rho - rho^H| <= HERMITIAN_TOLERANCE, checked on entry):
 then the anti-diagonal at offset -m is the conjugate of the one at +m, and
 the damping is even in y, so the integral folds onto m >= 0 as
 W = sum_m w_m [cos(p y_m / hbar) Re D_m + sin(p y_m / hbar) Im D_m] with
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BasisMismatch, InvariantViolation, ShapeMismatch
 from .grids import Grid1D, _freeze, _Handover, grid2d_integrate
-from .states import HERMITIAN_TOLERANCE, DensityOperator
+from .states import DensityOperator
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,7 @@ def _antidiagonals(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     """
     if rho.grid is None:
         raise BasisMismatch("Wigner transform needs a position-grid state")
-    residue = rho.hermitian_residue
-    if residue > HERMITIAN_TOLERANCE:
-        raise InvariantViolation(
-            f"Wigner transform needs a Hermitian state: max|rho - rho^H| = {residue:.3e} "
-            f"exceeds {HERMITIAN_TOLERANCE:.0e}"
-        )
+    rho.require_hermitian("Wigner transform needs a Hermitian state")
     n = rho.dim
     k = (n - 1) // 2 + 1
     flat = rho.matrix.ravel()

@@ -27,8 +27,12 @@ from vnlab.cli import (
     normalize_config,
     resolve_tolerances,
 )
-from vnlab.errors import ConfigInvalid
+from vnlab.cm import DIFFUSED_WIDTH_STEPS, diffused_width, reduced_state_post_cm
+from vnlab.errors import ConfigInvalid, InvariantViolation
+from vnlab.grids import Grid1D
+from vnlab.observables import position_observable
 from vnlab.scenarios import NonNegative, Signed
+from vnlab.states import build_gaussian_phase_density
 from vnlab.wigner import WignerEvolutionSpec
 
 
@@ -87,9 +91,9 @@ class TestConfigValidation:
         assert params["n_x"] == 1024 and params["separation"] == 2.0
         assert params["sigma_Q"] == 0.1 and params["epsilon"] == 1.0
         assert params["alpha_re"] == pytest.approx(2**-0.5) and params["beta_im"] == 0.0
-        # The command line's probe momentum width, not number_basis's own 3.0.
+        # number_basis's own coupling default, sigma_P 3 (tau 4.5), as its signature says.
         nb = normalize_config("run-scenario", {"parameters": {"scenario": "number_basis"}})
-        assert nb["parameters"]["sigma_P"] == 0.3 and nb["parameters"]["tau"] == 0.045
+        assert nb["parameters"]["sigma_P"] == 3.0 and nb["parameters"]["tau"] == 4.5
 
     def test_integral_float_accepted_for_integer_field(self):
         cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 128.0}})
@@ -433,6 +437,21 @@ class TestMainEntryPoint:
             ("evolve-cm", {"parameters": {"sigma_P": 3.0}}, [], "'sigma_P' and 'tau'"),
             ("mc-compare", {"parameters": {"sigma_P": 20.0, "branch": "position"}}, [],
              "'sigma_P' and 'tau'"),
+            # Diffused momentum widths below DIFFUSED_WIDTH_STEPS p steps, where the
+            # position-kind damping rings negative: at 1.51, 1.70, 1.19 and 1.19 steps
+            # they used to exit 1 with "negative excursion" -5.9e-8, -2.8e-9, -3.66e-5
+            # and -3.66e-5 "beyond monitor".
+            ("evolve-cm", {"parameters": {"n_p": 32}}, [], "'sigma_p', 'sigma_P', 'tau', 'n_p'"),
+            ("evolve-cm", {"parameters": {"n_p": 36}}, [], "'sigma_p', 'sigma_P', 'tau', 'n_p'"),
+            ("evolve-cm", {"parameters": {"sigma_p": 0.1, "sigma_P": 0.05}}, [],
+             "'sigma_p', 'sigma_P', 'tau', 'n_p'"),
+            ("mc-compare", {"parameters": {"sigma_p": 0.1, "sigma_P": 0.05, "branch": "position"}},
+             [], "'sigma_p', 'sigma_P' and 'tau'"),
+            # 2.2 steps with the q peak of sigma_q 0.0627 on 2048 p nodes: -1.65e-10.
+            ("evolve-cm", {"parameters": {"n_q": 64, "grid_halfwidth_q": 0.5, "sigma_q": 0.0627,
+                                          "center_q": 0.0, "n_p": 2048, "sigma_p": 0.018218,
+                                          "tau": 0.000166713}},
+             [], "'sigma_p', 'sigma_P', 'tau', 'n_p'"),
             # Wigner momentum grids past pi hbar / (2h), where the folded transform
             # aliases: the marginal came out flat (variance 7.68 against 0.36), and
             # row 3 (QM) read 959.8 against 36.25.
@@ -473,6 +492,9 @@ class TestMainEntryPoint:
              "overflowing-hbar-evolve-qm", "underflowing-hbar-table1",
              "overflowing-hbar-table1", "row4-truncated-hbar-table1",
              "spilling-sigma_P-evolve-cm", "wide-sigma_P-mc-compare",
+             "unresolved-n_p-32-evolve-cm", "unresolved-n_p-36-evolve-cm",
+             "unresolved-sigma_p-evolve-cm", "unresolved-sigma_p-mc-compare",
+             "unresolved-2.2-steps-evolve-cm",
              "aliasing-hbar-evolve-qm", "aliasing-sigma_P-table1",
              "wide-sigma_q-evolve-cm", "off-centre-evolve-cm", "wide-sigma_x-evolve-qm",
              "off-centre-evolve-qm", "wide-sigma_q-mc-compare", "wide-sigma_p-mc-compare",
@@ -561,7 +583,59 @@ class TestMainEntryPoint:
         path.write_text(json.dumps({"parameters": {"sigma_P": 50.0}}))
         assert main(["evolve-cm", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         out = capsys.readouterr().out
-        assert "+ 2 tau) = 300.1" in out and "half-width 12" in out
+        assert "'sigma_p', 'sigma_P' and 'tau'" in out
+        assert "[-300.1, 300.1]" in out and "grid [-12, 12]" in out
+
+    @pytest.mark.parametrize("nodes, refused", [(256, False), (257, True)],
+                             ids=["reach-n", "reach-n-plus-1"])
+    def test_kernel_reach_is_the_solvers_rule_in_mc_compare(self, tmp_path, nodes, refused):
+        # The kernel reaches ceil(7 sqrt(2 tau) / h) nodes of mc-compare's 256-node p
+        # grid: 256 runs and 257 is refused, through the command and the solver alike.
+        # At 256, sqrt(2 tau) = 3.436 lies in (3.4286, 3.4420], which a rule of 7 widths
+        # against the span used to refuse in the command alone.
+        qgrid, pgrid = Grid1D(-8.0, 8.0, 256), Grid1D(-12.0, 12.0, 256)
+        tau = 0.5 * ((nodes - 0.5) * pgrid.h / 7.0) ** 2
+        rho = build_gaussian_phase_density(qgrid, pgrid, 1.0, 1.0)
+        config = {"command": "mc-compare", "parameters": {
+            "tau": tau, "branch": "position", "n_samples": 2000, "bins": 8}}
+        if refused:
+            with pytest.raises(InvariantViolation, match="reach 257 p steps"):
+                reduced_state_post_cm(rho, position_observable(), tau)
+            with pytest.raises(ConfigInvalid, match="'sigma_P' and 'tau': .*reach 257 p steps"):
+                execute(config, tmp_path / "o")
+        else:
+            reduced_state_post_cm(rho, position_observable(), tau)
+            assert execute(config, tmp_path / "o")["config"]["parameters"]["tau"] == tau
+
+    @pytest.mark.parametrize("shrink, refused", [(1.0, False), (1.0 - 1e-12, True)],
+                             ids=["six-widths", "past-six-widths"])
+    def test_evolve_cm_diffused_spread_edge(self, tmp_path, shrink, refused):
+        # sigma_p 1.2 and tau 1.28 diffuse to width 2 (a 3-4-5 triangle): a p grid of
+        # half-width 6 widths holds it, one a hair narrower is refused.
+        sigma_p, tau = 1.2, 1.28
+        config = {"command": "evolve-cm", "parameters": {
+            "n_q": 64, "sigma_p": sigma_p, "tau": tau,
+            "grid_halfwidth_p": 6.0 * diffused_width(sigma_p, tau) * shrink}}
+        if refused:
+            with pytest.raises(ConfigInvalid, match=r"'sigma_p', 'sigma_P' and 'tau' \(the diffused"):
+                execute(config, tmp_path / "o")
+        else:
+            assert execute(config, tmp_path / "o")["all_passed"]
+
+    @pytest.mark.parametrize("factor, refused", [(1.0 + 1e-9, False), (1.0 - 1e-9, True)],
+                             ids=["just-above", "just-below"])
+    def test_evolve_cm_diffused_width_steps_edge(self, tmp_path, factor, refused):
+        # 64 p nodes on +-12 and sigma_P 0.6 (2 tau = 0.36): sigma_p is set so that the
+        # diffused width sqrt(sigma_p^2 + 2 tau) lies a hair either side of
+        # DIFFUSED_WIDTH_STEPS p steps. Just above, the run passes every check.
+        width = factor * DIFFUSED_WIDTH_STEPS * Grid1D(-12.0, 12.0, 64).h
+        config = {"command": "evolve-cm", "parameters": {
+            "n_q": 64, "n_p": 64, "sigma_p": math.sqrt(width**2 - 0.36)}}
+        if refused:
+            with pytest.raises(ConfigInvalid, match="'sigma_p', 'sigma_P', 'tau', 'n_p'"):
+                execute(config, tmp_path / "o")
+        else:
+            assert execute(config, tmp_path / "o")["all_passed"]
 
     def test_mc_compare_refuses_both_branches_before_sampling(self, tmp_path, capsys, monkeypatch):
         # sigma_q = 0.07 is above the position branch's step 16/255 and below

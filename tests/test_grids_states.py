@@ -27,7 +27,14 @@ from vnlab import (
 )
 from vnlab.cm import probe_mean_Q
 from vnlab.grids import TWO_PI
-from vnlab.observables import CouplingParams, SpectralObservable
+from vnlab.errors import NonHermitianObservable
+from vnlab.observables import (
+    HERMITIAN_TOLERANCE,
+    CouplingParams,
+    SpectralObservable,
+    hermitian_residue,
+    require_hermitian,
+)
 from vnlab.qm import decoherence_kernel, reduced_state_post
 from vnlab.states import (
     AngleActionDensity,
@@ -277,6 +284,23 @@ class TestDensityOperator:
         m[0, 1] = 2e-12
         with pytest.raises(InvariantViolation, match="2.000e-12"):
             DensityOperator(m).validate()
+
+    @pytest.mark.parametrize("defect, refused", [(HERMITIAN_TOLERANCE, False), (2e-12, True)],
+                             ids=["at-tolerance", "past-tolerance"])
+    def test_state_and_observable_share_one_hermitian_rule(self, defect, refused):
+        # One residue and one tolerance: a density matrix and an observable matrix
+        # with the same defect read the same residue and are refused alike.
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = defect
+        rho = DensityOperator(m)
+        assert rho.hermitian_residue == hermitian_residue(m) == defect
+        for check, error in ((rho.validate, InvariantViolation),
+                             (lambda: require_hermitian(m), NonHermitianObservable)):
+            if refused:
+                with pytest.raises(error):
+                    check()
+            else:
+                check()
 
     def test_shape_mismatch_rejected(self):
         g = Grid1D(-1.0, 1.0, 4)

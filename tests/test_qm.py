@@ -87,6 +87,27 @@ class TestPointerDistribution:
         with pytest.raises(DimensionMismatch):
             pointer_distribution(rho3, TWO_LEVEL, probe, coupling, Grid1D(-1, 1, 8))
 
+    @pytest.mark.parametrize("entry", ["born_weights", "reduced_state_post",
+                                       "lueders_nonselective", "conditional_state"])
+    @pytest.mark.parametrize("observable", ["diagonal", "dense"])
+    def test_every_path_into_the_eigenbasis_checks_the_dimension(self, entry, observable):
+        # A 3-level state against a 2-level observable. reduced_state_post also gets a
+        # kernel built for another observable, and still names the dimension first.
+        rho3 = DensityOperator(np.eye(3, dtype=complex) / 3.0)
+        obs = TWO_LEVEL if observable == "diagonal" else random_spectral_observable(
+            2, np.random.default_rng(5))
+        probe = ProbeSpec(sigma_Q=0.1, sigma_P=0.5)
+        coupling = CouplingParams.from_probe(1.0, probe)
+        other = decoherence_kernel(SpectralObservable.from_diagonal(np.arange(3.0)), coupling)
+        calls = {
+            "born_weights": lambda: born_weights(rho3, obs),
+            "reduced_state_post": lambda: reduced_state_post(rho3, obs, other),
+            "lueders_nonselective": lambda: lueders_nonselective(rho3, obs),
+            "conditional_state": lambda: conditional_state(rho3, obs, probe, coupling, 0.0),
+        }
+        with pytest.raises(DimensionMismatch):
+            calls[entry]()
+
 
 class TestPointerMean:
     def test_maximally_mixed_two_level(self):
