@@ -11,9 +11,9 @@ mc-compare     trajectory Monte Carlo against the density-picture solvers
 table1-report  the four quantum/classical correspondence rows as executed
                checks
 
-A command's parameters, with their defaults and admitted ranges, are its
-``DEFAULT_PARAMETERS`` entry; a scenario's are read from its function's
-signature (``SCENARIO_PARAMETERS``). ``normalize_config`` refuses every other
+Every command's and scenario's parameters, with their defaults and admitted
+ranges, are the arguments of its function: a command's runner here, a
+scenario's function in ``scenarios``. ``normalize_config`` refuses every other
 name and every value outside a field's range with ``ConfigInvalid``.
 
 Every run writes ``manifest.json`` (config echo, version, seed, timestamps,
@@ -127,60 +127,6 @@ RANGES = {
     Signed: (lambda v: True, "a finite number"),
 }
 
-# Each command's parameters: name, default, and through the default's type the
-# admitted range (RANGES). ``tau`` has no default: it is derived from sigma_P.
-DEFAULT_PARAMETERS: dict[str, dict] = {
-    # A scenario takes the parameters of its function (SCENARIO_PARAMETERS).
-    "run-scenario": {"scenario": Choice("two_delta", SCENARIOS)},
-    "evolve-qm": {
-        "n_x": 256,
-        "grid_halfwidth": 8.0,
-        "sigma_x": 1.0,
-        "center_x": Signed(0.25),
-        "sigma_Q": 0.2,
-        "epsilon": 1.0,
-        "sigma_P": 0.6,
-        "tau": None,
-        "hbar": 1.0,
-    },
-    "evolve-cm": {
-        "n_q": 256,
-        "n_p": 256,
-        "grid_halfwidth_q": 8.0,
-        "grid_halfwidth_p": 12.0,
-        "sigma_q": 1.0,
-        "sigma_p": 1.0,
-        "center_q": Signed(0.25),
-        "sigma_Q": 0.2,
-        "epsilon": 1.0,
-        "sigma_P": 0.6,
-        "tau": None,
-    },
-    "mc-compare": {
-        "n_samples": 100000,
-        "seed": Seed(20240801),
-        "bins": 24,
-        "sigma_q": 1.0,
-        "sigma_p": 1.0,
-        "sigma_Q": 0.4,
-        "epsilon": 1.0,
-        "sigma_P": 0.6,
-        "tau": None,
-        "branch": Choice("both", ("position", "action", "both")),
-    },
-    "table1-report": {
-        "n_x": 256,
-        "grid_halfwidth": 8.0,
-        "sigma_x": 1.0,
-        "center": Signed(0.25),
-        "sigma_Q": 0.25,
-        "epsilon": 2.0,
-        "sigma_P": 0.3,
-        "tau": None,
-        "hbar": 1.0,
-    },
-}
-
 DEFAULT_TOLERANCES: dict[str, dict[str, float]] = {
     "run-scenario": {},
     "evolve-qm": {
@@ -208,7 +154,7 @@ DEFAULT_TOLERANCES: dict[str, dict[str, float]] = {
 
 
 # ---------------------------------------------------------------------------
-# Scenario parameters, read from the scenario signatures
+# Parameters, read from the runner and scenario signatures
 # ---------------------------------------------------------------------------
 
 def _is_coupling(annotation) -> bool:
@@ -216,7 +162,7 @@ def _is_coupling(annotation) -> bool:
 
 
 def _fields(arg: inspect.Parameter) -> dict:
-    """The config fields one scenario argument flattens into, with defaults."""
+    """The config fields one argument flattens into, with defaults."""
     kind, default = arg.annotation, arg.default
     if kind is ProbeSpec:
         return {"sigma_Q": default.sigma_Q, "sigma_P": default.sigma_P}
@@ -227,11 +173,11 @@ def _fields(arg: inspect.Parameter) -> dict:
     if kind is complex:
         z = complex(default)
         return {f"{arg.name}_re": Signed(z.real), f"{arg.name}_im": Signed(z.imag)}
-    return {arg.name: kind(default)}
+    return {arg.name: default if isinstance(default, kind) else kind(default)}
 
 
 def _argument(arg: inspect.Parameter, params: dict):
-    """The value of one scenario argument, rebuilt from its config fields."""
+    """The value of one argument, rebuilt from its config fields."""
     if arg.annotation is ProbeSpec:
         return ProbeSpec(sigma_Q=params["sigma_Q"], sigma_P=params["sigma_P"])
     if _is_coupling(arg.annotation):
@@ -240,16 +186,6 @@ def _argument(arg: inspect.Parameter, params: dict):
         return complex(params[f"{arg.name}_re"], params[f"{arg.name}_im"])
     return params[arg.name]
 
-
-_SIGNATURES = {
-    name: inspect.signature(fn, eval_str=True).parameters.values()
-    for name, fn in SCENARIOS.items()
-}
-
-SCENARIO_PARAMETERS: dict[str, dict] = {
-    name: {field: default for arg in args for field, default in _fields(arg).items()}
-    for name, args in _SIGNATURES.items()
-}
 
 # The CSV tables of each scenario: file name, then output key -> column header.
 SCENARIO_TABLES: dict[str, list[tuple[str, dict[str, str]]]] = {
@@ -312,13 +248,14 @@ def _object(raw: dict, field: str) -> dict:
     return value
 
 
-def _spec(command: str, user: dict) -> tuple[str, dict]:
-    """(who takes the parameters, their spec) for a command's user parameters."""
-    if command != "run-scenario":
-        return f"command {command!r}", DEFAULT_PARAMETERS[command]
-    choice = DEFAULT_PARAMETERS[command]["scenario"]
-    name = _checked("scenario", user.get("scenario", choice), choice)
-    return f"scenario {name!r}", {"scenario": choice, **SCENARIO_PARAMETERS[name]}
+def _spec(command: str, user: dict) -> tuple[str, list[inspect.Parameter], dict]:
+    """(who takes a command's user parameters, its arguments, their fields with defaults)."""
+    owner, args = f"command {command!r}", _SIGNATURES[command]
+    if command == "run-scenario":  # the chosen scenario's arguments follow the choice
+        choice = args[0].default
+        name = _checked("scenario", user.get("scenario", choice), choice)
+        owner, args = f"scenario {name!r}", args + _SIGNATURES[name]
+    return owner, args, {field: default for arg in args for field, default in _fields(arg).items()}
 
 
 def normalize_config(command: str, raw: dict | None) -> dict:
@@ -337,7 +274,7 @@ def normalize_config(command: str, raw: dict | None) -> dict:
         raise ConfigInvalid(f"config field 'command' ({raw['command']!r}) conflicts with {command!r}")
     user = _object(raw, "parameters")
     tolerances = _object(raw, "tolerances")
-    owner, spec = _spec(command, user)
+    owner, _, spec = _spec(command, user)
     for name in user:
         if name not in spec:
             raise ConfigInvalid(f"unknown parameter {name!r} for {owner}")
@@ -379,19 +316,12 @@ def resolve_tolerances(command: str, config: dict, overrides: dict[str, float]) 
     return tol
 
 
-def _probe_coupling(params: dict) -> tuple[ProbeSpec, CouplingParams]:
-    probe = ProbeSpec(sigma_Q=params["sigma_Q"], sigma_P=params["sigma_P"])
-    coupling = CouplingParams(epsilon=params["epsilon"], tau=params["tau"])
-    return probe, coupling
-
-
-def _momentum_variance(params: dict) -> float:
+def _momentum_variance(hbar: float, sigma_x: float) -> float:
     """s^2 = (hbar / (2 sigma_x))^2, once hbar admits it (ConfigInvalid otherwise).
 
     Refused in logarithms, before anything overflows: hbar^2 (the channel divides
     by it) and (8 s)^2, the momentum grid's squared reach, must be normal floats.
     """
-    hbar, sigma_x = params["hbar"], params["sigma_x"]
     tiny, huge = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
     if not tiny <= 2.0 * math.log(hbar) < huge:
         raise ConfigInvalid(f"parameter 'hbar' = {hbar!r}: hbar^2 is not a normal float")
@@ -401,16 +331,16 @@ def _momentum_variance(params: dict) -> float:
     return (hbar / (2.0 * sigma_x)) ** 2
 
 
-def _wigner_pgrid(params: dict, xgrid: Grid1D, s2: float, tau: float, pad: float = 0.0) -> Grid1D:
-    """n_x nodes over +-(8 sqrt(s^2 + 2 tau) + pad) for the Wigner marginals, within
-    pi hbar / (2h): y steps by 2h, so the marginals are periodic in p with period pi hbar / h."""
+def _wigner_pgrid(hbar: float, xgrid: Grid1D, s2: float, tau: float, pad: float = 0.0) -> Grid1D:
+    """``xgrid``'s node count over +-(8 sqrt(s^2 + 2 tau) + pad) for the Wigner marginals,
+    within pi hbar / (2h): y steps by 2h, so the marginals are periodic in p with period pi hbar / h."""
     p_half = 8.0 * np.sqrt(s2 + 2.0 * tau) + pad
-    band = np.pi * params["hbar"] / (2.0 * xgrid.h)
+    band = np.pi * hbar / (2.0 * xgrid.h)
     if p_half > band:
         raise ConfigInvalid(f"'hbar', 'n_x', 'grid_halfwidth' and 'sigma_P': the Wigner momentum "
                             f"grid's half-width {p_half:.4g} exceeds pi hbar / (2 h) = {band:.4g}, "
                             "half the period in p of the transform at y steps 2h")
-    return Grid1D(-p_half, p_half, int(params["n_x"]))
+    return Grid1D(-p_half, p_half, xgrid.n)
 
 
 # A command's estimated peak memory, in bytes, from its size fields: the slope of
@@ -453,16 +383,17 @@ def _variance(grid: Grid1D, density: np.ndarray) -> float:
     return _moment(grid, density, power=2, center=mean) / mass
 
 
-def run_evolve_qm(params: dict, tol: dict):
-    probe, coupling = _probe_coupling(params)
-    hbar = params["hbar"]
-    xgrid = Grid1D(-params["grid_halfwidth"], params["grid_halfwidth"], int(params["n_x"]))
-    require_resolved("sigma_x", params["sigma_x"], xgrid)
-    require_fits("'center_x', 'sigma_x' and 'grid_halfwidth'", params["center_x"],
-                 params["sigma_x"], xgrid)
-    s2 = _momentum_variance(params)
-    pgrid = _wigner_pgrid(params, xgrid, s2, coupling.tau)
-    psi = gaussian_wavepacket(xgrid, center=params["center_x"], sigma_x=params["sigma_x"], hbar=hbar)
+def run_evolve_qm(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
+                  sigma_x: float = 1.0, center_x: Signed = 0.25,
+                  probe: ProbeSpec = ProbeSpec(sigma_Q=0.2, sigma_P=0.6),
+                  coupling: CouplingParams | None = None, hbar: float = 1.0):
+    coupling = coupling or CouplingParams.from_probe(DEFAULT_EPSILON, probe)
+    xgrid = Grid1D(-grid_halfwidth, grid_halfwidth, n_x)
+    require_resolved("sigma_x", sigma_x, xgrid)
+    require_fits("'center_x', 'sigma_x' and 'grid_halfwidth'", center_x, sigma_x, xgrid)
+    s2 = _momentum_variance(hbar, sigma_x)
+    pgrid = _wigner_pgrid(hbar, xgrid, s2, coupling.tau)
+    psi = gaussian_wavepacket(xgrid, center=center_x, sigma_x=sigma_x, hbar=hbar)
     rho = density_from_wavefunction(psi, xgrid)
     obs = SpectralObservable.from_diagonal(xgrid.nodes)
 
@@ -507,21 +438,21 @@ def run_evolve_qm(params: dict, tol: dict):
     return checks, scalars, tables
 
 
-def run_evolve_cm(params: dict, tol: dict):
-    probe, coupling = _probe_coupling(params)
-    qgrid = Grid1D(-params["grid_halfwidth_q"], params["grid_halfwidth_q"], int(params["n_q"]))
-    pgrid = Grid1D(-params["grid_halfwidth_p"], params["grid_halfwidth_p"], int(params["n_p"]))
-    require_resolved("sigma_q", params["sigma_q"], qgrid)
-    require_resolved("sigma_p", params["sigma_p"], pgrid)
-    require_fits("'center_q', 'sigma_q' and 'grid_halfwidth_q'", params["center_q"],
-                 params["sigma_q"], qgrid)
+def run_evolve_cm(tol: dict, /, n_q: int = 256, n_p: int = 256, grid_halfwidth_q: float = 8.0,
+                  grid_halfwidth_p: float = 12.0, sigma_q: float = 1.0, sigma_p: float = 1.0,
+                  center_q: Signed = 0.25, probe: ProbeSpec = ProbeSpec(sigma_Q=0.2, sigma_P=0.6),
+                  coupling: CouplingParams | None = None):
+    coupling = coupling or CouplingParams.from_probe(DEFAULT_EPSILON, probe)
+    qgrid = Grid1D(-grid_halfwidth_q, grid_halfwidth_q, n_q)
+    pgrid = Grid1D(-grid_halfwidth_p, grid_halfwidth_p, n_p)
+    require_resolved("sigma_q", sigma_q, qgrid)
+    require_resolved("sigma_p", sigma_p, pgrid)
+    require_fits("'center_q', 'sigma_q' and 'grid_halfwidth_q'", center_q, sigma_q, qgrid)
     require_fits("'sigma_p', 'sigma_P' and 'tau' (the diffused p Gaussian)", 0.0,
-                 diffused_width(params["sigma_p"], coupling.tau), pgrid)
+                 diffused_width(sigma_p, coupling.tau), pgrid)
     require_diffusion_resolved("'sigma_p', 'sigma_P', 'tau', 'n_p' and 'grid_halfwidth_p'",
-                               params["sigma_p"], coupling.tau, pgrid)
-    rho = build_gaussian_phase_density(
-        qgrid, pgrid, params["sigma_q"], params["sigma_p"], center_q=params["center_q"]
-    )
+                               sigma_p, coupling.tau, pgrid)
+    rho = build_gaussian_phase_density(qgrid, pgrid, sigma_q, sigma_p, center_q=center_q)
     obs = position_observable()
     rho_post = reduced_state_post_cm(rho, obs, coupling.tau)
 
@@ -540,7 +471,7 @@ def run_evolve_cm(params: dict, tol: dict):
         ScenarioCheck("q-marginal invariance (max drift)", drift, 0.0,
                       tol["q_marginal_drift"], "analytic"),
         ScenarioCheck("momentum variance grows by 2*tau", var_after,
-                      params["sigma_p"] ** 2 + 2.0 * coupling.tau,
+                      sigma_p**2 + 2.0 * coupling.tau,
                       tol["variance_growth"], "closed-form"),
     ]
     scalars = {
@@ -562,15 +493,16 @@ def run_evolve_cm(params: dict, tol: dict):
     return checks, scalars, tables
 
 
-def run_mc_compare(params: dict, tol: dict):
-    probe, coupling = _probe_coupling(params)
-    n = int(params["n_samples"])
-    bins = int(params["bins"])
-    seed = int(params["seed"])
-    budget = tol["l1_coefficient"] / np.sqrt(n)
+def run_mc_compare(tol: dict, /, n_samples: int = 100000, seed: Seed = 20240801, bins: int = 24,
+                   sigma_q: float = 1.0, sigma_p: float = 1.0,
+                   probe: ProbeSpec = ProbeSpec(sigma_Q=0.4, sigma_P=0.6),
+                   coupling: CouplingParams | None = None,
+                   branch: Choice = Choice("both", ("position", "action", "both"))):
+    coupling = coupling or CouplingParams.from_probe(DEFAULT_EPSILON, probe)
+    budget = tol["l1_coefficient"] / np.sqrt(n_samples)
     if budget >= 2.0:
         raise ConfigInvalid(
-            f"parameter 'n_samples' = {n} gives the L1 budget {budget:.3g}, at least 2, "
+            f"parameter 'n_samples' = {n_samples} gives the L1 budget {budget:.3g}, at least 2, "
             "the largest L1 distance between densities: the histogram checks would pass "
             "whatever the samples"
         )
@@ -579,15 +511,16 @@ def run_mc_compare(params: dict, tol: dict):
     tables: list[Table] = []
     qgrid = Grid1D(-8.0, 8.0, 256)
     pgrid = Grid1D(-12.0, 12.0, 256)
-    half = 8.0 * max(params["sigma_q"], params["sigma_p"])
+    half = 8.0 * max(sigma_q, sigma_p)
     grid = Grid1D(-half, half, 384)
     branch_grids = {"position": (qgrid, pgrid), "action": (grid, grid)}
-    branches = [b for b in branch_grids if params["branch"] in (b, "both")]
+    branches = [b for b in branch_grids if branch in (b, "both")]
     # Every branch's widths are refused before either branch runs.
-    for branch in branches:
-        for name, axis_grid in zip(("sigma_q", "sigma_p"), branch_grids[branch]):
-            require_resolved(name, params[name], axis_grid)
-            require_fits(repr(name), 0.0, params[name], axis_grid)
+    for b in branches:
+        for name, width, axis_grid in zip(("sigma_q", "sigma_p"), (sigma_q, sigma_p),
+                                          branch_grids[b]):
+            require_resolved(name, width, axis_grid)
+            require_fits(repr(name), 0.0, width, axis_grid)
 
     if "position" in branches:
         # Spill off the p grid is counted by the histogram check; a wider kernel cannot run.
@@ -595,11 +528,10 @@ def run_mc_compare(params: dict, tol: dict):
             kernel_pad(coupling.tau, pgrid)
         except InvariantViolation as exc:
             raise ConfigInvalid(f"'sigma_P' and 'tau': {exc}") from exc
-        require_diffusion_resolved("'sigma_p', 'sigma_P' and 'tau'", params["sigma_p"],
-                                   coupling.tau, pgrid)
-        rho = build_gaussian_phase_density(qgrid, pgrid, params["sigma_q"], params["sigma_p"])
+        require_diffusion_resolved("'sigma_p', 'sigma_P' and 'tau'", sigma_p, coupling.tau, pgrid)
+        rho = build_gaussian_phase_density(qgrid, pgrid, sigma_q, sigma_p)
         obs = position_observable()
-        ens0 = sample_initial(rho, probe, n, seed)
+        ens0 = sample_initial(rho, probe, n_samples, seed)
         ens1 = flow_position(ens0, coupling)
 
         Qgrid = Grid1D(-10.0, 10.0, 1024)
@@ -625,9 +557,9 @@ def run_mc_compare(params: dict, tol: dict):
         )
 
     if "action" in branches:
-        rho = build_gaussian_phase_density(grid, grid, params["sigma_q"], params["sigma_p"])
+        rho = build_gaussian_phase_density(grid, grid, sigma_q, sigma_p)
         obs = action_observable(lambda xi: xi, lambda xi: np.ones_like(xi))
-        ens0 = to_action_ensemble(sample_initial(rho, probe, n, seed + 1))
+        ens0 = to_action_ensemble(sample_initial(rho, probe, n_samples, seed + 1))
         ens1 = flow_action(ens0, obs, coupling)
 
         aa = to_angle_action(rho, n_xi=256, n_theta=256)
@@ -639,7 +571,7 @@ def run_mc_compare(params: dict, tol: dict):
         conserved = float(np.max(np.abs(ens1.xi - ens0.xi)) + np.max(np.abs(ens1.P - ens0.P)))
         mean_Q = float(np.mean(ens1.Q)) / coupling.epsilon
         expect_A = expectation(rho, obs)
-        mc_sigma = float(np.std(ens1.Q) / coupling.epsilon / np.sqrt(n))
+        mc_sigma = float(np.std(ens1.Q) / coupling.epsilon / np.sqrt(n_samples))
         checks += [
             ScenarioCheck("action branch: angle histogram vs spectral solution (L1)",
                           l1_theta, 0.0, budget, "oracle"),
@@ -653,21 +585,20 @@ def run_mc_compare(params: dict, tol: dict):
     return checks, scalars, tables
 
 
-def run_table1_report(params: dict, tol: dict):
-    probe, coupling = _probe_coupling(params)
-    hbar = params["hbar"]
+def run_table1_report(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
+                      sigma_x: float = 1.0, center: Signed = 0.25,
+                      probe: ProbeSpec = ProbeSpec(sigma_Q=0.25, sigma_P=0.3),
+                      coupling: CouplingParams = CouplingParams.from_sigma_P(2.0, 0.3),
+                      hbar: float = 1.0):
     eps = coupling.epsilon
     tau = coupling.tau
-    n = int(params["n_x"])
-    half = params["grid_halfwidth"]
-    xgrid = Grid1D(-half, half, n)
-    require_resolved("sigma_x", params["sigma_x"], xgrid)
+    xgrid = Grid1D(-grid_halfwidth, grid_halfwidth, n_x)
+    require_resolved("sigma_x", sigma_x, xgrid)
     # Every refusal comes before the first state is built.
-    require_fits("'center', 'sigma_x' and 'grid_halfwidth'", params["center"],
-                 params["sigma_x"], xgrid)
+    require_fits("'center', 'sigma_x' and 'grid_halfwidth'", center, sigma_x, xgrid)
     require_fits("'grid_halfwidth' (row 4's width-1 q Gaussian)", 0.0, 1.0, xgrid)
-    s2 = _momentum_variance(params)
-    wgrid = _wigner_pgrid(params, xgrid, s2, tau, pad=1.0)
+    s2 = _momentum_variance(hbar, sigma_x)
+    wgrid = _wigner_pgrid(hbar, xgrid, s2, tau, pad=1.0)
     dim = 48  # tail weight ~e^-34 at these widths
     try:
         rho_nb = number_basis_initial_state(1.0, 1.4, dim, hbar=hbar)
@@ -682,7 +613,7 @@ def run_table1_report(params: dict, tol: dict):
                      "cm_passed": checks[-1].passed})
 
     # Row 1: mean pointer shift over epsilon equals <A> on both sides.
-    psi = gaussian_wavepacket(xgrid, center=params["center"], sigma_x=params["sigma_x"], hbar=hbar)
+    psi = gaussian_wavepacket(xgrid, center=center, sigma_x=sigma_x, hbar=hbar)
     rho_qm = density_from_wavefunction(psi, xgrid)
     obs_qm = SpectralObservable.from_diagonal(xgrid.nodes)
     Qgrid = auto_pointer_grid(obs_qm, probe, coupling, n=2048)
@@ -690,10 +621,8 @@ def run_table1_report(params: dict, tol: dict):
     qm_row1 = _moment(Qgrid, pointer) / eps
     expect_row1 = pointer_mean(rho_qm, obs_qm, coupling) / eps
 
-    pgrid = Grid1D(-12.0, 12.0, n)
-    rho_cm = build_gaussian_phase_density(
-        xgrid, pgrid, params["sigma_x"], 1.0, center_q=params["center"]
-    )
+    pgrid = Grid1D(-12.0, 12.0, n_x)
+    rho_cm = build_gaussian_phase_density(xgrid, pgrid, sigma_x, 1.0, center_q=center)
     obs_cm = position_observable()
     marg = probe_marginal_Q(rho_cm, probe, obs_cm, coupling, Qgrid)
     cm_row1 = _moment(Qgrid, marg) / eps
@@ -737,7 +666,7 @@ def run_table1_report(params: dict, tol: dict):
     spec = WignerEvolutionSpec(A=lambda x: x, tau=tau)
     qm_row3 = _variance(wgrid, momentum_marginals(rho_qm, spec, wgrid, hbar=hbar)[1])
 
-    rho_cm3 = build_gaussian_phase_density(xgrid, wgrid, params["sigma_x"], np.sqrt(s2))
+    rho_cm3 = build_gaussian_phase_density(xgrid, wgrid, sigma_x, np.sqrt(s2))
     cm_post = reduced_state_post_cm(rho_cm3, obs_cm, tau)
     cm_row3 = _variance(wgrid, cm_post.p_marginal())
     expect_row3 = s2 + 2.0 * tau
@@ -761,7 +690,7 @@ def run_table1_report(params: dict, tol: dict):
     qm_row4 = float(np.max(np.abs(fd - rhs)) / np.max(np.abs(rhs)))
 
     def cm_residual(n_pts: int) -> float:
-        g_q = Grid1D(-half, half, n_pts)
+        g_q = Grid1D(-grid_halfwidth, grid_halfwidth, n_pts)
         g_p = Grid1D(-12.0, 12.0, n_pts)
         rho0 = build_gaussian_phase_density(g_q, g_p, 1.0, 2.0)
         tau_c, dtau_c = 0.25, 1e-3
@@ -793,12 +722,13 @@ def run_table1_report(params: dict, tol: dict):
     return checks, scalars, tables
 
 
-def run_scenario_command(params: dict, tol: dict):
-    name = params["scenario"]
-    result = SCENARIOS[name](**{arg.name: _argument(arg, params) for arg in _SIGNATURES[name]})
+def run_scenario_command(tol: dict, /, scenario: Choice = Choice("two_delta", SCENARIOS),
+                         **arguments):
+    """The chosen scenario, called with its own arguments; its outputs as tables and scalars."""
+    result = SCENARIOS[scenario](**arguments)
     tables: list[Table] = [
         (filename, list(columns.values()), [result.outputs[key] for key in columns])
-        for filename, columns in SCENARIO_TABLES[name]
+        for filename, columns in SCENARIO_TABLES[scenario]
     ]
     scalars = {
         k: v for k, v in result.outputs.items() if np.isscalar(v) or isinstance(v, (bool, int, float))
@@ -813,6 +743,13 @@ RUNNERS = {
     "evolve-cm": run_evolve_cm,
     "mc-compare": run_mc_compare,
     "table1-report": run_table1_report,
+}
+
+# Every job's arguments, read once: a runner's after its tolerances, and a scenario's.
+_SIGNATURES = {
+    name: [arg for arg in inspect.signature(fn, eval_str=True).parameters.values()
+           if arg.kind is arg.POSITIONAL_OR_KEYWORD]
+    for name, fn in {**RUNNERS, **SCENARIOS}.items()
 }
 
 
@@ -863,14 +800,15 @@ def _execute(command: str, raw, out_dir: Path, seed: int | None,
     started = dt.datetime.now(dt.timezone.utc).isoformat()
     config = normalize_config(command, raw)
     params = config["parameters"]
+    _, args, spec = _spec(command, params)
     if seed is not None:
-        spec = _spec(command, params)[1]
         if "seed" not in spec:
             raise ConfigInvalid(f"command {command!r} takes no 'seed'")
         params["seed"] = _checked("seed", seed, spec["seed"])
     config["tolerances"] = resolve_tolerances(command, config, tolerance_overrides)
     _require_memory(command, params)
-    checks, scalars, tables = RUNNERS[command](params, config["tolerances"])
+    arguments = {arg.name: _argument(arg, params) for arg in args}
+    checks, scalars, tables = RUNNERS[command](config["tolerances"], **arguments)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -36,6 +36,8 @@ from .states import (
     to_angle_action,
 )
 
+# The most negative value a channel's output may reach before it is clipped, in
+# units of its peak where the peak exceeds 1: FFT roundoff scales with the peak.
 NEGATIVITY_MONITOR = -1e-10
 
 # The position-kind damping of a sampled p Gaussian rings below NEGATIVITY_MONITOR
@@ -233,7 +235,7 @@ def probe_mean_Q(rho_s, obs: ClassicalObservable, coupling: CouplingParams) -> f
 
 def _monitored_clip(values: np.ndarray, where: str) -> np.ndarray:
     low = float(values.min(initial=0.0))
-    if low < NEGATIVITY_MONITOR:
+    if low < NEGATIVITY_MONITOR * max(1.0, float(values.max(initial=0.0))):
         raise InvariantViolation(f"{where}: negative excursion {low:.3e} beyond monitor")
     return np.clip(values, 0.0, None)
 

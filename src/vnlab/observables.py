@@ -30,10 +30,14 @@ HERMITIAN_TOLERANCE = 1e-12
 
 
 def hermitian_residue(m: np.ndarray) -> float:
-    """max |m - m^H| of a square matrix: the residue is symmetric, so only the upper
-    triangle is swept, in 64-row bands that keep the temporaries small and in cache."""
-    return max((float(np.max(np.abs(m[i:i + 64, i:] - m[i:, i:i + 64].T.conj())))
-                for i in range(0, len(m), 64)), default=0.0)
+    """max |m - m^H| of a square matrix, inf if an entry is not finite, so that every
+    tolerance refuses it. The residue is symmetric, so only the upper triangle is
+    swept, in 64-row bands that keep the temporaries small and in cache."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the band maximum keeps
+        bands = [np.max(np.abs(m[i:i + 64, i:] - m[i:, i:i + 64].T.conj()))
+                 for i in range(0, len(m), 64)]
+    residue = float(np.max(bands, initial=0.0))
+    return residue if math.isfinite(residue) else math.inf
 
 
 def require_hermitian(matrix) -> np.ndarray:

@@ -148,18 +148,27 @@ def conditional_state(
     probe: ProbeSpec,
     coupling: CouplingParams,
     Q: float,
+    hbar: float = 1.0,
 ) -> DensityOperator:
-    """Reduced state conditioned on reading probe position Q (pure Gaussian probe).
+    """Reduced state conditioned on reading probe position Q.
 
+    A Gaussian probe with sigma_Q sigma_P >= hbar/2 is a pure one, whose position
+    wavefunction chi gives block pair (m, n) the factor chi(Q - eps a_m) chi(Q - eps a_n),
+    plus independent momentum noise, which damps it by exp(-x (a_m - a_n)^2) with
+    x = tau/hbar^2 - eps^2/(8 sigma_Q^2). Averaged over the pointer record, the states
+    then give ``reduced_state_post``. Below hbar/2, x is taken as 0 (the pure probe).
     With a narrow probe and Q near epsilon*a_nu this collapses onto the
     selected eigenspace, P_nu rho P_nu / Tr(rho P_nu).
     """
+    a = obs.eigenvalues
     weights = born_weights(rho_s, obs)
-    chi = probe.position_wavefunction(Q - coupling.epsilon * obs.eigenvalues)
+    chi = probe.position_wavefunction(Q - coupling.epsilon * a)
     denom = float(np.sum(weights * chi**2))
     if denom < 1e-12:
         raise NegligibleProbability(f"pointer value Q={Q} has probability {denom:.3e}")
-    out = _kernel_channel(rho_s, obs, obs.to_eigenbasis(rho_s.matrix), np.outer(chi, chi))
+    excess = max(coupling.tau / hbar**2 - coupling.epsilon**2 / (8.0 * probe.sigma_Q**2), 0.0)
+    factors = np.outer(chi, chi) * np.exp(-excess * (a[:, None] - a[None, :]) ** 2)
+    out = _kernel_channel(rho_s, obs, obs.to_eigenbasis(rho_s.matrix), factors)
     return DensityOperator(_Handover(out.matrix / denom), grid=rho_s.grid)
 
 

@@ -10,12 +10,16 @@ gives, per file, the largest difference in units of its own scale:
 A file present in one run only, a differing header, shape, key or non-numeric
 leaf (a description, a pass flag) counts as ``inf``. ``manifest.json`` is left
 out: it carries timestamps and the digests themselves.
+
+Run as ``python tests/artifacts.py DIR_A DIR_B``, it prints each file's
+difference and exits 1 if any is ``inf``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +81,12 @@ def compare(dir_a, dir_b) -> dict[str, float]:
         else:
             result[name] = _json_difference(path_a, path_b)
     return result
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit("usage: python tests/artifacts.py DIR_A DIR_B")
+    differences = compare(sys.argv[1], sys.argv[2])
+    for name, difference in differences.items():
+        print(f"{name}: {difference:.3g}")
+    sys.exit(1 if math.inf in differences.values() else 0)

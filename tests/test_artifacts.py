@@ -1,6 +1,9 @@
 """The numeric artifact comparison of tests/artifacts.py, on evolve-qm runs."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,3 +52,16 @@ def test_a_missing_file_is_infinitely_far(runs, tmp_path):
     differences = compare(runs / "default", tmp_path)
     assert differences["checks.json"] == 0.0
     assert differences["momentum_density.csv"] == math.inf
+
+
+@pytest.mark.parametrize("other, status", [("rerun", 0), ("missing", 1)])
+def test_command_line_prints_each_file_and_fails_on_inf(runs, tmp_path, other, status):
+    other_dir = runs / other if other == "rerun" else tmp_path  # tmp_path has no artifacts
+    script = Path(__file__).with_name("artifacts.py")
+    proc = subprocess.run([sys.executable, str(script), str(runs / "default"), str(other_dir)],
+                          capture_output=True, text=True)
+    assert proc.returncode == status, proc.stdout + proc.stderr
+    expected = "0" if status == 0 else "inf"
+    assert proc.stdout.splitlines() == [
+        f"{name}: {expected}"
+        for name in ("checks.json", "momentum_density.csv", "pointer_distribution.csv")]

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 import vnlab
 from vnlab import cli, qm
 from vnlab.cli import (
+    COMMANDS,
     COUPLING_PAIR,
-    DEFAULT_PARAMETERS,
     DEFAULT_TOLERANCES,
-    SCENARIO_PARAMETERS,
     Choice,
     Seed,
     execute,
@@ -30,8 +29,8 @@ from vnlab.cli import (
 from vnlab.cm import DIFFUSED_WIDTH_STEPS, diffused_width, reduced_state_post_cm
 from vnlab.errors import ConfigInvalid, InvariantViolation
 from vnlab.grids import Grid1D
-from vnlab.observables import position_observable
-from vnlab.scenarios import NonNegative, Signed
+from vnlab.observables import ProbeSpec, position_observable
+from vnlab.scenarios import SCENARIOS, NonNegative, Signed
 from vnlab.states import build_gaussian_phase_density
 from vnlab.wigner import WignerEvolutionSpec
 
@@ -109,17 +108,69 @@ class TestConfigValidation:
 
 def _spec_fields():
     """(command, fixed parameters, field, default) for every command and scenario field."""
-    fields = [
-        (command, {}, name, default)
-        for command, spec in DEFAULT_PARAMETERS.items()
-        if command != "run-scenario"
-        for name, default in spec.items()
-    ]
-    fields.append(("run-scenario", {}, "scenario", DEFAULT_PARAMETERS["run-scenario"]["scenario"]))
-    for scenario, spec in SCENARIO_PARAMETERS.items():
-        fields += [("run-scenario", {"scenario": scenario}, name, default)
-                   for name, default in spec.items()]
+    fields = [(command, {}, name, default)
+              for command in COMMANDS
+              for name, default in cli._spec(command, {})[2].items()
+              if command != "run-scenario" or name == "scenario"]
+    for scenario in SCENARIOS:
+        fixed = {"scenario": scenario}
+        fields += [("run-scenario", fixed, name, default)
+                   for name, default in cli._spec("run-scenario", fixed)[2].items()
+                   if name != "scenario"]
     return fields
+
+
+# Each command's fields, defaults and admitted-range types as they stood in the
+# hand-written table that the runner signatures replaced.
+TABLE_DEFAULTS = {
+    "evolve-qm": {
+        "n_x": 256, "grid_halfwidth": 8.0, "sigma_x": 1.0, "center_x": Signed(0.25),
+        "sigma_Q": 0.2, "epsilon": 1.0, "sigma_P": 0.6, "tau": None, "hbar": 1.0,
+    },
+    "evolve-cm": {
+        "n_q": 256, "n_p": 256, "grid_halfwidth_q": 8.0, "grid_halfwidth_p": 12.0,
+        "sigma_q": 1.0, "sigma_p": 1.0, "center_q": Signed(0.25),
+        "sigma_Q": 0.2, "epsilon": 1.0, "sigma_P": 0.6, "tau": None,
+    },
+    "mc-compare": {
+        "n_samples": 100000, "seed": Seed(20240801), "bins": 24, "sigma_q": 1.0,
+        "sigma_p": 1.0, "sigma_Q": 0.4, "epsilon": 1.0, "sigma_P": 0.6, "tau": None,
+        "branch": Choice("both", ("position", "action", "both")),
+    },
+    "table1-report": {
+        "n_x": 256, "grid_halfwidth": 8.0, "sigma_x": 1.0, "center": Signed(0.25),
+        "sigma_Q": 0.25, "epsilon": 2.0, "sigma_P": 0.3, "tau": None, "hbar": 1.0,
+    },
+}
+
+
+class TestSignatureSpec:
+    """A job's parameters are its function's arguments; these pin what they must say."""
+
+    @pytest.mark.parametrize("command", sorted(TABLE_DEFAULTS))
+    def test_command_fields_keep_their_defaults_and_ranges(self, command):
+        spec = cli._spec(command, {})[2]
+        assert spec.keys() == TABLE_DEFAULTS[command].keys()
+        for name, default in TABLE_DEFAULTS[command].items():
+            assert type(spec[name]) is type(default), name
+            assert spec[name] == default, name
+            if isinstance(default, Choice):
+                assert spec[name].options == default.options
+
+    def test_probe_and_coupling_defaults_agree_on_sigma_P(self):
+        # _fields lets a coupling default's sigma_P win over the probe's, so a
+        # disagreement between the two would change a default unseen.
+        coupled = []
+        for job, args in cli._SIGNATURES.items():
+            couplings = [a.default for a in args
+                         if cli._is_coupling(a.annotation) and a.default is not None]
+            if not couplings:
+                continue
+            coupled.append(job)
+            declared = {a.default.sigma_P for a in args if a.annotation is ProbeSpec}
+            fields = {f: d for a in args for f, d in cli._fields(a).items()}
+            assert declared | {couplings[0].sigma_P} == {fields["sigma_P"]}, job
+        assert sorted(coupled) == ["number_basis", "table1-report"]
 
 
 def _out_of_range(name, default):
@@ -549,7 +600,7 @@ class TestMainEntryPoint:
     def test_memory_guard_refuses_before_running(self, tmp_path, capsys, monkeypatch, command,
                                                   sizes, named):
         # The estimate alone refuses: the command itself must never start at these sizes.
-        def never(params, tol):
+        def never(tol, /, **arguments):
             raise AssertionError(f"{command} ran at {sizes}")
 
         monkeypatch.setitem(cli.RUNNERS, command, never)
@@ -636,6 +687,14 @@ class TestMainEntryPoint:
                 execute(config, tmp_path / "o")
         else:
             assert execute(config, tmp_path / "o")["all_passed"]
+
+    def test_evolve_cm_narrow_state_passes_the_relative_monitor(self, tmp_path):
+        # sigma_q 1e-7 puts the density's peak at 1.6e6; the position-kind damping's
+        # FFT roundoff on it reaches -1.861e-10, past the absolute monitor -1e-10 but
+        # within 1e-10 of the peak, so the run completes and passes every check.
+        config = {"command": "evolve-cm", "parameters": {
+            "grid_halfwidth_q": 1e-6, "sigma_q": 1e-7, "center_q": 0.0}}
+        assert execute(config, tmp_path / "o")["all_passed"]
 
     def test_mc_compare_refuses_both_branches_before_sampling(self, tmp_path, capsys, monkeypatch):
         # sigma_q = 0.07 is above the position branch's step 16/255 and below

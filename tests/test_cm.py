@@ -20,8 +20,10 @@ from vnlab import (
 )
 from vnlab.cli import DEFAULT_TOLERANCES
 from vnlab.cm import (
+    NEGATIVITY_MONITOR,
     ORDER_FLOW_PRODUCT,
     ORDER_FLOW_SYSTEM,
+    _monitored_clip,
     _pde_evolve,
     angle_spectral_solve,
     apply_liouville_generator,
@@ -482,6 +484,24 @@ class TestReducedChannel:
         out = reduced_state_post_cm(rho, obs, 0.05)
         assert abs(out.mass() - 1.0) < 1e-6
         assert out.values.min() > -1e-10  # monitored, not guaranteed
+
+    @pytest.mark.parametrize("peak, low, refused", [
+        (0.5, 2.0 * NEGATIVITY_MONITOR, True),
+        (1.0, 2.0 * NEGATIVITY_MONITOR, True),
+        (1.6e6, -1.861e-10, False),
+        (1.6e6, 1.0001 * 1.6e6 * NEGATIVITY_MONITOR, True),
+    ], ids=["below-one", "at-one", "roundoff-on-1.6e6", "past-relative"])
+    def test_negativity_monitor_is_relative_above_a_peak_of_one(self, peak, low, refused):
+        # Up to a peak of 1 the monitor is the absolute NEGATIVITY_MONITOR; above it the
+        # monitor scales with the peak, since FFT roundoff does (-1.861e-10 is what
+        # evolve-cm reads at sigma_q 1e-7, peak 1.6e6).
+        values = np.array([[peak, low], [0.0, 0.25 * peak]])
+        if refused:
+            with pytest.raises(InvariantViolation, match="beyond monitor"):
+                _monitored_clip(values, "test")
+        else:
+            assert np.array_equal(_monitored_clip(values, "test"),
+                                  [[peak, 0.0], [0.0, 0.25 * peak]])
 
     def test_general_kind_matches_position_solution_for_A_eq_q(self):
         # A = q expressed as a general observable must agree with the exact path.

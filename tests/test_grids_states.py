@@ -302,6 +302,25 @@ class TestDensityOperator:
             else:
                 check()
 
+    @pytest.mark.parametrize("entries, value", [
+        ([(0, 0)], np.nan),
+        ([(100, 100)], np.nan),
+        ([(3, 120), (120, 3)], np.inf),
+    ], ids=["nan-band-1", "nan-band-2", "inf-off-diagonal"])
+    def test_non_finite_entry_refused_by_every_hermitian_check(self, entries, value):
+        # A NaN compares false with every tolerance, and the symmetric inf pair
+        # differences to NaN, so the residue itself must refuse them, in any band.
+        m = np.eye(130, dtype=complex) / 130
+        for entry in entries:
+            m[entry] = value
+        assert hermitian_residue(m) == np.inf
+        with pytest.raises(NonHermitianObservable):
+            require_hermitian(m)
+        with pytest.raises(NonHermitianObservable):
+            SpectralObservable.from_hermitian(m)
+        with pytest.raises(InvariantViolation, match="not Hermitian"):
+            DensityOperator(m).validate()
+
     def test_shape_mismatch_rejected(self):
         g = Grid1D(-1.0, 1.0, 4)
         with pytest.raises(ShapeMismatch):

@@ -463,15 +463,20 @@ class TestLueders:
 
 
 def conditional_oracle(rho, obs, probe, coupling, Q):
-    """Direct double sum over projectors, straight from the definition."""
+    """Direct double sum over projectors, straight from the definition: the pure
+    probe's chi_n chi_m, damped by the momentum noise past hbar/2 (hbar = 1)."""
     projs = obs.projectors
-    chi = probe.position_wavefunction(Q - coupling.epsilon * obs.eigenvalues)
+    a = obs.eigenvalues
+    chi = probe.position_wavefunction(Q - coupling.epsilon * a)
+    excess = max(0.5 * (coupling.epsilon * probe.sigma_P) ** 2
+                 - coupling.epsilon**2 / (8.0 * probe.sigma_Q**2), 0.0)
     num = np.zeros_like(rho.matrix)
     den = 0.0
     for n, pn in enumerate(projs):
         den += float(np.real(np.trace(rho.matrix @ pn))) * chi[n] ** 2
         for m, pm in enumerate(projs):
-            num = num + chi[n] * chi[m] * (pn @ rho.matrix @ pm)
+            noise = np.exp(-excess * (a[n] - a[m]) ** 2)
+            num = num + chi[n] * chi[m] * noise * (pn @ rho.matrix @ pm)
     return num / den
 
 
@@ -492,13 +497,48 @@ class TestConditionalState:
         out.validate()
 
     def test_wide_probe_barely_disturbs(self):
-        probe = ProbeSpec(sigma_Q=10.0, sigma_P=0.5)
+        # A wide, pure probe (sigma_Q sigma_P = hbar/2): no momentum noise past the
+        # minimum, so the coherence keeps exp(-1/800) of itself.
+        probe = ProbeSpec(sigma_Q=10.0, sigma_P=0.05)
         coupling = CouplingParams.from_probe(1.0, probe)
         rho = equal_superposition()
         out = conditional_state(rho, TWO_LEVEL, probe, coupling, Q=1.0)
         oracle = conditional_oracle(rho, TWO_LEVEL, probe, coupling, 1.0)
         assert np.max(np.abs(out.matrix - oracle)) < 1e-12
         assert trace_distance(out, rho) < 0.05
+
+    def test_momentum_noise_decoheres_whatever_the_reading(self):
+        # sigma_Q 10, sigma_P 0.5: the wide probe's reading says little, but its
+        # momentum spread damps the coherence by exp(-(tau - 1/800)), tau = 1/8.
+        probe = ProbeSpec(sigma_Q=10.0, sigma_P=0.5)
+        coupling = CouplingParams.from_probe(1.0, probe)
+        rho = equal_superposition()
+        out = conditional_state(rho, TWO_LEVEL, probe, coupling, Q=1.0)
+        oracle = conditional_oracle(rho, TWO_LEVEL, probe, coupling, 1.0)
+        assert np.max(np.abs(out.matrix - oracle)) < 1e-12
+        chi = probe.position_wavefunction(1.0 - np.array([0.0, 1.0]))
+        coherence = chi[0] * chi[1] / (chi @ chi) * np.exp(-(0.125 - 1.0 / 800.0))
+        assert abs(out.matrix[0, 1] - coherence) < 1e-14
+
+    @pytest.mark.parametrize("sigma_P, hbar", [(1.0, 1.0), (2.0, 1.0), (4.0, 2.0)],
+                             ids=["at-hbar-over-2", "product-1", "product-2-at-hbar-2"])
+    def test_record_average_is_the_nonselective_channel(self, sigma_P, hbar):
+        # Averaged over the pointer record p(Q), the selective states give the channel:
+        # int p(Q) rho_Q dQ = sum_mn g_mn P_m rho P_n. Trapezoid over 4001 Q nodes on
+        # [-3, 7], 6 sigma_Q past the outer peaks eps*0 and eps*4: each Gaussian's tail
+        # past 6 widths holds 1e-9 of its mass, and the rule's own error on these
+        # 200-node-wide Gaussians is far below that. Tolerance: 1e-8.
+        rho = random_density_matrix(5, np.random.default_rng(5))
+        obs = SpectralObservable.from_diagonal(np.arange(5.0))
+        probe = ProbeSpec(sigma_Q=0.5, sigma_P=sigma_P)
+        coupling = CouplingParams.from_probe(1.0, probe)
+        Qgrid = Grid1D(-3.0, 7.0, 4001)
+        record = pointer_distribution(rho, obs, probe, coupling, Qgrid)
+        states = [conditional_state(rho, obs, probe, coupling, Q, hbar=hbar).matrix
+                  for Q in Qgrid.nodes]
+        average = np.tensordot(Qgrid.weights * record, states, axes=1)
+        channel = reduced_state_post(rho, obs, decoherence_kernel(obs, coupling, hbar=hbar))
+        assert np.max(np.abs(average - channel.matrix)) < 1e-8
 
     def test_matches_projector_oracle_generally(self):
         rng = np.random.default_rng(99)

@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vnlab"
 
 # Read by tests/test_acceptance.py alone until table1-report runs the selective
-# measurement (ROADMAP item 5); they stay in src/ to be wired in there.
+# measurement (ROADMAP item 4); they stay in src/ to be wired in there.
 EXEMPT = {"qm.conditional_state", "cm.conditional_state_cm"}
 
 
