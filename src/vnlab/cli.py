@@ -344,13 +344,14 @@ def _wigner_pgrid(hbar: float, xgrid: Grid1D, s2: float, tau: float, pad: float 
 
 
 # A command's estimated peak memory, in bytes, from its size fields: the slope of
-# its traced peak (tracemalloc) between two small sizes, rounded up. The
+# its traced peak (tracemalloc) between two sizes, rounded up; for n_x, 1024 and
+# 2048, past the sizes where table1-report's fixed 14 MB still sets its peak. The
 # intercepts, at most 14 MB, are left out. ``_execute`` refuses an estimate past
 # MEMORY_BUDGET before any array is allocated.
 MEMORY_BUDGET = 4 * 2**30
 PEAK_BYTES = {
-    "evolve-qm": ("'n_x'", lambda p: 45.0 * p["n_x"] * p["n_x"]),
-    "table1-report": ("'n_x'", lambda p: 49.0 * p["n_x"] * p["n_x"]),
+    "evolve-qm": ("'n_x'", lambda p: 33.0 * p["n_x"] * p["n_x"]),
+    "table1-report": ("'n_x'", lambda p: 61.0 * p["n_x"] * p["n_x"]),
     "evolve-cm": ("'n_q' and 'n_p'", lambda p: 23.0 * p["n_q"] * p["n_p"]),
     "mc-compare": ("'n_samples'", lambda p: 128.0 * p["n_samples"]),
 }
@@ -461,7 +462,11 @@ def run_evolve_cm(tol: dict, /, n_q: int = 256, n_p: int = 256, grid_halfwidth_q
     mean_ratio = _moment(Qgrid, marginal) / coupling.epsilon
     mean_expected = probe_mean_Q(rho, obs, coupling) / coupling.epsilon
 
-    drift = float(np.max(np.abs(rho_post.q_marginal() - rho.q_marginal())))
+    # In units of the q marginal's peak where it exceeds 1, as NEGATIVITY_MONITOR:
+    # roundoff scales with the peak, which a narrow q grid makes unbounded.
+    q_marginal = rho.q_marginal()
+    drift = float(np.max(np.abs(rho_post.q_marginal() - q_marginal)))
+    drift /= max(1.0, float(q_marginal.max()))
     var_after = _variance(pgrid, rho_post.p_marginal())
 
     checks = [

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import i0e
 
 from .cm import probe_marginal_Q, strong_coupling_limit_cm
 from .errors import ConfigInvalid, InvariantViolation, TruncationTooSmall
@@ -480,6 +479,8 @@ def bessel_angle_average(
     r = (sigma_pbar / sigma_qbar)^2. With i0e(x) = exp(-|x|) I0(x) the exponentials
     combine into exp(-xi / max(sigma_qbar, sigma_pbar)^2) <= 1, so nothing overflows.
     """
+    from scipy.special import i0e  # imported on use, as in ``states._sample``
+
     arg = xi / (2.0 * sigma_pbar**2) * ((sigma_pbar / sigma_qbar) ** 2 - 1.0)
     return (
         np.exp(-xi / max(sigma_qbar, sigma_pbar) ** 2)
@@ -549,6 +550,8 @@ def scenario_gaussian_bessel(
     rel_err = float(np.max(np.abs(numeric[window] - closed[window]) / closed[window]))
 
     # i0e itself against its quadrature definition over the arguments in play.
+    from scipy.special import i0e
+
     args = np.linspace(0.0, np.max(np.abs(xigrid.nodes / (2 * sigma_pbar**2) * ((sigma_pbar / sigma_qbar) ** 2 - 1))), 41)
     reference = _i0e_quadrature(args)
     i0_err = float(np.max(np.abs(i0e(args) - reference) / reference))

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import (
     BasisMismatch,
@@ -194,6 +193,10 @@ def _sample(xnodes, ynodes, values, x, y) -> np.ndarray:
 
     Points outside the nodes' rectangle evaluate to 0 (compact-support convention).
     """
+    # Imported here: scipy.interpolate takes most of a second to import, and
+    # only the classical resampling paths need it.
+    from scipy.interpolate import RectBivariateSpline
+
     out = RectBivariateSpline(xnodes, ynodes, values, kx=3, ky=3, s=0).ev(x.ravel(), y.ravel())
     inside = (x >= xnodes[0]) & (x <= xnodes[-1]) & (y >= ynodes[0]) & (y <= ynodes[-1])
     return np.clip(np.where(inside, out.reshape(x.shape), 0.0), 0.0, None)

@@ -17,9 +17,13 @@ as one stacked product, and W is real by construction.
 Where only the momentum marginal is read, as in the 2*tau variance law,
 ``momentum_marginals`` takes the same quadrature with the sums in the other
 order: each anti-diagonal is first summed over q with the q-grid weights,
-and the resulting vector is then multiplied by the phase matrix. W is never
-formed, so the cost falls from O(n^3) to O(n^2), and one gather and one phase
-matrix serve the marginal before and after the channel.
+and W is never formed. The folded sums then meet the phases in blocks of
+BLOCK momenta: with p_j = P_b + r h_p, exp(i p_j y_m / hbar) is the product
+of exp(i P_b y_m / hbar) and exp(i r h_p y_m / hbar), so k (n_p / BLOCK +
+BLOCK) complex exponentials replace the 2 k n_p cosines and sines of the
+full phase matrix (k = (n - 1)//2 + 1: 98,304 against 4,194,304 at n = 2048). The
+whole marginal costs O(n^2), and it agrees with the full product to rounding
+(at most 2.7e-14 of max|P|; the tests hold it to 1e-13).
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ import numpy as np
 from .errors import BasisMismatch, InvariantViolation, ShapeMismatch
 from .grids import Grid1D, _freeze, _Handover, grid2d_integrate
 from .states import DensityOperator
+
+# Momenta per block of ``momentum_marginals``' phase product.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -108,15 +115,19 @@ def _antidiagonals(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * rho.grid.h * np.arange(k), D
 
 
+def _fold_weights(y: np.ndarray) -> np.ndarray:
+    """The folded y-quadrature: weight 2h, times 1/h from the matrix convention,
+    times 2 for the offsets m > 0, which stand for their conjugates at -m."""
+    fold = np.full(y.size, 4.0)
+    fold[0] = 2.0
+    return fold
+
+
 def _phase_matrix(y: np.ndarray, pgrid: Grid1D, hbar: float) -> np.ndarray:
     """Stacked [cos; sin](p y_m / hbar), shape (2k, n_p), times the fold weights."""
     arg = np.outer(y, pgrid.nodes) / hbar
     trig = np.concatenate([np.cos(arg), np.sin(arg)])
-    # y-quadrature weight 2h, times 1/h from the matrix convention, times 2
-    # for the folded offsets m > 0.
-    fold = np.full(y.size, 4.0)
-    fold[0] = 2.0
-    trig *= np.tile(fold, 2)[:, None]
+    trig *= np.tile(_fold_weights(y), 2)[:, None]
     return trig
 
 
@@ -152,15 +163,29 @@ def momentum_marginals(
     """int W dq / (2 pi hbar) before and after the channel, without forming W.
 
     The quadrature of ``WignerFunction.p_marginal_density`` on
-    ``wigner_transform`` and ``evolved_wigner``, summed over q first:
-    P(p) = sum_m (sum_i w_i D[m, i]) trig[m, p] / (2 pi hbar). The q-sum of
-    the plain anti-diagonals is taken, then they are damped in place and
-    summed again, and both vectors share one product with the phase matrix.
+    ``wigner_transform`` and ``evolved_wigner``, summed over q first: with
+    C_m + i S_m = sum_i w_i (D[0, m, i] + i D[1, m, i]) and the fold weights
+    f_m, P(p) = Re sum_m v_m exp(i p y_m / hbar) / (2 pi hbar), where
+    v_m = (C_m - i S_m) f_m. The q-sum of the plain anti-diagonals is taken,
+    then they are damped in place and summed again.
+
+    The phases are blocked: p_j = P_b + r h_p, with P_b the first node of
+    block b and r = 0 .. BLOCK-1, so P = Re[(v * E) @ F^T] with
+    E[b, m] = exp(i P_b y_m / hbar) and F[r, m] = exp(i r h_p y_m / hbar).
+    That is k (n_p / BLOCK + BLOCK) complex exponentials, not the 2 k n_p
+    cosines and sines of ``_phase_matrix``. The two differ by rounding only:
+    1.4e-15 of max|P| on evolve-qm's default grid, and at most 2.7e-14 at n up
+    to 4096 with the p grid at pi hbar / (2h), where p y / hbar nears pi n / 2.
     """
     y, D = _antidiagonals(rho)
     rows = D.reshape(2 * y.size, rho.dim)  # a view: the damping below reaches it
     before = rows @ rho.grid.weights
     D *= spec.damping(rho.grid.nodes, y[:, None], hbar)
     after = rows @ rho.grid.weights
-    marginals = np.stack([before, after]) @ _phase_matrix(y, pgrid, hbar) / (2.0 * np.pi * hbar)
+    sums = np.stack([before, after]).reshape(2, 2, y.size)  # (before/after, C/S, m)
+    v = (sums[:, 0] - 1j * sums[:, 1]) * _fold_weights(y)
+    E = np.exp(np.outer(pgrid.nodes[::BLOCK], 1j * y / hbar))  # (blocks, k)
+    F = np.exp(np.outer(np.arange(BLOCK) * pgrid.h, 1j * y / hbar))  # (BLOCK, k)
+    # (2, blocks, BLOCK) flattens to p order; the last block's overhang is cut.
+    marginals = ((v[:, None, :] * E) @ F.T).real.reshape(2, -1)[:, :pgrid.n] / (2.0 * np.pi * hbar)
     return marginals[0], marginals[1]

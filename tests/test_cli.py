@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -349,16 +350,30 @@ class TestExecution:
             assert "qm_measured" in row and "cm_measured" in row
 
 
-def test_cli_import_leaves_ndimage_and_signal_unloaded():
-    # In a child process, so that no other test's imports count.
+def test_cli_quantum_path_loads_no_scipy(tmp_path):
+    # In a child process, so that no other test's imports count: importing the
+    # CLI, a refused config (exit 2) and a small evolve-qm (exit 0) leave every
+    # scipy module unloaded.
     package_root = str(Path(vnlab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    probe = ("import sys, vnlab.cli; "
-             "print(sorted(m for m in ('scipy.ndimage', 'scipy.signal') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    probe = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from vnlab.cli import main\n"
+        "out = Path(sys.argv[1])\n"
+        "codes = []\n"
+        "for name, params in (('refused', {'n_x': 64}), ('small', {'n_x': 64, 'grid_halfwidth': 6.5})):\n"
+        "    (out / f'{name}.json').write_text(json.dumps({'parameters': params}))\n"
+        "    codes.append(main(['evolve-qm', '--config', str(out / f'{name}.json'),\n"
+        "                       '--out', str(out / name)]))\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+                          text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [2, 0], "scipy": []}
 
 
 def _declared_console_script(name):
@@ -614,10 +629,26 @@ class TestMainEntryPoint:
         assert "Traceback" not in captured.out + captured.err
 
     def test_memory_guard_boundary(self):
-        # 45 B x n_x^2 crosses 4 GiB between n_x 9769 and 9770; only the estimate runs.
-        cli._require_memory("evolve-qm", {"n_x": 9769})
+        # 33 B x n_x^2 crosses 4 GiB between n_x 11408 and 11409; only the estimate runs.
+        cli._require_memory("evolve-qm", {"n_x": 11408})
         with pytest.raises(ConfigInvalid, match="'n_x'"):
-            cli._require_memory("evolve-qm", {"n_x": 9770})
+            cli._require_memory("evolve-qm", {"n_x": 11409})
+
+    @pytest.mark.parametrize("command", ["evolve-qm", "table1-report"])
+    def test_memory_estimate_is_the_traced_slope_rounded_up(self, tmp_path, command):
+        # The traced peak's slope in n_x^2 between 1024 and 2048, where table1-report's
+        # size-independent part (about 14 MB at 512) no longer sets the peak. The
+        # estimate may not fall below it, nor round it up by a whole 2 B.
+        peaks = []
+        for n in (1024, 2048):
+            tracemalloc.start()
+            try:
+                execute({"command": command, "parameters": {"n_x": n}}, tmp_path / str(n))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slope = (peaks[1] - peaks[0]) / (2048**2 - 1024**2)
+        assert slope <= cli.PEAK_BYTES[command][1]({"n_x": 1}) < slope + 2.0
 
     def test_memory_guard_admits_the_default_and_benchmark_sizes(self):
         sizes = {"evolve-qm": {"n_x": 2048}, "table1-report": {"n_x": 2048},
@@ -695,6 +726,16 @@ class TestMainEntryPoint:
         config = {"command": "evolve-cm", "parameters": {
             "grid_halfwidth_q": 1e-6, "sigma_q": 1e-7, "center_q": 0.0}}
         assert execute(config, tmp_path / "o")["all_passed"]
+
+    def test_evolve_cm_narrow_state_passes_the_relative_drift(self, tmp_path):
+        # sigma_q 1e-10 puts the q marginal's peak at about 4e9; the channel's
+        # roundoff moves it by 1.43e-6, past the absolute 1e-8 but 3.6e-16 of the peak.
+        config = {"command": "evolve-cm", "parameters": {
+            "grid_halfwidth_q": 1e-9, "sigma_q": 1e-10, "center_q": 0.0}}
+        manifest = execute(config, tmp_path / "o")
+        drift = next(c for c in manifest["checks"]
+                     if c["description"] == "q-marginal invariance (max drift)")
+        assert drift["passed"] and manifest["all_passed"]
 
     def test_mc_compare_refuses_both_branches_before_sampling(self, tmp_path, capsys, monkeypatch):
         # sigma_q = 0.07 is above the position branch's step 16/255 and below

@@ -18,8 +18,11 @@ from vnlab.cli import DEFAULT_TOLERANCES
 from vnlab.observables import CouplingParams
 from vnlab.qm import decoherence_kernel, reduced_state_post
 from vnlab.wigner import (
+    BLOCK,
     WignerEvolutionSpec,
     WignerFunction,
+    _antidiagonals,
+    _phase_matrix,
     evolved_wigner,
     momentum_marginals,
     wigner_transform,
@@ -244,6 +247,29 @@ class TestMomentumMarginals:
             assert got.shape == (pgrid.n,)
             assert np.max(np.abs(got - folded.p_marginal_density())) <= 1e-13 * scale
             assert np.max(np.abs(got - oracle)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [40, BLOCK, BLOCK + 1, 2049])
+    def test_blocked_phases_match_the_full_phase_matrix(self, n, hbar):
+        # Block counts the strategy above never draws: one partial block, one
+        # full block, a full block and one node, and 32 blocks and one node. The
+        # p grid spans the Nyquist edge pi hbar / (2h), where the phase p y / hbar
+        # is largest (about pi n / 2 rad). Tolerance 1e-13 of max|P|, as above:
+        # the two round their phases differently (largest difference seen here
+        # 2.1e-14 of max|P|, at n = 2049 and hbar = 2).
+        grid = Grid1D(-8.0, 8.0, n)
+        psi = gaussian_wavepacket(grid, center=0.4, momentum=1.0, sigma_x=0.8, hbar=hbar)
+        rho = density_from_wavefunction(psi, grid)
+        band = np.pi * hbar / (2.0 * grid.h)
+        pgrid = Grid1D(-band, band, n)
+        spec = WignerEvolutionSpec(A=np.sin, tau=0.3)
+        y, D = _antidiagonals(rho)
+        damped = D * spec.damping(grid.nodes, y[:, None], hbar)
+        vecs = np.stack([d.reshape(2 * y.size, n) @ grid.weights for d in (D, damped)])
+        oracle = vecs @ _phase_matrix(y, pgrid, hbar) / (2.0 * np.pi * hbar)
+        for got, want in zip(momentum_marginals(rho, spec, pgrid, hbar=hbar), oracle):
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_non_hermitian_state_refused_with_its_residue(self):
         matrix = ground_state().matrix.copy()
