@@ -16,8 +16,12 @@ ranges, are the arguments of its function: a command's runner here, a
 scenario's function in ``scenarios``. ``normalize_config`` refuses every other
 name and every value outside a field's range with ``ConfigInvalid``.
 
-Every run writes ``manifest.json`` (config echo, version, seed, timestamps,
-check results, output digests), ``checks.json`` and one CSV per array output.
+Every one of these functions returns ``(checks, scalars, tables)``: its
+``ScenarioCheck`` list, its scalar outputs by name, and its tables, each CSV
+file name mapped to its columns by header. Every run writes
+``manifest.json`` (config echo, version, seed, timestamps, check results,
+output digests), ``checks.json`` (the checks and scalars) and one CSV per
+table, each by one ``write_table`` call.
 Outputs are byte-stable under rerun with the same config; the manifest differs
 only in its timestamps. Exit status is 0 exactly when every check passes.
 """
@@ -187,27 +191,6 @@ def _argument(arg: inspect.Parameter, params: dict):
     return params[arg.name]
 
 
-# The CSV tables of each scenario: file name, then output key -> column header.
-SCENARIO_TABLES: dict[str, list[tuple[str, dict[str, str]]]] = {
-    "two_delta": [("probe_marginal.csv", {
-        "Q": "Q (probe position units)", "probe_marginal": "density (1/Q units)"})],
-    "interference": [
-        ("position_density.csv", {
-            "x": "x (position units)",
-            "position_density_superposition": "superposition (1/x units)",
-            "position_density_mixture": "mixture (1/x units)"}),
-        ("pointer.csv", {
-            "Q": "Q (probe position units)",
-            "pointer_superposition": "superposition (1/Q units)",
-            "pointer_mixture": "mixture (1/Q units)"})],
-    "number_basis": [("occupation.csv", {
-        "levels": "level (action units)", "occupation": "probability"})],
-    "gaussian_bessel": [("angle_average.csv", {
-        "xi": "xi (action units)", "numeric_average": "numeric (1/xi units)",
-        "closed_form": "closed_form (1/xi units)"})],
-}
-
-
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
@@ -343,24 +326,31 @@ def _wigner_pgrid(hbar: float, xgrid: Grid1D, s2: float, tau: float, pad: float 
     return Grid1D(-p_half, p_half, xgrid.n)
 
 
-# A command's estimated peak memory, in bytes, from its size fields: the slope of
-# its traced peak (tracemalloc) between two sizes, rounded up; for n_x, 1024 and
-# 2048, past the sizes where table1-report's fixed 14 MB still sets its peak. The
-# intercepts, at most 14 MB, are left out. ``_execute`` refuses an estimate past
-# MEMORY_BUDGET before any array is allocated.
+# A job's estimated peak memory, in bytes, from its size fields, by command or
+# scenario: the slope of its traced peak (tracemalloc) between two sizes, rounded
+# up; for n_x, 1024 and 2048, past the sizes where table1-report's fixed 14 MB
+# still sets its peak; for n_Q, past those where the pointer record's kernel
+# chunks (about 2 MB) still set it. The intercepts, at most 14 MB, are left out.
+# ``_execute`` refuses an estimate past MEMORY_BUDGET before any array is allocated.
 MEMORY_BUDGET = 4 * 2**30
 PEAK_BYTES = {
     "evolve-qm": ("'n_x'", lambda p: 33.0 * p["n_x"] * p["n_x"]),
     "table1-report": ("'n_x'", lambda p: 61.0 * p["n_x"] * p["n_x"]),
     "evolve-cm": ("'n_q' and 'n_p'", lambda p: 23.0 * p["n_q"] * p["n_p"]),
     "mc-compare": ("'n_samples'", lambda p: 128.0 * p["n_samples"]),
+    "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 60.0 * p["n_Q"]),
+    "interference": ("'n_x' and 'n_Q'", lambda p: 4200.0 * p["n_x"] + 90.0 * p["n_Q"]),
+    "number_basis": ("'dim'", lambda p: 113.0 * p["dim"] * p["dim"]),
+    "gaussian_bessel": ("'n_xi' and 'n_theta'", lambda p: 33.0 * p["n_xi"] * p["n_theta"]),
 }
 
 
 def _require_memory(command: str, params: dict) -> None:
-    """Refuse (ConfigInvalid, naming the size fields) a peak estimate past MEMORY_BUDGET."""
-    if command in PEAK_BYTES:
-        fields, estimate = PEAK_BYTES[command]
+    """Refuse (ConfigInvalid, naming the size fields) a peak estimate past MEMORY_BUDGET;
+    run-scenario's is its scenario's."""
+    job = params.get("scenario", command)
+    if job in PEAK_BYTES:
+        fields, estimate = PEAK_BYTES[job]
         peak = estimate(params)
         if peak > MEMORY_BUDGET:
             raise ConfigInvalid(f"{fields}: the estimated peak memory {peak / 2**30:.5g} GiB "
@@ -370,9 +360,6 @@ def _require_memory(command: str, params: dict) -> None:
 # ---------------------------------------------------------------------------
 # Command implementations: each returns (checks, scalars, tables)
 # ---------------------------------------------------------------------------
-
-Table = tuple[str, list[str], list[np.ndarray]]
-
 
 def _moment(grid: Grid1D, density: np.ndarray, power: int = 1, center: float = 0.0) -> float:
     return grid.integrate((grid.nodes - center) ** power * density)
@@ -428,14 +415,12 @@ def run_evolve_qm(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
         "momentum_variance_before": _variance(pgrid, p_before),
         "momentum_variance_after": var_after,
     }
-    tables: list[Table] = [
-        ("pointer_distribution.csv",
-         ["Q (probe position units)", "density (1/Q units)"],
-         [Qgrid.nodes, pointer]),
-        ("momentum_density.csv",
-         ["p (momentum units)", "before (1/p units)", "after (1/p units)"],
-         [pgrid.nodes, p_before, p_after]),
-    ]
+    tables = {
+        "pointer_distribution.csv": {"Q (probe position units)": Qgrid.nodes,
+                                     "density (1/Q units)": pointer},
+        "momentum_density.csv": {"p (momentum units)": pgrid.nodes,
+                                 "before (1/p units)": p_before, "after (1/p units)": p_after},
+    }
     return checks, scalars, tables
 
 
@@ -484,17 +469,16 @@ def run_evolve_cm(tol: dict, /, n_q: int = 256, n_p: int = 256, grid_halfwidth_q
         "momentum_variance_before": _variance(pgrid, rho.p_marginal()),
         "momentum_variance_after": var_after,
     }
-    tables: list[Table] = [
-        ("probe_marginal.csv",
-         ["Q (probe position units)", "density (1/Q units)"],
-         [Qgrid.nodes, marginal]),
-        ("q_marginal.csv",
-         ["q (position units)", "before (1/q units)", "after (1/q units)"],
-         [qgrid.nodes, rho.q_marginal(), rho_post.q_marginal()]),
-        ("p_marginal.csv",
-         ["p (momentum units)", "before (1/p units)", "after (1/p units)"],
-         [pgrid.nodes, rho.p_marginal(), rho_post.p_marginal()]),
-    ]
+    tables = {
+        "probe_marginal.csv": {"Q (probe position units)": Qgrid.nodes,
+                               "density (1/Q units)": marginal},
+        "q_marginal.csv": {"q (position units)": qgrid.nodes,
+                           "before (1/q units)": rho.q_marginal(),
+                           "after (1/q units)": rho_post.q_marginal()},
+        "p_marginal.csv": {"p (momentum units)": pgrid.nodes,
+                           "before (1/p units)": rho.p_marginal(),
+                           "after (1/p units)": rho_post.p_marginal()},
+    }
     return checks, scalars, tables
 
 
@@ -513,7 +497,7 @@ def run_mc_compare(tol: dict, /, n_samples: int = 100000, seed: Seed = 20240801,
         )
     checks: list[ScenarioCheck] = []
     scalars: dict = {"l1_budget": budget, "seed": seed}
-    tables: list[Table] = []
+    tables = {}
     qgrid = Grid1D(-8.0, 8.0, 256)
     pgrid = Grid1D(-12.0, 12.0, 256)
     half = 8.0 * max(sigma_q, sigma_p)
@@ -555,11 +539,8 @@ def run_mc_compare(tol: dict, /, n_samples: int = 100000, seed: Seed = 20240801,
         ]
         edges = np.linspace(Qgrid.lo, Qgrid.hi, bins + 1)
         counts, _ = np.histogram(ens1.Q, bins=edges)
-        tables.append(
-            ("mc_position_pointer_histogram.csv",
-             ["Q_bin_left (probe position units)", "count"],
-             [edges[:-1], counts.astype(float)])
-        )
+        tables["mc_position_pointer_histogram.csv"] = {
+            "Q_bin_left (probe position units)": edges[:-1], "count": counts.astype(float)}
 
     if "action" in branches:
         rho = build_gaussian_phase_density(grid, grid, sigma_q, sigma_p)
@@ -719,27 +700,17 @@ def run_table1_report(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
             tolerance_qm=tol["row4_qm_derivative"], tolerance_cm=tol["row4_cm_order"])
 
     scalars = {"rows": rows, "epsilon": eps, "tau": tau}
-    tables: list[Table] = [
-        ("table1_row1_pointer.csv",
-         ["Q (probe position units)", "qm_density (1/Q units)", "cm_density (1/Q units)"],
-         [Qgrid.nodes, pointer, marg]),
-    ]
+    tables = {"table1_row1_pointer.csv": {"Q (probe position units)": Qgrid.nodes,
+                                          "qm_density (1/Q units)": pointer,
+                                          "cm_density (1/Q units)": marg}}
     return checks, scalars, tables
 
 
 def run_scenario_command(tol: dict, /, scenario: Choice = Choice("two_delta", SCENARIOS),
                          **arguments):
-    """The chosen scenario, called with its own arguments; its outputs as tables and scalars."""
-    result = SCENARIOS[scenario](**arguments)
-    tables: list[Table] = [
-        (filename, list(columns.values()), [result.outputs[key] for key in columns])
-        for filename, columns in SCENARIO_TABLES[scenario]
-    ]
-    scalars = {
-        k: v for k, v in result.outputs.items() if np.isscalar(v) or isinstance(v, (bool, int, float))
-    }
-    scalars["scenario"] = result.name
-    return list(result.checks), scalars, tables
+    """The chosen scenario, called with its own arguments; its name joins its scalars."""
+    checks, scalars, tables = SCENARIOS[scenario](**arguments)
+    return checks, {**scalars, "scenario": scenario}, tables
 
 
 RUNNERS = {
@@ -762,18 +733,13 @@ _SIGNATURES = {
 # Artifact writing
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def write_table(path: Path, headers: list[str], columns: list[np.ndarray]) -> None:
-    lengths = {len(c) for c in columns}
-    if len(lengths) != 1:
+def write_table(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """One CSV: the headers, then a row per index, each value to 17 significant digits."""
+    if len({len(c) for c in columns.values()}) != 1:
         raise VnLabError("table columns must share a length")
     with path.open("w", newline="\n") as fh:
-        fh.write(",".join(headers) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, np.column_stack(list(columns.values())), fmt="%.17g", delimiter=",",
+                   header=",".join(columns), comments="")
 
 
 def _json_default(obj):
@@ -817,8 +783,8 @@ def _execute(command: str, raw, out_dir: Path, seed: int | None,
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for filename, headers, columns in tables:
-        write_table(out_dir / filename, headers, columns)
+    for filename, columns in tables.items():
+        write_table(out_dir / filename, columns)
     checks_doc = {
         "command": command,
         "all_passed": all(c.passed for c in checks),
@@ -828,7 +794,7 @@ def _execute(command: str, raw, out_dir: Path, seed: int | None,
     checks_path = out_dir / "checks.json"
     _write_json(checks_path, checks_doc)
 
-    outputs = {t[0]: _sha256(out_dir / t[0]) for t in tables}
+    outputs = {filename: _sha256(out_dir / filename) for filename in tables}
     outputs["checks.json"] = _sha256(checks_path)
     manifest = {
         "schema_version": SCHEMA_VERSION,

@@ -1,16 +1,17 @@
 """Canned, parameterized demonstrations with self-reported checks.
 
-Each scenario runs one worked configuration end to end and returns a
-``ScenarioResult``: its name, named output arrays/scalars, and a list of
-checks, each carrying its tolerance and a provenance note (analytic,
-closed-form, or oracle). Scenarios are pure functions of their inputs, so
-results are bit-reproducible.
+Each scenario runs one worked configuration end to end and returns what a
+command runner of ``cli`` returns, ``(checks, scalars, tables)``: its checks,
+each carrying its tolerance and a provenance note ("analytic", "closed-form"
+or "oracle"); its scalar outputs by name; and its CSV tables, each file name
+mapped to its columns by header. Scenarios are pure functions of their
+inputs, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +36,6 @@ from .states import (
     superposition_wavefunction,
     to_angle_action,
 )
-
-PROV_ANALYTIC = "analytic"
-PROV_CLOSED_FORM = "closed-form"
-PROV_ORACLE = "oracle"
 
 # Coupling strength of a scenario called without a coupling.
 DEFAULT_EPSILON = 1.0
@@ -80,17 +77,6 @@ class ScenarioCheck:
         }
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    name: str
-    outputs: dict
-    checks: list[ScenarioCheck] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _count_peaks(values: np.ndarray) -> int:
     # Count each plateau once (an apex can fall between two equal samples)
     # and ignore roundoff ripples in the far tails.
@@ -111,7 +97,7 @@ def scenario_two_delta(
     coupling: CouplingParams | None = None,
     n_q: int = 1024,
     n_Q: int = 2048,
-) -> ScenarioResult:
+):
     """Equal mixture of two sharp positions read through a finite-width probe.
 
     The deltas are represented as Gaussians two grid steps wide, so the probe
@@ -145,14 +131,14 @@ def scenario_two_delta(
     gap = abs(q1 - q0)
     checks = [
         ScenarioCheck(
-            "probe marginal mass", float(Qgrid.integrate(marg)), 1.0, 1e-6, PROV_ORACLE
+            "probe marginal mass", float(Qgrid.integrate(marg)), 1.0, 1e-6, "oracle"
         ),
         ScenarioCheck(
             "L1 distance to the two-Gaussian sum",
             float(Qgrid.integrate(np.abs(marg - reference))),
             0.0,
             1e-6,
-            PROV_ANALYTIC,
+            "analytic",
         ),
     ]
     n_peaks = _count_peaks(marg)
@@ -169,7 +155,7 @@ def scenario_two_delta(
                 valley_ratio,
                 0.0,
                 0.1,
-                PROV_ORACLE,
+                "oracle",
             )
         )
     else:
@@ -182,21 +168,14 @@ def scenario_two_delta(
                     float(n_peaks),
                     1.0,
                     0.0,
-                    PROV_ORACLE,
+                    "oracle",
                 )
             )
-    return ScenarioResult(
-        name="two_delta",
-        outputs={
-            "Q": Qgrid.nodes,
-            "probe_marginal": marg,
-            "resolved": resolved,
-            "n_peaks": n_peaks,
-            "resolution_ratio": resolution_ratio,
-            "valley_ratio": valley_ratio,
-        },
-        checks=checks,
-    )
+    scalars = {"resolved": resolved, "n_peaks": n_peaks, "resolution_ratio": resolution_ratio,
+               "valley_ratio": valley_ratio}
+    tables = {"probe_marginal.csv": {"Q (probe position units)": Qgrid.nodes,
+                                     "density (1/Q units)": marg}}
+    return checks, scalars, tables
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +191,7 @@ def scenario_interference(
     sigma_x: float = 1.0,
     n_x: int = 1024,
     n_Q: int = 1024,
-) -> ScenarioResult:
+):
     """Pointer record of a two-packet superposition against the matched mixture.
 
     The superposition position density carries a cross term; the classical
@@ -265,14 +244,14 @@ def scenario_interference(
             float(Qgrid.integrate(pointer_sup)),
             1.0,
             1e-8,
-            PROV_ORACLE,
+            "oracle",
         ),
         ScenarioCheck(
             "mixture pointer residual (classical branch)",
             residual_mix,
             0.0,
             1e-12,
-            PROV_ANALYTIC,
+            "analytic",
         ),
     ]
     if beta == 0 or alpha == 0:
@@ -282,7 +261,7 @@ def scenario_interference(
                 residual_sup,
                 0.0,
                 1e-12,
-                PROV_ANALYTIC,
+                "analytic",
             )
         )
     else:
@@ -293,23 +272,19 @@ def scenario_interference(
                 min(residual_sup, 0.05),
                 0.05,
                 0.0,
-                PROV_ORACLE,
+                "oracle",
             )
         )
-    return ScenarioResult(
-        name="interference",
-        outputs={
-            "x": xgrid.nodes,
-            "position_density_superposition": p_sup,
-            "position_density_mixture": p_mix,
-            "Q": Qgrid.nodes,
-            "pointer_superposition": pointer_sup,
-            "pointer_mixture": pointer_mix,
-            "interference_residual": residual_sup,
-            "mixture_residual": residual_mix,
-        },
-        checks=checks,
-    )
+    scalars = {"interference_residual": residual_sup, "mixture_residual": residual_mix}
+    tables = {
+        "position_density.csv": {"x (position units)": xgrid.nodes,
+                                 "superposition (1/x units)": p_sup,
+                                 "mixture (1/x units)": p_mix},
+        "pointer.csv": {"Q (probe position units)": Qgrid.nodes,
+                        "superposition (1/Q units)": pointer_sup,
+                        "mixture (1/Q units)": pointer_mix},
+    }
+    return checks, scalars, tables
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +348,7 @@ def scenario_number_basis(
     dim: int = 64,
     coupling: CouplingParams = CouplingParams.from_sigma_P(DEFAULT_EPSILON, 3.0),
     hbar: float = 1.0,
-) -> ScenarioResult:
+):
     """Occupation statistics and the pinched strong-coupling state.
 
     The measured observable is (n + 1/2)*hbar with the number-basis spectral
@@ -399,28 +374,28 @@ def scenario_number_basis(
     )
     checks = [
         ScenarioCheck(
-            "occupation probabilities sum to one", float(p_n.sum()), 1.0, 1e-8, PROV_ANALYTIC
+            "occupation probabilities sum to one", float(p_n.sum()), 1.0, 1e-8, "analytic"
         ),
         ScenarioCheck(
             "pinched state is diagonal (max off-diagonal)",
             pinched_offdiag,
             0.0,
             1e-12,
-            PROV_ANALYTIC,
+            "analytic",
         ),
         ScenarioCheck(
             "pinched diagonal equals the occupation distribution",
             float(np.max(np.abs(np.real(np.diag(pinched.matrix)) - p_n))),
             0.0,
             1e-14,
-            PROV_ANALYTIC,
+            "analytic",
         ),
         ScenarioCheck(
             "occupation distribution untouched by the finite channel",
             float(np.max(np.abs(np.real(np.diag(reduced.matrix)) - p_n))),
             0.0,
             1e-12,
-            PROV_ANALYTIC,
+            "analytic",
         ),
     ]
     if sigma_qbar == sigma_pbar:
@@ -432,7 +407,7 @@ def scenario_number_basis(
                 float(np.max(np.abs(p_n - geometric))),
                 0.0,
                 1e-10,
-                PROV_CLOSED_FORM,
+                "closed-form",
             )
         )
     else:
@@ -442,18 +417,11 @@ def scenario_number_basis(
                 min(initial_offdiag, 1e-6),
                 1e-6,
                 0.0,
-                PROV_ORACLE,
+                "oracle",
             )
         )
-    return ScenarioResult(
-        name="number_basis",
-        outputs={
-            "levels": levels,
-            "occupation": p_n,
-            "initial_max_offdiagonal": initial_offdiag,
-        },
-        checks=checks,
-    )
+    tables = {"occupation.csv": {"level (action units)": levels, "probability": p_n}}
+    return checks, {"initial_max_offdiagonal": initial_offdiag}, tables
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +473,7 @@ def scenario_gaussian_bessel(
     xi_compare_max: float = 10.0,
     n_xi: int = 481,
     n_theta: int = 512,
-) -> ScenarioResult:
+):
     """Angle average of an anisotropic Gaussian against its Bessel closed form.
 
     The comparison density is the exact substitution of the Gaussian into
@@ -580,39 +548,34 @@ def scenario_gaussian_bessel(
             rel_err,
             0.0,
             1e-6,
-            PROV_CLOSED_FORM,
+            "closed-form",
         ),
         ScenarioCheck(
             "I0 implementation against its quadrature definition",
             i0_err,
             0.0,
             1e-10,
-            PROV_ORACLE,
+            "oracle",
         ),
         ScenarioCheck(
             "xi-marginal preserved by the angle average",
             marg_drift,
             0.0,
             1e-8,
-            PROV_ANALYTIC,
+            "analytic",
         ),
         ScenarioCheck(
             "canonical-transform resampling consistency (L1)",
             resample_l1,
             0.0,
             1e-3,
-            PROV_ORACLE,
+            "oracle",
         ),
     ]
-    return ScenarioResult(
-        name="gaussian_bessel",
-        outputs={
-            "xi": xigrid.nodes,
-            "numeric_average": numeric,
-            "closed_form": closed,
-        },
-        checks=checks,
-    )
+    tables = {"angle_average.csv": {"xi (action units)": xigrid.nodes,
+                                    "numeric (1/xi units)": numeric,
+                                    "closed_form (1/xi units)": closed}}
+    return checks, {}, tables
 
 
 SCENARIOS = {

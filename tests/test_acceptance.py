@@ -232,8 +232,8 @@ def test_c06_angle_spectral_solver():
 def test_c07_bessel_marginal():
     worst = 0.0
     for ratio in (0.5, 1.0, 2.0):
-        result = scenario_gaussian_bessel(sigma_qbar=1.0, sigma_pbar=ratio)
-        check = result.checks[0]
+        checks, _, _ = scenario_gaussian_bessel(sigma_qbar=1.0, sigma_pbar=ratio)
+        check = checks[0]
         assert "Bessel" in check.description
         worst = max(worst, check.measured)
     report("C7", "angle average vs I0 closed form, ratios {0.5, 1, 2}",
@@ -320,9 +320,9 @@ def test_c10_picture_equivalence():
 
 
 def test_c11_interference_vs_mixture():
-    sup = scenario_interference()
-    res = sup.outputs["interference_residual"]
-    mix = sup.outputs["mixture_residual"]
+    _, scalars, _ = scenario_interference()
+    res = scalars["interference_residual"]
+    mix = scalars["mixture_residual"]
     report("C11a", "superposition pointer residual exceeds 0.05",
            res, 0.05, res > 0.05)
     report("C11b", "mixture pointer residual vanishes", mix, 1e-12, mix <= 1e-12)

@@ -28,7 +28,7 @@ from vnlab.cli import (
     resolve_tolerances,
 )
 from vnlab.cm import DIFFUSED_WIDTH_STEPS, diffused_width, reduced_state_post_cm
-from vnlab.errors import ConfigInvalid, InvariantViolation
+from vnlab.errors import ConfigInvalid, InvariantViolation, VnLabError
 from vnlab.grids import Grid1D
 from vnlab.observables import ProbeSpec, position_observable
 from vnlab.scenarios import SCENARIOS, NonNegative, Signed
@@ -233,6 +233,12 @@ class TestParameterSpec:
         assert repr(name) in str(info.value)
 
 
+# The eight jobs at their default configs: the four commands and the four scenarios.
+DEFAULT_JOBS = [(command, {}) for command in COMMANDS if command != "run-scenario"] + [
+    ("run-scenario", {"scenario": name}) for name in SCENARIOS]
+DEFAULT_JOB_IDS = [params.get("scenario", command) for command, params in DEFAULT_JOBS]
+
+
 class TestExecution:
     def test_evolve_qm_artifacts(self, tmp_path):
         cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 128}})
@@ -270,8 +276,9 @@ class TestExecution:
             actual = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             assert actual == digest
 
-    def test_byte_stable_rerun(self, tmp_path):
-        cfg = normalize_config("evolve-cm", {"parameters": {"n_q": 96, "n_p": 96}})
+    @pytest.mark.parametrize("command, params", DEFAULT_JOBS, ids=DEFAULT_JOB_IDS)
+    def test_byte_stable_rerun(self, tmp_path, command, params):
+        cfg = normalize_config(command, {"parameters": params})
         m1 = execute(cfg, tmp_path / "a")
         m2 = execute(cfg, tmp_path / "b")
         assert m1["outputs"] == m2["outputs"]
@@ -608,19 +615,29 @@ class TestMainEntryPoint:
             ("table1-report", {"n_x": 10**6}, "'n_x'"),
             ("evolve-cm", {"n_q": 10**6, "n_p": 10**6}, "'n_q' and 'n_p'"),
             ("mc-compare", {"n_samples": 10**12}, "'n_samples'"),
+            ("run-scenario", {"scenario": "two_delta", "n_q": 10**10}, "'n_q' and 'n_Q'"),
+            ("run-scenario", {"scenario": "two_delta", "n_Q": 10**12}, "'n_q' and 'n_Q'"),
+            ("run-scenario", {"scenario": "interference", "n_x": 10**10}, "'n_x' and 'n_Q'"),
+            ("run-scenario", {"scenario": "interference", "n_Q": 10**12}, "'n_x' and 'n_Q'"),
+            ("run-scenario", {"scenario": "number_basis", "dim": 10**6}, "'dim'"),
+            ("run-scenario", {"scenario": "gaussian_bessel", "n_xi": 10**6, "n_theta": 10**6},
+             "'n_xi' and 'n_theta'"),
         ],
-        ids=["evolve-qm", "table1-report", "evolve-cm", "mc-compare"],
+        ids=["evolve-qm", "table1-report", "evolve-cm", "mc-compare", "two_delta-n_q",
+             "two_delta-n_Q", "interference-n_x", "interference-n_Q", "number_basis",
+             "gaussian_bessel"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_memory_guard_refuses_before_running(self, tmp_path, capsys, monkeypatch, command,
                                                   sizes, named):
-        # The estimate alone refuses: the command itself must never start at these sizes.
-        def never(tol, /, **arguments):
+        # The estimate alone refuses: the job itself must never start at these sizes.
+        def never(*args, **arguments):
             raise AssertionError(f"{command} ran at {sizes}")
 
-        monkeypatch.setitem(cli.RUNNERS, command, never)
-        assert cli.PEAK_BYTES[command][1](normalize_config(command, {"parameters": sizes})
-                                          ["parameters"]) > 1000 * cli.MEMORY_BUDGET
+        job = sizes.get("scenario", command)
+        monkeypatch.setitem(cli.SCENARIOS if job in SCENARIOS else cli.RUNNERS, job, never)
+        assert cli.PEAK_BYTES[job][1](normalize_config(command, {"parameters": sizes})
+                                      ["parameters"]) > 1000 * cli.MEMORY_BUDGET
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"parameters": sizes}))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -633,6 +650,13 @@ class TestMainEntryPoint:
         cli._require_memory("evolve-qm", {"n_x": 11408})
         with pytest.raises(ConfigInvalid, match="'n_x'"):
             cli._require_memory("evolve-qm", {"n_x": 11409})
+
+    def test_scenario_memory_guard_boundary(self):
+        # 113 B x dim^2 crosses 4 GiB between dim 6165 and 6166; run-scenario's
+        # estimate is read from the scenario field.
+        cli._require_memory("run-scenario", {"scenario": "number_basis", "dim": 6165})
+        with pytest.raises(ConfigInvalid, match="'dim'"):
+            cli._require_memory("run-scenario", {"scenario": "number_basis", "dim": 6166})
 
     @pytest.mark.parametrize("command", ["evolve-qm", "table1-report"])
     def test_memory_estimate_is_the_traced_slope_rounded_up(self, tmp_path, command):
@@ -650,6 +674,40 @@ class TestMainEntryPoint:
         slope = (peaks[1] - peaks[0]) / (2048**2 - 1024**2)
         assert slope <= cli.PEAK_BYTES[command][1]({"n_x": 1}) < slope + 2.0
 
+    @pytest.mark.parametrize(
+        "scenario, base, field, sizes",
+        [
+            ("two_delta", {}, "n_q", (2048, 4096)),
+            # n_Q on a 64-node q grid, past the sizes where the pointer record's
+            # fixed kernel chunks (about 2 MB) set the peak.
+            ("two_delta", {"n_q": 64}, "n_Q", (45056, 53248)),
+            ("interference", {}, "n_x", (2048, 4096)),
+            ("interference", {"n_x": 64}, "n_Q", (36864, 45056)),
+            ("number_basis", {}, "dim", (256, 512)),
+            ("gaussian_bessel", {"n_theta": 1024}, "n_xi", (1024, 2048)),
+        ],
+        ids=["two_delta-n_q", "two_delta-n_Q", "interference-n_x", "interference-n_Q",
+             "number_basis-dim", "gaussian_bessel-n_xi"],
+    )
+    def test_scenario_memory_estimate_is_the_traced_slope_rounded_up(
+            self, tmp_path, scenario, base, field, sizes):
+        # Between two sizes the estimate grows by the traced peak's growth, rounded
+        # up by less than 5%. Warmed up first: the first call may trace an import.
+        config = normalize_config("run-scenario", {"parameters": {"scenario": scenario, **base}})
+        execute(config, tmp_path / "warm")
+        peaks, estimates = [], []
+        for n in sizes:
+            params = {**config["parameters"], field: n}
+            estimates.append(cli.PEAK_BYTES[scenario][1](params))
+            tracemalloc.start()
+            try:
+                execute({"command": "run-scenario", "parameters": params}, tmp_path / str(n))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        traced = peaks[1] - peaks[0]
+        assert traced <= estimates[1] - estimates[0] < 1.05 * traced
+
     def test_memory_guard_admits_the_default_and_benchmark_sizes(self):
         sizes = {"evolve-qm": {"n_x": 2048}, "table1-report": {"n_x": 2048},
                  "evolve-cm": {"n_q": 1024, "n_p": 1024}, "mc-compare": {"n_samples": 10**6}}
@@ -657,6 +715,9 @@ class TestMainEntryPoint:
             for params in ({}, fields):
                 config = normalize_config(command, {"parameters": params})
                 assert cli.PEAK_BYTES[command][1](config["parameters"]) < cli.MEMORY_BUDGET / 10
+        for scenario in SCENARIOS:
+            config = normalize_config("run-scenario", {"parameters": {"scenario": scenario}})
+            assert cli.PEAK_BYTES[scenario][1](config["parameters"]) < cli.MEMORY_BUDGET / 10
 
     def test_evolve_cm_kernel_wider_than_the_p_grid_names_its_cause(self, tmp_path, capsys):
         # sigma_P = 50 at epsilon = 1: the diffused spread 6 sqrt(1 + 2500) =
@@ -810,6 +871,23 @@ class TestMainEntryPoint:
     @pytest.mark.skipif(shutil.which("vnlab") is None, reason="vnlab console script not installed")
     def test_console_script_on_path(self, tmp_path):
         _assert_evolve_cm_runs([shutil.which("vnlab")], tmp_path)
+
+    def test_csv_bytes_of_special_values(self, tmp_path):
+        # 17 significant digits, so every double reads back exactly; nan, inf and -0
+        # as Python's format spec spells them, subnormals included.
+        path = tmp_path / "t.csv"
+        cli.write_table(path, {"x": np.array([0.1, -0.0, 1e-300, 5e-324]),
+                               "y (units)": np.array([np.nan, np.inf, -np.inf, 2.0**-1030])})
+        assert path.read_bytes() == (b"x,y (units)\n"
+                                     b"0.10000000000000001,nan\n"
+                                     b"-0,inf\n"
+                                     b"1e-300,-inf\n"
+                                     b"4.9406564584124654e-324,8.6916947597937554e-311\n")
+
+    def test_table_columns_of_unequal_length_refused(self, tmp_path):
+        with pytest.raises(VnLabError, match="share a length"):
+            cli.write_table(tmp_path / "t.csv", {"a": np.zeros(3), "b": np.zeros(4)})
+        assert not (tmp_path / "t.csv").exists()
 
     def test_csv_floats_round_trip(self, tmp_path):
         cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 96}})

@@ -10,6 +10,7 @@ from vnlab import ProbeSpec, TruncationTooSmall, scenarios
 from vnlab.errors import ConfigInvalid
 from vnlab.grids import TWO_PI
 from vnlab.scenarios import (
+    SCENARIOS,
     bessel_angle_average,
     number_basis_initial_state,
     scenario_gaussian_bessel,
@@ -19,83 +20,104 @@ from vnlab.scenarios import (
 )
 
 
+def failed(checks) -> list[dict]:
+    """The checks that fail, as dicts, for an assertion's message."""
+    return [c.as_dict() for c in checks if not c.passed]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_returns_checks_scalars_and_tables(name):
+    # What execute writes: scalars into checks.json, each table into one CSV.
+    checks, scalars, tables = SCENARIOS[name]()
+    assert checks and not failed(checks), failed(checks)
+    for key, value in scalars.items():
+        assert isinstance(value, (bool, int, float)), (key, type(value))
+    assert tables
+    for filename, columns in tables.items():
+        assert filename.endswith(".csv") and columns
+        assert all(np.ndim(c) == 1 for c in columns.values()), filename
+        assert len({len(c) for c in columns.values()}) == 1, filename
+
+
 class TestTwoDelta:
     def test_defaults_resolve_two_positions(self):
-        result = scenario_two_delta()
-        assert result.all_passed, [c.as_dict() for c in result.checks if not c.passed]
-        assert result.outputs["resolved"] is True
-        assert result.outputs["n_peaks"] == 2
+        checks, scalars, _ = scenario_two_delta()
+        assert not failed(checks), failed(checks)
+        assert scalars["resolved"] is True
+        assert scalars["n_peaks"] == 2
 
     def test_wide_probe_merges(self):
         probe = ProbeSpec(sigma_Q=2.0, sigma_P=0.3)
-        result = scenario_two_delta(probe=probe)
-        assert result.all_passed
-        assert result.outputs["n_peaks"] == 1
-        assert result.outputs["resolved"] is False
+        checks, scalars, _ = scenario_two_delta(probe=probe)
+        assert not failed(checks)
+        assert scalars["n_peaks"] == 1
+        assert scalars["resolved"] is False
 
     def test_coincident_positions_give_single_gaussian(self):
-        result = scenario_two_delta(q0=0.4, q1=0.4)
-        assert result.all_passed
-        assert result.outputs["n_peaks"] == 1
+        checks, scalars, _ = scenario_two_delta(q0=0.4, q1=0.4)
+        assert not failed(checks)
+        assert scalars["n_peaks"] == 1
 
     def test_coincident_positions_run_the_merged_regime_checks(self):
         # A zero gap has resolution ratio inf >= 1: one peak, nothing resolved.
-        result = scenario_two_delta(q0=0.4, q1=0.4)
-        assert [c.description for c in result.checks] == [
+        checks, scalars, _ = scenario_two_delta(q0=0.4, q1=0.4)
+        assert [c.description for c in checks] == [
             "probe marginal mass",
             "L1 distance to the two-Gaussian sum",
             "peak count in the merged regime",
         ]
-        assert result.all_passed
-        assert result.outputs["resolution_ratio"] == np.inf
-        assert result.outputs["resolved"] is False
-        assert np.isnan(result.outputs["valley_ratio"])
+        assert not failed(checks)
+        assert scalars["resolution_ratio"] == np.inf
+        assert scalars["resolved"] is False
+        assert np.isnan(scalars["valley_ratio"])
 
     def test_deterministic_reruns(self):
-        a = scenario_two_delta()
-        b = scenario_two_delta()
-        assert np.array_equal(a.outputs["probe_marginal"], b.outputs["probe_marginal"])
-        assert [c.as_dict() for c in a.checks] == [c.as_dict() for c in b.checks]
+        checks_a, _, tables_a = scenario_two_delta()
+        checks_b, _, tables_b = scenario_two_delta()
+        column = "density (1/Q units)"
+        assert np.array_equal(tables_a["probe_marginal.csv"][column],
+                              tables_b["probe_marginal.csv"][column])
+        assert [c.as_dict() for c in checks_a] == [c.as_dict() for c in checks_b]
 
 
 class TestInterference:
     def test_overlapping_packets_show_interference(self):
-        result = scenario_interference()
-        assert result.all_passed, [c.as_dict() for c in result.checks if not c.passed]
-        assert result.outputs["interference_residual"] > 0.05
-        assert result.outputs["mixture_residual"] <= 1e-12
+        checks, scalars, _ = scenario_interference()
+        assert not failed(checks), failed(checks)
+        assert scalars["interference_residual"] > 0.05
+        assert scalars["mixture_residual"] <= 1e-12
 
     def test_single_component_has_no_cross_term(self):
-        result = scenario_interference(alpha=1.0, beta=0.0)
-        assert result.all_passed
-        assert result.outputs["interference_residual"] <= 1e-12
+        checks, scalars, _ = scenario_interference(alpha=1.0, beta=0.0)
+        assert not failed(checks)
+        assert scalars["interference_residual"] <= 1e-12
 
     def test_relative_phase_moves_the_pattern(self):
-        plus = scenario_interference(alpha=1 / np.sqrt(2), beta=1 / np.sqrt(2))
-        minus = scenario_interference(alpha=1 / np.sqrt(2), beta=-1 / np.sqrt(2))
-        assert plus.all_passed and minus.all_passed
+        checks_plus, _, plus = scenario_interference(alpha=1 / np.sqrt(2), beta=1 / np.sqrt(2))
+        checks_minus, _, minus = scenario_interference(alpha=1 / np.sqrt(2), beta=-1 / np.sqrt(2))
+        assert not failed(checks_plus) and not failed(checks_minus)
         # Opposite phases suppress opposite regions; the records differ.
-        diff = np.max(np.abs(plus.outputs["pointer_superposition"]
-                             - minus.outputs["pointer_superposition"]))
+        column = "superposition (1/Q units)"
+        diff = np.max(np.abs(plus["pointer.csv"][column] - minus["pointer.csv"][column]))
         assert diff > 0.01
 
 
 class TestNumberBasis:
     def test_isotropic_widths_geometric(self):
-        result = scenario_number_basis(sigma_qbar=1.0, sigma_pbar=1.0, dim=64)
-        assert result.all_passed, [c.as_dict() for c in result.checks if not c.passed]
-        p = result.outputs["occupation"]
+        checks, _, tables = scenario_number_basis(sigma_qbar=1.0, sigma_pbar=1.0, dim=64)
+        assert not failed(checks), failed(checks)
+        p = tables["occupation.csv"]["probability"]
         ratios = p[1:10] / p[:9]
         assert np.max(np.abs(ratios - np.exp(-1.0))) < 1e-10
 
     def test_anisotropic_widths_off_diagonal_then_pinched(self):
-        result = scenario_number_basis(sigma_qbar=1.0, sigma_pbar=1.6, dim=96)
-        assert result.all_passed, [c.as_dict() for c in result.checks if not c.passed]
-        assert result.outputs["initial_max_offdiagonal"] > 1e-6
+        checks, scalars, _ = scenario_number_basis(sigma_qbar=1.0, sigma_pbar=1.6, dim=96)
+        assert not failed(checks), failed(checks)
+        assert scalars["initial_max_offdiagonal"] > 1e-6
 
     def test_occupations_sum_to_one(self):
-        result = scenario_number_basis(sigma_qbar=1.2, sigma_pbar=0.9, dim=96)
-        assert abs(result.outputs["occupation"].sum() - 1.0) < 1e-8
+        _, _, tables = scenario_number_basis(sigma_qbar=1.2, sigma_pbar=0.9, dim=96)
+        assert abs(tables["occupation.csv"]["probability"].sum() - 1.0) < 1e-8
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationTooSmall):
@@ -138,8 +160,8 @@ class TestNumberBasis:
 class TestGaussianBessel:
     @pytest.mark.parametrize("sigma_pbar", [0.5, 1.0, 2.0])
     def test_width_ratios(self, sigma_pbar):
-        result = scenario_gaussian_bessel(sigma_qbar=1.0, sigma_pbar=sigma_pbar)
-        assert result.all_passed, [c.as_dict() for c in result.checks if not c.passed]
+        checks, _, _ = scenario_gaussian_bessel(sigma_qbar=1.0, sigma_pbar=sigma_pbar)
+        assert not failed(checks), failed(checks)
 
     def test_underflowing_closed_form_refused_before_averaging(self, monkeypatch):
         # exp(-3000 / 2^2) underflows to 0, so the relative error would divide by it.
@@ -158,6 +180,7 @@ class TestGaussianBessel:
         assert np.max(np.abs(closed - expected)) < 1e-14
 
     def test_deterministic_reruns(self):
-        a = scenario_gaussian_bessel()
-        b = scenario_gaussian_bessel()
-        assert np.array_equal(a.outputs["numeric_average"], b.outputs["numeric_average"])
+        column = "numeric (1/xi units)"
+        a = scenario_gaussian_bessel()[2]["angle_average.csv"][column]
+        b = scenario_gaussian_bessel()[2]["angle_average.csv"][column]
+        assert np.array_equal(a, b)
