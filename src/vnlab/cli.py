@@ -91,12 +91,13 @@ from .states import (
     density_from_wavefunction,
     expectation,
     gaussian_wavepacket,
+    normalized_wavefunction,
     phase_density_from_values,
     require_fits,
     require_resolved,
     to_angle_action,
 )
-from .wigner import WignerEvolutionSpec, momentum_marginals
+from .wigner import WignerEvolutionSpec, pure_state_momentum_marginals
 
 SCHEMA_VERSION = 1
 
@@ -328,18 +329,19 @@ def _wigner_pgrid(hbar: float, xgrid: Grid1D, s2: float, tau: float, pad: float 
 
 # A job's estimated peak memory, in bytes, from its size fields, by command or
 # scenario: the slope of its traced peak (tracemalloc) between two sizes, rounded
-# up; for n_x, 1024 and 2048, past the sizes where table1-report's fixed 14 MB
-# still sets its peak; for n_Q, past those where the pointer record's kernel
+# up (evolve-qm's 0.44 to half a byte: its blocked phases hold 0.375 B x n_x^2, the
+# rest is linear); for n_x, 1024 and 2048, past the sizes where table1-report's fixed
+# 14 MB still sets its peak; for n_Q, past those where the pointer record's kernel
 # chunks (about 2 MB) still set it. The intercepts, at most 14 MB, are left out.
 # ``_execute`` refuses an estimate past MEMORY_BUDGET before any array is allocated.
 MEMORY_BUDGET = 4 * 2**30
 PEAK_BYTES = {
-    "evolve-qm": ("'n_x'", lambda p: 33.0 * p["n_x"] * p["n_x"]),
+    "evolve-qm": ("'n_x'", lambda p: 0.5 * p["n_x"] * p["n_x"]),
     "table1-report": ("'n_x'", lambda p: 61.0 * p["n_x"] * p["n_x"]),
     "evolve-cm": ("'n_q' and 'n_p'", lambda p: 23.0 * p["n_q"] * p["n_p"]),
     "mc-compare": ("'n_samples'", lambda p: 128.0 * p["n_samples"]),
-    "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 60.0 * p["n_Q"]),
-    "interference": ("'n_x' and 'n_Q'", lambda p: 4200.0 * p["n_x"] + 90.0 * p["n_Q"]),
+    "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 33.0 * p["n_Q"]),
+    "interference": ("'n_x' and 'n_Q'", lambda p: 4200.0 * p["n_x"] + 33.0 * p["n_Q"]),
     "number_basis": ("'dim'", lambda p: 113.0 * p["dim"] * p["dim"]),
     "gaussian_bessel": ("'n_xi' and 'n_theta'", lambda p: 33.0 * p["n_xi"] * p["n_theta"]),
 }
@@ -382,21 +384,20 @@ def run_evolve_qm(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
     s2 = _momentum_variance(hbar, sigma_x)
     pgrid = _wigner_pgrid(hbar, xgrid, s2, coupling.tau)
     psi = gaussian_wavepacket(xgrid, center=center_x, sigma_x=sigma_x, hbar=hbar)
-    rho = density_from_wavefunction(psi, xgrid)
-    obs = SpectralObservable.from_diagonal(xgrid.nodes)
+    psi = normalized_wavefunction(psi, xgrid)
+    weights = np.real(xgrid.h * (psi * psi.conj()))  # the Born weights, diag(h psi psi^H)
 
-    Qgrid = auto_pointer_grid(obs, probe, coupling, n=1024)
-    pointer = pointer_distribution(rho, obs, probe, coupling, Qgrid)
+    Qgrid = probe.pointer_grid(xgrid.nodes, coupling.epsilon, 1024, 8.0)
+    pointer = probe.pointer_density(Qgrid.nodes, xgrid.nodes, weights, coupling.epsilon)
     pointer_mass = Qgrid.integrate(pointer)
     mean_ratio = _moment(Qgrid, pointer) / coupling.epsilon
-    mean_expected = pointer_mean(rho, obs, coupling) / coupling.epsilon
+    mean_expected = float(weights @ xgrid.nodes)
 
-    # rho's diagonal (offset-0 anti-diagonal) after the channel: times its factor at y = 0.
+    # The Born weights after the channel: times its factor at y = 0.
     spec = WignerEvolutionSpec(A=lambda x: x, tau=coupling.tau)
-    diagonal = np.diag(rho.matrix)
-    invariance = float(np.max(np.abs(diagonal * spec.damping(xgrid.nodes, 0.0, hbar) - diagonal)))
+    invariance = float(np.max(np.abs(weights * spec.damping(xgrid.nodes, 0.0, hbar) - weights)))
 
-    p_before, p_after = momentum_marginals(rho, spec, pgrid, hbar=hbar)
+    p_before, p_after = pure_state_momentum_marginals(psi, xgrid, spec, pgrid, hbar=hbar)
     var_after = _variance(pgrid, p_after)
 
     checks = [
@@ -411,7 +412,7 @@ def run_evolve_qm(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
     ]
     scalars = {
         "tau": coupling.tau,
-        "disturbance_scale": position_disturbance_scale(rho, coupling, hbar=hbar),
+        "disturbance_scale": position_disturbance_scale(xgrid, weights / xgrid.h, coupling, hbar),
         "momentum_variance_before": _variance(pgrid, p_before),
         "momentum_variance_after": var_after,
     }
@@ -650,7 +651,8 @@ def run_table1_report(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
 
     # Row 3: both final reduced states grow the momentum variance by 2*tau.
     spec = WignerEvolutionSpec(A=lambda x: x, tau=tau)
-    qm_row3 = _variance(wgrid, momentum_marginals(rho_qm, spec, wgrid, hbar=hbar)[1])
+    psi = normalized_wavefunction(psi, xgrid)
+    qm_row3 = _variance(wgrid, pure_state_momentum_marginals(psi, xgrid, spec, wgrid, hbar=hbar)[1])
 
     rho_cm3 = build_gaussian_phase_density(xgrid, wgrid, sigma_x, np.sqrt(s2))
     cm_post = reduced_state_post_cm(rho_cm3, obs_cm, tau)
@@ -756,7 +758,8 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with path.open("rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def execute(config: dict, out_dir: Path, seed: int | None = None) -> dict:

@@ -173,16 +173,13 @@ def conditional_state(
 
 
 def position_disturbance_scale(
-    rho_s: DensityOperator, coupling: CouplingParams, hbar: float = 1.0
+    grid: Grid1D, density: np.ndarray, coupling: CouplingParams, hbar: float = 1.0
 ) -> float:
-    """Reported disturbance scale (epsilon/hbar) * sigma_P * sqrt(var(x)).
+    """Reported disturbance scale (epsilon/hbar) * sigma_P * sqrt(var(x)), x ~ density.
 
     A scaling estimate only; nothing is asserted against it.
     """
-    if rho_s.grid is None:
-        raise DimensionMismatch("disturbance scale is defined on a position grid")
-    x = rho_s.grid.nodes
-    dens = rho_s.position_density()
-    mean = rho_s.grid.integrate(x * dens)
-    var = rho_s.grid.integrate((x - mean) ** 2 * dens)
+    x = grid.nodes
+    mean = grid.integrate(x * density)
+    var = grid.integrate((x - mean) ** 2 * density)
     return coupling.epsilon / hbar * coupling.sigma_P * np.sqrt(var)

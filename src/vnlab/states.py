@@ -300,11 +300,15 @@ class DensityOperator:
         return replace(self, matrix=_Handover(self.matrix / np.trace(self.matrix)))
 
 
-def density_from_wavefunction(psi, grid: Grid1D) -> DensityOperator:
-    """Pure state from samples of psi(x); psi is L2-normalized on the grid."""
+def normalized_wavefunction(psi, grid: Grid1D) -> np.ndarray:
+    """Complex samples of psi(x), L2-normalized on the grid."""
     psi = np.asarray(psi, dtype=complex)
-    norm = grid.integrate(np.abs(psi) ** 2)
-    psi = psi / np.sqrt(norm)
+    return psi / np.sqrt(grid.integrate(np.abs(psi) ** 2))
+
+
+def density_from_wavefunction(psi, grid: Grid1D) -> DensityOperator:
+    """Pure state h psi psi^H from samples of psi(x) (``normalized_wavefunction``)."""
+    psi = normalized_wavefunction(psi, grid)
     return DensityOperator(_Handover(grid.h * np.outer(psi, psi.conj())), grid=grid)
 
 

@@ -14,16 +14,16 @@ w_0 = 1 and w_m = 2 times the quadrature weight. Both sums are real matrix
 products of half the depth of the complex one, a quarter of its flops, done
 as one stacked product, and W is real by construction.
 
-Where only the momentum marginal is read, as in the 2*tau variance law,
-``momentum_marginals`` takes the same quadrature with the sums in the other
-order: each anti-diagonal is first summed over q with the q-grid weights,
-and W is never formed. The folded sums then meet the phases in blocks of
-BLOCK momenta: with p_j = P_b + r h_p, exp(i p_j y_m / hbar) is the product
-of exp(i P_b y_m / hbar) and exp(i r h_p y_m / hbar), so k (n_p / BLOCK +
-BLOCK) complex exponentials replace the 2 k n_p cosines and sines of the
-full phase matrix (k = (n - 1)//2 + 1: 98,304 against 4,194,304 at n = 2048). The
-whole marginal costs O(n^2), and it agrees with the full product to rounding
-(at most 2.7e-14 of max|P|; the tests hold it to 1e-13).
+Where only the momentum marginal of a pure state is read, as in the 2*tau
+variance law, ``pure_state_momentum_marginals`` reads the wavefunction and
+forms neither rho nor W: for rho = h psi psi^H the q-sum of anti-diagonal m is
+h^2 times lag 2m of psi's autocorrelation, every lag from one zero-padded FFT
+(Wiener-Khinchin). The sums then meet the phases in blocks of BLOCK momenta:
+exp(i (P_b + r h_p) y_m / hbar) = exp(i P_b y_m / hbar) exp(i r h_p y_m / hbar),
+so k (n_p / BLOCK + BLOCK) complex exponentials replace the 2 k n_p cosines
+and sines of the full phase matrix (98,304 against 4,194,304 at n = 2048).
+Its oracle, the same sums over rho's gathered anti-diagonals for any A, is
+``momentum_marginals`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import BasisMismatch, InvariantViolation, ShapeMismatch
 from .grids import Grid1D, _freeze, _Handover, grid2d_integrate
 from .states import DensityOperator
 
-# Momenta per block of ``momentum_marginals``' phase product.
+# Momenta per block of ``pure_state_momentum_marginals``' phase product.
 BLOCK = 64
 
 
@@ -157,33 +157,29 @@ def evolved_wigner(
     return _wigner_from_antidiagonals(y, D, rho.grid, pgrid, hbar)
 
 
-def momentum_marginals(
-    rho: DensityOperator, spec: WignerEvolutionSpec, pgrid: Grid1D, hbar: float = 1.0
+def pure_state_momentum_marginals(
+    psi: np.ndarray, xgrid: Grid1D, spec: WignerEvolutionSpec, pgrid: Grid1D, hbar: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """int W dq / (2 pi hbar) before and after the channel, without forming W.
+    """int W dq / (2 pi hbar) of rho = h psi psi^H before and after the channel,
+    psi L2-normalized on ``xgrid`` (``normalized_wavefunction``).
 
-    The quadrature of ``WignerFunction.p_marginal_density`` on
-    ``wigner_transform`` and ``evolved_wigner``, summed over q first: with
-    C_m + i S_m = sum_i w_i (D[0, m, i] + i D[1, m, i]) and the fold weights
-    f_m, P(p) = Re sum_m v_m exp(i p y_m / hbar) / (2 pi hbar), where
-    v_m = (C_m - i S_m) f_m. The q-sum of the plain anti-diagonals is taken,
-    then they are damped in place and summed again.
+    Contract: A is affine in x, so DeltaA(q, y) does not depend on q and the
+    channel's factor is one y-profile, ``spec.damping`` read at q = 0.
 
-    The phases are blocked: p_j = P_b + r h_p, with P_b the first node of
-    block b and r = 0 .. BLOCK-1, so P = Re[(v * E) @ F^T] with
-    E[b, m] = exp(i P_b y_m / hbar) and F[r, m] = exp(i r h_p y_m / hbar).
-    That is k (n_p / BLOCK + BLOCK) complex exponentials, not the 2 k n_p
-    cosines and sines of ``_phase_matrix``. The two differ by rounding only:
-    1.4e-15 of max|P| on evolve-qm's default grid, and at most 2.7e-14 at n up
-    to 4096 with the p grid at pi hbar / (2h), where p y / hbar nears pi n / 2.
+    ``WignerFunction.p_marginal_density``'s quadrature, summed over q first: with
+    r_l = sum_j psi_{j+l} psi*_j, the trapezoid q-sum of anti-diagonal m is
+    C_m + i S_m = h^2 r_{2m}, less h^2 (|psi_0|^2 + |psi_{n-1}|^2) / 2 at m = 0,
+    the one run that reaches the grid ends. With the fold weights f_m,
+    P(p) = Re sum_m v_m exp(i p y_m / hbar) / (2 pi hbar), v_m = (C_m - i S_m) f_m,
+    by the blocked phases P = Re[(v * E) @ F^T], E[b, m] = exp(i P_b y_m / hbar)
+    and F[r, m] = exp(i r h_p y_m / hbar). These differ from ``_phase_matrix`` by
+    rounding: at most 2.7e-14 of max|P| at n up to 4096, at the p grid's Nyquist edge.
     """
-    y, D = _antidiagonals(rho)
-    rows = D.reshape(2 * y.size, rho.dim)  # a view: the damping below reaches it
-    before = rows @ rho.grid.weights
-    D *= spec.damping(rho.grid.nodes, y[:, None], hbar)
-    after = rows @ rho.grid.weights
-    sums = np.stack([before, after]).reshape(2, 2, y.size)  # (before/after, C/S, m)
-    v = (sums[:, 0] - 1j * sums[:, 1]) * _fold_weights(y)
+    y = 2.0 * xgrid.h * np.arange((xgrid.n - 1) // 2 + 1)
+    spectrum = np.fft.fft(psi, 2 * xgrid.n)
+    sums = xgrid.h**2 * np.fft.ifft(spectrum * spectrum.conj())[: 2 * y.size : 2]
+    sums[0] -= 0.5 * xgrid.h**2 * (abs(psi[0]) ** 2 + abs(psi[-1]) ** 2)
+    v = sums.conj() * _fold_weights(y) * np.stack([np.ones(y.size), spec.damping(0.0, y, hbar)])
     E = np.exp(np.outer(pgrid.nodes[::BLOCK], 1j * y / hbar))  # (blocks, k)
     F = np.exp(np.outer(np.arange(BLOCK) * pgrid.h, 1j * y / hbar))  # (BLOCK, k)
     # (2, blocks, BLOCK) flattens to p order; the last block's overhang is cut.

@@ -1,6 +1,6 @@
 """Independent oracles: the pointer smear, the quadrature kernel, the Wigner
-equation, the classical diffusions and the spline samplers as they were first
-computed.
+equation, the density-matrix momentum marginals, the classical diffusions and
+the spline samplers as they were first computed.
 
 Each computes a quantity a second way, from its definition, so that the
 package's closed forms and exact solves can be checked against it.
@@ -16,8 +16,8 @@ from scipy.ndimage import convolve1d
 
 from vnlab import CouplingParams, ProbeSpec, SpectralObservable
 from vnlab.grids import TWO_PI, Grid1D
-from vnlab.states import AngleActionDensity, PhaseSpaceDensity, _Handover
-from vnlab.wigner import WignerEvolutionSpec, WignerFunction
+from vnlab.states import AngleActionDensity, DensityOperator, PhaseSpaceDensity, _Handover
+from vnlab.wigner import BLOCK, WignerEvolutionSpec, WignerFunction, _antidiagonals, _fold_weights
 
 
 def pointer_density_loop(
@@ -105,6 +105,39 @@ def wigner_pde_residual(
         rhs = apply_wigner_generator(wigners[k], spec, hbar=hbar)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def momentum_marginals(
+    rho: DensityOperator, spec: WignerEvolutionSpec, pgrid: Grid1D, hbar: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """int W dq / (2 pi hbar) before and after the channel, from rho's gathered
+    anti-diagonals, for any Hermitian state and any A.
+
+    Oracle of ``vnlab.wigner.pure_state_momentum_marginals``, which reads a
+    pure state's wavefunction and an affine A. The quadrature of
+    ``WignerFunction.p_marginal_density`` on ``wigner_transform`` and
+    ``evolved_wigner``, summed over q first: with
+    C_m + i S_m = sum_i w_i (D[0, m, i] + i D[1, m, i]) and the fold weights
+    f_m, P(p) = Re sum_m v_m exp(i p y_m / hbar) / (2 pi hbar), where
+    v_m = (C_m - i S_m) f_m. The q-sum of the plain anti-diagonals is taken,
+    then they are damped in place, each at its own q, and summed again.
+
+    The phases are blocked: p_j = P_b + r h_p, with P_b the first node of
+    block b and r = 0 .. BLOCK-1, so P = Re[(v * E) @ F^T] with
+    E[b, m] = exp(i P_b y_m / hbar) and F[r, m] = exp(i r h_p y_m / hbar).
+    """
+    y, D = _antidiagonals(rho)
+    rows = D.reshape(2 * y.size, rho.dim)  # a view: the damping below reaches it
+    before = rows @ rho.grid.weights
+    D *= spec.damping(rho.grid.nodes, y[:, None], hbar)
+    after = rows @ rho.grid.weights
+    sums = np.stack([before, after]).reshape(2, 2, y.size)  # (before/after, C/S, m)
+    v = (sums[:, 0] - 1j * sums[:, 1]) * _fold_weights(y)
+    E = np.exp(np.outer(pgrid.nodes[::BLOCK], 1j * y / hbar))  # (blocks, k)
+    F = np.exp(np.outer(np.arange(BLOCK) * pgrid.h, 1j * y / hbar))  # (BLOCK, k)
+    # (2, blocks, BLOCK) flattens to p order; the last block's overhang is cut.
+    marginals = ((v[:, None, :] * E) @ F.T).real.reshape(2, -1)[:, :pgrid.n] / (2.0 * np.pi * hbar)
+    return marginals[0], marginals[1]
 
 
 def diffuse_rows_p_reference(values: np.ndarray, h_p: float, sigma: float) -> np.ndarray:

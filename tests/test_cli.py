@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vnlab
-from vnlab import cli, qm
+from vnlab import cli, qm, wigner
 from vnlab.cli import (
     COMMANDS,
     COUPLING_PAIR,
@@ -336,9 +336,22 @@ class TestExecution:
         cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 65}})
         assert execute(cfg, tmp_path / "out")["all_passed"]
 
+    def test_evolve_qm_forms_no_density_matrix(self, tmp_path, monkeypatch):
+        # The pointer record, <A>, the invariance check and the momentum marginals
+        # all read the wavefunction: no n x n state is built, and no k x n
+        # anti-diagonals are gathered.
+        def never(*args, **kwargs):
+            raise AssertionError("evolve-qm formed an n x n state")
+
+        for name in ("density_from_wavefunction", "DensityOperator"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(wigner, "_antidiagonals", never)
+        cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 65}})
+        assert execute(cfg, tmp_path / "out")["all_passed"]
+
     def test_outcome_invariance_check_is_not_vacuous(self, tmp_path, monkeypatch):
         # A(q + y/2) + A(q - y/2) is 2q at y = 0, so the broken channel damps
-        # rho's diagonal and the check must see it.
+        # the Born weights and the check must see it.
         monkeypatch.setattr(WignerEvolutionSpec, "delta_A",
                             lambda self, q, y: self.A(q + 0.5 * y) + self.A(q - 0.5 * y))
         cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 65}})
@@ -611,7 +624,7 @@ class TestMainEntryPoint:
     @pytest.mark.parametrize(
         "command, sizes, named",
         [
-            ("evolve-qm", {"n_x": 10**6}, "'n_x'"),
+            ("evolve-qm", {"n_x": 10**8}, "'n_x'"),
             ("table1-report", {"n_x": 10**6}, "'n_x'"),
             ("evolve-cm", {"n_q": 10**6, "n_p": 10**6}, "'n_q' and 'n_p'"),
             ("mc-compare", {"n_samples": 10**12}, "'n_samples'"),
@@ -646,10 +659,10 @@ class TestMainEntryPoint:
         assert "Traceback" not in captured.out + captured.err
 
     def test_memory_guard_boundary(self):
-        # 33 B x n_x^2 crosses 4 GiB between n_x 11408 and 11409; only the estimate runs.
-        cli._require_memory("evolve-qm", {"n_x": 11408})
+        # 0.5 B x n_x^2 crosses 4 GiB between n_x 92681 and 92682; only the estimate runs.
+        cli._require_memory("evolve-qm", {"n_x": 92681})
         with pytest.raises(ConfigInvalid, match="'n_x'"):
-            cli._require_memory("evolve-qm", {"n_x": 11409})
+            cli._require_memory("evolve-qm", {"n_x": 92682})
 
     def test_scenario_memory_guard_boundary(self):
         # 113 B x dim^2 crosses 4 GiB between dim 6165 and 6166; run-scenario's

@@ -569,4 +569,5 @@ class TestDisturbanceScale:
         rho = density_from_wavefunction(gaussian_wavepacket(g, sigma_x=1.5), g)
         coupling = CouplingParams.from_sigma_P(2.0, 0.3)
         expected = 2.0 * 0.3 * 1.5
-        assert position_disturbance_scale(rho, coupling) == pytest.approx(expected, abs=1e-6)
+        scale = position_disturbance_scale(g, rho.position_density(), coupling)
+        assert scale == pytest.approx(expected, abs=1e-6)
