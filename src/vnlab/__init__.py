@@ -40,7 +40,6 @@ from .states import (
     DensityOperator,
     PhaseSpaceDensity,
     build_gaussian_phase_density,
-    density_from_wavefunction,
     expectation,
     from_angle_action,
     gaussian_wavepacket,

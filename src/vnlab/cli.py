@@ -13,8 +13,10 @@ table1-report  the four quantum/classical correspondence rows as executed
 
 Every command's and scenario's parameters, with their defaults and admitted
 ranges, are the arguments of its function: a command's runner here, a
-scenario's function in ``scenarios``. ``normalize_config`` refuses every other
-name and every value outside a field's range with ``ConfigInvalid``.
+scenario's function in ``scenarios``. A command's tolerances, with their
+defaults, are its runner's keyword-only arguments. ``normalize_config`` and
+``resolve_tolerances`` refuse every other name and every value outside a
+field's range with ``ConfigInvalid``.
 
 Every one of these functions returns ``(checks, scalars, tables)``: its
 ``ScenarioCheck`` list, its scalar outputs by name, and its tables, each CSV
@@ -68,14 +70,7 @@ from .observables import (
     action_observable,
     position_observable,
 )
-from .qm import (
-    auto_pointer_grid,
-    lindblad_evolve,
-    lindblad_rhs,
-    pointer_distribution,
-    pointer_mean,
-    position_disturbance_scale,
-)
+from .qm import lindblad_evolve, lindblad_rhs, pointer_distribution, position_disturbance_scale
 from .scenarios import (
     DEFAULT_EPSILON,
     SCENARIOS,
@@ -88,7 +83,6 @@ from .states import (
     DensityOperator,
     build_gaussian_phase_density,
     delta_width,
-    density_from_wavefunction,
     expectation,
     gaussian_wavepacket,
     normalized_wavefunction,
@@ -100,8 +94,6 @@ from .states import (
 from .wigner import WignerEvolutionSpec, pure_state_momentum_marginals
 
 SCHEMA_VERSION = 1
-
-COMMANDS = ("run-scenario", "evolve-qm", "evolve-cm", "mc-compare", "table1-report")
 
 # The top-level fields of a config document.
 CONFIG_FIELDS = ("schema_version", "command", "parameters", "tolerances")
@@ -131,32 +123,6 @@ RANGES = {
     NonNegative: (lambda v: v >= 0, "a finite number >= 0"),
     Signed: (lambda v: True, "a finite number"),
 }
-
-DEFAULT_TOLERANCES: dict[str, dict[str, float]] = {
-    "run-scenario": {},
-    "evolve-qm": {
-        "pointer_normalization": 1e-8,
-        "pointer_mean": 1e-8,
-        "distribution_invariance": 1e-10,
-        "variance_growth": 1e-4,
-    },
-    "evolve-cm": {
-        "mass": 1e-6,
-        "probe_mean": 1e-8,
-        "q_marginal_drift": 1e-8,
-        "variance_growth": 1e-4,
-    },
-    "mc-compare": {"l1_coefficient": 5.0},
-    "table1-report": {
-        "row1_expectation": 1e-8,
-        "row2_uncertainty_qm": 1e-8,
-        "row2_uncertainty_cm": 1e-6,
-        "row3_variance": 1e-4,
-        "row4_qm_derivative": 1e-3,
-        "row4_cm_order": 0.6,
-    },
-}
-
 
 # ---------------------------------------------------------------------------
 # Parameters, read from the runner and scenario signatures
@@ -244,7 +210,7 @@ def _spec(command: str, user: dict) -> tuple[str, list[inspect.Parameter], dict]
 
 def normalize_config(command: str, raw: dict | None) -> dict:
     """Merge defaults, derive the coupling pair, validate every field."""
-    if command not in COMMANDS:
+    if command not in RUNNERS:
         raise ConfigInvalid(f"unknown command {command!r}")
     raw = {} if raw is None else raw
     if not isinstance(raw, dict):
@@ -291,7 +257,10 @@ def normalize_config(command: str, raw: dict | None) -> dict:
 
 
 def resolve_tolerances(command: str, config: dict, overrides: dict[str, float]) -> dict:
-    tol = dict(DEFAULT_TOLERANCES[command])
+    """The runner's keyword-only arguments with their defaults, overridden by the
+    config's tolerances and then by ``overrides``."""
+    tol = {arg.name: arg.default for arg in inspect.signature(RUNNERS[command]).parameters.values()
+           if arg.kind is arg.KEYWORD_ONLY}
     for source in (config.get("tolerances", {}), overrides):
         for name, value in source.items():
             if name not in tol:
@@ -330,14 +299,16 @@ def _wigner_pgrid(hbar: float, xgrid: Grid1D, s2: float, tau: float, pad: float 
 # A job's estimated peak memory, in bytes, from its size fields, by command or
 # scenario: the slope of its traced peak (tracemalloc) between two sizes, rounded
 # up (evolve-qm's 0.44 to half a byte: its blocked phases hold 0.375 B x n_x^2, the
-# rest is linear); for n_x, 1024 and 2048, past the sizes where table1-report's fixed
-# 14 MB still sets its peak; for n_Q, past those where the pointer record's kernel
-# chunks (about 2 MB) still set it. The intercepts, at most 14 MB, are left out.
+# rest is linear; table1-report's 44.6 to 45, its classical phase-space densities:
+# its quantum rows hold no n_x x n_x state); for n_x, 1024 and 2048, past the sizes
+# where table1-report's fixed 14 MB still sets its peak; for n_Q, past those where
+# the pointer record's kernel chunks (about 2 MB) still set it. The intercepts, at
+# most 14 MB, are left out.
 # ``_execute`` refuses an estimate past MEMORY_BUDGET before any array is allocated.
 MEMORY_BUDGET = 4 * 2**30
 PEAK_BYTES = {
     "evolve-qm": ("'n_x'", lambda p: 0.5 * p["n_x"] * p["n_x"]),
-    "table1-report": ("'n_x'", lambda p: 61.0 * p["n_x"] * p["n_x"]),
+    "table1-report": ("'n_x'", lambda p: 45.0 * p["n_x"] * p["n_x"]),
     "evolve-cm": ("'n_q' and 'n_p'", lambda p: 23.0 * p["n_q"] * p["n_p"]),
     "mc-compare": ("'n_samples'", lambda p: 128.0 * p["n_samples"]),
     "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 33.0 * p["n_Q"]),
@@ -373,10 +344,13 @@ def _variance(grid: Grid1D, density: np.ndarray) -> float:
     return _moment(grid, density, power=2, center=mean) / mass
 
 
-def run_evolve_qm(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
+def run_evolve_qm(n_x: int = 256, grid_halfwidth: float = 8.0,
                   sigma_x: float = 1.0, center_x: Signed = 0.25,
                   probe: ProbeSpec = ProbeSpec(sigma_Q=0.2, sigma_P=0.6),
-                  coupling: CouplingParams | None = None, hbar: float = 1.0):
+                  coupling: CouplingParams | None = None, hbar: float = 1.0, *,
+                  pointer_normalization: NonNegative = 1e-8, pointer_mean: NonNegative = 1e-8,
+                  distribution_invariance: NonNegative = 1e-10,
+                  variance_growth: NonNegative = 1e-4):
     coupling = coupling or CouplingParams.from_probe(DEFAULT_EPSILON, probe)
     xgrid = Grid1D(-grid_halfwidth, grid_halfwidth, n_x)
     require_resolved("sigma_x", sigma_x, xgrid)
@@ -402,13 +376,13 @@ def run_evolve_qm(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
 
     checks = [
         ScenarioCheck("pointer distribution mass", pointer_mass, 1.0,
-                      tol["pointer_normalization"], "oracle"),
+                      pointer_normalization, "oracle"),
         ScenarioCheck("mean pointer shift over epsilon equals <A>", mean_ratio,
-                      mean_expected, tol["pointer_mean"], "analytic"),
+                      mean_expected, pointer_mean, "analytic"),
         ScenarioCheck("outcome distribution invariance (max drift)", invariance, 0.0,
-                      tol["distribution_invariance"], "analytic"),
+                      distribution_invariance, "analytic"),
         ScenarioCheck("momentum variance grows by 2*tau", var_after, s2 + 2.0 * coupling.tau,
-                      tol["variance_growth"], "closed-form"),
+                      variance_growth, "closed-form"),
     ]
     scalars = {
         "tau": coupling.tau,
@@ -425,10 +399,12 @@ def run_evolve_qm(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
     return checks, scalars, tables
 
 
-def run_evolve_cm(tol: dict, /, n_q: int = 256, n_p: int = 256, grid_halfwidth_q: float = 8.0,
+def run_evolve_cm(n_q: int = 256, n_p: int = 256, grid_halfwidth_q: float = 8.0,
                   grid_halfwidth_p: float = 12.0, sigma_q: float = 1.0, sigma_p: float = 1.0,
                   center_q: Signed = 0.25, probe: ProbeSpec = ProbeSpec(sigma_Q=0.2, sigma_P=0.6),
-                  coupling: CouplingParams | None = None):
+                  coupling: CouplingParams | None = None, *, mass: NonNegative = 1e-6,
+                  probe_mean: NonNegative = 1e-8, q_marginal_drift: NonNegative = 1e-8,
+                  variance_growth: NonNegative = 1e-4):
     coupling = coupling or CouplingParams.from_probe(DEFAULT_EPSILON, probe)
     qgrid = Grid1D(-grid_halfwidth_q, grid_halfwidth_q, n_q)
     pgrid = Grid1D(-grid_halfwidth_p, grid_halfwidth_p, n_p)
@@ -456,14 +432,14 @@ def run_evolve_cm(tol: dict, /, n_q: int = 256, n_p: int = 256, grid_halfwidth_q
     var_after = _variance(pgrid, rho_post.p_marginal())
 
     checks = [
-        ScenarioCheck("evolved density mass", rho_post.mass(), 1.0, tol["mass"], "oracle"),
+        ScenarioCheck("evolved density mass", rho_post.mass(), 1.0, mass, "oracle"),
         ScenarioCheck("mean probe shift over epsilon equals <A>", mean_ratio,
-                      mean_expected, tol["probe_mean"], "analytic"),
+                      mean_expected, probe_mean, "analytic"),
         ScenarioCheck("q-marginal invariance (max drift)", drift, 0.0,
-                      tol["q_marginal_drift"], "analytic"),
+                      q_marginal_drift, "analytic"),
         ScenarioCheck("momentum variance grows by 2*tau", var_after,
                       sigma_p**2 + 2.0 * coupling.tau,
-                      tol["variance_growth"], "closed-form"),
+                      variance_growth, "closed-form"),
     ]
     scalars = {
         "tau": coupling.tau,
@@ -483,13 +459,14 @@ def run_evolve_cm(tol: dict, /, n_q: int = 256, n_p: int = 256, grid_halfwidth_q
     return checks, scalars, tables
 
 
-def run_mc_compare(tol: dict, /, n_samples: int = 100000, seed: Seed = 20240801, bins: int = 24,
+def run_mc_compare(n_samples: int = 100000, seed: Seed = 20240801, bins: int = 24,
                    sigma_q: float = 1.0, sigma_p: float = 1.0,
                    probe: ProbeSpec = ProbeSpec(sigma_Q=0.4, sigma_P=0.6),
                    coupling: CouplingParams | None = None,
-                   branch: Choice = Choice("both", ("position", "action", "both"))):
+                   branch: Choice = Choice("both", ("position", "action", "both")), *,
+                   l1_coefficient: NonNegative = 5.0):
     coupling = coupling or CouplingParams.from_probe(DEFAULT_EPSILON, probe)
-    budget = tol["l1_coefficient"] / np.sqrt(n_samples)
+    budget = l1_coefficient / np.sqrt(n_samples)
     if budget >= 2.0:
         raise ConfigInvalid(
             f"parameter 'n_samples' = {n_samples} gives the L1 budget {budget:.3g}, at least 2, "
@@ -572,11 +549,14 @@ def run_mc_compare(tol: dict, /, n_samples: int = 100000, seed: Seed = 20240801,
     return checks, scalars, tables
 
 
-def run_table1_report(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
+def run_table1_report(n_x: int = 256, grid_halfwidth: float = 8.0,
                       sigma_x: float = 1.0, center: Signed = 0.25,
                       probe: ProbeSpec = ProbeSpec(sigma_Q=0.25, sigma_P=0.3),
                       coupling: CouplingParams = CouplingParams.from_sigma_P(2.0, 0.3),
-                      hbar: float = 1.0):
+                      hbar: float = 1.0, *, row1_expectation: NonNegative = 1e-8,
+                      row2_uncertainty_qm: NonNegative = 1e-8,
+                      row2_uncertainty_cm: NonNegative = 1e-6, row3_variance: NonNegative = 1e-4,
+                      row4_qm_derivative: NonNegative = 1e-3, row4_cm_order: NonNegative = 0.6):
     eps = coupling.epsilon
     tau = coupling.tau
     xgrid = Grid1D(-grid_halfwidth, grid_halfwidth, n_x)
@@ -599,14 +579,16 @@ def run_table1_report(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
                      "cm_measured": cm, **expected, "qm_passed": checks[-2].passed,
                      "cm_passed": checks[-1].passed})
 
-    # Row 1: mean pointer shift over epsilon equals <A> on both sides.
+    # Row 1: mean pointer shift over epsilon equals <A> on both sides, the QM side
+    # read from the Born weights h|psi|^2 (contiguous: a strided dot product sums
+    # in another order).
     psi = gaussian_wavepacket(xgrid, center=center, sigma_x=sigma_x, hbar=hbar)
-    rho_qm = density_from_wavefunction(psi, xgrid)
-    obs_qm = SpectralObservable.from_diagonal(xgrid.nodes)
-    Qgrid = auto_pointer_grid(obs_qm, probe, coupling, n=2048)
-    pointer = pointer_distribution(rho_qm, obs_qm, probe, coupling, Qgrid)
+    psi = normalized_wavefunction(psi, xgrid)
+    weights = np.ascontiguousarray(np.real(xgrid.h * (psi * psi.conj())))
+    Qgrid = probe.pointer_grid(xgrid.nodes, eps, 2048, 8.0)
+    pointer = probe.pointer_density(Qgrid.nodes, xgrid.nodes, weights, eps)
     qm_row1 = _moment(Qgrid, pointer) / eps
-    expect_row1 = pointer_mean(rho_qm, obs_qm, coupling) / eps
+    expect_row1 = float(weights @ xgrid.nodes)
 
     pgrid = Grid1D(-12.0, 12.0, n_x)
     rho_cm = build_gaussian_phase_density(xgrid, pgrid, sigma_x, 1.0, center_q=center)
@@ -615,12 +597,12 @@ def run_table1_report(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
     cm_row1 = _moment(Qgrid, marg) / eps
     checks = [
         ScenarioCheck("row 1 (QM): <Q>'/epsilon equals <A>", qm_row1, expect_row1,
-                      tol["row1_expectation"], "analytic"),
+                      row1_expectation, "analytic"),
         ScenarioCheck("row 1 (CM): <Q>'/epsilon equals <A>", cm_row1, expect_row1,
-                      tol["row1_expectation"], "analytic"),
+                      row1_expectation, "analytic"),
     ]
     add_row("expectation values: <Q>'/epsilon = <A>", qm_row1, cm_row1,
-            expected=expect_row1, tolerance=tol["row1_expectation"])
+            expected=expect_row1, tolerance=row1_expectation)
 
     # Row 2: pointer resolution scale sigma_Q / epsilon on both sides.
     two_level = SpectralObservable.from_diagonal(np.array([0.0, 1.0]))
@@ -641,17 +623,15 @@ def run_table1_report(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
     expect_row2 = probe.sigma_Q / eps
     checks += [
         ScenarioCheck("row 2 (QM): pointer width over epsilon", qm_row2, expect_row2,
-                      tol["row2_uncertainty_qm"], "analytic"),
+                      row2_uncertainty_qm, "analytic"),
         ScenarioCheck("row 2 (CM): deconvolved pointer width over epsilon", cm_row2,
-                      expect_row2, tol["row2_uncertainty_cm"], "analytic"),
+                      expect_row2, row2_uncertainty_cm, "analytic"),
     ]
     add_row("uncertainty: pointer resolution scale sigma_Q/epsilon", qm_row2, cm_row2,
-            expected=expect_row2,
-            tolerance=max(tol["row2_uncertainty_qm"], tol["row2_uncertainty_cm"]))
+            expected=expect_row2, tolerance=max(row2_uncertainty_qm, row2_uncertainty_cm))
 
     # Row 3: both final reduced states grow the momentum variance by 2*tau.
     spec = WignerEvolutionSpec(A=lambda x: x, tau=tau)
-    psi = normalized_wavefunction(psi, xgrid)
     qm_row3 = _variance(wgrid, pure_state_momentum_marginals(psi, xgrid, spec, wgrid, hbar=hbar)[1])
 
     rho_cm3 = build_gaussian_phase_density(xgrid, wgrid, sigma_x, np.sqrt(s2))
@@ -660,12 +640,12 @@ def run_table1_report(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
     expect_row3 = s2 + 2.0 * tau
     checks += [
         ScenarioCheck("row 3 (QM): evolved Wigner momentum variance", qm_row3, expect_row3,
-                      tol["row3_variance"], "closed-form"),
+                      row3_variance, "closed-form"),
         ScenarioCheck("row 3 (CM): diffused density momentum variance", cm_row3, expect_row3,
-                      tol["row3_variance"], "closed-form"),
+                      row3_variance, "closed-form"),
     ]
     add_row("final reduced state: momentum variance s^2 + 2*tau", qm_row3, cm_row3,
-            expected=expect_row3, tolerance=tol["row3_variance"])
+            expected=expect_row3, tolerance=row3_variance)
 
     # Row 4: generator consistency, finite differences against the rhs.
     a_matrix = np.diag(hbar * (np.arange(dim) + 0.5))
@@ -693,13 +673,13 @@ def run_table1_report(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
     cm_row4 = float(np.log2(coarse / fine))
     checks += [
         ScenarioCheck("row 4 (QM): Lindblad derivative check (relative error)",
-                      qm_row4, 0.0, tol["row4_qm_derivative"], "oracle"),
+                      qm_row4, 0.0, row4_qm_derivative, "oracle"),
         ScenarioCheck("row 4 (CM): double-bracket convergence order under halving",
-                      cm_row4, 2.0, tol["row4_cm_order"], "oracle"),
+                      cm_row4, 2.0, row4_cm_order, "oracle"),
     ]
     add_row("diffusion equation: generator consistency", qm_row4, cm_row4,
             expected_qm=0.0, expected_cm=2.0,
-            tolerance_qm=tol["row4_qm_derivative"], tolerance_cm=tol["row4_cm_order"])
+            tolerance_qm=row4_qm_derivative, tolerance_cm=row4_cm_order)
 
     scalars = {"rows": rows, "epsilon": eps, "tau": tau}
     tables = {"table1_row1_pointer.csv": {"Q (probe position units)": Qgrid.nodes,
@@ -708,8 +688,7 @@ def run_table1_report(tol: dict, /, n_x: int = 256, grid_halfwidth: float = 8.0,
     return checks, scalars, tables
 
 
-def run_scenario_command(tol: dict, /, scenario: Choice = Choice("two_delta", SCENARIOS),
-                         **arguments):
+def run_scenario_command(scenario: Choice = Choice("two_delta", SCENARIOS), **arguments):
     """The chosen scenario, called with its own arguments; its name joins its scalars."""
     checks, scalars, tables = SCENARIOS[scenario](**arguments)
     return checks, {**scalars, "scenario": scenario}, tables
@@ -723,7 +702,8 @@ RUNNERS = {
     "table1-report": run_table1_report,
 }
 
-# Every job's arguments, read once: a runner's after its tolerances, and a scenario's.
+# Every job's parameters, read once: a runner's before its keyword-only tolerances,
+# and a scenario's.
 _SIGNATURES = {
     name: [arg for arg in inspect.signature(fn, eval_str=True).parameters.values()
            if arg.kind is arg.POSITIONAL_OR_KEYWORD]
@@ -782,7 +762,7 @@ def _execute(command: str, raw, out_dir: Path, seed: int | None,
     config["tolerances"] = resolve_tolerances(command, config, tolerance_overrides)
     _require_memory(command, params)
     arguments = {arg.name: _argument(arg, params) for arg in args}
-    checks, scalars, tables = RUNNERS[command](config["tolerances"], **arguments)
+    checks, scalars, tables = RUNNERS[command](**arguments, **config["tolerances"])
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -834,7 +814,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="vnlab",
         description="Quantum and classical probe-measurement models, side by side.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("vnlab-out"), help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="seed override")

@@ -49,17 +49,6 @@ def born_weights(rho_s: DensityOperator, obs: SpectralObservable) -> np.ndarray:
     return np.bincount(obs.block_index, weights=diag, minlength=obs.n_eigenvalues)
 
 
-def auto_pointer_grid(
-    obs: SpectralObservable,
-    probe: ProbeSpec,
-    coupling: CouplingParams,
-    n: int = 1024,
-    pad_sigmas: float = 8.0,
-) -> Grid1D:
-    """Q grid covering every shifted peak epsilon*a_n with Gaussian margins."""
-    return probe.pointer_grid(obs.eigenvalues, coupling.epsilon, n, pad_sigmas)
-
-
 def pointer_distribution(
     rho_s: DensityOperator,
     obs: SpectralObservable,
@@ -76,18 +65,6 @@ def pointer_distribution(
     return probe.pointer_density(
         Qgrid.nodes, obs.eigenvalues, born_weights(rho_s, obs), coupling.epsilon
     )
-
-
-def pointer_mean(
-    rho_s: DensityOperator, obs: SpectralObservable, coupling: CouplingParams
-) -> float:
-    """<Q>' = epsilon * <A>, the mean pointer shift (probe mean is zero).
-
-    <A> is the Born weights against the eigenvalues, so the dense matrix of A
-    is never built: O(n) for a diagonal observable, one eigenbasis rotation
-    (O(n^3), as in ``born_weights``) otherwise.
-    """
-    return coupling.epsilon * float(born_weights(rho_s, obs) @ obs.eigenvalues)
 
 
 def _kernel_channel(

@@ -306,12 +306,6 @@ def normalized_wavefunction(psi, grid: Grid1D) -> np.ndarray:
     return psi / np.sqrt(grid.integrate(np.abs(psi) ** 2))
 
 
-def density_from_wavefunction(psi, grid: Grid1D) -> DensityOperator:
-    """Pure state h psi psi^H from samples of psi(x) (``normalized_wavefunction``)."""
-    psi = normalized_wavefunction(psi, grid)
-    return DensityOperator(_Handover(grid.h * np.outer(psi, psi.conj())), grid=grid)
-
-
 def gaussian_wavepacket(grid: Grid1D, center=0.0, momentum=0.0, sigma_x=1.0, hbar=1.0):
     """Minimum-uncertainty packet: |psi|^2 has standard deviation sigma_x (``require_fits``)."""
     require_fits("'center' and 'sigma_x'", center, sigma_x, grid)

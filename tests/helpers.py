@@ -13,7 +13,45 @@ from vnlab import (
     SpectralObservable,
 )
 from vnlab.cm import ORDER_FLOW_PRODUCT, flow_map, pde_stability_bound
-from vnlab.states import phase_density_from_values, sample_phase_density
+from vnlab.qm import born_weights
+from vnlab.states import normalized_wavefunction, phase_density_from_values, sample_phase_density
+
+# Every command's tolerances and their defaults, as the runners declare them.
+DEFAULT_TOLERANCES = {
+    "run-scenario": {},
+    "evolve-qm": {
+        "pointer_normalization": 1e-8,
+        "pointer_mean": 1e-8,
+        "distribution_invariance": 1e-10,
+        "variance_growth": 1e-4,
+    },
+    "evolve-cm": {
+        "mass": 1e-6,
+        "probe_mean": 1e-8,
+        "q_marginal_drift": 1e-8,
+        "variance_growth": 1e-4,
+    },
+    "mc-compare": {"l1_coefficient": 5.0},
+    "table1-report": {
+        "row1_expectation": 1e-8,
+        "row2_uncertainty_qm": 1e-8,
+        "row2_uncertainty_cm": 1e-6,
+        "row3_variance": 1e-4,
+        "row4_qm_derivative": 1e-3,
+        "row4_cm_order": 0.6,
+    },
+}
+
+
+def density_from_wavefunction(psi, grid: Grid1D) -> DensityOperator:
+    """Pure state h psi psi^H from samples of psi(x) (``normalized_wavefunction``)."""
+    psi = normalized_wavefunction(psi, grid)
+    return DensityOperator(grid.h * np.outer(psi, psi.conj()), grid=grid)
+
+
+def pointer_mean(rho_s: DensityOperator, obs: SpectralObservable, coupling) -> float:
+    """<Q>' = epsilon <A>, the mean pointer shift: the Born weights against the eigenvalues."""
+    return coupling.epsilon * float(born_weights(rho_s, obs) @ obs.eigenvalues)
 
 
 def random_density_matrix(

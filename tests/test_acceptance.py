@@ -16,7 +16,6 @@ from vnlab import (
     SpectralObservable,
     action_observable,
     build_gaussian_phase_density,
-    density_from_wavefunction,
     gaussian_wavepacket,
     position_observable,
     to_angle_action,
@@ -42,7 +41,6 @@ from vnlab.heisenberg import (
     sample_initial,
 )
 from vnlab.qm import (
-    auto_pointer_grid,
     born_weights,
     conditional_state,
     decoherence_kernel,
@@ -50,7 +48,6 @@ from vnlab.qm import (
     lindblad_rhs,
     lueders_nonselective,
     pointer_distribution,
-    pointer_mean,
     reduced_state_post,
 )
 from vnlab.scenarios import scenario_gaussian_bessel, scenario_interference
@@ -58,7 +55,9 @@ from vnlab.states import AngleActionDensity
 from vnlab.wigner import WignerEvolutionSpec, evolved_wigner
 
 from helpers import (
+    density_from_wavefunction,
     density_variance,
+    pointer_mean,
     random_density_matrix,
     random_gaussian_mixture,
     random_spectral_observable,
@@ -84,7 +83,7 @@ def test_c01_mean_pointer_law():
         dim = int(rng.integers(2, 8))
         rho = random_density_matrix(dim, rng)
         obs = random_spectral_observable(dim, rng)
-        grid = auto_pointer_grid(obs, probe, coupling, n=6001, pad_sigmas=10)
+        grid = probe.pointer_grid(obs.eigenvalues, coupling.epsilon, 6001, 10)
         dist = pointer_distribution(rho, obs, probe, coupling, grid)
         moment = grid.integrate(grid.nodes * dist) / coupling.epsilon
         worst = max(worst, abs(moment - pointer_mean(rho, obs, coupling) / coupling.epsilon))

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 import vnlab
 from vnlab import cli, qm, wigner
 from vnlab.cli import (
-    COMMANDS,
     COUPLING_PAIR,
-    DEFAULT_TOLERANCES,
+    RUNNERS,
     Choice,
     Seed,
     execute,
@@ -33,7 +32,10 @@ from vnlab.grids import Grid1D
 from vnlab.observables import ProbeSpec, position_observable
 from vnlab.scenarios import SCENARIOS, NonNegative, Signed
 from vnlab.states import build_gaussian_phase_density
+from vnlab.states import DensityOperator
 from vnlab.wigner import WignerEvolutionSpec
+
+from helpers import DEFAULT_TOLERANCES
 
 
 class TestConfigValidation:
@@ -80,6 +82,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="nope"):
             resolve_tolerances("evolve-qm", cfg, {"nope": 1.0})
 
+    def test_tolerances_are_the_runners_keyword_only_defaults(self):
+        # Every command's tolerance names and defaults, in declaration order: 15 in all.
+        assert list(DEFAULT_TOLERANCES) == list(RUNNERS)
+        assert sum(len(tol) for tol in DEFAULT_TOLERANCES.values()) == 15
+        for command, tol in DEFAULT_TOLERANCES.items():
+            resolved = resolve_tolerances(command, {}, {})
+            assert list(resolved.items()) == list(tol.items()), command
+            assert all(type(value) is float for value in resolved.values()), command
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigInvalid, match="scenario"):
             normalize_config("run-scenario", {"parameters": {"scenario": "flying"}})
@@ -110,7 +121,7 @@ class TestConfigValidation:
 def _spec_fields():
     """(command, fixed parameters, field, default) for every command and scenario field."""
     fields = [(command, {}, name, default)
-              for command in COMMANDS
+              for command in RUNNERS
               for name, default in cli._spec(command, {})[2].items()
               if command != "run-scenario" or name == "scenario"]
     for scenario in SCENARIOS:
@@ -234,7 +245,7 @@ class TestParameterSpec:
 
 
 # The eight jobs at their default configs: the four commands and the four scenarios.
-DEFAULT_JOBS = [(command, {}) for command in COMMANDS if command != "run-scenario"] + [
+DEFAULT_JOBS = [(command, {}) for command in RUNNERS if command != "run-scenario"] + [
     ("run-scenario", {"scenario": name}) for name in SCENARIOS]
 DEFAULT_JOB_IDS = [params.get("scenario", command) for command, params in DEFAULT_JOBS]
 
@@ -338,16 +349,34 @@ class TestExecution:
 
     def test_evolve_qm_forms_no_density_matrix(self, tmp_path, monkeypatch):
         # The pointer record, <A>, the invariance check and the momentum marginals
-        # all read the wavefunction: no n x n state is built, and no k x n
-        # anti-diagonals are gathered.
+        # all read the wavefunction: no state is built, by the CLI or by any layer
+        # it calls, and no k x n anti-diagonals are gathered.
         def never(*args, **kwargs):
             raise AssertionError("evolve-qm formed an n x n state")
 
-        for name in ("density_from_wavefunction", "DensityOperator"):
-            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(DensityOperator, "__post_init__", never)
         monkeypatch.setattr(wigner, "_antidiagonals", never)
         cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 65}})
         assert execute(cfg, tmp_path / "out")["all_passed"]
+
+    def test_table1_report_forms_no_n_x_state(self, tmp_path, monkeypatch):
+        # Rows 1 and 3 read the wavepacket's Born weights and wavefunction: no
+        # state of dimension n_x is built, by the CLI or by any layer it calls.
+        # Rows 2 and 4 still build their 2 x 2 and 48 x 48 states, which shows
+        # that the wrap sees every construction.
+        n_x, dims = 128, []
+        post_init = DensityOperator.__post_init__
+
+        def checked(self):
+            post_init(self)
+            dims.append(self.dim)
+            if self.dim == n_x:
+                raise AssertionError("table1-report formed an n_x x n_x state")
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", checked)
+        cfg = normalize_config("table1-report", {"parameters": {"n_x": n_x}})
+        assert execute(cfg, tmp_path / "out")["all_passed"]
+        assert {2, 48} <= set(dims) and n_x not in dims
 
     def test_outcome_invariance_check_is_not_vacuous(self, tmp_path, monkeypatch):
         # A(q + y/2) + A(q - y/2) is 2q at y = 0, so the broken channel damps
@@ -446,6 +475,22 @@ class TestMainEntryPoint:
 
     def test_malformed_tolerance_exits_2(self, tmp_path):
         assert main(["evolve-qm", "--out", str(tmp_path / "o"), "--tolerance", "x"]) == 2
+
+    @pytest.mark.parametrize("source", ["override", "config"])
+    def test_run_scenario_refuses_any_tolerance(self, tmp_path, capsys, source):
+        # run-scenario has no tolerances: a name that another command admits is
+        # refused before the scenario runs.
+        path = tmp_path / "cfg.json"
+        config = {"parameters": {"scenario": "two_delta"}}
+        extra = ["--tolerance", "variance_growth=1e-4"]
+        if source == "config":
+            config["tolerances"], extra = {"variance_growth": 1e-4}, []
+        path.write_text(json.dumps(config))
+        code = main(["run-scenario", "--config", str(path), "--out", str(tmp_path / "o"), *extra])
+        assert code == 2
+        assert ("unknown tolerance 'variance_growth' for command 'run-scenario'"
+                in capsys.readouterr().out)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command, config, extra, named",

@@ -18,7 +18,6 @@ from vnlab import (
     general_observable,
     position_observable,
 )
-from vnlab.cli import DEFAULT_TOLERANCES
 from vnlab.cm import (
     NEGATIVITY_MONITOR,
     ORDER_FLOW_PRODUCT,
@@ -43,6 +42,7 @@ from vnlab.states import (
 )
 
 from helpers import (
+    DEFAULT_TOLERANCES,
     angle_density_from_function,
     density_variance,
     random_gaussian_mixture,

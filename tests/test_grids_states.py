@@ -16,7 +16,6 @@ from vnlab import (
     UnsupportedObservable,
     action_observable,
     build_gaussian_phase_density,
-    density_from_wavefunction,
     expectation,
     from_angle_action,
     gaussian_wavepacket,
@@ -45,7 +44,7 @@ from vnlab.states import (
     superposition_wavefunction,
 )
 
-from helpers import density_variance, random_gaussian_mixture
+from helpers import density_from_wavefunction, density_variance, random_gaussian_mixture
 from oracles import from_angle_action_reference, sample_phase_density_reference
 
 

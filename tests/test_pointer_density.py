@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from vnlab import CouplingParams, Grid1D, ProbeSpec, SpectralObservable
 from vnlab.cm import auto_probe_grid, probe_marginal_Q, probe_mean_Q
 from vnlab.observables import general_observable, position_observable
-from vnlab.qm import auto_pointer_grid, pointer_distribution, pointer_mean
-from vnlab.states import build_gaussian_phase_density, density_from_wavefunction, gaussian_wavepacket
+from vnlab.qm import pointer_distribution
+from vnlab.states import build_gaussian_phase_density, gaussian_wavepacket
 
+from helpers import density_from_wavefunction, pointer_mean
 from oracles import pointer_density_loop
 
 UNIT = np.finfo(float).eps
 
-# C1's tolerance (DEFAULT_TOLERANCES "pointer_normalization", "pointer_mean").
+# C1's tolerance (evolve-qm's "pointer_normalization" and "pointer_mean").
 RECORD_TOLERANCE = 1e-8
 
 
@@ -103,7 +104,7 @@ class TestRecordMassAndMean:
         obs = SpectralObservable.from_diagonal(xgrid.nodes)
         probe = ProbeSpec(sigma_Q=sigma_Q, sigma_P=0.5)
         coupling = CouplingParams.from_probe(epsilon, probe)
-        Qgrid = auto_pointer_grid(obs, probe, coupling)
+        Qgrid = probe.pointer_grid(obs.eigenvalues, coupling.epsilon, 1024, 8.0)
         record = pointer_distribution(rho, obs, probe, coupling, Qgrid)
         assert abs(Qgrid.integrate(record) - 1.0) <= RECORD_TOLERANCE
         mean_over_eps = Qgrid.integrate(Qgrid.nodes * record) / epsilon

@@ -18,7 +18,6 @@ from vnlab import (
 )
 from vnlab.qm import (
     DecoherenceKernel,
-    auto_pointer_grid,
     born_weights,
     conditional_state,
     decoherence_kernel,
@@ -26,13 +25,14 @@ from vnlab.qm import (
     lindblad_rhs,
     lueders_nonselective,
     pointer_distribution,
-    pointer_mean,
     position_disturbance_scale,
     reduced_state_post,
 )
 from vnlab.scenarios import number_basis_initial_state
 
 from helpers import (
+    density_from_wavefunction,
+    pointer_mean,
     random_density_matrix,
     random_spectral_observable,
     trace_distance,
@@ -52,7 +52,7 @@ class TestPointerDistribution:
         rho = DensityOperator(np.diag([0.0, 1.0]).astype(complex))
         probe = ProbeSpec(sigma_Q=0.1, sigma_P=0.5)
         coupling = CouplingParams.from_probe(1.0, probe)
-        grid = auto_pointer_grid(obs, probe, coupling, n=4001)
+        grid = probe.pointer_grid(obs.eigenvalues, coupling.epsilon, 4001, 8.0)
         dist = pointer_distribution(rho, obs, probe, coupling, grid)
         expected = probe.position_density(grid.nodes - 2.0)
         assert np.max(np.abs(dist - expected)) < 1e-12
@@ -61,7 +61,7 @@ class TestPointerDistribution:
     def test_two_level_peaks_resolved_for_narrow_probe(self):
         probe = ProbeSpec(sigma_Q=0.05, sigma_P=0.5)
         coupling = CouplingParams.from_probe(1.0, probe)
-        grid = auto_pointer_grid(TWO_LEVEL, probe, coupling, n=4001)
+        grid = probe.pointer_grid(TWO_LEVEL.eigenvalues, coupling.epsilon, 4001, 8.0)
         dist = pointer_distribution(equal_superposition(), TWO_LEVEL, probe, coupling, grid)
         between = (grid.nodes > 0.1) & (grid.nodes < 0.9)
         assert np.min(dist[between]) / np.max(dist) < 0.1
@@ -70,7 +70,7 @@ class TestPointerDistribution:
     def test_wide_probe_merges_peaks(self):
         probe = ProbeSpec(sigma_Q=2.0, sigma_P=0.5)
         coupling = CouplingParams.from_probe(1.0, probe)
-        grid = auto_pointer_grid(TWO_LEVEL, probe, coupling, n=4001)
+        grid = probe.pointer_grid(TWO_LEVEL.eigenvalues, coupling.epsilon, 4001, 8.0)
         dist = pointer_distribution(equal_superposition(), TWO_LEVEL, probe, coupling, grid)
         oracle = 0.5 * (
             probe.position_density(grid.nodes) + probe.position_density(grid.nodes - 1.0)
@@ -138,7 +138,7 @@ class TestPointerMean:
             dim = int(rng.integers(2, 6))
             rho = random_density_matrix(dim, rng)
             obs = random_spectral_observable(dim, rng)
-            grid = auto_pointer_grid(obs, probe, coupling, n=6001, pad_sigmas=10)
+            grid = probe.pointer_grid(obs.eigenvalues, coupling.epsilon, 6001, 10)
             dist = pointer_distribution(rho, obs, probe, coupling, grid)
             moment = grid.integrate(grid.nodes * dist)
             assert abs(moment - pointer_mean(rho, obs, coupling)) < 1e-8
@@ -564,7 +564,7 @@ class TestConditionalState:
 class TestDisturbanceScale:
     def test_formula_reported_verbatim(self):
         g = Grid1D(-10.0, 10.0, 257)
-        from vnlab import density_from_wavefunction, gaussian_wavepacket
+        from vnlab import gaussian_wavepacket
 
         rho = density_from_wavefunction(gaussian_wavepacket(g, sigma_x=1.5), g)
         coupling = CouplingParams.from_sigma_P(2.0, 0.3)

@@ -2,7 +2,9 @@
 
 A name counts as read when it appears as an identifier, an attribute or an
 imported name in ``src/`` or ``perfbench/`` outside its own definition, or
-when a ``per_layer`` metric of ``BENCHMARK.json`` names it. Tests do not
+when a ``per_layer`` metric of ``BENCHMARK.json`` names it. An identifier
+that the enclosing function binds, as a parameter or an assignment target, is
+that function's local and reads nothing at module level. Tests do not
 count: a definition that only its own test calls belongs in test code. The
 package ``__init__.py`` is not counted either: re-exporting a name does not
 read it.
@@ -24,16 +26,33 @@ PACKAGE = ROOT / "src" / "vnlab"
 EXEMPT = {"qm.conditional_state", "cm.conditional_state_cm"}
 
 
+def _bound_names(function: ast.AST) -> set[str]:
+    """The parameters and assignment targets of a function or lambda."""
+    args = function.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    bound = {arg.arg for arg in params if arg is not None}
+    return bound | {node.id for node in ast.walk(function)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+def _reads(node: ast.AST, bound: frozenset = frozenset()):
+    """Every name ``node`` reads: identifiers not bound by an enclosing function,
+    attributes and imported names."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        bound = bound | _bound_names(node)
+    if isinstance(node, ast.Name):
+        if node.id not in bound:
+            yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name.rsplit(".", 1)[-1]
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, bound)
+
+
 def _used_names(tree: ast.AST) -> Counter:
-    names = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            names[node.name.rsplit(".", 1)[-1]] += 1
-    return names
+    return Counter(_reads(tree))
 
 
 def per_layer_functions() -> set[tuple[str, str]]:
@@ -70,6 +89,30 @@ def test_every_definition_is_read_by_the_program():
     named = {function for _, function in per_layer_functions()}
     unread = unread_definitions(PACKAGE, [ROOT / "src", ROOT / "perfbench"], named)
     assert sorted(unread) == sorted(EXEMPT)
+
+
+def test_a_local_name_does_not_read_a_definition(tmp_path):
+    # A parameter or a local variable that shares a definition's name does not
+    # read it; a call from another function does.
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .layer import run, tally\n")
+    (package / "layer.py").write_text(
+        "def pointer_mean(weights):\n"
+        "    return sum(weights)\n"
+        "\n"
+        "def run(weights, pointer_mean=1e-8):\n"
+        "    return [w for w in weights if w > pointer_mean]\n"
+        "\n"
+        "def tally(weights):\n"
+        "    pointer_mean = len(weights)\n"
+        "    return run(weights, pointer_mean)\n"
+    )
+    (package / "main.py").write_text("from .layer import tally\n\nprint(tally([1.0]))\n")
+    assert unread_definitions(package, [package], set()) == ["layer.pointer_mean"]
+    (package / "main.py").write_text("from .layer import pointer_mean, tally\n\n"
+                                     "print(tally([1.0]), pointer_mean([1.0]))\n")
+    assert unread_definitions(package, [package], set()) == []
 
 
 def test_every_per_layer_function_exists():

@@ -11,10 +11,8 @@ from vnlab import (
     Grid1D,
     InvariantViolation,
     SpectralObservable,
-    density_from_wavefunction,
     gaussian_wavepacket,
 )
-from vnlab.cli import DEFAULT_TOLERANCES
 from vnlab.observables import CouplingParams
 from vnlab.qm import decoherence_kernel, reduced_state_post
 from vnlab.wigner import (
@@ -29,7 +27,13 @@ from vnlab.wigner import (
 )
 from vnlab.states import normalized_wavefunction
 
-from helpers import density_variance, random_density_matrix, reference_wigner
+from helpers import (
+    DEFAULT_TOLERANCES,
+    density_from_wavefunction,
+    density_variance,
+    random_density_matrix,
+    reference_wigner,
+)
 from oracles import momentum_marginals, wigner_pde_residual
 
 XGRID = Grid1D(-8.0, 8.0, 256)
