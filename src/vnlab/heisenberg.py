@@ -10,7 +10,7 @@ validate the density-picture solvers statistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,8 +26,16 @@ _SAMPLE_CHUNK = 8192
 # Ensembles
 # ---------------------------------------------------------------------------
 
+class _Ensemble:
+    """One sample per entry: every component array has the same length."""
+
+    def __post_init__(self):
+        if len({getattr(self, f.name).size for f in fields(self)}) > 1:
+            raise InvariantViolation("ensemble component lengths differ")
+
+
 @dataclass(frozen=True)
-class TrajectoryEnsemble:
+class TrajectoryEnsemble(_Ensemble):
     """Sampled (q, p, Q, P) quadruples."""
 
     q: np.ndarray
@@ -35,21 +43,63 @@ class TrajectoryEnsemble:
     Q: np.ndarray
     P: np.ndarray
 
-    def __post_init__(self):
-        n = self.q.size
-        for name in ("p", "Q", "P"):
-            if getattr(self, name).size != n:
-                raise InvariantViolation("ensemble component lengths differ")
-
 
 @dataclass(frozen=True)
-class ActionEnsemble:
+class ActionEnsemble(_Ensemble):
     """The same ensemble expressed in (xi, theta) for the system pair."""
 
     xi: np.ndarray
     theta: np.ndarray
     Q: np.ndarray
     P: np.ndarray
+
+
+def _guide(cdf_rows: np.ndarray) -> np.ndarray:
+    """Guide table (Chen & Asau 1974) of each row of L non-decreasing CDF values.
+
+    Entry j is the first index whose value reaches j/L of the row's last, for
+    j = 0..L, clamped to [1, L - 1]. An all-zero row's entries are all L - 1,
+    so that the lower of two rows' entries is its neighbour's.
+    """
+    L = cdf_rows.shape[1]
+    levels = np.arange(L + 1) / L
+    guide = np.full((len(cdf_rows), L + 1), L - 1, dtype=np.int32)
+    for entries, cdf in zip(guide, cdf_rows):
+        if cdf[-1] > 0.0:
+            entries[:] = np.searchsorted(cdf, levels * cdf[-1])
+    return np.clip(guide, 1, L - 1, out=guide)
+
+
+def _bisect(cdf, t: np.ndarray, s, last: int) -> np.ndarray:
+    """Bisect k in [1, last] for the samples ``s``, keeping cdf(lo - 1) < t and
+    cdf(hi) >= t wherever probed; lo passes hi only when cdf(last) < t."""
+    lo = np.ones(t.size, dtype=np.intp)
+    hi = np.full(t.size, last, dtype=np.intp)
+    for _ in range((last - 1).bit_length()):
+        mid = (lo + hi) // 2
+        below = cdf(mid, s) < t
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return np.minimum(lo, hi)
+
+
+def _invert(cdf, t: np.ndarray, k: np.ndarray, finish):
+    """The index k of each target t with cdf(k - 1) < t <= cdf(k), and those two values.
+
+    ``cdf(k, s)`` evaluates the CDFs of the samples ``s`` at the indices k. From
+    a guide start k at or before the crossing, two probes step forward while
+    cdf(k) < t. The samples that then fail the crossing check take ``finish(s)``.
+    """
+    every = slice(None)
+    for _ in range(2):
+        k = k + (cdf(k, every) < t)
+    lo, hi = cdf(k - 1, every), cdf(k, every)
+    redo = np.flatnonzero((lo >= t) | (hi < t))
+    if redo.size:
+        k[redo] = finish(redo)
+        lo[redo] = cdf(k[redo] - 1, redo)
+        hi[redo] = cdf(k[redo], redo)
+    return k, lo, hi
 
 
 def sample_initial(
@@ -63,74 +113,97 @@ def sample_initial(
     yields exactly zero momenta. The counter-based Philox stream makes the
     draw schedule-independent for a given seed.
 
-    The conditional draw binary-searches the blended CDF without building it:
-    ceil(log2(n_p - 1)) steps per sample for n_p momentum nodes, each
-    evaluating one blended entry, so N draws cost O(N log n_p) time, and
-    working in chunks of ``_SAMPLE_CHUNK`` samples bounds the extra memory by
-    the chunk. For non-negative values every row CDF, and so every blend of
-    two, is non-decreasing in floating point (rounding is monotone), and the
-    search lands on the first entry not below the target: the count of
-    entries below it, clamped to [1, n_p - 1], as a linear scan gives. For a
-    row that dips (values down to the admitted -1e-12) the search still ends
-    on a crossing blend[k-1] < target <= blend[k], or at either end.
+    Both searches start from a guide table (Chen & Asau 1974; Devroye 1986,
+    III.2.4), one int32 entry per node: for q, the first node whose CDF
+    reaches level j/n_q of the total; for p, the same per row of normalised
+    row CDFs. A p draw reads the lower entry of its two bracketing rows, since
+    the crossing of a convex blend of two normalised CDFs lies between theirs.
+    Two probes then step forward, and the check cdf[k-1] < target <= cdf[k]
+    accepts k. The samples that fail it (a guide bin wider than two nodes, or
+    rounding) are finished by the search the draw used before: ``searchsorted``
+    for q, and for p a bisection of ceil(log2(n_p - 1)) blended entries. So N
+    draws cost O(N) time plus O(N log n_p) for the few that fail, and q and p
+    are drawn in one loop over chunks of ``_SAMPLE_CHUNK`` samples, which
+    bounds the extra memory by the chunk: the peak is the four output arrays.
+
+    The output is exact, not an approximation of the search. For non-negative
+    values every row CDF, and so every blend of two, is non-decreasing in
+    floating point (rounding is monotone), so exactly one k in [1, n - 1]
+    passes the check, the first entry not below the target, which the
+    searches also return; the guide only decides where probing starts. Each
+    entry is the same floating-point expression the searches evaluate. A
+    density with a negative value (down to the admitted -1e-12) may cross a
+    target more than once, so all of its samples take the searches, and its q
+    keys go to ``searchsorted`` in one call over the ensemble.
     """
     if n < 1:
         raise InvariantViolation("need at least one sample")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    u_q = rng.random(n)
-    u_p = rng.random(n)
-    z_Q = rng.standard_normal(n)
-    z_P = rng.standard_normal(n)
+    # The uniforms of q and p; each chunk's draws overwrite their own uniforms.
+    q = rng.random(n)
+    p = rng.random(n)
 
     qnodes = rho_s.qgrid.nodes
     pnodes = rho_s.pgrid.nodes
     h_q, h_p = rho_s.qgrid.h, rho_s.pgrid.h
+    n_q, m = rho_s.qgrid.n, rho_s.pgrid.n
 
     marg = rho_s.q_marginal()
     cdf_q = np.concatenate([[0.0], np.cumsum(0.5 * (marg[1:] + marg[:-1]) * h_q)])
-    targets = u_q * cdf_q[-1]
-    idx = np.clip(np.searchsorted(cdf_q, targets), 1, cdf_q.size - 1)
-    span = np.maximum(cdf_q[idx] - cdf_q[idx - 1], 1e-300)
-    frac = np.clip((targets - cdf_q[idx - 1]) / span, 0.0, 1.0)
-    q = qnodes[idx - 1] + frac * h_q
-
-    # Conditional p draw: invert the blend of the two bracketing row CDFs.
-    m = rho_s.pgrid.n
     row_cdf = np.concatenate(
-        [np.zeros((rho_s.qgrid.n, 1)), np.cumsum(0.5 * (rho_s.values[:, 1:] + rho_s.values[:, :-1]) * h_p, axis=1)],
+        [np.zeros((n_q, 1)), np.cumsum(0.5 * (rho_s.values[:, 1:] + rho_s.values[:, :-1]) * h_p, axis=1)],
         axis=1,
-    ).ravel()
+    )
+    # A row that dips below zero may cross a target twice: no guide picks the crossing then.
+    guided = rho_s.values.min() >= 0.0
+    if guided:
+        guide_q = _guide(cdf_q[None, :])[0]
+        guide_p = _guide(row_cdf).ravel()
+    else:
+        # On an unsorted array searchsorted answers each key from where the one
+        # before it left off, so all q keys go in one call, as they always did.
+        searched_q = np.clip(np.searchsorted(cdf_q, q * cdf_q[-1]), 1, n_q - 1)
+    row_cdf = row_cdf.ravel()
     h_node = pnodes[1] - pnodes[0]
-    p = np.empty(n)
+    every = slice(None)
     for start in range(0, n, _SAMPLE_CHUNK):
         sl = slice(start, min(start + _SAMPLE_CHUNK, n))
-        pos = np.clip((q[sl] - qnodes[0]) / h_q, 0.0, rho_s.qgrid.n - 1 - 1e-12)
+        u = q[sl]
+        t_q = u * cdf_q[-1]
+        if guided:
+            k, lo, hi = _invert(lambda k, s: cdf_q[k], t_q, guide_q[(u * n_q).astype(np.intp)],
+                                lambda s: np.clip(np.searchsorted(cdf_q, t_q[s]), 1, n_q - 1))
+        else:
+            k = searched_q[sl]
+            lo, hi = cdf_q[k - 1], cdf_q[k]
+        q[sl] = qnodes[k - 1] + np.clip((t_q - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0) * h_q
+
+        # Conditional p draw: invert the blend of the two bracketing row CDFs.
+        pos = np.clip((q[sl] - qnodes[0]) / h_q, 0.0, n_q - 1 - 1e-12)
         left = pos.astype(int)
         w = pos - left
         v = 1.0 - w
         row = left * m
 
-        def blend(k):
-            return v * row_cdf[row + k] + w * row_cdf[row + m + k]
+        def blend(k, s):
+            return v[s] * row_cdf[row[s] + k] + w[s] * row_cdf[row[s] + m + k]
 
-        targets = u_p[sl] * blend(m - 1)
-        # Search k in [1, m - 1]: blend[lo - 1] < target, blend[hi] >= target
-        # wherever probed; lo passes hi only when blend[m - 1] < target.
-        lo = np.ones(w.size, dtype=np.intp)
-        hi = np.full(w.size, m - 1, dtype=np.intp)
-        for _ in range((m - 2).bit_length()):
-            mid = (lo + hi) // 2
-            below = blend(mid) < targets
-            lo = np.where(below, mid + 1, lo)
-            hi = np.where(below, hi, mid)
-        idx = np.minimum(lo, hi)
-        c_lo = blend(idx - 1)
-        span = np.maximum(blend(idx) - c_lo, 1e-300)
-        frac = np.clip((targets - c_lo) / span, 0.0, 1.0)
-        p[sl] = pnodes[idx - 1] + frac * h_node
+        u = p[sl]
+        t_p = u * blend(m - 1, every)
+        if guided:
+            g = left * (m + 1) + (u * m).astype(np.intp)
+            k, lo, hi = _invert(blend, t_p, np.minimum(guide_p[g], guide_p[g + m + 1]),
+                                lambda s: _bisect(blend, t_p[s], s, m - 1))
+        else:
+            k = _bisect(blend, t_p, every, m - 1)
+            lo, hi = blend(k - 1, every), blend(k, every)
+        p[sl] = pnodes[k - 1] + np.clip((t_p - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0) * h_node
 
-    Q = probe.sigma_Q * z_Q
-    P = probe.sigma_P * z_P
+    # Drawn after the loop, from where the uniforms left the stream.
+    Q = rng.standard_normal(n)
+    Q *= probe.sigma_Q
+    P = rng.standard_normal(n)
+    P *= probe.sigma_P
     return TrajectoryEnsemble(q=q, p=p, Q=Q, P=P)
 
 
@@ -186,11 +259,14 @@ def flow_action(
 
 def histogram_l1_distance(
     samples: np.ndarray, grid: Grid1D, density: np.ndarray, bins: int = 24
-) -> float:
-    """L1 distance between a sample histogram and bin-integrated model mass.
+) -> tuple[float, np.ndarray]:
+    """L1 distance between a sample histogram and bin-integrated model mass,
+    and the histogram's counts in ``bins`` equal bins over the grid's range.
 
     The model density (given on ``grid``) is integrated over each bin through
-    its cumulative trapezoid, so the comparison carries no binning bias.
+    its cumulative trapezoid, so the comparison carries no binning bias. A
+    caller that records the histogram reads the counts, so the samples are
+    binned once.
     """
     edges = np.linspace(grid.lo, grid.hi, bins + 1)
     counts, _ = np.histogram(samples, bins=edges)
@@ -198,7 +274,7 @@ def histogram_l1_distance(
     empirical = counts / samples.size
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * grid.h)])
     model = np.diff(np.interp(edges, grid.nodes, cdf))
-    return float(np.sum(np.abs(empirical - model)) + outside / samples.size)
+    return float(np.sum(np.abs(empirical - model)) + outside / samples.size), counts
 
 
 def periodic_histogram_l1_distance(
@@ -208,4 +284,4 @@ def periodic_histogram_l1_distance(
     the n ``density_nodes`` of a periodic grid and closed by its first node at 2pi."""
     grid = Grid1D(0.0, TWO_PI, len(density_nodes) + 1)
     closed = np.concatenate([density, density[:1]])
-    return histogram_l1_distance(np.mod(samples, TWO_PI), grid, closed, bins)
+    return histogram_l1_distance(np.mod(samples, TWO_PI), grid, closed, bins)[0]

@@ -291,11 +291,11 @@ def test_c10_picture_equivalence():
     ens0 = sample_initial(rho, probe, n, seed=1001)
     ens1 = flow_position(ens0, coupling)
     Qg = Grid1D(-10.0, 10.0, 1024)
-    l1_Q = histogram_l1_distance(
+    l1_Q, _ = histogram_l1_distance(
         ens1.Q, Qg, probe_marginal_Q(rho, probe, POSITION, coupling, Qg), bins=24
     )
     diffused = reduced_state_post_cm(rho, POSITION, coupling.tau)
-    l1_p = histogram_l1_distance(ens1.p, pg, diffused.p_marginal(), bins=24)
+    l1_p, _ = histogram_l1_distance(ens1.p, pg, diffused.p_marginal(), bins=24)
     bitwise = np.array_equal(ens1.q, ens0.q) and np.array_equal(ens1.P, ens0.P)
     worst = max(l1_Q, l1_p)
     report("C10a", "position flow histograms vs densities (L1)",

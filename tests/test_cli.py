@@ -716,21 +716,33 @@ class TestMainEntryPoint:
         with pytest.raises(ConfigInvalid, match="'dim'"):
             cli._require_memory("run-scenario", {"scenario": "number_basis", "dim": 6166})
 
-    @pytest.mark.parametrize("command", ["evolve-qm", "table1-report"])
-    def test_memory_estimate_is_the_traced_slope_rounded_up(self, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, field, power, sizes",
+        [
+            ("evolve-qm", "n_x", 2, (1024, 2048)),
+            ("table1-report", "n_x", 2, (1024, 2048)),
+            # The default branch "both": its two branches sample one after the other.
+            ("mc-compare", "n_samples", 1, (200_000, 400_000)),
+        ],
+        ids=["evolve-qm", "table1-report", "mc-compare"],
+    )
+    def test_memory_estimate_is_the_traced_slope_rounded_up(self, tmp_path, command, field,
+                                                             power, sizes):
         # The traced peak's slope in n_x^2 between 1024 and 2048, where table1-report's
-        # size-independent part (about 14 MB at 512) no longer sets the peak. The
-        # estimate may not fall below it, nor round it up by a whole 2 B.
+        # size-independent part (about 14 MB at 512) no longer sets the peak, and in
+        # n_samples. The estimate may not fall below it, nor round it up by a whole 2 B.
+        # Warmed up first: the first call may trace an import.
+        execute({"command": command, "parameters": {}}, tmp_path / "warm")
         peaks = []
-        for n in (1024, 2048):
+        for n in sizes:
             tracemalloc.start()
             try:
-                execute({"command": command, "parameters": {"n_x": n}}, tmp_path / str(n))
+                execute({"command": command, "parameters": {field: n}}, tmp_path / str(n))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        slope = (peaks[1] - peaks[0]) / (2048**2 - 1024**2)
-        assert slope <= cli.PEAK_BYTES[command][1]({"n_x": 1}) < slope + 2.0
+        slope = (peaks[1] - peaks[0]) / (sizes[1] ** power - sizes[0] ** power)
+        assert slope <= cli.PEAK_BYTES[command][1]({field: 1}) < slope + 2.0
 
     @pytest.mark.parametrize(
         "scenario, base, field, sizes",

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vnlab import (
@@ -19,6 +19,8 @@ from vnlab import (
 )
 from vnlab.cm import probe_marginal_Q, reduced_state_post_cm
 from vnlab.heisenberg import (
+    ActionEnsemble,
+    TrajectoryEnsemble,
     flow_action,
     flow_position,
     histogram_l1_distance,
@@ -26,7 +28,7 @@ from vnlab.heisenberg import (
     sample_initial,
     to_action_ensemble,
 )
-from vnlab.states import phase_density_from_values
+from vnlab.states import PhaseSpaceDensity, phase_density_from_values
 
 from helpers import random_gaussian_mixture, reference_sample_initial
 
@@ -40,13 +42,23 @@ def standard_state():
 
 @st.composite
 def sampling_densities(draw):
-    """Non-negative densities: a Gaussian mixture, or a compact bump whose
-    outer rows and columns are exactly zero; grids from 2 nodes per axis."""
+    """Non-negative densities: a Gaussian mixture, a compact bump whose outer
+    rows and columns are exactly zero, or spikes of one or two nodes per axis
+    with exact-zero rows between them; grids from 2 nodes per axis."""
     qgrid = Grid1D(-6.0, 6.0, draw(st.integers(2, 300)))
     pgrid = Grid1D(-6.0, 6.0, draw(st.integers(2, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    family = draw(st.sampled_from(["mixture", "bump", "spikes"]))
+    if family == "mixture":
         return random_gaussian_mixture(qgrid, pgrid, rng, k=int(rng.integers(1, 4)))
+    if family == "spikes":
+        # The guide's worst case: each row CDF is flat over most of the row,
+        # so a guide bin spans many nodes and the finishing searches run.
+        values = np.zeros((qgrid.n, pgrid.n))
+        for _ in range(int(rng.integers(1, 6))):
+            iq, ip = rng.integers(qgrid.n), rng.integers(pgrid.n)
+            values[iq:iq + rng.integers(1, 3), ip:ip + rng.integers(1, 3)] += rng.uniform(0.1, 1.0)
+        return phase_density_from_values(qgrid, pgrid, values)
     # Centred on a node, so at least one value is positive.
     cq = qgrid.nodes[rng.integers(qgrid.n)]
     cp = pgrid.nodes[rng.integers(pgrid.n)]
@@ -81,19 +93,48 @@ class TestSampling:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_matches_full_blend_bitwise(self, rho, n, seed):
-        # Exact: the search evaluates the same floating-point expressions as
-        # the full blend and, on a non-decreasing row, lands on its count.
+        # Exact: the guided probes and the finishing searches evaluate the same
+        # floating-point expressions as the full blend and, on a non-decreasing
+        # row, land on its count.
         probe = ProbeSpec(sigma_Q=0.5, sigma_P=0.5)
         got = sample_initial(rho, probe, n, seed)
         want = reference_sample_initial(rho, probe, n, seed)
         for name in ("q", "p", "Q", "P"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rho=sampling_densities(),
+        n=st.sampled_from([1, 8193]),
+        seed=st.integers(0, 2**64 - 1),
+        dip=st.floats(0.05, 0.9),
+        stride=st.sampled_from([2, 3]),
+    )
+    # Every other row of a Gaussian nearly cancelled: the q CDF zigzags, and
+    # searchsorted, which starts each key from where the key before it ended,
+    # gives another first q in a chunk if its call is split into chunks.
+    @example(rho=build_gaussian_phase_density(Grid1D(-6.0, 6.0, 64), Grid1D(-6.0, 6.0, 64), 1.0, 1.0),
+             n=4 * 8192 + 1, seed=1, dip=0.9, stride=2)
+    def test_dipping_density_matches_the_searches_bitwise(self, rho, n, seed, dip, stride):
+        # Rows negated: the q CDF and the blended row CDFs may cross a target
+        # more than once, so no guide may pick the crossing; the samples are the
+        # searches' (searchsorted for q, bisection for p) bit for bit.
+        values = rho.values.copy()
+        values[::stride] *= -dip
+        dipping = PhaseSpaceDensity(rho.qgrid, rho.pgrid, values)
+        probe = ProbeSpec(sigma_Q=0.5, sigma_P=0.5)
+        got = sample_initial(dipping, probe, n, seed)
+        want = reference_sample_initial(dipping, probe, n, seed, bisect=True)
+        for name in ("q", "p", "Q", "P"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_peak_allocation_bounded_by_chunk(self):
         # mc-compare's position grid at 1e6 samples. Peak traced allocation in
-        # units of 8N bytes: 10.1 when the search runs in chunks, 22.2 when
-        # the same search runs over the whole ensemble at once, 21.5 for the
-        # full (chunk, n_p) blend it replaced. The bound 16 separates them.
+        # units of 8N bytes: 4.1 when q and p are drawn in one chunk loop into
+        # their own uniforms and the normals are drawn after it (the four
+        # output arrays); 10.1 with the four draws made up front and q searched
+        # over the whole ensemble at once; 22.2 when the p search is too. The
+        # bound 5 separates them.
         rho = build_gaussian_phase_density(QGRID, PGRID, 1.0, 1.0)
         probe = ProbeSpec(sigma_Q=0.4, sigma_P=0.6)
         n = 1_000_000
@@ -104,7 +145,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 8 * n
+        assert peak < 5 * 8 * n
 
     def test_correlated_state_sampling(self):
         # A two-bump mixture: conditional momentum depends on position.
@@ -127,6 +168,15 @@ class TestSampling:
         sem = np.std(ens.p[right]) / np.sqrt(right.sum())
         assert abs(np.mean(ens.p[right]) - expected) < 4 * sem
         assert abs(np.mean(ens.p[~right]) + expected) < 4 * sem
+
+
+class TestEnsembles:
+    @pytest.mark.parametrize("ensemble", [TrajectoryEnsemble, ActionEnsemble])
+    def test_component_lengths_must_agree(self, ensemble):
+        arrays = [np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3)]
+        with pytest.raises(InvariantViolation, match="lengths differ"):
+            ensemble(*arrays)
+        ensemble(*arrays[:2], np.zeros(3), arrays[3])
 
 
 class TestFlowPosition:
@@ -160,7 +210,9 @@ class TestFlowPosition:
         ens = flow_position(sample_initial(standard_state(), probe, n, seed=9), coupling)
         Qg = Grid1D(-10.0, 10.0, 1024)
         density = probe_marginal_Q(standard_state(), probe, position_observable(), coupling, Qg)
-        assert histogram_l1_distance(ens.Q, Qg, density, bins=24) < 5.0 / np.sqrt(n)
+        l1, counts = histogram_l1_distance(ens.Q, Qg, density, bins=24)
+        assert l1 < 5.0 / np.sqrt(n)
+        assert np.array_equal(counts, np.histogram(ens.Q, bins=np.linspace(-10.0, 10.0, 25))[0])
 
 
 class TestFlowAction:
