@@ -131,10 +131,9 @@ def sample_initial(
     floating point (rounding is monotone), so exactly one k in [1, n - 1]
     passes the check, the first entry not below the target, which the
     searches also return; the guide only decides where probing starts. Each
-    entry is the same floating-point expression the searches evaluate. A
-    density with a negative value (down to the admitted -1e-12) may cross a
-    target more than once, so all of its samples take the searches, and its q
-    keys go to ``searchsorted`` in one call over the ensemble.
+    entry is the same floating-point expression the searches evaluate. Where
+    a value dips below zero (down to the admitted -1e-12) a CDF may cross a
+    target more than once; the check still accepts only a crossing.
     """
     if n < 1:
         raise InvariantViolation("need at least one sample")
@@ -154,15 +153,8 @@ def sample_initial(
         [np.zeros((n_q, 1)), np.cumsum(0.5 * (rho_s.values[:, 1:] + rho_s.values[:, :-1]) * h_p, axis=1)],
         axis=1,
     )
-    # A row that dips below zero may cross a target twice: no guide picks the crossing then.
-    guided = rho_s.values.min() >= 0.0
-    if guided:
-        guide_q = _guide(cdf_q[None, :])[0]
-        guide_p = _guide(row_cdf).ravel()
-    else:
-        # On an unsorted array searchsorted answers each key from where the one
-        # before it left off, so all q keys go in one call, as they always did.
-        searched_q = np.clip(np.searchsorted(cdf_q, q * cdf_q[-1]), 1, n_q - 1)
+    guide_q = _guide(cdf_q[None, :])[0]
+    guide_p = _guide(row_cdf).ravel()
     row_cdf = row_cdf.ravel()
     h_node = pnodes[1] - pnodes[0]
     every = slice(None)
@@ -170,12 +162,8 @@ def sample_initial(
         sl = slice(start, min(start + _SAMPLE_CHUNK, n))
         u = q[sl]
         t_q = u * cdf_q[-1]
-        if guided:
-            k, lo, hi = _invert(lambda k, s: cdf_q[k], t_q, guide_q[(u * n_q).astype(np.intp)],
-                                lambda s: np.clip(np.searchsorted(cdf_q, t_q[s]), 1, n_q - 1))
-        else:
-            k = searched_q[sl]
-            lo, hi = cdf_q[k - 1], cdf_q[k]
+        k, lo, hi = _invert(lambda k, s: cdf_q[k], t_q, guide_q[(u * n_q).astype(np.intp)],
+                            lambda s: np.clip(np.searchsorted(cdf_q, t_q[s]), 1, n_q - 1))
         q[sl] = qnodes[k - 1] + np.clip((t_q - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0) * h_q
 
         # Conditional p draw: invert the blend of the two bracketing row CDFs.
@@ -190,13 +178,9 @@ def sample_initial(
 
         u = p[sl]
         t_p = u * blend(m - 1, every)
-        if guided:
-            g = left * (m + 1) + (u * m).astype(np.intp)
-            k, lo, hi = _invert(blend, t_p, np.minimum(guide_p[g], guide_p[g + m + 1]),
-                                lambda s: _bisect(blend, t_p[s], s, m - 1))
-        else:
-            k = _bisect(blend, t_p, every, m - 1)
-            lo, hi = blend(k - 1, every), blend(k, every)
+        g = left * (m + 1) + (u * m).astype(np.intp)
+        k, lo, hi = _invert(blend, t_p, np.minimum(guide_p[g], guide_p[g + m + 1]),
+                            lambda s: _bisect(blend, t_p[s], s, m - 1))
         p[sl] = pnodes[k - 1] + np.clip((t_p - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0) * h_node
 
     # Drawn after the loop, from where the uniforms left the stream.

@@ -187,30 +187,14 @@ def reference_joint_density(rho_s, probe, obs, coupling, Qgrid, Pgrid, ordering)
     return np.einsum("ijl,ijk,l->ijkl", system, pos, mom, optimize=True)
 
 
-def _bisect_rows(cdf_rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per row, bisect k in [1, L - 1] towards cdf[k - 1] < target <= cdf[k]. On a
-    monotone row that is the linear count; on a row that dips, one of its crossings."""
-    lo = np.ones(len(targets), dtype=np.intp)
-    hi = np.full(len(targets), cdf_rows.shape[1] - 1, dtype=np.intp)
-    for _ in range((cdf_rows.shape[1] - 2).bit_length()):
-        mid = (lo + hi) // 2
-        below = np.take_along_axis(cdf_rows, mid[:, None], axis=1)[:, 0] < targets
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-    return np.minimum(lo, hi)
-
-
-def _inverse_cdf_rows(cdf_rows: np.ndarray, nodes: np.ndarray, u: np.ndarray,
-                      bisect: bool = False) -> np.ndarray:
-    """Invert one CDF per row at one target per row: by a linear count for a
-    monotone CDF, or, with ``bisect``, by bisection."""
+def _inverse_cdf_rows(cdf_rows: np.ndarray, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Invert one monotone CDF per row at one target per row by a linear count."""
     totals = cdf_rows[:, -1]
     targets = u * totals
-    if bisect:
-        idx = _bisect_rows(cdf_rows, targets)
-    else:
-        idx = np.minimum(np.sum(cdf_rows < targets[:, None], axis=1), cdf_rows.shape[1] - 1)
-        idx = np.maximum(idx, 1)
+    idx = np.minimum(
+        np.sum(cdf_rows < targets[:, None], axis=1), cdf_rows.shape[1] - 1
+    )
+    idx = np.maximum(idx, 1)
     c_lo = np.take_along_axis(cdf_rows, (idx - 1)[:, None], axis=1)[:, 0]
     c_hi = np.take_along_axis(cdf_rows, idx[:, None], axis=1)[:, 0]
     span = np.maximum(c_hi - c_lo, 1e-300)
@@ -219,15 +203,11 @@ def _inverse_cdf_rows(cdf_rows: np.ndarray, nodes: np.ndarray, u: np.ndarray,
     return nodes[idx - 1] + frac * h
 
 
-def reference_sample_initial(rho_s: PhaseSpaceDensity, probe, n: int, seed: int,
-                             bisect: bool = False):
+def reference_sample_initial(rho_s: PhaseSpaceDensity, probe, n: int, seed: int):
     """The O(N*n_p) sampler: blend both bracketing row CDFs in full, then count.
 
     Oracle for ``heisenberg.sample_initial``, which must return the same four
     arrays bit for bit: both evaluate the same floating-point expressions.
-    With ``bisect`` the blend is bisected instead of counted, the search that
-    ``sample_initial`` keeps for a density with negative values, whose CDFs
-    may cross a target more than once.
     """
     from vnlab.heisenberg import TrajectoryEnsemble
 
@@ -261,6 +241,6 @@ def reference_sample_initial(rho_s: PhaseSpaceDensity, probe, n: int, seed: int,
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
         blend = (1.0 - w[sl, None]) * row_cdf[left[sl]] + w[sl, None] * row_cdf[left[sl] + 1]
-        p[sl] = _inverse_cdf_rows(blend, pnodes, u_p[sl], bisect)
+        p[sl] = _inverse_cdf_rows(blend, pnodes, u_p[sl])
 
     return TrajectoryEnsemble(q=q, p=p, Q=probe.sigma_Q * z_Q, P=probe.sigma_P * z_P)
