@@ -300,18 +300,20 @@ def _wigner_pgrid(hbar: float, xgrid: Grid1D, s2: float, tau: float, pad: float 
 # scenario: the slope of its traced peak (tracemalloc) between two sizes, rounded
 # up (evolve-qm's 0.44 to half a byte: its blocked phases hold 0.375 B x n_x^2, the
 # rest is linear; table1-report's 44.6 to 45, its classical phase-space densities:
-# its quantum rows hold no n_x x n_x state); for n_x, 1024 and 2048, past the sizes
-# where table1-report's fixed 14 MB still sets its peak; for n_Q, past those where
-# the pointer record's kernel chunks (about 2 MB) still set it. The intercepts, at
-# most 14 MB, are left out.
+# its quantum rows hold no n_x x n_x state; mc-compare's 48.0 to 48.5, the six
+# arrays of its two position-branch ensembles; two_delta's n_Q term 16.0 to 16.5,
+# two n_Q arrays, as its CSV is formatted a block of rows at a time); for n_x, 1024
+# and 2048, past the sizes where table1-report's fixed 14 MB still sets its peak;
+# for n_Q, past those where the pointer record's kernel chunks (about 2 MB) still
+# set it. The intercepts, at most 14 MB, are left out.
 # ``_execute`` refuses an estimate past MEMORY_BUDGET before any array is allocated.
 MEMORY_BUDGET = 4 * 2**30
 PEAK_BYTES = {
     "evolve-qm": ("'n_x'", lambda p: 0.5 * p["n_x"] * p["n_x"]),
     "table1-report": ("'n_x'", lambda p: 45.0 * p["n_x"] * p["n_x"]),
     "evolve-cm": ("'n_q' and 'n_p'", lambda p: 23.0 * p["n_q"] * p["n_p"]),
-    "mc-compare": ("'n_samples'", lambda p: 56.0 * p["n_samples"]),
-    "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 33.0 * p["n_Q"]),
+    "mc-compare": ("'n_samples'", lambda p: 48.5 * p["n_samples"]),
+    "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 16.5 * p["n_Q"]),
     "interference": ("'n_x' and 'n_Q'", lambda p: 4200.0 * p["n_x"] + 33.0 * p["n_Q"]),
     "number_basis": ("'dim'", lambda p: 113.0 * p["dim"] * p["dim"]),
     "gaussian_bessel": ("'n_xi' and 'n_theta'", lambda p: 33.0 * p["n_xi"] * p["n_theta"]),
@@ -459,6 +461,11 @@ def run_evolve_cm(n_q: int = 256, n_p: int = 256, grid_halfwidth_q: float = 8.0,
     return checks, scalars, tables
 
 
+def _drift(after: np.ndarray, before: np.ndarray) -> float:
+    """max |after - before|; 0.0 from one comparison, with no difference array, when equal."""
+    return 0.0 if np.array_equal(after, before) else float(np.max(np.abs(after - before)))
+
+
 def run_mc_compare(n_samples: int = 100000, seed: Seed = 20240801, bins: int = 24,
                    sigma_q: float = 1.0, sigma_p: float = 1.0,
                    probe: ProbeSpec = ProbeSpec(sigma_Q=0.4, sigma_P=0.6),
@@ -506,7 +513,7 @@ def run_mc_compare(n_samples: int = 100000, seed: Seed = 20240801, bins: int = 2
         l1_Q, counts = histogram_l1_distance(ens1.Q, Qgrid, model_Q, bins=bins)
         diffused = reduced_state_post_cm(rho, obs, coupling.tau)
         l1_p, _ = histogram_l1_distance(ens1.p, pgrid, diffused.p_marginal(), bins=bins)
-        conserved = float(np.max(np.abs(ens1.q - ens0.q)) + np.max(np.abs(ens1.P - ens0.P)))
+        conserved = _drift(ens1.q, ens0.q) + _drift(ens1.P, ens0.P)
         del ens0, ens1  # so that the action branch samples without them
         checks += [
             ScenarioCheck("position branch: pointer histogram vs density (L1)",
@@ -532,7 +539,7 @@ def run_mc_compare(n_samples: int = 100000, seed: Seed = 20240801, bins: int = 2
         l1_theta = periodic_histogram_l1_distance(
             ens1.theta, solved.thetagrid.nodes, theta_density, bins=bins
         )
-        conserved = float(np.max(np.abs(ens1.xi - ens0.xi)) + np.max(np.abs(ens1.P - ens0.P)))
+        conserved = _drift(ens1.xi, ens0.xi) + _drift(ens1.P, ens0.P)
         mean_Q = float(np.mean(ens1.Q)) / coupling.epsilon
         expect_A = expectation(rho, obs)
         mc_sigma = float(np.std(ens1.Q) / coupling.epsilon / np.sqrt(n_samples))
@@ -715,13 +722,25 @@ _SIGNATURES = {
 # Artifact writing
 # ---------------------------------------------------------------------------
 
+# Rows formatted per write by ``write_table``.
+TABLE_BLOCK = 4096
+
+
 def write_table(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """One CSV: the headers, then a row per index, each value to 17 significant digits."""
+    """One CSV: the headers, then a row per index, each value to 17 significant digits.
+
+    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``, formatted a
+    block of ``TABLE_BLOCK`` rows per write.
+    """
     if len({len(c) for c in columns.values()}) != 1:
         raise VnLabError("table columns must share a length")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    n_rows = len(next(iter(columns.values())))
     with path.open("w", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack(list(columns.values())), fmt="%.17g", delimiter=",",
-                   header=",".join(columns), comments="")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, n_rows, TABLE_BLOCK):
+            block = np.column_stack([c[start:start + TABLE_BLOCK] for c in columns.values()])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _json_default(obj):

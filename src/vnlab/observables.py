@@ -226,14 +226,25 @@ def general_observable(eval, dA_dq, dA_dp) -> ClassicalObservable:
 # Probe and coupling
 # ---------------------------------------------------------------------------
 
+# exp(x) rounds to +0.0 for every x at or below this: e^-746 is under half the
+# smallest subnormal. NumPy 2.4's exp (x86-64, AVX-512) takes 6-20 ns per such
+# element and about 1 ns per normal result.
+EXP_UNDERFLOW = -746.0
+
+
 def _normal_density(x, s2: float) -> np.ndarray:
     """exp(-0.5 * x * x / s2) / sqrt(2 pi s2) in one output buffer, in that order of
-    operations: bit for bit the plain formula, ``x`` unmodified, a NumPy scalar for 0-d."""
+    operations: bit for bit the plain formula, ``x`` unmodified, a NumPy scalar for 0-d.
+
+    Exponents at or below ``EXP_UNDERFLOW`` are set to +0.0 without calling exp.
+    """
     q = np.asarray(x, dtype=float)
     out = np.multiply(-0.5, q, out=np.empty(q.shape))
     out *= q
     out /= s2
-    np.exp(out, out=out)
+    dead = out <= EXP_UNDERFLOW  # NaN is not, and stays on the exp path
+    np.exp(out, out=out, where=~dead)
+    np.copyto(out, 0.0, where=dead)
     out /= np.sqrt(2.0 * np.pi * s2)
     return out if out.ndim else out[()]
 

@@ -188,16 +188,80 @@ class AngleActionDensity:
 # Interpolation and the canonical transform
 # ---------------------------------------------------------------------------
 
+# Points per chunk of ``_bispev``: its temporaries stay in cache.
+SPLINE_CHUNK = 2**14
+
+
+def _cubic_bsplines(t, x):
+    """The first coefficient index and the four cubic B-splines nonzero at each x.
+
+    FITPACK's fpbisp and fpbspl (Dierckx 1993) vectorised, each operation in their
+    order, so the values are theirs bit for bit: x is clamped to [t[3], t[-4]], its
+    interval l is the last with t[l] <= x (NaN takes the last interval), and the
+    de Boor-Cox recurrence runs over the six knots t[l-2 .. l+3].
+    """
+    x = np.clip(x, t[3], t[-4])
+    first = np.searchsorted(t[4:-4], x, side="right")  # l - 3
+    k0, k1, k2, k3, k4, k5 = (t[first + m] for m in range(1, 7))
+    # Degree j from degree j - 1, as fpbspl runs it for i = 1 .. j: with f = h[i] /
+    # (t[l+i] - t[l+i-j]), h[i] += f (t[l+i] - x) and h[i+1] = f (x - t[l+i-j]).
+    f = 1.0 / (k3 - k2)
+    a0, a1 = f * (k3 - x), f * (x - k2)
+    f = a0 / (k3 - k1)
+    b0, b1 = f * (k3 - x), f * (x - k1)
+    f = a1 / (k4 - k2)
+    b1 += f * (k4 - x)
+    b2 = f * (x - k2)
+    f = b0 / (k3 - k0)
+    h0, h1 = f * (k3 - x), f * (x - k0)
+    f = b1 / (k4 - k1)
+    h1 += f * (k4 - x)
+    h2 = f * (x - k1)
+    f = b2 / (k5 - k2)
+    h2 += f * (k5 - x)
+    h3 = f * (x - k2)
+    return first, (h0, h1, h2, h3)
+
+
+def _bispev(tx, ty, c, x, y) -> np.ndarray:
+    """The bicubic spline (knots tx, ty, coefficients c) at the points (x, y).
+
+    Bit for bit FITPACK's bispeu, which ``RectBivariateSpline.ev`` calls: each
+    value sums c[i, j] * hx[i] * hy[j] with i outer and j inner, from 0.
+    bispeu scans the knots from the first for every point; here one search
+    places a chunk of points.
+    """
+    ny = len(ty) - 4
+    out = np.empty(x.size)
+    for start in range(0, x.size, SPLINE_CHUNK):
+        rows = slice(start, start + SPLINE_CHUNK)
+        ix, hx = _cubic_bsplines(tx, x[rows])
+        iy, hy = _cubic_bsplines(ty, y[rows])
+        corner = ix * ny + iy
+        acc = np.zeros(corner.shape)
+        for i in range(4):
+            for j in range(4):
+                term = c[corner + (i * ny + j)]
+                term *= hx[i]
+                term *= hy[j]
+                acc += term
+        out[rows] = acc
+    return out
+
+
 def _sample(xnodes, ynodes, values, x, y) -> np.ndarray:
     """Bicubic-spline samples of ``values`` at the points (x, y), clipped at zero.
 
-    Points outside the nodes' rectangle evaluate to 0 (compact-support convention).
+    The interpolating spline is scipy's ``RectBivariateSpline(..., s=0)``; it is
+    evaluated by ``_bispev``. Points outside the nodes' rectangle evaluate to 0
+    (compact-support convention).
     """
     # Imported here: scipy.interpolate takes most of a second to import, and
     # only the classical resampling paths need it.
     from scipy.interpolate import RectBivariateSpline
 
-    out = RectBivariateSpline(xnodes, ynodes, values, kx=3, ky=3, s=0).ev(x.ravel(), y.ravel())
+    tx, ty, c = RectBivariateSpline(xnodes, ynodes, values, kx=3, ky=3, s=0).tck
+    out = _bispev(tx, ty, c, x.ravel(), y.ravel())
     inside = (x >= xnodes[0]) & (x <= xnodes[-1]) & (y >= ynodes[0]) & (y <= ynodes[-1])
     return np.clip(np.where(inside, out.reshape(x.shape), 0.0), 0.0, None)
 

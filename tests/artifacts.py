@@ -8,18 +8,21 @@ gives, per file, the largest difference in units of its own scale:
 * a numeric leaf of ``checks.json``, its difference over the larger |value|.
 
 A file present in one run only, a differing header, shape, key or non-numeric
-leaf (a description, a pass flag) counts as ``inf``. ``manifest.json`` is left
-out: it carries timestamps and the digests themselves.
+leaf (a description, a pass flag) counts as ``inf``. ``same_bytes`` tells, per
+file, whether the two runs wrote the same bytes, which is what the digests in
+``manifest.json`` compare. ``manifest.json`` itself is left out of both: it
+carries timestamps and the digests themselves.
 
-Run as ``python tests/artifacts.py DIR_A DIR_B``, it prints each file's
-difference and exits 1 if any is ``inf``.
+Run as ``python tests/artifacts.py [--bytes] DIR_A DIR_B``, it prints each file's
+difference and whether its bytes are identical. It exits 1 if any difference is
+``inf``, or with ``--bytes`` if any file's bytes differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +70,16 @@ def _json_difference(path_a: Path, path_b: Path) -> float:
     return worst
 
 
+def _names(dir_a: Path, dir_b: Path) -> list[str]:
+    """Every artifact file name in either run, manifest.json left out."""
+    return sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir()} - {"manifest.json"})
+
+
 def compare(dir_a, dir_b) -> dict[str, float]:
     """Largest scaled difference per artifact file of two run directories."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    names = {p.name for d in (dir_a, dir_b) for p in d.iterdir()} - {"manifest.json"}
     result = {}
-    for name in sorted(names):
+    for name in _names(dir_a, dir_b):
         path_a, path_b = dir_a / name, dir_b / name
         if not (path_a.exists() and path_b.exists()):
             result[name] = math.inf
@@ -83,10 +90,24 @@ def compare(dir_a, dir_b) -> dict[str, float]:
     return result
 
 
+def same_bytes(dir_a, dir_b) -> dict[str, bool]:
+    """Per artifact file of two run directories, whether both runs wrote the same bytes."""
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    return {name: (dir_a / name).exists() and (dir_b / name).exists()
+            and (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+            for name in _names(dir_a, dir_b)}
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit("usage: python tests/artifacts.py DIR_A DIR_B")
-    differences = compare(sys.argv[1], sys.argv[2])
+    parser = argparse.ArgumentParser(description="Compare two runs' artifacts.")
+    parser.add_argument("--bytes", action="store_true",
+                        help="exit 1 if any file's bytes differ, not only if one is missing")
+    parser.add_argument("dir_a")
+    parser.add_argument("dir_b")
+    args = parser.parse_args()
+    differences = compare(args.dir_a, args.dir_b)
+    identical = same_bytes(args.dir_a, args.dir_b)
     for name, difference in differences.items():
-        print(f"{name}: {difference:.3g}")
-    sys.exit(1 if math.inf in differences.values() else 0)
+        print(f"{name}: {difference:.3g}, bytes {'identical' if identical[name] else 'differ'}")
+    failed = not all(identical.values()) if args.bytes else math.inf in differences.values()
+    raise SystemExit(1 if failed else 0)

@@ -1,6 +1,6 @@
 """Independent oracles: the pointer smear, the quadrature kernel, the Wigner
 equation, the density-matrix momentum marginals, the classical diffusions and
-the spline samplers as they were first computed.
+the spline samplers as they were first computed, on scipy's FITPACK evaluation.
 
 Each computes a quantity a second way, from its definition, so that the
 package's closed forms and exact solves can be checked against it.
@@ -172,6 +172,18 @@ def angle_solve_reference(values: np.ndarray, rate: np.ndarray, tau: float) -> n
     modes = np.rint(n * np.fft.fftfreq(n)).astype(int)
     damped = c * np.exp(-tau * np.asarray(rate)[:, None] * modes[None, :] ** 2)
     return np.real(np.fft.ifft(damped * n, axis=1))
+
+
+def spline_sample_reference(xnodes, ynodes, values, x, y) -> np.ndarray:
+    """scipy's ``RectBivariateSpline(..., s=0).ev`` at the points (x, y), 0 outside the
+    nodes' rectangle, clipped at zero.
+
+    The sampler as first written, oracle of ``vnlab.states._sample``, which
+    evaluates the same spline with its own vectorised FITPACK recurrence.
+    """
+    out = RectBivariateSpline(xnodes, ynodes, values, kx=3, ky=3, s=0).ev(x.ravel(), y.ravel())
+    inside = (x >= xnodes[0]) & (x <= xnodes[-1]) & (y >= ynodes[0]) & (y <= ynodes[-1])
+    return np.clip(np.where(inside, out.reshape(x.shape), 0.0), 0.0, None)
 
 
 def sample_phase_density_reference(rho: PhaseSpaceDensity, q_pts, p_pts) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 from vnlab.cli import execute
 
-from artifacts import compare
+from artifacts import compare, same_bytes
 
 # sigma_x one ulp above 1 moves evolve-qm's artifacts by at most 4.7e-15 of their
 # scale (checks.json; 1.2e-15 in momentum_density.csv), yet changes the digests.
@@ -54,14 +54,38 @@ def test_a_missing_file_is_infinitely_far(runs, tmp_path):
     assert differences["momentum_density.csv"] == math.inf
 
 
+def test_bytes_tell_a_rerun_from_a_roundoff_change(runs, tmp_path):
+    files = {"checks.json", "momentum_density.csv", "pointer_distribution.csv"}
+    assert same_bytes(runs / "default", runs / "rerun") == dict.fromkeys(files, True)
+    ulp = same_bytes(runs / "default", runs / "sigma_x-ulp")
+    assert set(ulp) == files and not all(ulp.values())
+    (tmp_path / "checks.json").write_bytes((runs / "default" / "checks.json").read_bytes())
+    missing = same_bytes(runs / "default", tmp_path)
+    assert missing == {"checks.json": True, "momentum_density.csv": False,
+                       "pointer_distribution.csv": False}
+
+
+def _command_line(*args):
+    script = Path(__file__).with_name("artifacts.py")
+    return subprocess.run([sys.executable, str(script), *map(str, args)],
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("other, status", [("rerun", 0), ("missing", 1)])
 def test_command_line_prints_each_file_and_fails_on_inf(runs, tmp_path, other, status):
     other_dir = runs / other if other == "rerun" else tmp_path  # tmp_path has no artifacts
-    script = Path(__file__).with_name("artifacts.py")
-    proc = subprocess.run([sys.executable, str(script), str(runs / "default"), str(other_dir)],
-                          capture_output=True, text=True)
+    proc = _command_line(runs / "default", other_dir)
     assert proc.returncode == status, proc.stdout + proc.stderr
-    expected = "0" if status == 0 else "inf"
+    expected = "0, bytes identical" if status == 0 else "inf, bytes differ"
     assert proc.stdout.splitlines() == [
         f"{name}: {expected}"
         for name in ("checks.json", "momentum_density.csv", "pointer_distribution.csv")]
+
+
+@pytest.mark.parametrize("other, status", [("rerun", 0), ("sigma_x-ulp", 1)])
+def test_bytes_mode_fails_on_any_byte_difference(runs, other, status):
+    # One ulp in sigma_x passes the numeric comparison, and fails the byte one.
+    assert _command_line(runs / "default", runs / other).returncode == 0
+    proc = _command_line("--bytes", runs / "default", runs / other)
+    assert proc.returncode == status, proc.stdout + proc.stderr
+    assert ("bytes differ" in proc.stdout) == bool(status)

@@ -954,6 +954,28 @@ class TestMainEntryPoint:
                                      b"1e-300,-inf\n"
                                      b"4.9406564584124654e-324,8.6916947597937554e-311\n")
 
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"x": np.array([0.0, -0.0, 1e-310, 5e-324, np.nan, np.inf, -np.inf, -1.5e300]),
+             "y (units)": np.array([1.0, 2.0**-1030, -np.nan, 0.1, -0.0, 7.0, 1e22, -3.0])},
+            {"one column": np.array([0.25, -0.0, np.nan, 1e-320])},
+            {"a": np.zeros(0), "b": np.zeros(0)},
+            # Three blocks, the last one partial, over every kind of value.
+            {"a": np.random.default_rng(5).standard_normal(2 * cli.TABLE_BLOCK + 3),
+             "b": np.resize([np.nan, -0.0, 1e-310, np.inf], 2 * cli.TABLE_BLOCK + 3),
+             "c": np.arange(2 * cli.TABLE_BLOCK + 3) * 1e300},
+        ],
+        ids=["special values", "one column", "zero rows", "three blocks"],
+    )
+    def test_csv_bytes_are_savetxts(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        cli.write_table(path, columns)
+        with (tmp_path / "savetxt.csv").open("w", newline="\n") as fh:
+            np.savetxt(fh, np.column_stack(list(columns.values())), fmt="%.17g", delimiter=",",
+                       header=",".join(columns), comments="")
+        assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
     def test_table_columns_of_unequal_length_refused(self, tmp_path):
         with pytest.raises(VnLabError, match="share a length"):
             cli.write_table(tmp_path / "t.csv", {"a": np.zeros(3), "b": np.zeros(4)})

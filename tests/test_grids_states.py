@@ -1,9 +1,12 @@
 """States, grids, transforms and the quadrature primitives."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RectBivariateSpline
 
 from vnlab import (
     DensityOperator,
@@ -35,9 +38,12 @@ from vnlab.observables import (
     require_hermitian,
 )
 from vnlab.qm import decoherence_kernel, reduced_state_post
+from vnlab import states
 from vnlab.states import (
     AngleActionDensity,
+    _bispev,
     _Handover,
+    _sample,
     delta_width,
     phase_density_from_values,
     sample_phase_density,
@@ -45,7 +51,11 @@ from vnlab.states import (
 )
 
 from helpers import density_from_wavefunction, density_variance, random_gaussian_mixture
-from oracles import from_angle_action_reference, sample_phase_density_reference
+from oracles import (
+    from_angle_action_reference,
+    sample_phase_density_reference,
+    spline_sample_reference,
+)
 
 
 class TestGrids:
@@ -230,6 +240,68 @@ class TestSplineSampler:
         pgrid = Grid1D(p_lo * reach, p_hi * reach, n_p)
         assert np.array_equal(from_angle_action(aa, qgrid, pgrid).values,
                               from_angle_action_reference(aa, qgrid, pgrid).values)
+
+    @staticmethod
+    def _nodes(rng, n, uniform, lo, span):
+        if uniform:
+            return np.linspace(lo, lo + span, n)
+        steps = rng.uniform(0.05, 1.0, n - 1)
+        return lo + span * np.concatenate([[0.0], np.cumsum(steps) / steps.sum()])
+
+    @staticmethod
+    def _points(rng, fixed, lo, hi, size=1500):
+        """``fixed``, then points over [lo, hi] up to ``size``, in shuffled order."""
+        return rng.permutation(np.concatenate([fixed, rng.uniform(lo, hi, size - len(fixed))]))
+
+    @staticmethod
+    def _edges(nodes):
+        """Each end, one ulp past it, the non-finite values and both zeros."""
+        lo, hi = nodes[0], nodes[-1]
+        return [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                np.nan, np.inf, -np.inf, 0.0, -0.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(4, 600), ny=st.integers(4, 600), uniform_x=st.booleans(),
+           uniform_y=st.booleans(), chunk=st.sampled_from([5, states.SPLINE_CHUNK]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sampler_is_fitpacks_bit_for_bit(self, nx, ny, uniform_x, uniform_y, chunk, seed):
+        # The vectorised recurrence against scipy's evaluation, on uniform and
+        # non-uniform nodes, a grid from 0 among them, with points anywhere: the
+        # raw spline (clamped outside) and the sampler, chunked in fives or not.
+        rng = np.random.default_rng(seed)
+        xn = self._nodes(rng, nx, uniform_x, 0.0, rng.uniform(0.5, 40.0))
+        yn = self._nodes(rng, ny, uniform_y, rng.uniform(-9.0, 3.0), rng.uniform(0.5, 20.0))
+        values = rng.random((nx, ny)) - 0.2  # negative samples are clipped
+        spline = RectBivariateSpline(xn, yn, values, kx=3, ky=3, s=0)
+        tx, ty, c = spline.tck
+        # Over twice each span, so that about half fall outside, and on every knot and node.
+        x = self._points(rng, np.concatenate([tx, xn, self._edges(xn)]),
+                         1.5 * xn[0] - 0.5 * xn[-1], 1.5 * xn[-1] - 0.5 * xn[0])
+        y = self._points(rng, np.concatenate([ty, yn, self._edges(yn)]),
+                         1.5 * yn[0] - 0.5 * yn[-1], 1.5 * yn[-1] - 0.5 * yn[0])
+        with mock.patch.object(states, "SPLINE_CHUNK", chunk):
+            raw = _bispev(tx, ty, c, x, y)
+            sampled = _sample(xn, yn, values, x[None], y[None])
+        expected = spline.ev(x, y)
+        assert np.array_equal(raw, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(raw), np.signbit(expected))
+        assert np.array_equal(sampled, spline_sample_reference(xn, yn, values, x[None], y[None]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_xi=st.integers(4, 600), n_theta=st.integers(4, 592), seed=st.integers(0, 2**32 - 1))
+    def test_sampler_on_padded_theta_nodes_is_fitpacks_bit_for_bit(self, n_xi, n_theta, seed):
+        # from_angle_action's theta nodes, padded by 4 across the seam on each side,
+        # at angles over [0, 2 pi] and at every node, and xi inside and past xi_max.
+        rng = np.random.default_rng(seed)
+        xn = np.linspace(0.0, rng.uniform(0.5, 40.0), n_xi)
+        tnodes = PeriodicGrid(n_theta).nodes
+        yn = np.concatenate([tnodes[-4:] - TWO_PI, tnodes, tnodes[:4] + TWO_PI])
+        values = rng.random((n_xi, yn.size))
+        x = self._points(rng, np.concatenate([xn, self._edges(xn)]), 0.0, 1.5 * xn[-1])
+        y = self._points(rng, np.concatenate([yn, tnodes, [TWO_PI, np.nan]]), 0.0, TWO_PI)
+        x, y = x[:, None], y[:, None]
+        assert np.array_equal(_sample(xn, yn, values, x, y),
+                              spline_sample_reference(xn, yn, values, x, y))
 
 
 class TestDensityOperator:

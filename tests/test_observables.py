@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vnlab import (
     CouplingParams,
@@ -13,6 +16,7 @@ from vnlab import (
     general_observable,
     position_observable,
 )
+from vnlab.observables import EXP_UNDERFLOW, _normal_density
 
 
 class TestSpectralObservable:
@@ -149,6 +153,42 @@ class TestProbeSpec:
             assert np.array_equal(out, np.exp(-0.5 * q * q / s2) / np.sqrt(2.0 * np.pi * s2))
             assert np.shape(out) == np.shape(Q)
             assert np.array_equal(Q, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s2=st.floats(1e-4, 1e4),
+           exponents=hnp.arrays(float, st.integers(0, 200),
+                                elements=st.floats(0.0, 800.0) | st.floats(700.0, 750.0)),
+           raw=hnp.arrays(float, st.integers(0, 20)), seed=st.integers(0, 2**32 - 1))
+    def test_normal_density_is_bitwise_the_plain_formula(self, s2, exponents, raw, seed):
+        # Exponents -e over the normal results, the subnormal band (-745.13 < -e <
+        # -708.4), the cut and the exact zeros, at both signs of x, shuffled among any
+        # doubles (NaN and +-inf included), so that kept and skipped runs of every
+        # length meet; and 0-d inputs, Python floats and 0-d arrays.
+        rng = np.random.default_rng(seed)
+        x = np.sqrt(2.0 * s2 * exponents) * rng.choice([-1.0, 1.0], exponents.size)
+        x = rng.permutation(np.concatenate([x, raw, [np.nan, np.inf, -np.inf, 0.0, -0.0]]))
+        with np.errstate(over="ignore"):  # a double past 1e154 squares to inf
+            expected = np.exp(-0.5 * x * x / s2) / np.sqrt(2.0 * np.pi * s2)
+            out = _normal_density(x, s2)
+            zero_d = [_normal_density(v, s2) for v in x.tolist()[:8]]
+            zero_d += [_normal_density(np.array(v), s2) for v in x[8:16]]
+        assert np.array_equal(out, expected, equal_nan=True)
+        assert not np.signbit(out[~np.isnan(out)]).any()  # +0.0 where exp is skipped
+        for value, plain in zip(zero_d, expected):
+            assert isinstance(value, np.float64) and np.shape(value) == ()
+            assert np.array_equal(value, plain, equal_nan=True)
+            assert np.isnan(value) or not np.signbit(value)
+
+    def test_exp_is_exactly_zero_at_and_below_the_cut(self):
+        # What lets _normal_density skip exp there: every exponent at or below the
+        # cut rounds to +0.0, by the vector loop, its tails and the scalar path.
+        below = np.concatenate([np.linspace(EXP_UNDERFLOW - 1.0, EXP_UNDERFLOW, 10001),
+                                [np.nextafter(EXP_UNDERFLOW, -np.inf), -1e4, -1e300, -np.inf]])
+        for values in (below, below[:3], below[::-1]):
+            out = np.exp(values)
+            assert np.array_equal(out, np.zeros(values.shape)) and not np.signbit(out).any()
+        assert all(np.exp(v) == 0.0 for v in below[-5:])
+        assert np.exp(EXP_UNDERFLOW + 1.0) > 0.0  # a cut within 1 of the last nonzero
 
     def test_wavefunction_squares_to_density(self):
         probe = ProbeSpec(sigma_Q=0.7, sigma_P=0.5)
