@@ -54,13 +54,14 @@ from .cm import (
     require_diffusion_resolved,
 )
 from .errors import ConfigInvalid, InvariantViolation, TruncationTooSmall, VnLabError
-from .grids import Grid1D, _Handover
+from .grids import TWO_PI, Grid1D, _Handover
 from .heisenberg import (
+    Histogram,
     flow_action,
     flow_position,
     histogram_l1_distance,
     periodic_histogram_l1_distance,
-    sample_initial,
+    sample_chunks,
     to_action_ensemble,
 )
 from .observables import (
@@ -83,6 +84,7 @@ from .states import (
     DensityOperator,
     build_gaussian_phase_density,
     delta_width,
+    distribution_of_A,
     expectation,
     gaussian_wavepacket,
     normalized_wavefunction,
@@ -300,10 +302,11 @@ def _wigner_pgrid(hbar: float, xgrid: Grid1D, s2: float, tau: float, pad: float 
 # scenario: the slope of its traced peak (tracemalloc) between two sizes, rounded
 # up (evolve-qm's 0.44 to half a byte: its blocked phases hold 0.375 B x n_x^2, the
 # rest is linear; table1-report's 44.6 to 45, its classical phase-space densities:
-# its quantum rows hold no n_x x n_x state; mc-compare's 48.0 to 48.5, the six
-# arrays of its two position-branch ensembles; two_delta's n_Q term 16.0 to 16.5,
-# two n_Q arrays, as its CSV is formatted a block of rows at a time); for n_x, 1024
-# and 2048, past the sizes where table1-report's fixed 14 MB still sets its peak;
+# its quantum rows hold no n_x x n_x state; mc-compare's 8.0 to 8.5, the sampler's
+# one array of Q, which the action branch overwrites with Q' and its squared
+# deviations, the slope up to 3.2e6 samples too; two_delta's n_Q term 16.0 to
+# 16.5, two n_Q arrays, as its CSV is formatted a block of rows at a time); for
+# n_x, 1024 and 2048, past the sizes where table1-report's fixed 14 MB still sets its peak;
 # for n_Q, past those where the pointer record's kernel chunks (about 2 MB) still
 # set it. The intercepts, at most 14 MB, are left out.
 # ``_execute`` refuses an estimate past MEMORY_BUDGET before any array is allocated.
@@ -312,7 +315,7 @@ PEAK_BYTES = {
     "evolve-qm": ("'n_x'", lambda p: 0.5 * p["n_x"] * p["n_x"]),
     "table1-report": ("'n_x'", lambda p: 45.0 * p["n_x"] * p["n_x"]),
     "evolve-cm": ("'n_q' and 'n_p'", lambda p: 23.0 * p["n_q"] * p["n_p"]),
-    "mc-compare": ("'n_samples'", lambda p: 48.5 * p["n_samples"]),
+    "mc-compare": ("'n_samples'", lambda p: 8.5 * p["n_samples"]),
     "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 16.5 * p["n_Q"]),
     "interference": ("'n_x' and 'n_Q'", lambda p: 4200.0 * p["n_x"] + 33.0 * p["n_Q"]),
     "number_basis": ("'dim'", lambda p: 113.0 * p["dim"] * p["dim"]),
@@ -428,10 +431,11 @@ def run_evolve_cm(n_q: int = 256, n_p: int = 256, grid_halfwidth_q: float = 8.0,
 
     # In units of the q marginal's peak where it exceeds 1, as NEGATIVITY_MONITOR:
     # roundoff scales with the peak, which a narrow q grid makes unbounded.
-    q_marginal = rho.q_marginal()
-    drift = float(np.max(np.abs(rho_post.q_marginal() - q_marginal)))
-    drift /= max(1.0, float(q_marginal.max()))
-    var_after = _variance(pgrid, rho_post.p_marginal())
+    q_before, q_after = rho.q_marginal(), rho_post.q_marginal()
+    p_before, p_after = rho.p_marginal(), rho_post.p_marginal()
+    drift = float(np.max(np.abs(q_after - q_before)))
+    drift /= max(1.0, float(q_before.max()))
+    var_after = _variance(pgrid, p_after)
 
     checks = [
         ScenarioCheck("evolved density mass", rho_post.mass(), 1.0, mass, "oracle"),
@@ -445,18 +449,16 @@ def run_evolve_cm(n_q: int = 256, n_p: int = 256, grid_halfwidth_q: float = 8.0,
     ]
     scalars = {
         "tau": coupling.tau,
-        "momentum_variance_before": _variance(pgrid, rho.p_marginal()),
+        "momentum_variance_before": _variance(pgrid, p_before),
         "momentum_variance_after": var_after,
     }
     tables = {
         "probe_marginal.csv": {"Q (probe position units)": Qgrid.nodes,
                                "density (1/Q units)": marginal},
         "q_marginal.csv": {"q (position units)": qgrid.nodes,
-                           "before (1/q units)": rho.q_marginal(),
-                           "after (1/q units)": rho_post.q_marginal()},
+                           "before (1/q units)": q_before, "after (1/q units)": q_after},
         "p_marginal.csv": {"p (momentum units)": pgrid.nodes,
-                           "before (1/p units)": rho.p_marginal(),
-                           "after (1/p units)": rho_post.p_marginal()},
+                           "before (1/p units)": p_before, "after (1/p units)": p_after},
     }
     return checks, scalars, tables
 
@@ -464,6 +466,19 @@ def run_evolve_cm(n_q: int = 256, n_p: int = 256, grid_halfwidth_q: float = 8.0,
 def _drift(after: np.ndarray, before: np.ndarray) -> float:
     """max |after - before|; 0.0 from one comparison, with no difference array, when equal."""
     return 0.0 if np.array_equal(after, before) else float(np.max(np.abs(after - before)))
+
+
+def _mean_std(values: np.ndarray) -> tuple[np.float64, np.float64]:
+    """``np.mean`` and ``np.std`` of ``values``, bit for bit, with ``values`` overwritten.
+
+    ``np.std`` is sqrt(mean((x - mean(x))^2)), evaluated in that order; the
+    deviations are squared in ``values`` itself, so no temporary of its length
+    is made.
+    """
+    mean = np.mean(values)
+    values -= mean
+    values *= values
+    return mean, np.sqrt(np.mean(values))
 
 
 def run_mc_compare(n_samples: int = 100000, seed: Seed = 20240801, bins: int = 24,
@@ -505,49 +520,67 @@ def run_mc_compare(n_samples: int = 100000, seed: Seed = 20240801, bins: int = 2
         require_diffusion_resolved("'sigma_p', 'sigma_P' and 'tau'", sigma_p, coupling.tau, pgrid)
         rho = build_gaussian_phase_density(qgrid, pgrid, sigma_q, sigma_p)
         obs = position_observable()
-        ens0 = sample_initial(rho, probe, n_samples, seed)
-        ens1 = flow_position(ens0, coupling)
-
         Qgrid = Grid1D(-10.0, 10.0, 1024)
+        # Each chunk is flowed and binned as it is drawn: no ensemble is held whole.
+        hist_Q, hist_p = Histogram(Qgrid.lo, Qgrid.hi, bins), Histogram(pgrid.lo, pgrid.hi, bins)
+        drift_q = drift_P = 0.0
+        for _, ens0 in sample_chunks(rho, probe, n_samples, seed):
+            ens1 = flow_position(ens0, coupling)
+            hist_Q.add(ens1.Q)
+            hist_p.add(ens1.p)
+            drift_q = max(drift_q, _drift(ens1.q, ens0.q))
+            drift_P = max(drift_P, _drift(ens1.P, ens0.P))
+        del ens0, ens1  # a chunk's Q is a view that keeps the sampler's Q array alive
+
         model_Q = probe_marginal_Q(rho, probe, obs, coupling, Qgrid)
-        l1_Q, counts = histogram_l1_distance(ens1.Q, Qgrid, model_Q, bins=bins)
+        l1_Q, counts = histogram_l1_distance(hist_Q, Qgrid, model_Q)
         diffused = reduced_state_post_cm(rho, obs, coupling.tau)
-        l1_p, _ = histogram_l1_distance(ens1.p, pgrid, diffused.p_marginal(), bins=bins)
-        conserved = _drift(ens1.q, ens0.q) + _drift(ens1.P, ens0.P)
-        del ens0, ens1  # so that the action branch samples without them
+        l1_p, _ = histogram_l1_distance(hist_p, pgrid, diffused.p_marginal())
         checks += [
             ScenarioCheck("position branch: pointer histogram vs density (L1)",
                           l1_Q, 0.0, budget, "oracle"),
             ScenarioCheck("position branch: momentum histogram vs diffused density (L1)",
                           l1_p, 0.0, budget, "oracle"),
             ScenarioCheck("position branch: q and P conserved bitwise",
-                          conserved, 0.0, 0.0, "analytic"),
+                          drift_q + drift_P, 0.0, 0.0, "analytic"),
         ]
         tables["mc_position_pointer_histogram.csv"] = {
-            "Q_bin_left (probe position units)": np.linspace(Qgrid.lo, Qgrid.hi, bins + 1)[:-1],
+            "Q_bin_left (probe position units)": hist_Q.edges[:-1],
             "count": counts.astype(float)}
 
     if "action" in branches:
         rho = build_gaussian_phase_density(grid, grid, sigma_q, sigma_p)
         obs = action_observable(lambda xi: xi, lambda xi: np.ones_like(xi))
-        ens0 = to_action_ensemble(sample_initial(rho, probe, n_samples, seed + 1))
-        ens1 = flow_action(ens0, obs, coupling)
+        # theta' is binned chunk by chunk. Q' is kept whole, as its mean and
+        # standard deviation sum over all samples at once: each chunk's Q' is
+        # written over its Q, in the sampler's one array of Q, and _mean_std
+        # squares the deviations there.
+        hist_theta = Histogram(0.0, TWO_PI, bins)
+        drift_xi = drift_P = 0.0
+        for _, chunk in sample_chunks(rho, probe, n_samples, seed + 1):
+            ens0 = to_action_ensemble(chunk)
+            ens1 = flow_action(ens0, obs, coupling)
+            hist_theta.add(np.mod(ens1.theta, TWO_PI))
+            chunk.Q[:] = ens1.Q
+            drift_xi = max(drift_xi, _drift(ens1.xi, ens0.xi))
+            drift_P = max(drift_P, _drift(ens1.P, ens0.P))
+        Q1 = chunk.Q.base
+        del chunk, ens0, ens1  # the last chunk's arrays
 
         aa = to_angle_action(rho, n_xi=256, n_theta=256)
         solved = reduced_state_post_cm(aa, obs, coupling.tau)
-        theta_density = solved.theta_marginal()
         l1_theta = periodic_histogram_l1_distance(
-            ens1.theta, solved.thetagrid.nodes, theta_density, bins=bins
+            hist_theta, solved.thetagrid.nodes, solved.theta_marginal()
         )
-        conserved = _drift(ens1.xi, ens0.xi) + _drift(ens1.P, ens0.P)
-        mean_Q = float(np.mean(ens1.Q)) / coupling.epsilon
+        mean, std = _mean_std(Q1)
+        mean_Q = float(mean) / coupling.epsilon
         expect_A = expectation(rho, obs)
-        mc_sigma = float(np.std(ens1.Q) / coupling.epsilon / np.sqrt(n_samples))
+        mc_sigma = float(std / coupling.epsilon / np.sqrt(n_samples))
         checks += [
             ScenarioCheck("action branch: angle histogram vs spectral solution (L1)",
                           l1_theta, 0.0, budget, "oracle"),
             ScenarioCheck("action branch: xi and P conserved bitwise",
-                          conserved, 0.0, 0.0, "analytic"),
+                          drift_xi + drift_P, 0.0, 0.0, "analytic"),
             ScenarioCheck("action branch: mean pointer shift over epsilon vs <A> (3 sigma)",
                           mean_Q, expect_A, 3.0 * mc_sigma, "oracle"),
         ]
@@ -592,15 +625,16 @@ def run_table1_report(n_x: int = 256, grid_halfwidth: float = 8.0,
     psi = gaussian_wavepacket(xgrid, center=center, sigma_x=sigma_x, hbar=hbar)
     psi = normalized_wavefunction(psi, xgrid)
     weights = np.ascontiguousarray(np.real(xgrid.h * (psi * psi.conj())))
-    Qgrid = probe.pointer_grid(xgrid.nodes, eps, 2048, 8.0)
-    pointer = probe.pointer_density(Qgrid.nodes, xgrid.nodes, weights, eps)
-    qm_row1 = _moment(Qgrid, pointer) / eps
     expect_row1 = float(weights @ xgrid.nodes)
-
+    # The CM side's distribution of A = q is over the same nodes: both records
+    # share one stacked kernel, each row with its own bits.
     pgrid = Grid1D(-12.0, 12.0, n_x)
     rho_cm = build_gaussian_phase_density(xgrid, pgrid, sigma_x, 1.0, center_q=center)
     obs_cm = position_observable()
-    marg = probe_marginal_Q(rho_cm, probe, obs_cm, coupling, Qgrid)
+    Qgrid = probe.pointer_grid(xgrid.nodes, eps, 2048, 8.0)
+    pointer, marg = probe.pointer_density(
+        Qgrid.nodes, xgrid.nodes, [weights, distribution_of_A(rho_cm, obs_cm)[1]], eps)
+    qm_row1 = _moment(Qgrid, pointer) / eps
     cm_row1 = _moment(Qgrid, marg) / eps
     checks = [
         ScenarioCheck("row 1 (QM): <Q>'/epsilon equals <A>", qm_row1, expect_row1,

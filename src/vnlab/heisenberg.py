@@ -10,6 +10,7 @@ validate the density-picture solvers statistically.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -102,16 +103,37 @@ def _invert(cdf, t: np.ndarray, k: np.ndarray, finish):
     return k, lo, hi
 
 
-def sample_initial(
+def _stream(seed: int, offset: int) -> np.random.Generator:
+    """A generator on the Philox stream keyed by ``seed``, placed at its 64-bit draw ``offset``.
+
+    Philox is counter-based (Salmon et al., SC'11): each counter step gives four
+    draws, so any offset is reached directly, with no draw before it made.
+    """
+    bits = np.random.Philox(key=seed)
+    bits.advance(offset // 4)
+    bits.random_raw(offset % 4)
+    return np.random.Generator(bits)
+
+
+def sample_chunks(
     rho_s: PhaseSpaceDensity, probe: ProbeSpec, n: int, seed: int
-) -> TrajectoryEnsemble:
-    """Draw n quadruples from rho_s(q, p) * rho_pi(Q, P), deterministically.
+) -> Iterator[tuple[slice, TrajectoryEnsemble]]:
+    """Draw n quadruples from rho_s(q, p) * rho_pi(Q, P), deterministically, a chunk at a time.
+
+    Yields ``(sl, chunk)`` for the samples ``sl`` of the ensemble, in order, in
+    chunks of ``_SAMPLE_CHUNK``. The draws are those of one Philox stream keyed
+    by ``seed``: the n uniforms of q, the n uniforms of p, then the normals of
+    Q and of P. The counter-based stream is read from three places at once,
+    offsets 0, n and 2n, so the draw is schedule-independent for a given seed.
+    Q is drawn in full before the first chunk, as the normals' draw count sets
+    where P starts: every chunk's Q is a view of that one array of n, and its
+    q, p and P are the chunk's own. The sampler reads no chunk's Q after it
+    yields it, so a caller may write over it.
 
     System pairs come from inverse-CDF sampling: q from the q-marginal, then p
     from the conditional whose CDF is the two bracketing row CDFs blended
     linearly in q. Probe pairs are the independent Gaussians; sigma_P = 0
-    yields exactly zero momenta. The counter-based Philox stream makes the
-    draw schedule-independent for a given seed.
+    yields exactly zero momenta.
 
     Both searches start from a guide table (Chen & Asau 1974; Devroye 1986,
     III.2.4), one int32 entry per node: for q, the first node whose CDF
@@ -122,9 +144,7 @@ def sample_initial(
     accepts k. The samples that fail it (a guide bin wider than two nodes, or
     rounding) are finished by the search the draw used before: ``searchsorted``
     for q, and for p a bisection of ceil(log2(n_p - 1)) blended entries. So N
-    draws cost O(N) time plus O(N log n_p) for the few that fail, and q and p
-    are drawn in one loop over chunks of ``_SAMPLE_CHUNK`` samples, which
-    bounds the extra memory by the chunk: the peak is the four output arrays.
+    draws cost O(N) time plus O(N log n_p) for the few that fail.
 
     The output is exact, not an approximation of the search. For non-negative
     values every row CDF, and so every blend of two, is non-decreasing in
@@ -137,11 +157,6 @@ def sample_initial(
     """
     if n < 1:
         raise InvariantViolation("need at least one sample")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    # The uniforms of q and p; each chunk's draws overwrite their own uniforms.
-    q = rng.random(n)
-    p = rng.random(n)
-
     qnodes = rho_s.qgrid.nodes
     pnodes = rho_s.pgrid.nodes
     h_q, h_p = rho_s.qgrid.h, rho_s.pgrid.h
@@ -158,16 +173,21 @@ def sample_initial(
     row_cdf = row_cdf.ravel()
     h_node = pnodes[1] - pnodes[0]
     every = slice(None)
+
+    uniform_q, uniform_p, normal = (_stream(seed, k * n) for k in range(3))
+    Q = normal.standard_normal(n)
+    Q *= probe.sigma_Q
     for start in range(0, n, _SAMPLE_CHUNK):
         sl = slice(start, min(start + _SAMPLE_CHUNK, n))
-        u = q[sl]
+        size = sl.stop - start
+        u = uniform_q.random(size)
         t_q = u * cdf_q[-1]
         k, lo, hi = _invert(lambda k, s: cdf_q[k], t_q, guide_q[(u * n_q).astype(np.intp)],
                             lambda s: np.clip(np.searchsorted(cdf_q, t_q[s]), 1, n_q - 1))
-        q[sl] = qnodes[k - 1] + np.clip((t_q - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0) * h_q
+        q = qnodes[k - 1] + np.clip((t_q - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0) * h_q
 
         # Conditional p draw: invert the blend of the two bracketing row CDFs.
-        pos = np.clip((q[sl] - qnodes[0]) / h_q, 0.0, n_q - 1 - 1e-12)
+        pos = np.clip((q - qnodes[0]) / h_q, 0.0, n_q - 1 - 1e-12)
         left = pos.astype(int)
         w = pos - left
         v = 1.0 - w
@@ -176,19 +196,27 @@ def sample_initial(
         def blend(k, s):
             return v[s] * row_cdf[row[s] + k] + w[s] * row_cdf[row[s] + m + k]
 
-        u = p[sl]
+        u = uniform_p.random(size)
         t_p = u * blend(m - 1, every)
         g = left * (m + 1) + (u * m).astype(np.intp)
         k, lo, hi = _invert(blend, t_p, np.minimum(guide_p[g], guide_p[g + m + 1]),
                             lambda s: _bisect(blend, t_p[s], s, m - 1))
-        p[sl] = pnodes[k - 1] + np.clip((t_p - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0) * h_node
+        p = pnodes[k - 1] + np.clip((t_p - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0) * h_node
 
-    # Drawn after the loop, from where the uniforms left the stream.
-    Q = rng.standard_normal(n)
-    Q *= probe.sigma_Q
-    P = rng.standard_normal(n)
-    P *= probe.sigma_P
-    return TrajectoryEnsemble(q=q, p=p, Q=Q, P=P)
+        P = normal.standard_normal(size)
+        P *= probe.sigma_P
+        yield sl, TrajectoryEnsemble(q=q, p=p, Q=Q[sl], P=P)
+
+
+def sample_initial(
+    rho_s: PhaseSpaceDensity, probe: ProbeSpec, n: int, seed: int
+) -> TrajectoryEnsemble:
+    """The n quadruples of ``sample_chunks`` in four arrays: its chunks' q, p and P
+    copied in, and its array of Q itself. The peak is the four arrays."""
+    q, p, P = (np.empty(max(n, 0)) for _ in range(3))  # n < 1 is refused by the first chunk
+    for sl, chunk in sample_chunks(rho_s, probe, n, seed):
+        q[sl], p[sl], P[sl] = chunk.q, chunk.p, chunk.P
+    return TrajectoryEnsemble(q=q, p=p, Q=chunk.Q.base, P=P)
 
 
 # ---------------------------------------------------------------------------
@@ -241,31 +269,58 @@ def flow_action(
 # Histogram comparisons
 # ---------------------------------------------------------------------------
 
+class Histogram:
+    """Counts of samples in ``bins`` equal bins over [lo, hi], added a chunk at a time.
+
+    A bin holds its left edge, and the last one also hi, as in ``np.histogram``;
+    a sample outside [lo, hi], or NaN, falls in no bin but counts in ``n``.
+    ``np.histogram`` places each sample by itself, so the counts summed over
+    chunks are those of the whole array.
+    """
+
+    def __init__(self, lo: float, hi: float, bins: int):
+        self.edges = np.linspace(lo, hi, bins + 1)
+        self.counts = np.zeros(bins, dtype=np.intp)
+        self.n = 0
+
+    def add(self, samples: np.ndarray) -> Histogram:
+        self.counts += np.histogram(samples, bins=self.edges)[0]
+        self.n += samples.size
+        return self
+
+
 def histogram_l1_distance(
-    samples: np.ndarray, grid: Grid1D, density: np.ndarray, bins: int = 24
+    samples, grid: Grid1D, density: np.ndarray, bins: int = 24
 ) -> tuple[float, np.ndarray]:
     """L1 distance between a sample histogram and bin-integrated model mass,
     and the histogram's counts in ``bins`` equal bins over the grid's range.
 
-    The model density (given on ``grid``) is integrated over each bin through
-    its cumulative trapezoid, so the comparison carries no binning bias. A
-    caller that records the histogram reads the counts, so the samples are
-    binned once.
+    ``samples`` is the sample array, or a ``Histogram`` of the samples over the
+    grid's range, whose bins then serve. The model density (given on ``grid``)
+    is integrated over each bin through its cumulative trapezoid, so the
+    comparison carries no binning bias. A caller that records the histogram
+    reads the counts, so the samples are binned once.
     """
-    edges = np.linspace(grid.lo, grid.hi, bins + 1)
-    counts, _ = np.histogram(samples, bins=edges)
-    outside = samples.size - counts.sum()
-    empirical = counts / samples.size
+    hist = samples
+    if not isinstance(hist, Histogram):
+        hist = Histogram(grid.lo, grid.hi, bins).add(samples)
+    if hist.edges[0] != grid.lo or hist.edges[-1] != grid.hi:
+        raise InvariantViolation("the histogram's range is not the grid's")
+    outside = hist.n - hist.counts.sum()
+    empirical = hist.counts / hist.n
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * grid.h)])
-    model = np.diff(np.interp(edges, grid.nodes, cdf))
-    return float(np.sum(np.abs(empirical - model)) + outside / samples.size), counts
+    model = np.diff(np.interp(hist.edges, grid.nodes, cdf))
+    return float(np.sum(np.abs(empirical - model)) + outside / hist.n), hist.counts
 
 
 def periodic_histogram_l1_distance(
-    samples: np.ndarray, density_nodes: np.ndarray, density: np.ndarray, bins: int = 24
+    samples, density_nodes: np.ndarray, density: np.ndarray, bins: int = 24
 ) -> float:
-    """Same as above on [0, 2pi): samples wrapped mod 2pi, the density given on
-    the n ``density_nodes`` of a periodic grid and closed by its first node at 2pi."""
+    """Same as above on [0, 2pi): samples wrapped mod 2pi (or a ``Histogram`` of
+    the wrapped samples over [0, 2pi]), the density given on the n
+    ``density_nodes`` of a periodic grid and closed by its first node at 2pi."""
     grid = Grid1D(0.0, TWO_PI, len(density_nodes) + 1)
     closed = np.concatenate([density, density[:1]])
-    return histogram_l1_distance(np.mod(samples, TWO_PI), grid, closed, bins)[0]
+    if not isinstance(samples, Histogram):
+        samples = np.mod(samples, TWO_PI)
+    return histogram_l1_distance(samples, grid, closed, bins)[0]

@@ -30,6 +30,7 @@ from .states import (
     DensityOperator,
     build_gaussian_phase_density,
     delta_width,
+    distribution_of_A,
     gaussian_wavepacket,
     phase_density_from_values,
     require_resolved,
@@ -223,17 +224,18 @@ def scenario_interference(
     w1, w2 = abs(alpha) ** 2 / wsum, abs(beta) ** 2 / wsum
     p_mix = w1 * np.abs(psi1) ** 2 + w2 * np.abs(psi2) ** 2
 
-    Qgrid = probe.pointer_grid(xgrid.nodes, eps, n_Q, 8.0)
-    pointer_sup, pointer_mix = probe.pointer_density(
-        Qgrid.nodes, xgrid.nodes, [xgrid.weights * p_sup, xgrid.weights * p_mix], eps
-    )
-
-    # Classical branch: a phase-space mixture whose q-marginal is p_mix.
+    # Classical branch: a phase-space mixture whose q-marginal is p_mix. Its
+    # distribution of A = q is over the same nodes, so the three records share
+    # one stacked kernel, each row with its own bits.
     pgrid = Grid1D(-8.0, 8.0, 257)
     rho_cm = phase_density_from_values(
         xgrid, pgrid, np.outer(p_mix, np.exp(-0.5 * pgrid.nodes**2))
     )
-    pointer_cm = probe_marginal_Q(rho_cm, probe, position_observable(), coupling, Qgrid)
+    w_cm = distribution_of_A(rho_cm, position_observable())[1]
+    Qgrid = probe.pointer_grid(xgrid.nodes, eps, n_Q, 8.0)
+    pointer_sup, pointer_mix, pointer_cm = probe.pointer_density(
+        Qgrid.nodes, xgrid.nodes, [xgrid.weights * p_sup, xgrid.weights * p_mix, w_cm], eps
+    )
 
     residual_sup = float(Qgrid.integrate(np.abs(pointer_sup - pointer_mix)))
     residual_mix = float(Qgrid.integrate(np.abs(pointer_cm - pointer_mix)))

@@ -10,8 +10,12 @@ gives, per file, the largest difference in units of its own scale:
 A file present in one run only, a differing header, shape, key or non-numeric
 leaf (a description, a pass flag) counts as ``inf``. ``same_bytes`` tells, per
 file, whether the two runs wrote the same bytes, which is what the digests in
-``manifest.json`` compare. ``manifest.json`` itself is left out of both: it
-carries timestamps and the digests themselves.
+``manifest.json`` compare. Each ``manifest.json`` itself is left out of both:
+it carries timestamps and the digests themselves.
+
+A run directory may hold one job's artifacts or, as the benchmark's
+``artifacts/`` directory does, one subdirectory per job: files are matched by
+their path relative to the directory, so one call compares every job.
 
 Run as ``python tests/artifacts.py [--bytes] DIR_A DIR_B``, it prints each file's
 difference and whether its bytes are identical. It exits 1 if any difference is
@@ -71,8 +75,10 @@ def _json_difference(path_a: Path, path_b: Path) -> float:
 
 
 def _names(dir_a: Path, dir_b: Path) -> list[str]:
-    """Every artifact file name in either run, manifest.json left out."""
-    return sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir()} - {"manifest.json"})
+    """Every artifact file in either run by its path relative to the run's
+    directory, every manifest.json left out."""
+    return sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b) for p in d.rglob("*")
+                   if p.is_file() and p.name != "manifest.json"})
 
 
 def compare(dir_a, dir_b) -> dict[str, float]:

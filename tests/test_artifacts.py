@@ -1,6 +1,7 @@
 """The numeric artifact comparison of tests/artifacts.py, on evolve-qm runs."""
 
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,3 +90,19 @@ def test_bytes_mode_fails_on_any_byte_difference(runs, other, status):
     proc = _command_line("--bytes", runs / "default", runs / other)
     assert proc.returncode == status, proc.stdout + proc.stderr
     assert ("bytes differ" in proc.stdout) == bool(status)
+
+
+def test_job_subdirectories_are_compared_by_relative_path(runs, tmp_path):
+    # Two suites of job directories, as the benchmark writes them: every file
+    # is matched by its path under the suite, and each manifest.json is left out.
+    for suite, job in (("a", "default"), ("a", "sigma_P"), ("b", "rerun"), ("b", "sigma_P")):
+        shutil.copytree(runs / job, tmp_path / suite / ("one" if job != "sigma_P" else "two"))
+    files = {"checks.json", "momentum_density.csv", "pointer_distribution.csv"}
+    differences = compare(tmp_path / "a", tmp_path / "b")
+    assert set(differences) == {f"{job}/{name}" for job in ("one", "two") for name in files}
+    assert all(d == 0.0 for d in differences.values())
+    assert all(same_bytes(tmp_path / "a", tmp_path / "b").values())
+    assert _command_line("--bytes", tmp_path / "a", tmp_path / "b").returncode == 0
+    shutil.rmtree(tmp_path / "b" / "two")
+    assert compare(tmp_path / "a", tmp_path / "b")["two/checks.json"] == math.inf
+    assert _command_line(tmp_path / "a", tmp_path / "b").returncode == 1

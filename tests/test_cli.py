@@ -26,10 +26,11 @@ from vnlab.cli import (
     normalize_config,
     resolve_tolerances,
 )
-from vnlab.cm import DIFFUSED_WIDTH_STEPS, diffused_width, reduced_state_post_cm
+from vnlab.cm import (DIFFUSED_WIDTH_STEPS, diffused_width, probe_marginal_Q,
+                      reduced_state_post_cm)
 from vnlab.errors import ConfigInvalid, InvariantViolation, VnLabError
 from vnlab.grids import Grid1D
-from vnlab.observables import ProbeSpec, position_observable
+from vnlab.observables import CouplingParams, ProbeSpec, position_observable
 from vnlab.scenarios import SCENARIOS, NonNegative, Signed
 from vnlab.states import build_gaussian_phase_density
 from vnlab.states import DensityOperator
@@ -388,6 +389,21 @@ class TestExecution:
         invariance = checks["outcome distribution invariance (max drift)"]
         assert not invariance["passed"] and invariance["measured"] > 1e-3
 
+    def test_table1_row1_cm_record_is_the_probe_marginal(self):
+        # Row 1's two records share one stacked kernel; the CM row keeps the
+        # bits of probe_marginal_Q, which builds the kernel for it alone.
+        _, scalars, tables = cli.run_table1_report(n_x=128)
+        table = tables["table1_row1_pointer.csv"]
+        xgrid = Grid1D(-8.0, 8.0, 128)
+        rho = build_gaussian_phase_density(xgrid, Grid1D(-12.0, 12.0, 128), 1.0, 1.0,
+                                           center_q=0.25)
+        Qgrid = Grid1D(table["Q (probe position units)"][0],
+                       table["Q (probe position units)"][-1], 2048)
+        coupling = CouplingParams.from_sigma_P(2.0, 0.3)
+        want = probe_marginal_Q(rho, ProbeSpec(sigma_Q=0.25, sigma_P=0.3), position_observable(),
+                                coupling, Qgrid)
+        assert np.array_equal(table["cm_density (1/Q units)"], want)
+
     def test_table1_rows_carry_pass_flags(self, tmp_path):
         cfg = normalize_config("table1-report", {"parameters": {"n_x": 128}})
         execute(cfg, tmp_path / "out")
@@ -449,6 +465,18 @@ def _assert_evolve_cm_runs(command, tmp_path, env=None):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "checks passed" in proc.stdout
     assert (out / "manifest.json").exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3000), loc=st.floats(-1e6, 1e6), scale=st.floats(1e-300, 1e6),
+       seed=st.integers(0, 2**32 - 1))
+def test_mean_std_in_place_is_numpys_bitwise(n, loc, scale, seed):
+    # mc-compare's action branch reads the mean and standard deviation of its
+    # n-length Q' without a second array of n: the same bits as np.mean and np.std.
+    values = np.random.default_rng(seed).normal(loc, scale, n)
+    want = (np.mean(values), np.std(values))
+    got = cli._mean_std(values.copy())
+    assert np.array_equal(np.array(got), np.array(want)), (got, want)
 
 
 class TestMainEntryPoint:
@@ -872,9 +900,9 @@ class TestMainEntryPoint:
         # sigma_q = 0.07 is above the position branch's step 16/255 and below
         # the action branch's 30.4/383: the refusal comes before any sampling.
         def never(*args, **kwargs):
-            raise AssertionError("sample_initial ran before the widths were checked")
+            raise AssertionError("sample_chunks ran before the widths were checked")
 
-        monkeypatch.setattr(cli, "sample_initial", never)
+        monkeypatch.setattr(cli, "sample_chunks", never)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"parameters": {"sigma_q": 0.07, "sigma_p": 1.9}}))
         assert main(["mc-compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 2

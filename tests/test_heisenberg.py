@@ -18,13 +18,17 @@ from vnlab import (
     to_angle_action,
 )
 from vnlab.cm import probe_marginal_Q, reduced_state_post_cm
+from vnlab.cli import execute
+from vnlab.grids import TWO_PI
 from vnlab.heisenberg import (
     ActionEnsemble,
+    Histogram,
     TrajectoryEnsemble,
     flow_action,
     flow_position,
     histogram_l1_distance,
     periodic_histogram_l1_distance,
+    sample_chunks,
     sample_initial,
     to_action_ensemble,
 )
@@ -121,6 +125,48 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 5 * 8 * n
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rho=sampling_densities(),
+        n=st.sampled_from([1, 3, 8191, 8193, 2 * 8192 + 5]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_streamed_chunks_match_full_blend_bitwise(self, rho, n, seed):
+        # The three positioned Philox streams (offsets 0, n and 2n) read the
+        # draws of one stream, also where n is not a multiple of 4 or of the chunk.
+        probe = ProbeSpec(sigma_Q=0.5, sigma_P=0.5)
+        chunks = list(sample_chunks(rho, probe, n, seed))
+        assert [sl.start for sl, _ in chunks] == list(range(0, n, 8192))
+        assert chunks[-1][0].stop == n
+        want = reference_sample_initial(rho, probe, n, seed)
+        for name in ("q", "p", "Q", "P"):
+            got = np.concatenate([getattr(chunk, name) for _, chunk in chunks])
+            assert np.array_equal(got, getattr(want, name)), name
+
+    def test_fewer_than_one_sample_refused(self):
+        for n in (0, -1):
+            with pytest.raises(InvariantViolation, match="at least one sample"):
+                sample_initial(standard_state(), ProbeSpec(sigma_Q=0.5, sigma_P=0.5), n, seed=0)
+
+    @pytest.mark.parametrize("branch, n, bound", [("position", 1_000_000, 2.0),
+                                                  ("action", 3_200_000, 1.5)])
+    def test_mc_compare_peak_is_one_array(self, tmp_path, branch, n, bound):
+        # mc-compare flows and bins each chunk as it is drawn: its traced peak
+        # is the sampler's array of Q plus fixed costs, in units of 8N 1.36 on
+        # the position branch at 1e6 samples and 1.38 on the action branch at
+        # 3.2e6, which writes Q' over Q and squares its deviations there. Holding
+        # the ensembles took 6 x 8N; a second array of n for Q', or np.std's
+        # temporary, reaches 2.1 x 8N on the action branch.
+        config = {"command": "mc-compare", "parameters": {"n_samples": n, "branch": branch}}
+        execute({**config, "parameters": {"n_samples": 10, "branch": branch}}, tmp_path / "w")
+        tracemalloc.start()
+        try:
+            execute(config, tmp_path / "o")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * n
+
     def test_correlated_state_sampling(self):
         # A two-bump mixture: conditional momentum depends on position.
         qg = Grid1D(-8.0, 8.0, 256)
@@ -151,6 +197,59 @@ class TestEnsembles:
         with pytest.raises(InvariantViolation, match="lengths differ"):
             ensemble(*arrays)
         ensemble(*arrays[:2], np.zeros(3), arrays[3])
+
+
+class TestHistogram:
+    EDGES = np.linspace(-2.0, 3.0, 11)
+
+    def edge_samples(self, rng):
+        """Every edge and its neighbours one ulp either side, points out of
+        range, NaN and infinities, among uniform draws, shuffled."""
+        near = np.concatenate([self.EDGES, np.nextafter(self.EDGES, -np.inf),
+                               np.nextafter(self.EDGES, np.inf)])
+        odd = np.array([np.nan, np.inf, -np.inf, -1e300, 1e300, -2.5, 3.5, np.nan])
+        samples = np.concatenate([near, odd, rng.uniform(-3.0, 4.0, 20000)])
+        return rng.permutation(samples)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, 10**6])
+    def test_chunk_sums_are_the_whole_arrays_counts(self, chunk):
+        samples = self.edge_samples(np.random.default_rng(chunk))
+        hist = Histogram(-2.0, 3.0, 10)
+        for start in range(0, samples.size, chunk):
+            hist.add(samples[start:start + chunk])
+        assert hist.n == samples.size
+        assert np.array_equal(hist.edges, self.EDGES)
+        assert np.array_equal(hist.counts, np.histogram(samples, bins=self.EDGES)[0])
+
+    def test_l1_from_summed_counts_is_the_whole_arrays(self):
+        rng = np.random.default_rng(3)
+        grid = Grid1D(-2.0, 3.0, 200)
+        density = np.exp(-0.5 * (grid.nodes - 0.3) ** 2)
+        samples = np.concatenate([self.edge_samples(rng), rng.normal(0.3, 1.0, 30000)])
+        hist = Histogram(grid.lo, grid.hi, 10)
+        for start in range(0, samples.size, 8192):
+            hist.add(samples[start:start + 8192])
+        l1, counts = histogram_l1_distance(hist, grid, density)
+        want_l1, want_counts = histogram_l1_distance(samples, grid, density, bins=10)
+        assert l1 == want_l1
+        assert np.array_equal(counts, want_counts)
+
+    def test_periodic_l1_from_summed_counts_is_the_whole_arrays(self):
+        rng = np.random.default_rng(4)
+        nodes = np.arange(64) * TWO_PI / 64
+        density = (1.0 + 0.5 * np.cos(nodes)) / TWO_PI
+        samples = np.concatenate([rng.uniform(-10.0, 10.0, 30000),
+                                  [0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0), np.nan]])
+        hist = Histogram(0.0, TWO_PI, 24)
+        for start in range(0, samples.size, 8192):
+            hist.add(np.mod(samples[start:start + 8192], TWO_PI))
+        assert (periodic_histogram_l1_distance(hist, nodes, density)
+                == periodic_histogram_l1_distance(samples, nodes, density))
+
+    def test_range_other_than_the_grids_refused(self):
+        hist = Histogram(-1.0, 1.0, 4).add(np.zeros(3))
+        with pytest.raises(InvariantViolation, match="range"):
+            histogram_l1_distance(hist, Grid1D(-1.0, 2.0, 5), np.ones(5))
 
 
 class TestFlowPosition:
