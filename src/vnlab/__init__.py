@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     GridTooNarrow,
     InvariantViolation,
-    KernelMismatch,
     LeakageBudgetExceeded,
     NegligibleProbability,
     NonHermitianObservable,

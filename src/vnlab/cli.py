@@ -49,7 +49,6 @@ from .cm import (
     diffused_width,
     kernel_pad,
     probe_marginal_Q,
-    probe_mean_Q,
     reduced_state_post_cm,
     require_diffusion_resolved,
 )
@@ -427,7 +426,7 @@ def run_evolve_cm(n_q: int = 256, n_p: int = 256, grid_halfwidth_q: float = 8.0,
     Qgrid = auto_probe_grid(rho, obs, probe, coupling, n=1024)
     marginal = probe_marginal_Q(rho, probe, obs, coupling, Qgrid)
     mean_ratio = _moment(Qgrid, marginal) / coupling.epsilon
-    mean_expected = probe_mean_Q(rho, obs, coupling) / coupling.epsilon
+    mean_expected = expectation(rho, obs)
 
     # In units of the q marginal's peak where it exceeds 1, as NEGATIVITY_MONITOR:
     # roundoff scales with the peak, which a narrow q grid makes unbounded.
@@ -533,9 +532,9 @@ def run_mc_compare(n_samples: int = 100000, seed: Seed = 20240801, bins: int = 2
         del ens0, ens1  # a chunk's Q is a view that keeps the sampler's Q array alive
 
         model_Q = probe_marginal_Q(rho, probe, obs, coupling, Qgrid)
-        l1_Q, counts = histogram_l1_distance(hist_Q, Qgrid, model_Q)
+        l1_Q = histogram_l1_distance(hist_Q, Qgrid, model_Q)
         diffused = reduced_state_post_cm(rho, obs, coupling.tau)
-        l1_p, _ = histogram_l1_distance(hist_p, pgrid, diffused.p_marginal())
+        l1_p = histogram_l1_distance(hist_p, pgrid, diffused.p_marginal())
         checks += [
             ScenarioCheck("position branch: pointer histogram vs density (L1)",
                           l1_Q, 0.0, budget, "oracle"),
@@ -546,7 +545,7 @@ def run_mc_compare(n_samples: int = 100000, seed: Seed = 20240801, bins: int = 2
         ]
         tables["mc_position_pointer_histogram.csv"] = {
             "Q_bin_left (probe position units)": hist_Q.edges[:-1],
-            "count": counts.astype(float)}
+            "count": hist_Q.counts.astype(float)}
 
     if "action" in branches:
         rho = build_gaussian_phase_density(grid, grid, sigma_q, sigma_p)

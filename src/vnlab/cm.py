@@ -30,7 +30,6 @@ from .states import (
     AngleActionDensity,
     PhaseSpaceDensity,
     distribution_of_A,
-    expectation,
     from_angle_action,
     sample_phase_density,
     to_angle_action,
@@ -222,11 +221,6 @@ def probe_marginal_Q(
     """
     a, w = distribution_of_A(rho_s, obs)
     return probe.pointer_density(Qgrid.nodes, a, w, coupling.epsilon)
-
-
-def probe_mean_Q(rho_s, obs: ClassicalObservable, coupling: CouplingParams) -> float:
-    """<Q>' = epsilon * <A> (probe mean is zero)."""
-    return coupling.epsilon * expectation(rho_s, obs)
 
 
 # ---------------------------------------------------------------------------

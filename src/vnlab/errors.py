@@ -21,10 +21,6 @@ class DimensionMismatch(VnLabError):
     """Operator and state dimensions disagree."""
 
 
-class KernelMismatch(VnLabError):
-    """A decoherence kernel was built for a different observable."""
-
-
 class NonHermitianObservable(VnLabError):
     """An observable matrix is not Hermitian within tolerance."""
 

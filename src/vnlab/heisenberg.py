@@ -289,38 +289,28 @@ class Histogram:
         return self
 
 
-def histogram_l1_distance(
-    samples, grid: Grid1D, density: np.ndarray, bins: int = 24
-) -> tuple[float, np.ndarray]:
-    """L1 distance between a sample histogram and bin-integrated model mass,
-    and the histogram's counts in ``bins`` equal bins over the grid's range.
+def histogram_l1_distance(hist: Histogram, grid: Grid1D, density: np.ndarray) -> float:
+    """L1 distance between a sample histogram over the grid's range and
+    bin-integrated model mass.
 
-    ``samples`` is the sample array, or a ``Histogram`` of the samples over the
-    grid's range, whose bins then serve. The model density (given on ``grid``)
-    is integrated over each bin through its cumulative trapezoid, so the
-    comparison carries no binning bias. A caller that records the histogram
-    reads the counts, so the samples are binned once.
+    The model density (given on ``grid``) is integrated over each bin through
+    its cumulative trapezoid, so the comparison carries no binning bias.
     """
-    hist = samples
-    if not isinstance(hist, Histogram):
-        hist = Histogram(grid.lo, grid.hi, bins).add(samples)
     if hist.edges[0] != grid.lo or hist.edges[-1] != grid.hi:
         raise InvariantViolation("the histogram's range is not the grid's")
     outside = hist.n - hist.counts.sum()
     empirical = hist.counts / hist.n
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * grid.h)])
     model = np.diff(np.interp(hist.edges, grid.nodes, cdf))
-    return float(np.sum(np.abs(empirical - model)) + outside / hist.n), hist.counts
+    return float(np.sum(np.abs(empirical - model)) + outside / hist.n)
 
 
 def periodic_histogram_l1_distance(
-    samples, density_nodes: np.ndarray, density: np.ndarray, bins: int = 24
+    hist: Histogram, density_nodes: np.ndarray, density: np.ndarray
 ) -> float:
-    """Same as above on [0, 2pi): samples wrapped mod 2pi (or a ``Histogram`` of
-    the wrapped samples over [0, 2pi]), the density given on the n
-    ``density_nodes`` of a periodic grid and closed by its first node at 2pi."""
+    """Same as above on [0, 2pi]: a histogram of samples wrapped mod 2pi, the
+    density given on the n ``density_nodes`` of a periodic grid and closed by
+    its first node at 2pi."""
     grid = Grid1D(0.0, TWO_PI, len(density_nodes) + 1)
     closed = np.concatenate([density, density[:1]])
-    if not isinstance(samples, Histogram):
-        samples = np.mod(samples, TWO_PI)
-    return histogram_l1_distance(samples, grid, closed, bins)[0]
+    return histogram_l1_distance(hist, grid, closed)

@@ -11,36 +11,20 @@ verification surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, KernelMismatch, NegligibleProbability
-from .grids import Grid1D, _freeze, _Handover
+from .errors import DimensionMismatch, NegligibleProbability
+from .grids import Grid1D, _Handover
 from .observables import CouplingParams, ProbeSpec, SpectralObservable, require_hermitian
 from .states import DensityOperator
 
 
-@dataclass(frozen=True)
-class DecoherenceKernel:
-    """Off-diagonal damping factors g_mn over eigenvalue index pairs."""
-
-    gmn: np.ndarray
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gmn", _freeze(self.gmn, float))
-        object.__setattr__(self, "eigenvalues", _freeze(self.eigenvalues, float))
-
-
-def decoherence_kernel(
-    obs: SpectralObservable, coupling: CouplingParams, hbar: float = 1.0
-) -> DecoherenceKernel:
-    """g_mn = exp(-tau (a_m - a_n)^2 / hbar^2) for a Gaussian probe momentum."""
+def decoherence_kernel(obs: SpectralObservable, tau: float, hbar: float = 1.0) -> np.ndarray:
+    """g_mn = exp(-tau (a_m - a_n)^2 / hbar^2) over eigenvalue index pairs, for a
+    Gaussian probe momentum."""
     a = obs.eigenvalues
     diff = a[:, None] - a[None, :]
-    g = np.exp(-coupling.tau * diff**2 / hbar**2)
-    return DecoherenceKernel(gmn=_Handover(g), eigenvalues=a)
+    return np.exp(-tau * diff**2 / hbar**2)
 
 
 def born_weights(rho_s: DensityOperator, obs: SpectralObservable) -> np.ndarray:
@@ -68,33 +52,28 @@ def pointer_distribution(
 
 
 def _kernel_channel(
-    rho_s: DensityOperator, obs: SpectralObservable, rot: np.ndarray, block_factors: np.ndarray
+    rho_s: DensityOperator, obs: SpectralObservable, block_factors: np.ndarray
 ) -> DensityOperator:
-    """Scale the block pairs of ``rot``, rho_s in the eigenbasis, and conjugate back."""
+    """Scale the block pairs of rho_s in the eigenbasis, and conjugate back."""
     factors = block_factors[np.ix_(obs.block_index, obs.block_index)]
-    out = obs.from_eigenbasis(factors * rot)
+    out = obs.from_eigenbasis(factors * obs.to_eigenbasis(rho_s.matrix))
     return DensityOperator(_Handover(out), grid=rho_s.grid)
 
 
 def reduced_state_post(
-    rho_s: DensityOperator, obs: SpectralObservable, kernel: DecoherenceKernel
+    rho_s: DensityOperator, obs: SpectralObservable, tau: float, hbar: float = 1.0
 ) -> DensityOperator:
-    """Post-measurement reduced state: sum_mn g_mn P_m rho P_n.
+    """Post-measurement reduced state at strength tau: sum_mn g_mn P_m rho P_n.
 
     Diagonal blocks in the eigenbasis are untouched (g_nn = 1), so the
     measured observable's outcome distribution is exactly preserved.
     """
-    rot = obs.to_eigenbasis(rho_s.matrix)
-    if kernel.gmn.shape != (obs.n_eigenvalues, obs.n_eigenvalues) or not np.array_equal(
-        kernel.eigenvalues, obs.eigenvalues
-    ):
-        raise KernelMismatch("kernel was built for a different observable")
-    return _kernel_channel(rho_s, obs, rot, kernel.gmn)
+    return _kernel_channel(rho_s, obs, decoherence_kernel(obs, tau, hbar))
 
 
 def lueders_nonselective(rho_s: DensityOperator, obs: SpectralObservable) -> DensityOperator:
     """Pinching sum_n P_n rho P_n: the infinite-coupling limit of the channel."""
-    return _kernel_channel(rho_s, obs, obs.to_eigenbasis(rho_s.matrix), np.eye(obs.n_eigenvalues))
+    return _kernel_channel(rho_s, obs, np.eye(obs.n_eigenvalues))
 
 
 def lindblad_evolve(
@@ -145,7 +124,7 @@ def conditional_state(
         raise NegligibleProbability(f"pointer value Q={Q} has probability {denom:.3e}")
     excess = max(coupling.tau / hbar**2 - coupling.epsilon**2 / (8.0 * probe.sigma_Q**2), 0.0)
     factors = np.outer(chi, chi) * np.exp(-excess * (a[:, None] - a[None, :]) ** 2)
-    out = _kernel_channel(rho_s, obs, obs.to_eigenbasis(rho_s.matrix), factors)
+    out = _kernel_channel(rho_s, obs, factors)
     return DensityOperator(_Handover(out.matrix / denom), grid=rho_s.grid)
 
 

@@ -24,7 +24,7 @@ from .observables import (
     SpectralObservable,
     position_observable,
 )
-from .qm import lueders_nonselective, reduced_state_post, decoherence_kernel
+from .qm import lueders_nonselective, reduced_state_post
 from .states import (
     AngleActionDensity,
     DensityOperator,
@@ -367,7 +367,7 @@ def scenario_number_basis(
     p_n = np.real(np.diag(rho.matrix))
 
     pinched = lueders_nonselective(rho, obs)
-    reduced = reduced_state_post(rho, obs, decoherence_kernel(obs, coupling, hbar=hbar))
+    reduced = reduced_state_post(rho, obs, coupling.tau, hbar=hbar)
 
     off = rho.matrix - np.diag(np.diag(rho.matrix))
     initial_offdiag = float(np.max(np.abs(off)))

@@ -7,11 +7,13 @@ gives, per file, the largest difference in units of its own scale:
 * a CSV column's difference over that column's largest |value| in either run;
 * a numeric leaf of ``checks.json``, its difference over the larger |value|.
 
-A file present in one run only, a differing header, shape, key or non-numeric
-leaf (a description, a pass flag) counts as ``inf``. ``same_bytes`` tells, per
-file, whether the two runs wrote the same bytes, which is what the digests in
-``manifest.json`` compare. Each ``manifest.json`` itself is left out of both:
-it carries timestamps and the digests themselves.
+A file present in one run only or that does not parse (a CSV cell that is not
+a number, a ragged row, a ``checks.json`` that is not JSON), a differing
+header, shape, key or non-numeric leaf (a description, a pass flag) counts as
+``inf``. ``same_bytes`` tells, per file, whether the two runs wrote the same
+bytes, which is what the digests in ``manifest.json`` compare. Each
+``manifest.json`` itself is left out of both: it carries timestamps and the
+digests themselves.
 
 A run directory may hold one job's artifacts or, as the benchmark's
 ``artifacts/`` directory does, one subdirectory per job: files are matched by
@@ -33,10 +35,13 @@ import numpy as np
 
 
 def _csv_difference(path_a: Path, path_b: Path) -> float:
-    header_a, *rows_a = path_a.read_text().splitlines()
-    header_b, *rows_b = path_b.read_text().splitlines()
-    a = np.array([row.split(",") for row in rows_a], dtype=float)
-    b = np.array([row.split(",") for row in rows_b], dtype=float)
+    try:
+        header_a, *rows_a = path_a.read_text().splitlines()
+        header_b, *rows_b = path_b.read_text().splitlines()
+        a = np.array([row.split(",") for row in rows_a], dtype=float)
+        b = np.array([row.split(",") for row in rows_b], dtype=float)
+    except ValueError:  # no header, a non-numeric cell or a ragged row
+        return math.inf
     if header_a != header_b or a.shape != b.shape:
         return math.inf
     if a.size == 0:
@@ -60,7 +65,10 @@ def _is_number(value) -> bool:
 
 
 def _json_difference(path_a: Path, path_b: Path) -> float:
-    a, b = _leaves(json.loads(path_a.read_text())), _leaves(json.loads(path_b.read_text()))
+    try:
+        a, b = _leaves(json.loads(path_a.read_text())), _leaves(json.loads(path_b.read_text()))
+    except ValueError:  # not a JSON document
+        return math.inf
     if a.keys() != b.keys():
         return math.inf
     worst = 0.0

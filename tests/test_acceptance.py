@@ -16,6 +16,7 @@ from vnlab import (
     SpectralObservable,
     action_observable,
     build_gaussian_phase_density,
+    expectation,
     gaussian_wavepacket,
     position_observable,
     to_angle_action,
@@ -29,11 +30,11 @@ from vnlab.cm import (
     conditional_state_cm,
     joint_state_post,
     probe_marginal_Q,
-    probe_mean_Q,
     reduced_state_post_cm,
 )
 from vnlab.grids import TWO_PI, grid2d_integrate
 from vnlab.heisenberg import (
+    Histogram,
     flow_action,
     flow_position,
     histogram_l1_distance,
@@ -43,7 +44,6 @@ from vnlab.heisenberg import (
 from vnlab.qm import (
     born_weights,
     conditional_state,
-    decoherence_kernel,
     lindblad_evolve,
     lindblad_rhs,
     lueders_nonselective,
@@ -93,7 +93,7 @@ def test_c01_mean_pointer_law():
         rho = random_gaussian_mixture(g, g, rng)
         marg = probe_marginal_Q(rho, probe, POSITION, coupling, Qgrid)
         moment = Qgrid.integrate(Qgrid.nodes * marg) / coupling.epsilon
-        worst = max(worst, abs(moment - probe_mean_Q(rho, POSITION, coupling) / coupling.epsilon))
+        worst = max(worst, abs(moment - expectation(rho, POSITION)))
     report("C1", "mean pointer law <Q>'/eps = <A>, 20 random states each side",
            worst, 1e-8, worst <= 1e-8)
 
@@ -105,8 +105,7 @@ def test_c02_outcome_distribution_invariance():
         dim = int(rng.integers(2, 7))
         rho = random_density_matrix(dim, rng)
         obs = random_spectral_observable(dim, rng)
-        kernel = decoherence_kernel(obs, CouplingParams(1.0, float(rng.uniform(0, 2))))
-        out = reduced_state_post(rho, obs, kernel)
+        out = reduced_state_post(rho, obs, float(rng.uniform(0, 2)))
         worst_qm = max(worst_qm, float(np.max(np.abs(
             born_weights(out, obs) - born_weights(rho, obs)))))
     report("C2a", "quantum outcome distribution invariance, 100 random states",
@@ -143,7 +142,7 @@ def test_c03_lueders_limit():
         rho = random_density_matrix(dim, rng)
         obs = random_spectral_observable(dim, rng)
         tau = 50.0 / obs.min_gap() ** 2
-        strong = reduced_state_post(rho, obs, decoherence_kernel(obs, CouplingParams(1.0, tau)))
+        strong = reduced_state_post(rho, obs, tau)
         worst = max(worst, trace_distance(strong, lueders_nonselective(rho, obs)))
     bound = np.exp(-50.0) + 1e-12
     report("C3", "strong-coupling channel reaches the pinching limit",
@@ -291,11 +290,13 @@ def test_c10_picture_equivalence():
     ens0 = sample_initial(rho, probe, n, seed=1001)
     ens1 = flow_position(ens0, coupling)
     Qg = Grid1D(-10.0, 10.0, 1024)
-    l1_Q, _ = histogram_l1_distance(
-        ens1.Q, Qg, probe_marginal_Q(rho, probe, POSITION, coupling, Qg), bins=24
+    l1_Q = histogram_l1_distance(
+        Histogram(Qg.lo, Qg.hi, 24).add(ens1.Q), Qg,
+        probe_marginal_Q(rho, probe, POSITION, coupling, Qg)
     )
     diffused = reduced_state_post_cm(rho, POSITION, coupling.tau)
-    l1_p, _ = histogram_l1_distance(ens1.p, pg, diffused.p_marginal(), bins=24)
+    l1_p = histogram_l1_distance(
+        Histogram(pg.lo, pg.hi, 24).add(ens1.p), pg, diffused.p_marginal())
     bitwise = np.array_equal(ens1.q, ens0.q) and np.array_equal(ens1.P, ens0.P)
     worst = max(l1_Q, l1_p)
     report("C10a", "position flow histograms vs densities (L1)",
@@ -311,7 +312,8 @@ def test_c10_picture_equivalence():
     aa = to_angle_action(rho2, n_xi=256, n_theta=256)
     solved = reduced_state_post_cm(aa, ACTION_LINEAR, coupling.tau)
     l1_theta = periodic_histogram_l1_distance(
-        act1.theta, solved.thetagrid.nodes, solved.theta_marginal(), bins=24
+        Histogram(0.0, TWO_PI, 24).add(np.mod(act1.theta, TWO_PI)),
+        solved.thetagrid.nodes, solved.theta_marginal()
     )
     bitwise_a = np.array_equal(act1.xi, act0.xi) and np.array_equal(act1.P, act0.P)
     report("C10b", "action flow angle histogram vs spectral solution (L1)",

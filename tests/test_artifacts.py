@@ -106,3 +106,30 @@ def test_job_subdirectories_are_compared_by_relative_path(runs, tmp_path):
     shutil.rmtree(tmp_path / "b" / "two")
     assert compare(tmp_path / "a", tmp_path / "b")["two/checks.json"] == math.inf
     assert _command_line(tmp_path / "a", tmp_path / "b").returncode == 1
+
+
+def _text_cell(text):
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, "text" + first[first.index(","):], rest])
+
+
+def _short_row(text):
+    return text.rstrip("\n").rsplit(",", 1)[0] + "\n"
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("checks.json", lambda text: text + "appended line\n"),
+    ("momentum_density.csv", _text_cell),
+    ("pointer_distribution.csv", _short_row),
+])
+def test_a_malformed_file_is_infinitely_far(runs, tmp_path, name, mutate):
+    # Text that does not parse is a difference, not a crash: the command line
+    # still prints every file's line and exits 1, with no traceback.
+    shutil.copytree(runs / "default", tmp_path / "copy")
+    path = tmp_path / "copy" / name
+    path.write_text(mutate(path.read_text()))
+    assert compare(runs / "default", tmp_path / "copy")[name] == math.inf
+    proc = _command_line(runs / "default", tmp_path / "copy")
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert f"{name}: inf, bytes differ" in proc.stdout.splitlines()
+    assert len(proc.stdout.splitlines()) == 3

@@ -15,6 +15,7 @@ from vnlab import (
     UnsupportedObservable,
     action_observable,
     build_gaussian_phase_density,
+    expectation,
     general_observable,
     position_observable,
 )
@@ -30,7 +31,6 @@ from vnlab.cm import (
     conditional_state_cm,
     joint_state_post,
     probe_marginal_Q,
-    probe_mean_Q,
     reduced_state_post_cm,
     strong_coupling_limit_cm,
 )
@@ -359,13 +359,13 @@ class TestProbeMarginal:
     def test_mean_symmetric_state_is_zero(self):
         g = Grid1D(-8.0, 8.0, 256)
         rho = build_gaussian_phase_density(g, g, 1.0, 1.0)
-        assert abs(probe_mean_Q(rho, POSITION, CouplingParams(1.0, 0.1))) < 1e-10
+        assert abs(expectation(rho, POSITION)) < 1e-10
 
     def test_mean_shifted_state(self):
         g = Grid1D(-8.0, 8.0, 256)
         rho = build_gaussian_phase_density(g, g, 1.0, 1.0, center_q=0.5)
         coupling = CouplingParams.from_sigma_P(2.0, 0.3)
-        assert probe_mean_Q(rho, POSITION, coupling) == pytest.approx(1.0, abs=1e-8)
+        assert coupling.epsilon * expectation(rho, POSITION) == pytest.approx(1.0, abs=1e-8)
 
     def test_action_observable_mean_on_exponential_state(self):
         # Isotropic unit Gaussian in (xi, theta) is exp(-xi)/(2pi): <xi> = 1.
@@ -375,12 +375,12 @@ class TestProbeMarginal:
             xig, tg, lambda xi, th: np.exp(-xi) / TWO_PI, normalize=False
         )
         coupling = CouplingParams.from_sigma_P(1.0, 0.5)
-        assert probe_mean_Q(aa, ACTION_LINEAR, coupling) == pytest.approx(1.0, abs=1e-4)
+        assert coupling.epsilon * expectation(aa, ACTION_LINEAR) == pytest.approx(1.0, abs=1e-4)
         probe = ProbeSpec(sigma_Q=0.5, sigma_P=0.5)
         Qg = Grid1D(-5.0, 42.0, 2048)
         out = probe_marginal_Q(aa, probe, ACTION_LINEAR, coupling, Qg)
         moment = Qg.integrate(Qg.nodes * out)
-        assert moment == pytest.approx(probe_mean_Q(aa, ACTION_LINEAR, coupling), abs=1e-8)
+        assert moment == pytest.approx(coupling.epsilon * expectation(aa, ACTION_LINEAR), abs=1e-8)
 
 
 class TestReducedChannel:

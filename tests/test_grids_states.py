@@ -27,7 +27,6 @@ from vnlab import (
     to_angle_action,
     trace_with,
 )
-from vnlab.cm import probe_mean_Q
 from vnlab.grids import TWO_PI
 from vnlab.errors import NonHermitianObservable
 from vnlab.observables import (
@@ -37,7 +36,7 @@ from vnlab.observables import (
     hermitian_residue,
     require_hermitian,
 )
-from vnlab.qm import decoherence_kernel, reduced_state_post
+from vnlab.qm import reduced_state_post
 from vnlab import states
 from vnlab.states import (
     AngleActionDensity,
@@ -420,7 +419,7 @@ class TestDensityOperator:
         psi = gaussian_wavepacket(g, center=0.3, sigma_x=0.9)
         rho = density_from_wavefunction(psi, g)
         obs = SpectralObservable.from_diagonal(g.nodes)
-        post = reduced_state_post(rho, obs, decoherence_kernel(obs, CouplingParams(1.0, 0.2)))
+        post = reduced_state_post(rho, obs, 0.2)
         scaled = DensityOperator(2.0 * rho.matrix, grid=g).normalized()
         assert psi.flags.writeable
         for state in (rho, post, scaled):
@@ -503,7 +502,7 @@ class TestExpectationClosedForms:
         }
         for name, (obs, expected) in closed.items():
             assert abs(expectation(rho, obs) - expected) <= CARTESIAN_TOLERANCE, name
-            mean = probe_mean_Q(rho, obs, coupling) / epsilon
+            mean = coupling.epsilon * expectation(rho, obs) / epsilon
             assert abs(mean - expected) <= CARTESIAN_TOLERANCE, name
 
     @settings(max_examples=30, deadline=None)
@@ -526,7 +525,7 @@ class TestExpectationClosedForms:
         trapezoid = s * (x / np.sinh(x)) ** 2
         coupling = CouplingParams.from_sigma_P(1.3, 0.5)
         assert abs(expectation(aa, XI) - trapezoid) <= 1e-12 * s
-        assert abs(probe_mean_Q(aa, XI, coupling) / 1.3 - trapezoid) <= 1e-12 * s
+        assert abs(coupling.epsilon * expectation(aa, XI) / 1.3 - trapezoid) <= 1e-12 * s
         assert abs(trapezoid - s) <= xigrid.h**2 / (12.0 * s)
 
 

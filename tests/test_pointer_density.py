@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnlab import CouplingParams, Grid1D, ProbeSpec, SpectralObservable
-from vnlab.cm import auto_probe_grid, probe_marginal_Q, probe_mean_Q
+from vnlab.cm import auto_probe_grid, probe_marginal_Q
 from vnlab.observables import general_observable, position_observable
 from vnlab.qm import pointer_distribution
-from vnlab.states import build_gaussian_phase_density, gaussian_wavepacket
+from vnlab.states import build_gaussian_phase_density, expectation, gaussian_wavepacket
 
 from helpers import density_from_wavefunction, pointer_mean
 from oracles import pointer_density_loop
@@ -126,4 +126,4 @@ class TestRecordMassAndMean:
         record = probe_marginal_Q(rho, probe, obs, coupling, Qgrid)
         assert abs(Qgrid.integrate(record) - 1.0) <= RECORD_TOLERANCE
         mean_over_eps = Qgrid.integrate(Qgrid.nodes * record) / epsilon
-        assert abs(mean_over_eps - probe_mean_Q(rho, obs, coupling) / epsilon) <= RECORD_TOLERANCE
+        assert abs(mean_over_eps - expectation(rho, obs)) <= RECORD_TOLERANCE

@@ -10,14 +10,12 @@ from vnlab import (
     DensityOperator,
     DimensionMismatch,
     Grid1D,
-    KernelMismatch,
     NegligibleProbability,
     ProbeSpec,
     SpectralObservable,
     trace_with,
 )
 from vnlab.qm import (
-    DecoherenceKernel,
     born_weights,
     conditional_state,
     decoherence_kernel,
@@ -91,17 +89,15 @@ class TestPointerDistribution:
                                        "lueders_nonselective", "conditional_state"])
     @pytest.mark.parametrize("observable", ["diagonal", "dense"])
     def test_every_path_into_the_eigenbasis_checks_the_dimension(self, entry, observable):
-        # A 3-level state against a 2-level observable. reduced_state_post also gets a
-        # kernel built for another observable, and still names the dimension first.
+        # A 3-level state against a 2-level observable.
         rho3 = DensityOperator(np.eye(3, dtype=complex) / 3.0)
         obs = TWO_LEVEL if observable == "diagonal" else random_spectral_observable(
             2, np.random.default_rng(5))
         probe = ProbeSpec(sigma_Q=0.1, sigma_P=0.5)
         coupling = CouplingParams.from_probe(1.0, probe)
-        other = decoherence_kernel(SpectralObservable.from_diagonal(np.arange(3.0)), coupling)
         calls = {
             "born_weights": lambda: born_weights(rho3, obs),
-            "reduced_state_post": lambda: reduced_state_post(rho3, obs, other),
+            "reduced_state_post": lambda: reduced_state_post(rho3, obs, coupling.tau),
             "lueders_nonselective": lambda: lueders_nonselective(rho3, obs),
             "conditional_state": lambda: conditional_state(rho3, obs, probe, coupling, 0.0),
         }
@@ -168,54 +164,36 @@ class TestPointerMean:
 
 
 class TestDecoherenceKernel:
-    def test_caller_arrays_stay_writeable(self):
-        # Both arrays are read-only copies: the caller's stay writeable and apart.
-        gmn, eigenvalues = np.eye(2), np.array([0.0, 1.0])
-        kernel = DecoherenceKernel(gmn=gmn, eigenvalues=eigenvalues)
-        gmn[0, 1] = 0.5
-        eigenvalues[0] = -1.0
-        assert kernel.gmn[0, 1] == 0.0 and kernel.eigenvalues[0] == 0.0
-        assert not kernel.gmn.flags.writeable and not kernel.eigenvalues.flags.writeable
-        # Reusing the factors' array cannot change the channel: a view would give the
-        # coherence below 5 * 0.5 = 2.5, which no density matrix has.
-        gmn = np.array([[1.0, 0.2], [0.2, 1.0]])
-        kernel = DecoherenceKernel(gmn=gmn, eigenvalues=[0.0, 1.0])
-        gmn[:] = 5.0
-        assert gmn.flags.writeable
-        rho = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
-        post = reduced_state_post(rho, TWO_LEVEL, kernel)
-        assert post.matrix[0, 1] == pytest.approx(0.1, abs=1e-15)
-
     def test_zero_coupling_gives_unit_kernel(self):
         coupling = CouplingParams.from_sigma_P(1.0, 0.0)
-        k = decoherence_kernel(TWO_LEVEL, coupling)
-        assert np.all(k.gmn == 1.0)
+        k = decoherence_kernel(TWO_LEVEL, coupling.tau)
+        assert np.all(k == 1.0)
 
     def test_diagonal_is_exactly_one(self):
         rng = np.random.default_rng(0)
         obs = random_spectral_observable(5, rng)
-        k = decoherence_kernel(obs, CouplingParams.from_sigma_P(1.0, 0.8))
-        assert np.all(np.diag(k.gmn) == 1.0)
-        assert np.array_equal(k.gmn, k.gmn.T)
-        assert np.all((k.gmn > 0.0) & (k.gmn <= 1.0))
+        k = decoherence_kernel(obs, CouplingParams.from_sigma_P(1.0, 0.8).tau)
+        assert np.all(np.diag(k) == 1.0)
+        assert np.array_equal(k, k.T)
+        assert np.all((k > 0.0) & (k <= 1.0))
 
     def test_unit_exponent_matches_quadrature_oracle(self):
         # tau/hbar^2 = 1 and gap 1 damps the coherence by exactly 1/e.
         coupling = CouplingParams.from_sigma_P(1.0, np.sqrt(2.0))
         assert coupling.tau == pytest.approx(1.0)
-        k = decoherence_kernel(TWO_LEVEL, coupling)
+        k = decoherence_kernel(TWO_LEVEL, coupling.tau)
         oracle = decoherence_kernel_quadrature(TWO_LEVEL, coupling)
-        assert k.gmn[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
-        assert np.max(np.abs(k.gmn - oracle)) < 1e-10
+        assert k[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert np.max(np.abs(k - oracle)) < 1e-10
 
     def test_closed_form_matches_direct_evaluation(self):
         rng = np.random.default_rng(9)
         obs = random_spectral_observable(6, rng)
         coupling = CouplingParams.from_sigma_P(0.7, 1.1)
-        k = decoherence_kernel(obs, coupling, hbar=0.8)
+        k = decoherence_kernel(obs, coupling.tau, hbar=0.8)
         diff = obs.eigenvalues[:, None] - obs.eigenvalues[None, :]
         direct = np.exp(-coupling.tau * diff**2 / 0.8**2)
-        assert np.max(np.abs(k.gmn - direct)) < 1e-14
+        assert np.max(np.abs(k - direct)) < 1e-14
 
 
 class TestReducedState:
@@ -226,16 +204,14 @@ class TestReducedState:
         weights /= weights.sum()
         basis, blocks = obs.basis, obs.block_index
         rho = DensityOperator((basis * weights[blocks]) @ basis.conj().T)
-        kernel = decoherence_kernel(obs, CouplingParams.from_sigma_P(1.0, 1.2))
-        out = reduced_state_post(rho, obs, kernel)
+        out = reduced_state_post(rho, obs, CouplingParams.from_sigma_P(1.0, 1.2).tau)
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
 
     def test_two_level_off_diagonal_damped_by_e(self):
         c = 0.3 + 0.1j
         rho = DensityOperator(np.array([[0.6, c], [np.conj(c), 0.4]]))
         coupling = CouplingParams.from_sigma_P(1.0, np.sqrt(2.0))  # tau = 1, gap 1
-        kernel = decoherence_kernel(TWO_LEVEL, coupling)
-        out = reduced_state_post(rho, TWO_LEVEL, kernel)
+        out = reduced_state_post(rho, TWO_LEVEL, coupling.tau)
         oracle = decoherence_kernel_quadrature(TWO_LEVEL, coupling)[0, 1]
         assert out.matrix[0, 1] == pytest.approx(c * np.exp(-1.0), abs=1e-14)
         assert out.matrix[0, 1] == pytest.approx(c * oracle, abs=1e-10)
@@ -255,7 +231,7 @@ class TestReducedState:
         rho = random_density_matrix(5, rng)
 
         def channel(state, tau):
-            return reduced_state_post(state, obs, decoherence_kernel(obs, CouplingParams(1.0, tau)))
+            return reduced_state_post(state, obs, tau)
 
         two_step = channel(channel(rho, tau1), tau2)
         one_step = channel(rho, tau1 + tau2)
@@ -267,25 +243,15 @@ class TestReducedState:
         gap = np.min(np.diff(obs.eigenvalues))
         tau = 50.0 / gap**2
         rho = random_density_matrix(4, rng)
-        kernel = decoherence_kernel(obs, CouplingParams(1.0, tau))
-        strong = reduced_state_post(rho, obs, kernel)
+        strong = reduced_state_post(rho, obs, tau)
         pinched = lueders_nonselective(rho, obs)
         assert np.max(np.abs(strong.matrix - pinched.matrix)) < 1e-12
-
-    def test_kernel_mismatch_rejected(self):
-        rng = np.random.default_rng(4)
-        obs_a = random_spectral_observable(4, rng)
-        obs_b = random_spectral_observable(4, rng)
-        kernel = decoherence_kernel(obs_a, CouplingParams.from_sigma_P(1.0, 1.0))
-        with pytest.raises(KernelMismatch):
-            reduced_state_post(random_density_matrix(4, rng), obs_b, kernel)
 
     def test_zero_momentum_spread_is_identity_channel(self):
         rng = np.random.default_rng(17)
         obs = random_spectral_observable(6, rng)
         rho = random_density_matrix(6, rng)
-        kernel = decoherence_kernel(obs, CouplingParams.from_sigma_P(2.0, 0.0))
-        out = reduced_state_post(rho, obs, kernel)
+        out = reduced_state_post(rho, obs, CouplingParams.from_sigma_P(2.0, 0.0).tau)
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
 
     def test_channel_property_battery(self):
@@ -296,9 +262,7 @@ class TestReducedState:
             rho = random_density_matrix(dim, rng)
             obs = random_spectral_observable(dim, rng)
             tau = float(rng.uniform(0.0, 3.0))
-            out = reduced_state_post(
-                rho, obs, decoherence_kernel(obs, CouplingParams(1.0, tau))
-            )
+            out = reduced_state_post(rho, obs, tau)
             m = out.matrix
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
             assert abs(np.trace(m) - 1.0) < 1e-10
@@ -311,8 +275,7 @@ class TestReducedState:
             dim = int(rng.integers(2, 7))
             rho = random_density_matrix(dim, rng)
             obs = random_spectral_observable(dim, rng)
-            kernel = decoherence_kernel(obs, CouplingParams(1.0, float(rng.uniform(0, 2))))
-            out = reduced_state_post(rho, obs, kernel)
+            out = reduced_state_post(rho, obs, float(rng.uniform(0, 2)))
             worst = max(worst, np.max(np.abs(born_weights(out, obs) - born_weights(rho, obs))))
         assert worst < 1e-10
 
@@ -325,8 +288,7 @@ class TestReducedState:
             [[0.4, 0.2 + 0.1j, 0.1], [0.2 - 0.1j, 0.35, -0.05j], [0.1, 0.05j, 0.25]]
         )
         rho = DensityOperator(0.5 * (rho + rho.conj().T))
-        kernel = decoherence_kernel(obs, CouplingParams(1.0, 2.0))
-        out = reduced_state_post(rho, obs, kernel)
+        out = reduced_state_post(rho, obs, 2.0)
         assert np.max(np.abs(out.matrix[:2, :2] - rho.matrix[:2, :2])) < 1e-12
         damp = np.exp(-2.0 * 4.0)
         assert np.max(np.abs(out.matrix[:2, 2] - damp * rho.matrix[:2, 2])) < 1e-12
@@ -342,9 +304,7 @@ class TestReducedState:
             rho = random_density_matrix(dim, rng)
             obs = random_spectral_observable(dim, rng)
             tau = 30.0 / obs.min_gap() ** 2
-            strong = reduced_state_post(
-                rho, obs, decoherence_kernel(obs, CouplingParams(1.0, tau))
-            )
+            strong = reduced_state_post(rho, obs, tau)
             pinched = lueders_nonselective(rho, obs)
             worst = max(worst, float(np.max(np.abs(strong.matrix - pinched.matrix))))
         assert worst <= np.exp(-30.0) + 1e-12
@@ -352,14 +312,13 @@ class TestReducedState:
     def test_mixture_linearity(self):
         rng = np.random.default_rng(55)
         obs = random_spectral_observable(5, rng)
-        kernel = decoherence_kernel(obs, CouplingParams(1.0, 0.7))
         a = random_density_matrix(5, rng)
         b = random_density_matrix(5, rng)
         mixed = DensityOperator(0.3 * a.matrix + 0.7 * b.matrix)
-        lhs = reduced_state_post(mixed, obs, kernel).matrix
+        lhs = reduced_state_post(mixed, obs, 0.7).matrix
         rhs = (
-            0.3 * reduced_state_post(a, obs, kernel).matrix
-            + 0.7 * reduced_state_post(b, obs, kernel).matrix
+            0.3 * reduced_state_post(a, obs, 0.7).matrix
+            + 0.7 * reduced_state_post(b, obs, 0.7).matrix
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -385,6 +344,34 @@ class TestLindblad:
         one = lindblad_evolve(lindblad_evolve(rho, a, 0.4), a, 0.9)
         two = lindblad_evolve(rho, a, 1.3)
         assert np.max(np.abs(one.matrix - two.matrix)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dim=st.integers(min_value=2, max_value=7),
+        tau=st.floats(min_value=0.0, max_value=3.0),
+        hbar=st.floats(min_value=0.3, max_value=2.0),
+        degenerate=st.booleans(),
+    )
+    def test_kernel_channel_is_the_exact_lindblad_solve(self, seed, dim, tau, hbar, degenerate):
+        # The eigenbasis kernel channel against the exact solve of
+        # d rho / d tau = -[A, [A, rho]] / hbar^2, its oracle, through tau and hbar.
+        # A degenerate A repeats its lowest eigenvalue in a random basis, so that
+        # from_hermitian groups a rank-2 block.
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(dim, rng)
+        if degenerate:
+            vals = rng.standard_normal(dim)
+            vals[1] = vals[0]
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            vecs = np.linalg.qr(g)[0]
+            obs = SpectralObservable.from_hermitian((vecs * vals) @ vecs.conj().T)
+            assert obs.n_eigenvalues < dim
+        else:
+            obs = random_spectral_observable(dim, rng)
+        channel = reduced_state_post(rho, obs, tau, hbar)
+        exact = lindblad_evolve(rho, obs.matrix(), tau, hbar)
+        assert np.max(np.abs(channel.matrix - exact.matrix)) < 1e-12
 
     def test_centered_difference_matches_rhs(self):
         # Relative error bounded by 10*dtau^2 for the centered stencil.
@@ -537,7 +524,7 @@ class TestConditionalState:
         states = [conditional_state(rho, obs, probe, coupling, Q, hbar=hbar).matrix
                   for Q in Qgrid.nodes]
         average = np.tensordot(Qgrid.weights * record, states, axes=1)
-        channel = reduced_state_post(rho, obs, decoherence_kernel(obs, coupling, hbar=hbar))
+        channel = reduced_state_post(rho, obs, coupling.tau, hbar=hbar)
         assert np.max(np.abs(average - channel.matrix)) < 1e-8
 
     def test_matches_projector_oracle_generally(self):

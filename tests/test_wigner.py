@@ -13,8 +13,7 @@ from vnlab import (
     SpectralObservable,
     gaussian_wavepacket,
 )
-from vnlab.observables import CouplingParams
-from vnlab.qm import decoherence_kernel, reduced_state_post
+from vnlab.qm import reduced_state_post
 from vnlab.wigner import (
     BLOCK,
     WignerEvolutionSpec,
@@ -133,8 +132,7 @@ class TestEvolvedWigner:
         rho = density_from_wavefunction(gaussian_wavepacket(grid, sigma_x=0.9), grid)
         tau = 0.25
         obs = SpectralObservable.from_diagonal(grid.nodes)
-        kernel = decoherence_kernel(obs, CouplingParams(1.0, tau))
-        via_channel = wigner_transform(reduced_state_post(rho, obs, kernel), pg)
+        via_channel = wigner_transform(reduced_state_post(rho, obs, tau), pg)
         via_damping = evolved_wigner(rho, WignerEvolutionSpec(A=lambda x: x, tau=tau), pg)
         assert np.max(np.abs(via_channel.values - via_damping.values)) < 1e-12
 
