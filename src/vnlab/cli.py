@@ -92,7 +92,7 @@ from .states import (
     require_resolved,
     to_angle_action,
 )
-from .wigner import WignerEvolutionSpec, pure_state_momentum_marginals
+from .wigner import damping, pure_state_momentum_marginals
 
 SCHEMA_VERSION = 1
 
@@ -303,18 +303,19 @@ def _wigner_pgrid(hbar: float, xgrid: Grid1D, s2: float, tau: float, pad: float 
 # rest is linear; table1-report's 44.6 to 45, its classical phase-space densities:
 # its quantum rows hold no n_x x n_x state; mc-compare's 8.0 to 8.5, the sampler's
 # one array of Q, which the action branch overwrites with Q' and its squared
-# deviations, the slope up to 3.2e6 samples too; two_delta's n_Q term 16.0 to
-# 16.5, two n_Q arrays, as its CSV is formatted a block of rows at a time); for
-# n_x, 1024 and 2048, past the sizes where table1-report's fixed 14 MB still sets its peak;
-# for n_Q, past those where the pointer record's kernel chunks (about 2 MB) still
-# set it. The intercepts, at most 14 MB, are left out.
+# deviations, the slope up to 3.2e6 samples too, and its bins term 88.0 to 88.5,
+# both branches' histograms, between 4e5 and 8e5 bins at 2000 samples; two_delta's
+# n_Q term 16.0 to 16.5, two n_Q arrays, as its CSV is formatted a block of rows
+# at a time); for n_x, 1024 and 2048, past the sizes where table1-report's fixed
+# 14 MB still sets its peak; for n_Q, past those where the pointer record's kernel
+# chunks (about 2 MB) still set it. The intercepts, at most 14 MB, are left out.
 # ``_execute`` refuses an estimate past MEMORY_BUDGET before any array is allocated.
 MEMORY_BUDGET = 4 * 2**30
 PEAK_BYTES = {
     "evolve-qm": ("'n_x'", lambda p: 0.5 * p["n_x"] * p["n_x"]),
     "table1-report": ("'n_x'", lambda p: 45.0 * p["n_x"] * p["n_x"]),
     "evolve-cm": ("'n_q' and 'n_p'", lambda p: 23.0 * p["n_q"] * p["n_p"]),
-    "mc-compare": ("'n_samples'", lambda p: 8.5 * p["n_samples"]),
+    "mc-compare": ("'n_samples' and 'bins'", lambda p: 8.5 * p["n_samples"] + 88.5 * p["bins"]),
     "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 16.5 * p["n_Q"]),
     "interference": ("'n_x' and 'n_Q'", lambda p: 4200.0 * p["n_x"] + 33.0 * p["n_Q"]),
     "number_basis": ("'dim'", lambda p: 113.0 * p["dim"] * p["dim"]),
@@ -372,10 +373,11 @@ def run_evolve_qm(n_x: int = 256, grid_halfwidth: float = 8.0,
     mean_expected = float(weights @ xgrid.nodes)
 
     # The Born weights after the channel: times its factor at y = 0.
-    spec = WignerEvolutionSpec(A=lambda x: x, tau=coupling.tau)
-    invariance = float(np.max(np.abs(weights * spec.damping(xgrid.nodes, 0.0, hbar) - weights)))
+    factor = damping(lambda x: x, coupling.tau, xgrid.nodes, 0.0, hbar)
+    invariance = float(np.max(np.abs(weights * factor - weights)))
 
-    p_before, p_after = pure_state_momentum_marginals(psi, xgrid, spec, pgrid, hbar=hbar)
+    p_before, p_after = pure_state_momentum_marginals(psi, xgrid, lambda x: x, coupling.tau,
+                                                      pgrid, hbar=hbar)
     var_after = _variance(pgrid, p_after)
 
     checks = [
@@ -610,13 +612,15 @@ def run_table1_report(n_x: int = 256, grid_halfwidth: float = 8.0,
         rho_nb = number_basis_initial_state(1.0, 1.4, dim, hbar=hbar)
     except TruncationTooSmall as exc:
         raise ConfigInvalid(f"parameter 'hbar' = {hbar!r} leaves row 4's number basis: {exc}") from exc
+    checks: list[ScenarioCheck] = []
     rows = []
 
-    def add_row(description: str, qm: float, cm: float, **expected) -> None:
-        """One report row from the measured pair and the last two checks."""
-        rows.append({"row": len(rows) + 1, "description": description, "qm_measured": qm,
-                     "cm_measured": cm, **expected, "qm_passed": checks[-2].passed,
-                     "cm_passed": checks[-1].passed})
+    def add_row(description: str, qm: ScenarioCheck, cm: ScenarioCheck, **expected) -> None:
+        """One report row from its two checks, which join the check list."""
+        checks.extend((qm, cm))
+        rows.append({"row": len(rows) + 1, "description": description,
+                     "qm_measured": qm.measured, "cm_measured": cm.measured, **expected,
+                     "qm_passed": qm.passed, "cm_passed": cm.passed})
 
     # Row 1: mean pointer shift over epsilon equals <A> on both sides, the QM side
     # read from the Born weights h|psi|^2 (contiguous: a strided dot product sums
@@ -635,13 +639,11 @@ def run_table1_report(n_x: int = 256, grid_halfwidth: float = 8.0,
         Qgrid.nodes, xgrid.nodes, [weights, distribution_of_A(rho_cm, obs_cm)[1]], eps)
     qm_row1 = _moment(Qgrid, pointer) / eps
     cm_row1 = _moment(Qgrid, marg) / eps
-    checks = [
-        ScenarioCheck("row 1 (QM): <Q>'/epsilon equals <A>", qm_row1, expect_row1,
-                      row1_expectation, "analytic"),
-        ScenarioCheck("row 1 (CM): <Q>'/epsilon equals <A>", cm_row1, expect_row1,
-                      row1_expectation, "analytic"),
-    ]
-    add_row("expectation values: <Q>'/epsilon = <A>", qm_row1, cm_row1,
+    add_row("expectation values: <Q>'/epsilon = <A>",
+            ScenarioCheck("row 1 (QM): <Q>'/epsilon equals <A>", qm_row1, expect_row1,
+                          row1_expectation, "analytic"),
+            ScenarioCheck("row 1 (CM): <Q>'/epsilon equals <A>", cm_row1, expect_row1,
+                          row1_expectation, "analytic"),
             expected=expect_row1, tolerance=row1_expectation)
 
     # Row 2: pointer resolution scale sigma_Q / epsilon on both sides.
@@ -661,30 +663,26 @@ def run_table1_report(n_x: int = 256, grid_halfwidth: float = 8.0,
     sigma_eff = np.sqrt(_variance(Q3, p3))
     cm_row2 = float(np.sqrt(max(sigma_eff**2 - (eps * w) ** 2, 0.0))) / eps
     expect_row2 = probe.sigma_Q / eps
-    checks += [
-        ScenarioCheck("row 2 (QM): pointer width over epsilon", qm_row2, expect_row2,
-                      row2_uncertainty_qm, "analytic"),
-        ScenarioCheck("row 2 (CM): deconvolved pointer width over epsilon", cm_row2,
-                      expect_row2, row2_uncertainty_cm, "analytic"),
-    ]
-    add_row("uncertainty: pointer resolution scale sigma_Q/epsilon", qm_row2, cm_row2,
+    add_row("uncertainty: pointer resolution scale sigma_Q/epsilon",
+            ScenarioCheck("row 2 (QM): pointer width over epsilon", qm_row2, expect_row2,
+                          row2_uncertainty_qm, "analytic"),
+            ScenarioCheck("row 2 (CM): deconvolved pointer width over epsilon", cm_row2,
+                          expect_row2, row2_uncertainty_cm, "analytic"),
             expected=expect_row2, tolerance=max(row2_uncertainty_qm, row2_uncertainty_cm))
 
     # Row 3: both final reduced states grow the momentum variance by 2*tau.
-    spec = WignerEvolutionSpec(A=lambda x: x, tau=tau)
-    qm_row3 = _variance(wgrid, pure_state_momentum_marginals(psi, xgrid, spec, wgrid, hbar=hbar)[1])
+    qm_row3 = _variance(wgrid, pure_state_momentum_marginals(psi, xgrid, lambda x: x, tau, wgrid,
+                                                             hbar=hbar)[1])
 
     rho_cm3 = build_gaussian_phase_density(xgrid, wgrid, sigma_x, np.sqrt(s2))
     cm_post = reduced_state_post_cm(rho_cm3, obs_cm, tau)
     cm_row3 = _variance(wgrid, cm_post.p_marginal())
     expect_row3 = s2 + 2.0 * tau
-    checks += [
-        ScenarioCheck("row 3 (QM): evolved Wigner momentum variance", qm_row3, expect_row3,
-                      row3_variance, "closed-form"),
-        ScenarioCheck("row 3 (CM): diffused density momentum variance", cm_row3, expect_row3,
-                      row3_variance, "closed-form"),
-    ]
-    add_row("final reduced state: momentum variance s^2 + 2*tau", qm_row3, cm_row3,
+    add_row("final reduced state: momentum variance s^2 + 2*tau",
+            ScenarioCheck("row 3 (QM): evolved Wigner momentum variance", qm_row3, expect_row3,
+                          row3_variance, "closed-form"),
+            ScenarioCheck("row 3 (CM): diffused density momentum variance", cm_row3, expect_row3,
+                          row3_variance, "closed-form"),
             expected=expect_row3, tolerance=row3_variance)
 
     # Row 4: generator consistency, finite differences against the rhs.
@@ -711,13 +709,11 @@ def run_table1_report(n_x: int = 256, grid_halfwidth: float = 8.0,
 
     coarse, fine = cm_residual(193), cm_residual(385)
     cm_row4 = float(np.log2(coarse / fine))
-    checks += [
-        ScenarioCheck("row 4 (QM): Lindblad derivative check (relative error)",
-                      qm_row4, 0.0, row4_qm_derivative, "oracle"),
-        ScenarioCheck("row 4 (CM): double-bracket convergence order under halving",
-                      cm_row4, 2.0, row4_cm_order, "oracle"),
-    ]
-    add_row("diffusion equation: generator consistency", qm_row4, cm_row4,
+    add_row("diffusion equation: generator consistency",
+            ScenarioCheck("row 4 (QM): Lindblad derivative check (relative error)",
+                          qm_row4, 0.0, row4_qm_derivative, "oracle"),
+            ScenarioCheck("row 4 (CM): double-bracket convergence order under halving",
+                          cm_row4, 2.0, row4_cm_order, "oracle"),
             expected_qm=0.0, expected_cm=2.0,
             tolerance_qm=row4_qm_derivative, tolerance_cm=row4_cm_order)
 

@@ -200,10 +200,9 @@ def auto_probe_grid(
     probe: ProbeSpec,
     coupling: CouplingParams,
     n: int = 1024,
-    pad_sigmas: float = 8.0,
 ) -> Grid1D:
-    """Q grid covering epsilon*A over the state's support, with Gaussian margins."""
-    return probe.pointer_grid(distribution_of_A(rho_s, obs)[0], coupling.epsilon, n, pad_sigmas)
+    """Q grid covering epsilon*A over the state's support, with 8 sigma_Q margins."""
+    return probe.pointer_grid(distribution_of_A(rho_s, obs)[0], coupling.epsilon, n, 8.0)
 
 
 def probe_marginal_Q(

@@ -94,10 +94,9 @@ class PhaseSpaceDensity:
         return replace(self, values=_Handover(self.values / self.mass()))
 
 
-def phase_density_from_values(qgrid, pgrid, values, normalize=True) -> PhaseSpaceDensity:
+def phase_density_from_values(qgrid, pgrid, values) -> PhaseSpaceDensity:
     v = np.clip(np.asarray(values, dtype=float), 0.0, None)
-    if normalize:
-        v /= grid2d_integrate(qgrid, pgrid, v)  # as normalized() does, without a second array
+    v /= grid2d_integrate(qgrid, pgrid, v)  # as normalized() does, without a second array
     return PhaseSpaceDensity(qgrid, pgrid, _Handover(v))
 
 

@@ -73,22 +73,12 @@ class WignerFunction:
             raise InvariantViolation(f"Wigner normalization {n!r} deviates from 1")
 
 
-@dataclass(frozen=True)
-class WignerEvolutionSpec:
-    """Measured observable A(x) (vectorized callable) and channel strength tau."""
-
-    A: Callable[[np.ndarray], np.ndarray]
-    tau: float
-
-    def delta_A(self, q, y) -> np.ndarray:
-        """A(q + y/2) - A(q - y/2); odd in y by construction."""
-        q = np.asarray(q, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return self.A(q + 0.5 * y) - self.A(q - 0.5 * y)
-
-    def damping(self, q, y, hbar: float) -> np.ndarray:
-        """The channel's factor exp(-tau DeltaA(q, y)^2 / hbar^2) on the y-integrand."""
-        return np.exp(-self.tau * self.delta_A(q, y) ** 2 / hbar**2)
+def damping(A: Callable[[np.ndarray], np.ndarray], tau: float, q, y, hbar: float) -> np.ndarray:
+    """The channel's factor exp(-tau DeltaA(q, y)^2 / hbar^2) on the y-integrand,
+    with DeltaA(q, y) = A(q + y/2) - A(q - y/2) for a vectorized callable A."""
+    q = np.asarray(q, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.exp(-tau * (A(q + 0.5 * y) - A(q - 0.5 * y)) ** 2 / hbar**2)
 
 
 def _antidiagonals(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -144,27 +134,27 @@ def wigner_transform(rho: DensityOperator, pgrid: Grid1D, hbar: float = 1.0) -> 
     return _wigner_from_antidiagonals(y, D, rho.grid, pgrid, hbar)
 
 
-def evolved_wigner(
-    rho: DensityOperator, spec: WignerEvolutionSpec, pgrid: Grid1D, hbar: float = 1.0
-) -> WignerFunction:
+def evolved_wigner(rho: DensityOperator, A: Callable[[np.ndarray], np.ndarray], tau: float,
+                   pgrid: Grid1D, hbar: float = 1.0) -> WignerFunction:
     """Wigner transform of the post-measurement reduced state.
 
     The channel damps the y-integrand by exp(-tau DeltaA^2 / hbar^2); for
     A(x) = x this is a Gaussian convolution in p of variance 2*tau.
     """
     y, D = _antidiagonals(rho)
-    D *= spec.damping(rho.grid.nodes, y[:, None], hbar)
+    D *= damping(A, tau, rho.grid.nodes, y[:, None], hbar)
     return _wigner_from_antidiagonals(y, D, rho.grid, pgrid, hbar)
 
 
 def pure_state_momentum_marginals(
-    psi: np.ndarray, xgrid: Grid1D, spec: WignerEvolutionSpec, pgrid: Grid1D, hbar: float = 1.0
+    psi: np.ndarray, xgrid: Grid1D, A: Callable[[np.ndarray], np.ndarray], tau: float,
+    pgrid: Grid1D, hbar: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """int W dq / (2 pi hbar) of rho = h psi psi^H before and after the channel,
     psi L2-normalized on ``xgrid`` (``normalized_wavefunction``).
 
     Contract: A is affine in x, so DeltaA(q, y) does not depend on q and the
-    channel's factor is one y-profile, ``spec.damping`` read at q = 0.
+    channel's factor is one y-profile, ``damping`` read at q = 0.
 
     ``WignerFunction.p_marginal_density``'s quadrature, summed over q first: with
     r_l = sum_j psi_{j+l} psi*_j, the trapezoid q-sum of anti-diagonal m is
@@ -179,7 +169,7 @@ def pure_state_momentum_marginals(
     spectrum = np.fft.fft(psi, 2 * xgrid.n)
     sums = xgrid.h**2 * np.fft.ifft(spectrum * spectrum.conj())[: 2 * y.size : 2]
     sums[0] -= 0.5 * xgrid.h**2 * (abs(psi[0]) ** 2 + abs(psi[-1]) ** 2)
-    v = sums.conj() * _fold_weights(y) * np.stack([np.ones(y.size), spec.damping(0.0, y, hbar)])
+    v = sums.conj() * _fold_weights(y) * np.stack([np.ones(y.size), damping(A, tau, 0.0, y, hbar)])
     E = np.exp(np.outer(pgrid.nodes[::BLOCK], 1j * y / hbar))  # (blocks, k)
     F = np.exp(np.outer(np.arange(BLOCK) * pgrid.h, 1j * y / hbar))  # (BLOCK, k)
     # (2, blocks, BLOCK) flattens to p order; the last block's overhang is cut.

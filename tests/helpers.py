@@ -114,12 +114,14 @@ def density_variance(grid: Grid1D, density: np.ndarray) -> float:
     return grid.integrate((grid.nodes - mean) ** 2 * density) / mass
 
 
-def reference_wigner(rho: DensityOperator, pgrid: Grid1D, hbar: float = 1.0, spec=None) -> np.ndarray:
+def reference_wigner(rho: DensityOperator, pgrid: Grid1D, hbar: float = 1.0, A=None,
+                     tau: float = 0.0) -> np.ndarray:
     """Wigner values from every signed anti-diagonal and one complex-phase product.
 
     The unfolded transform, oracle for the Hermitian fold in ``vnlab.wigner``.
-    With a ``WignerEvolutionSpec`` the y-integrand is damped by
-    exp(-tau DeltaA^2 / hbar^2), as ``evolved_wigner`` does.
+    With an observable A (a vectorized callable) the y-integrand is damped by
+    exp(-tau DeltaA^2 / hbar^2), DeltaA(q, y) = A(q + y/2) - A(q - y/2), as
+    ``evolved_wigner`` does.
     """
     matrix = rho.matrix / rho.grid.h
     n = matrix.shape[0]
@@ -131,9 +133,10 @@ def reference_wigner(rho: DensityOperator, pgrid: Grid1D, hbar: float = 1.0, spe
         i = idx[abs(m):n - abs(m)]
         D[row, i] = matrix[i + m, i - m]
     y = 2.0 * rho.grid.h * offsets
-    if spec is not None:
-        dA = spec.delta_A(rho.grid.nodes[None, :], y[:, None])
-        D = D * np.exp(-spec.tau * dA**2 / hbar**2)
+    if A is not None:
+        q = rho.grid.nodes[None, :]
+        dA = A(q + 0.5 * y[:, None]) - A(q - 0.5 * y[:, None])
+        D = D * np.exp(-tau * dA**2 / hbar**2)
     phases = np.exp(-1j / hbar * np.outer(pgrid.nodes, y))  # (n_p, n_y)
     return (2.0 * rho.grid.h * (phases @ D).T).real
 

@@ -17,7 +17,7 @@ from scipy.ndimage import convolve1d
 from vnlab import CouplingParams, ProbeSpec, SpectralObservable
 from vnlab.grids import TWO_PI, Grid1D
 from vnlab.states import AngleActionDensity, DensityOperator, PhaseSpaceDensity, _Handover
-from vnlab.wigner import BLOCK, WignerEvolutionSpec, WignerFunction, _antidiagonals, _fold_weights
+from vnlab.wigner import BLOCK, WignerFunction, _antidiagonals, _fold_weights
 
 
 def pointer_density_loop(
@@ -61,19 +61,18 @@ def decoherence_kernel_quadrature(
     return np.real(g).reshape(a.size, a.size)
 
 
-def apply_wigner_generator(
-    w: WignerFunction, spec: WignerEvolutionSpec, hbar: float = 1.0
-) -> np.ndarray:
+def apply_wigner_generator(w: WignerFunction, A, hbar: float = 1.0) -> np.ndarray:
     """Right-hand side [(1/i hbar) DeltaA(q, i hbar d/dp)]^2 W.
 
     Evaluated in the Fourier dual of p, where the operator is multiplication
-    by -DeltaA(q, y)^2 / hbar^2 (even in y, so the fft sign convention is
-    immaterial).
+    by -DeltaA(q, y)^2 / hbar^2 with DeltaA(q, y) = A(q + y/2) - A(q - y/2)
+    (even in y, so the fft sign convention is immaterial).
     """
     n_p = w.pgrid.n
     y = 2.0 * np.pi * hbar * np.fft.fftfreq(n_p, d=w.pgrid.h)
     spectrum = np.fft.fft(w.values, axis=1)
-    dA = spec.delta_A(w.qgrid.nodes[:, None], y[None, :])
+    q = w.qgrid.nodes[:, None]
+    dA = A(q + 0.5 * y[None, :]) - A(q - 0.5 * y[None, :])
     spectrum *= -(dA**2) / hbar**2
     return np.real(np.fft.ifft(spectrum, axis=1))
 
@@ -81,7 +80,7 @@ def apply_wigner_generator(
 def wigner_pde_residual(
     wigners: Sequence[WignerFunction],
     taus: Sequence[float],
-    spec: WignerEvolutionSpec,
+    A,
     hbar: float = 1.0,
 ) -> float:
     """Max-norm residual of the diffusion equation along a tau-sampled family.
@@ -102,13 +101,13 @@ def wigner_pde_residual(
         if dtau <= 0:
             raise ValueError("tau samples must be increasing")
         lhs = (wigners[k + 1].values - wigners[k].values) / dtau
-        rhs = apply_wigner_generator(wigners[k], spec, hbar=hbar)
+        rhs = apply_wigner_generator(wigners[k], A, hbar=hbar)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
 def momentum_marginals(
-    rho: DensityOperator, spec: WignerEvolutionSpec, pgrid: Grid1D, hbar: float = 1.0
+    rho: DensityOperator, A, tau: float, pgrid: Grid1D, hbar: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """int W dq / (2 pi hbar) before and after the channel, from rho's gathered
     anti-diagonals, for any Hermitian state and any A.
@@ -120,7 +119,8 @@ def momentum_marginals(
     C_m + i S_m = sum_i w_i (D[0, m, i] + i D[1, m, i]) and the fold weights
     f_m, P(p) = Re sum_m v_m exp(i p y_m / hbar) / (2 pi hbar), where
     v_m = (C_m - i S_m) f_m. The q-sum of the plain anti-diagonals is taken,
-    then they are damped in place, each at its own q, and summed again.
+    then they are damped in place by exp(-tau DeltaA(q, y)^2 / hbar^2), each at
+    its own q, with DeltaA(q, y) = A(q + y/2) - A(q - y/2), and summed again.
 
     The phases are blocked: p_j = P_b + r h_p, with P_b the first node of
     block b and r = 0 .. BLOCK-1, so P = Re[(v * E) @ F^T] with
@@ -129,7 +129,8 @@ def momentum_marginals(
     y, D = _antidiagonals(rho)
     rows = D.reshape(2 * y.size, rho.dim)  # a view: the damping below reaches it
     before = rows @ rho.grid.weights
-    D *= spec.damping(rho.grid.nodes, y[:, None], hbar)
+    q, half = rho.grid.nodes, 0.5 * y[:, None]
+    D *= np.exp(-tau * (A(q + half) - A(q - half)) ** 2 / hbar**2)
     after = rows @ rho.grid.weights
     sums = np.stack([before, after]).reshape(2, 2, y.size)  # (before/after, C/S, m)
     v = (sums[:, 0] - 1j * sums[:, 1]) * _fold_weights(y)

@@ -52,7 +52,7 @@ from vnlab.qm import (
 )
 from vnlab.scenarios import scenario_gaussian_bessel, scenario_interference
 from vnlab.states import AngleActionDensity
-from vnlab.wigner import WignerEvolutionSpec, evolved_wigner
+from vnlab.wigner import evolved_wigner
 
 from helpers import (
     density_from_wavefunction,
@@ -198,7 +198,7 @@ def test_c05_variance_growth_law():
     xg = Grid1D(-8.0, 8.0, 256)
     pgrid = Grid1D(-10.0, 10.0, 256)
     rho_qm = density_from_wavefunction(gaussian_wavepacket(xg, sigma_x=sigma_x), xg)
-    w = evolved_wigner(rho_qm, WignerEvolutionSpec(A=lambda x: x, tau=tau), pgrid)
+    w = evolved_wigner(rho_qm, lambda x: x, tau, pgrid)
     var_qm = density_variance(pgrid, w.p_marginal_density())
     err_qm = abs(var_qm - (s2 + 2 * tau))
 

@@ -34,7 +34,6 @@ from vnlab.observables import CouplingParams, ProbeSpec, position_observable
 from vnlab.scenarios import SCENARIOS, NonNegative, Signed
 from vnlab.states import build_gaussian_phase_density
 from vnlab.states import DensityOperator
-from vnlab.wigner import WignerEvolutionSpec
 
 from helpers import DEFAULT_TOLERANCES
 
@@ -382,8 +381,11 @@ class TestExecution:
     def test_outcome_invariance_check_is_not_vacuous(self, tmp_path, monkeypatch):
         # A(q + y/2) + A(q - y/2) is 2q at y = 0, so the broken channel damps
         # the Born weights and the check must see it.
-        monkeypatch.setattr(WignerEvolutionSpec, "delta_A",
-                            lambda self, q, y: self.A(q + 0.5 * y) + self.A(q - 0.5 * y))
+        def broken(A, tau, q, y, hbar):
+            q, y = np.asarray(q, dtype=float), np.asarray(y, dtype=float)
+            return np.exp(-tau * (A(q + 0.5 * y) + A(q - 0.5 * y)) ** 2 / hbar**2)
+
+        monkeypatch.setattr(cli, "damping", broken)
         cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 65}})
         checks = {c["description"]: c for c in execute(cfg, tmp_path / "out")["checks"]}
         invariance = checks["outcome distribution invariance (max drift)"]
@@ -413,6 +415,22 @@ class TestExecution:
         for row in rows:
             assert row["qm_passed"] is True and row["cm_passed"] is True
             assert "qm_measured" in row and "cm_measured" in row
+
+    def test_table1_rows_are_read_from_their_two_checks(self, tmp_path):
+        # Row 2's CM tolerance at 0 fails that check alone, so the row's two
+        # flags differ and each must follow its own check.
+        cfg = normalize_config("table1-report", {"parameters": {"n_x": 128},
+                                                 "tolerances": {"row2_uncertainty_cm": 0.0}})
+        execute(cfg, tmp_path / "out")
+        checks = json.loads((tmp_path / "out" / "checks.json").read_text())
+        rows = checks["scalars"]["rows"]
+        assert len(checks["checks"]) == 2 * len(rows) == 8
+        for row, qm, cm in zip(rows, checks["checks"][::2], checks["checks"][1::2]):
+            assert qm["description"].startswith(f"row {row['row']} (QM)")
+            assert cm["description"].startswith(f"row {row['row']} (CM)")
+            assert (row["qm_measured"], row["qm_passed"]) == (qm["measured"], qm["passed"])
+            assert (row["cm_measured"], row["cm_passed"]) == (cm["measured"], cm["passed"])
+        assert rows[1]["qm_passed"] and not rows[1]["cm_passed"]
 
 
 def test_cli_quantum_path_loads_no_scipy(tmp_path):
@@ -700,7 +718,8 @@ class TestMainEntryPoint:
             ("evolve-qm", {"n_x": 10**8}, "'n_x'"),
             ("table1-report", {"n_x": 10**6}, "'n_x'"),
             ("evolve-cm", {"n_q": 10**6, "n_p": 10**6}, "'n_q' and 'n_p'"),
-            ("mc-compare", {"n_samples": 10**12}, "'n_samples'"),
+            ("mc-compare", {"n_samples": 10**12}, "'n_samples' and 'bins'"),
+            ("mc-compare", {"bins": 10**12}, "'n_samples' and 'bins'"),
             ("run-scenario", {"scenario": "two_delta", "n_q": 10**10}, "'n_q' and 'n_Q'"),
             ("run-scenario", {"scenario": "two_delta", "n_Q": 10**12}, "'n_q' and 'n_Q'"),
             ("run-scenario", {"scenario": "interference", "n_x": 10**10}, "'n_x' and 'n_Q'"),
@@ -709,9 +728,9 @@ class TestMainEntryPoint:
             ("run-scenario", {"scenario": "gaussian_bessel", "n_xi": 10**6, "n_theta": 10**6},
              "'n_xi' and 'n_theta'"),
         ],
-        ids=["evolve-qm", "table1-report", "evolve-cm", "mc-compare", "two_delta-n_q",
-             "two_delta-n_Q", "interference-n_x", "interference-n_Q", "number_basis",
-             "gaussian_bessel"],
+        ids=["evolve-qm", "table1-report", "evolve-cm", "mc-compare", "mc-compare-bins",
+             "two_delta-n_q", "two_delta-n_Q", "interference-n_x", "interference-n_Q",
+             "number_basis", "gaussian_bessel"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_memory_guard_refuses_before_running(self, tmp_path, capsys, monkeypatch, command,
@@ -745,32 +764,38 @@ class TestMainEntryPoint:
             cli._require_memory("run-scenario", {"scenario": "number_basis", "dim": 6166})
 
     @pytest.mark.parametrize(
-        "command, field, power, sizes",
+        "command, base, field, power, sizes",
         [
-            ("evolve-qm", "n_x", 2, (1024, 2048)),
-            ("table1-report", "n_x", 2, (1024, 2048)),
+            ("evolve-qm", {}, "n_x", 2, (1024, 2048)),
+            ("table1-report", {}, "n_x", 2, (1024, 2048)),
             # The default branch "both": its two branches sample one after the other.
-            ("mc-compare", "n_samples", 1, (200_000, 400_000)),
+            ("mc-compare", {}, "n_samples", 1, (200_000, 400_000)),
+            # bins at few samples, where the histograms set the peak's growth.
+            ("mc-compare", {"n_samples": 2000}, "bins", 1, (400_000, 800_000)),
         ],
-        ids=["evolve-qm", "table1-report", "mc-compare"],
+        ids=["evolve-qm", "table1-report", "mc-compare", "mc-compare-bins"],
     )
-    def test_memory_estimate_is_the_traced_slope_rounded_up(self, tmp_path, command, field,
-                                                             power, sizes):
+    def test_memory_estimate_is_the_traced_slope_rounded_up(self, tmp_path, command, base,
+                                                             field, power, sizes):
         # The traced peak's slope in n_x^2 between 1024 and 2048, where table1-report's
-        # size-independent part (about 14 MB at 512) no longer sets the peak, and in
-        # n_samples. The estimate may not fall below it, nor round it up by a whole 2 B.
+        # size-independent part (about 14 MB at 512) no longer sets the peak, in
+        # n_samples, and in bins. The estimate's slope between the same two configs
+        # may not fall below it, nor round it up by a whole 2 B.
         # Warmed up first: the first call may trace an import.
-        execute({"command": command, "parameters": {}}, tmp_path / "warm")
-        peaks = []
+        execute({"command": command, "parameters": base}, tmp_path / "warm")
+        peaks, estimates = [], []
         for n in sizes:
+            config = normalize_config(command, {"parameters": {**base, field: n}})
+            estimates.append(cli.PEAK_BYTES[command][1](config["parameters"]))
             tracemalloc.start()
             try:
-                execute({"command": command, "parameters": {field: n}}, tmp_path / str(n))
+                execute(config, tmp_path / str(n))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        slope = (peaks[1] - peaks[0]) / (sizes[1] ** power - sizes[0] ** power)
-        assert slope <= cli.PEAK_BYTES[command][1]({field: 1}) < slope + 2.0
+        scale = sizes[1] ** power - sizes[0] ** power
+        slope = (peaks[1] - peaks[0]) / scale
+        assert slope <= (estimates[1] - estimates[0]) / scale < slope + 2.0
 
     @pytest.mark.parametrize(
         "scenario, base, field, sizes",

@@ -37,6 +37,7 @@ from vnlab.cm import (
 from vnlab.grids import TWO_PI, grid2d_integrate
 from vnlab.states import (
     AngleActionDensity,
+    PhaseSpaceDensity,
     phase_density_from_values,
     sample_phase_density,
 )
@@ -427,9 +428,7 @@ class TestReducedChannel:
         rng = np.random.default_rng(8)
         a = random_gaussian_mixture(qg, pg, rng)
         b = random_gaussian_mixture(qg, pg, rng)
-        mixed = phase_density_from_values(
-            qg, pg, 0.4 * a.values + 0.6 * b.values, normalize=False
-        )
+        mixed = PhaseSpaceDensity(qg, pg, 0.4 * a.values + 0.6 * b.values)
         tau = 0.5
         lhs = reduced_state_post_cm(mixed, POSITION, tau).values
         rhs = (
@@ -673,7 +672,7 @@ class TestDiffusionRhs:
 
     def test_constant_density_gives_zero(self):
         g = Grid1D(-2.0, 2.0, 64)
-        rho = phase_density_from_values(g, g, np.ones((64, 64)), normalize=False)
+        rho = PhaseSpaceDensity(g, g, np.ones((64, 64)))
         assert np.max(np.abs(cm_diffusion_rhs(rho, POSITION))) == 0.0
 
     def test_finite_difference_of_channel_matches_rhs(self):

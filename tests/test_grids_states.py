@@ -122,15 +122,15 @@ class TestGaussianBuilder:
         assert np.array_equal(rho.values, np.ones((3, 3)))
 
     def test_values_from_the_library_do_not_alias_the_callers(self):
-        # phase_density_from_values clips into a new array, which the state
-        # then keeps without a copy.
+        # phase_density_from_values clips into a new array, normalizes it in
+        # place, and the state then keeps it without a copy.
         g = Grid1D(-1.0, 1.0, 3)
         values = np.ones((3, 3))
-        rho = phase_density_from_values(g, g, values, normalize=False)
+        rho = phase_density_from_values(g, g, values)
         values[1, 1] = 5.0
         assert values.flags.writeable
         assert not rho.values.flags.writeable
-        assert np.array_equal(rho.values, np.ones((3, 3)))
+        assert np.array_equal(rho.values, np.full((3, 3), 0.25))  # ones over the area 4
         assert not rho.normalized().values.flags.writeable
 
     def test_validate_passes_for_constructed_state(self):

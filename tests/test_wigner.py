@@ -16,10 +16,10 @@ from vnlab import (
 from vnlab.qm import reduced_state_post
 from vnlab.wigner import (
     BLOCK,
-    WignerEvolutionSpec,
     WignerFunction,
     _antidiagonals,
     _phase_matrix,
+    damping,
     evolved_wigner,
     pure_state_momentum_marginals,
     wigner_transform,
@@ -92,24 +92,24 @@ class TestWignerTransform:
 class TestEvolvedWigner:
     def test_zero_strength_reduces_to_plain_transform(self):
         rho = ground_state()
-        spec = WignerEvolutionSpec(A=lambda x: x, tau=0.0)
         w0 = wigner_transform(rho, PGRID)
-        w1 = evolved_wigner(rho, spec, PGRID)
+        w1 = evolved_wigner(rho, lambda x: x, 0.0, PGRID)
         assert np.max(np.abs(w0.values - w1.values)) < 1e-15
 
     def test_position_observable_grows_momentum_variance(self):
         rho = ground_state()
         tau = 0.35
-        spec = WignerEvolutionSpec(A=lambda x: x, tau=tau)
-        w = evolved_wigner(rho, spec, PGRID)
+        w = evolved_wigner(rho, lambda x: x, tau, PGRID)
         var = density_variance(PGRID, w.p_marginal_density())
         assert var == pytest.approx(0.5 + 2.0 * tau, abs=1e-4)
 
-    def test_delta_A_is_odd(self):
-        spec = WignerEvolutionSpec(A=lambda x: x**3 - x, tau=0.1)
+    def test_damping_is_even_in_y(self):
+        # DeltaA(q, -y) = -DeltaA(q, y) bit for bit, so the factor is even in y:
+        # the fold onto y >= 0 rests on it.
+        A = lambda x: x**3 - x
         q = np.linspace(-2, 2, 11)[:, None]
         y = np.linspace(-3, 3, 13)[None, :]
-        assert np.max(np.abs(spec.delta_A(q, y) + spec.delta_A(q, -y))) == 0.0
+        assert np.array_equal(damping(A, 0.1, q, y, 1.0), damping(A, 0.1, q, -y, 1.0))
 
     def test_strong_coupling_flattens_momentum_dependence(self):
         # The residual momentum dependence decays on the scale sqrt(4*tau),
@@ -118,7 +118,7 @@ class TestEvolvedWigner:
         idx = [40, 90, 128, 170, 215]
 
         def spread(tau):
-            w = evolved_wigner(rho, WignerEvolutionSpec(A=lambda x: x, tau=tau), PGRID)
+            w = evolved_wigner(rho, lambda x: x, tau, PGRID)
             slices = w.values[:, idx]
             return float(np.max(np.max(slices, axis=1) - np.min(slices, axis=1)))
 
@@ -133,7 +133,7 @@ class TestEvolvedWigner:
         tau = 0.25
         obs = SpectralObservable.from_diagonal(grid.nodes)
         via_channel = wigner_transform(reduced_state_post(rho, obs, tau), pg)
-        via_damping = evolved_wigner(rho, WignerEvolutionSpec(A=lambda x: x, tau=tau), pg)
+        via_damping = evolved_wigner(rho, lambda x: x, tau, pg)
         assert np.max(np.abs(via_channel.values - via_damping.values)) < 1e-12
 
 
@@ -174,11 +174,11 @@ class TestHermitianFold:
     )
     def test_matches_unfolded_transform(self, rho, n_p, hbar, observable, tau):
         pgrid = Grid1D(-6.0, 6.0, n_p)
-        spec = WignerEvolutionSpec(A=OBSERVABLES[observable], tau=tau)
+        A = OBSERVABLES[observable]
         for got, oracle in (
             (wigner_transform(rho, pgrid, hbar=hbar), reference_wigner(rho, pgrid, hbar=hbar)),
-            (evolved_wigner(rho, spec, pgrid, hbar=hbar),
-             reference_wigner(rho, pgrid, hbar=hbar, spec=spec)),
+            (evolved_wigner(rho, A, tau, pgrid, hbar=hbar),
+             reference_wigner(rho, pgrid, hbar=hbar, A=A, tau=tau)),
         ):
             scale = np.max(np.abs(oracle))
             assert np.max(np.abs(got.values - oracle)) <= 1e-12 * scale
@@ -188,10 +188,9 @@ class TestHermitianFold:
         matrix[0, 1] += 1e-9
         rho = DensityOperator(matrix, grid=XGRID)
         assert rho.hermitian_residue == pytest.approx(1e-9, rel=1e-6)
-        spec = WignerEvolutionSpec(A=lambda x: x, tau=0.1)
         for transform in (
             lambda: wigner_transform(rho, PGRID),
-            lambda: evolved_wigner(rho, spec, PGRID),
+            lambda: evolved_wigner(rho, lambda x: x, 0.1, PGRID),
         ):
             with pytest.raises(InvariantViolation, match=f"{rho.hermitian_residue:.3e}"):
                 transform()
@@ -238,13 +237,13 @@ class TestMomentumMarginals:
     )
     def test_matches_both_transforms(self, rho, p_offset, hbar, observable, tau):
         pgrid = Grid1D(-6.0, 6.0, rho.dim + p_offset)
-        spec = WignerEvolutionSpec(A=MARGINAL_OBSERVABLES[observable], tau=tau)
-        before, after = momentum_marginals(rho, spec, pgrid, hbar=hbar)
+        A = MARGINAL_OBSERVABLES[observable]
+        before, after = momentum_marginals(rho, A, tau, pgrid, hbar=hbar)
         for got, folded, unfolded in (
             (before, wigner_transform(rho, pgrid, hbar=hbar),
              reference_wigner(rho, pgrid, hbar=hbar)),
-            (after, evolved_wigner(rho, spec, pgrid, hbar=hbar),
-             reference_wigner(rho, pgrid, hbar=hbar, spec=spec)),
+            (after, evolved_wigner(rho, A, tau, pgrid, hbar=hbar),
+             reference_wigner(rho, pgrid, hbar=hbar, A=A, tau=tau)),
         ):
             oracle = rho.grid.weights @ unfolded / (2.0 * np.pi * hbar)
             scale = np.max(np.abs(oracle))
@@ -266,12 +265,13 @@ class TestMomentumMarginals:
         rho = density_from_wavefunction(psi, grid)
         band = np.pi * hbar / (2.0 * grid.h)
         pgrid = Grid1D(-band, band, n)
-        spec = WignerEvolutionSpec(A=np.sin, tau=0.3)
         y, D = _antidiagonals(rho)
-        damped = D * spec.damping(grid.nodes, y[:, None], hbar)
+        half = 0.5 * y[:, None]
+        damped = D * np.exp(-0.3 * (np.sin(grid.nodes + half) - np.sin(grid.nodes - half)) ** 2
+                            / hbar**2)
         vecs = np.stack([d.reshape(2 * y.size, n) @ grid.weights for d in (D, damped)])
         oracle = vecs @ _phase_matrix(y, pgrid, hbar) / (2.0 * np.pi * hbar)
-        for got, want in zip(momentum_marginals(rho, spec, pgrid, hbar=hbar), oracle):
+        for got, want in zip(momentum_marginals(rho, np.sin, 0.3, pgrid, hbar=hbar), oracle):
             assert got.shape == (n,)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -279,9 +279,8 @@ class TestMomentumMarginals:
         matrix = ground_state().matrix.copy()
         matrix[0, 1] += 1e-9
         rho = DensityOperator(matrix, grid=XGRID)
-        spec = WignerEvolutionSpec(A=lambda x: x, tau=0.1)
         with pytest.raises(InvariantViolation, match=f"{rho.hermitian_residue:.3e}"):
-            momentum_marginals(rho, spec, PGRID)
+            momentum_marginals(rho, lambda x: x, 0.1, PGRID)
 
 
 AFFINE_OBSERVABLES = {"x": lambda x: x, "1.5 x - 0.7": lambda x: 1.5 * x - 0.7}
@@ -315,10 +314,11 @@ class TestPureStateMarginals:
         pgrid = Grid1D(-6.0, 6.0, max(2, n + p_offset))
         psi = gaussian_wavepacket(grid, center=center, momentum=momentum, sigma_x=sigma_x,
                                   hbar=hbar)
-        spec = WignerEvolutionSpec(A=AFFINE_OBSERVABLES[observable], tau=tau)
-        got = pure_state_momentum_marginals(normalized_wavefunction(psi, grid), grid, spec,
+        A = AFFINE_OBSERVABLES[observable]
+        got = pure_state_momentum_marginals(normalized_wavefunction(psi, grid), grid, A, tau,
                                             pgrid, hbar=hbar)
-        oracle = momentum_marginals(density_from_wavefunction(psi, grid), spec, pgrid, hbar=hbar)
+        oracle = momentum_marginals(density_from_wavefunction(psi, grid), A, tau, pgrid,
+                                    hbar=hbar)
         for g, want in zip(got, oracle):
             assert g.shape == (pgrid.n,)
             assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
@@ -332,10 +332,11 @@ class TestPureStateMarginals:
         psi = gaussian_wavepacket(grid, center=0.4, momentum=1.0, sigma_x=0.8, hbar=hbar)
         band = np.pi * hbar / (2.0 * grid.h)
         pgrid = Grid1D(-band, band, n)
-        spec = WignerEvolutionSpec(A=lambda x: x, tau=0.3)
-        got = pure_state_momentum_marginals(normalized_wavefunction(psi, grid), grid, spec,
+        A = lambda x: x
+        got = pure_state_momentum_marginals(normalized_wavefunction(psi, grid), grid, A, 0.3,
                                             pgrid, hbar=hbar)
-        oracle = momentum_marginals(density_from_wavefunction(psi, grid), spec, pgrid, hbar=hbar)
+        oracle = momentum_marginals(density_from_wavefunction(psi, grid), A, 0.3, pgrid,
+                                    hbar=hbar)
         for g, want in zip(got, oracle):
             assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -361,7 +362,7 @@ class TestVarianceLaw:
         s2 = (1.0 / (2.0 * sigma_x)) ** 2
         p_half = 8.0 * np.sqrt(s2 + 2.0 * tau)
         pgrid = Grid1D(-p_half, p_half, 256)
-        w = evolved_wigner(rho, WignerEvolutionSpec(A=lambda x: x, tau=tau), pgrid)
+        w = evolved_wigner(rho, lambda x: x, tau, pgrid)
         var = density_variance(pgrid, w.p_marginal_density())
         assert abs(var - (s2 + 2.0 * tau)) <= tol
 
@@ -384,10 +385,11 @@ class TestVarianceLaw:
         s2 = (1.0 / (2.0 * sigma_x)) ** 2
         p_half = 8.0 * np.sqrt(s2 + 2.0 * tau)
         pgrid = Grid1D(-p_half, p_half, 256)
-        spec = WignerEvolutionSpec(A=lambda x: x, tau=tau)
+        A = lambda x: x
+        psi = normalized_wavefunction(psi, XGRID)
         for before, after in (
-            momentum_marginals(rho, spec, pgrid),
-            pure_state_momentum_marginals(normalized_wavefunction(psi, XGRID), XGRID, spec, pgrid),
+            momentum_marginals(rho, A, tau, pgrid),
+            pure_state_momentum_marginals(psi, XGRID, A, tau, pgrid),
         ):
             assert abs(density_variance(pgrid, before) - s2) <= tol
             assert abs(density_variance(pgrid, after) - (s2 + 2.0 * tau)) <= tol
@@ -396,41 +398,35 @@ class TestVarianceLaw:
 class TestWignerPde:
     def _family(self, A, taus, rho=None, pgrid=PGRID):
         rho = rho or ground_state()
-        return [
-            evolved_wigner(rho, WignerEvolutionSpec(A=A, tau=t), pgrid) for t in taus
-        ]
+        return [evolved_wigner(rho, A, t, pgrid) for t in taus]
 
     def test_position_observable_residual_small(self):
         base = 0.8  # keeps the momentum profile broad, so d2W/dtau2 is mild
         dtau = 1e-3
         taus = [base, base + dtau, base + 2 * dtau]
-        spec = WignerEvolutionSpec(A=lambda x: x, tau=base)
-        res = wigner_pde_residual(self._family(lambda x: x, taus), taus, spec)
+        res = wigner_pde_residual(self._family(lambda x: x, taus), taus, lambda x: x)
         assert res < 1e-3
 
     def test_constant_observable_residual_vanishes(self):
         taus = [0.0, 0.1, 0.2]
-        spec = WignerEvolutionSpec(A=lambda x: np.full_like(np.asarray(x, dtype=float), 2.5), tau=0.0)
-        family = self._family(spec.A, taus)
-        res = wigner_pde_residual(family, taus, spec)
+        A = lambda x: np.full_like(np.asarray(x, dtype=float), 2.5)
+        res = wigner_pde_residual(self._family(A, taus), taus, A)
         assert res < 1e-10
 
     def test_first_order_convergence_for_quadratic_observable(self):
         # Small base strength keeps the evolved state inside the p grid, so
         # the O(dtau) differencing term dominates the residual.
         A = lambda x: x**2
-        spec = WignerEvolutionSpec(A=A, tau=0.0)
         base = 0.1
 
         def residual(dtau):
             taus = [base, base + dtau, base + 2 * dtau]
-            return wigner_pde_residual(self._family(A, taus), taus, spec)
+            return wigner_pde_residual(self._family(A, taus), taus, A)
 
         r1, r2 = residual(2e-3), residual(1e-3)
         assert r1 / r2 == pytest.approx(2.0, abs=0.4)
 
     def test_requires_three_samples(self):
-        spec = WignerEvolutionSpec(A=lambda x: x, tau=0.0)
         fam = self._family(lambda x: x, [0.1, 0.2])
         with pytest.raises(ValueError, match="at least 3"):
-            wigner_pde_residual(fam, [0.1, 0.2], spec)
+            wigner_pde_residual(fam, [0.1, 0.2], lambda x: x)
