@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     GridTooNarrow,
     InvariantViolation,
-    LeakageBudgetExceeded,
     NegligibleProbability,
     NonHermitianObservable,
     ShapeMismatch,

@@ -301,7 +301,9 @@ def _wigner_pgrid(hbar: float, xgrid: Grid1D, s2: float, tau: float, pad: float 
 # scenario: the slope of its traced peak (tracemalloc) between two sizes, rounded
 # up (evolve-qm's 0.44 to half a byte: its blocked phases hold 0.375 B x n_x^2, the
 # rest is linear; table1-report's 44.6 to 45, its classical phase-space densities:
-# its quantum rows hold no n_x x n_x state; mc-compare's 8.0 to 8.5, the sampler's
+# its quantum rows hold no n_x x n_x state; evolve-cm's per n_q x n_p node, 26.8
+# between 1024^2 and 2048^2, 27.1 along n_q (65536 to 131072 at n_p 128) and 27.8
+# along n_p (131072 to 262144 at n_q 20), to 28; mc-compare's 8.0 to 8.5, the sampler's
 # one array of Q, which the action branch overwrites with Q' and its squared
 # deviations, the slope up to 3.2e6 samples too, and its bins term 88.0 to 88.5,
 # both branches' histograms, between 4e5 and 8e5 bins at 2000 samples; two_delta's
@@ -314,7 +316,7 @@ MEMORY_BUDGET = 4 * 2**30
 PEAK_BYTES = {
     "evolve-qm": ("'n_x'", lambda p: 0.5 * p["n_x"] * p["n_x"]),
     "table1-report": ("'n_x'", lambda p: 45.0 * p["n_x"] * p["n_x"]),
-    "evolve-cm": ("'n_q' and 'n_p'", lambda p: 23.0 * p["n_q"] * p["n_p"]),
+    "evolve-cm": ("'n_q' and 'n_p'", lambda p: 28.0 * p["n_q"] * p["n_p"]),
     "mc-compare": ("'n_samples' and 'bins'", lambda p: 8.5 * p["n_samples"] + 88.5 * p["bins"]),
     "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 16.5 * p["n_Q"]),
     "interference": ("'n_x' and 'n_Q'", lambda p: 4200.0 * p["n_x"] + 33.0 * p["n_Q"]),

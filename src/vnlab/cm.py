@@ -144,11 +144,6 @@ class JointEvolvedState:
             v = v @ g.weights if v.ndim == 1 else np.tensordot(v, g.weights, axes=([-1], [0]))
         return float(v)
 
-    def probe_position_marginal(self) -> np.ndarray:
-        v = np.tensordot(self.values(), self.Pgrid.weights, axes=([3], [0]))
-        v = np.tensordot(self.qgrid.weights, v, axes=([0], [0]))
-        return self.pgrid.weights @ v
-
 
 def joint_state_post(
     rho_s: PhaseSpaceDensity,

@@ -9,10 +9,6 @@ class InvariantViolation(VnLabError):
     """A constructed state failed one of its structural invariants."""
 
 
-class LeakageBudgetExceeded(InvariantViolation):
-    """Too much probability mass sits in the outer band of a grid."""
-
-
 class ShapeMismatch(VnLabError):
     """Array shapes or grids of two objects do not line up."""
 

@@ -107,9 +107,6 @@ class PeriodicGrid:
         # On a periodic domain the rectangle rule is the trapezoid rule.
         return _freeze(_Handover(np.full(self.n, self.h)), float)
 
-    def integrate(self, f: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(f))
-
 
 def grid2d_integrate(xgrid: Grid1D, ygrid: Grid1D | PeriodicGrid, values: np.ndarray) -> float:
     """Trapezoid integral of ``values[i, j]`` over xgrid x ygrid."""

@@ -74,23 +74,6 @@ class SpectralObservable:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_hermitian(cls, matrix) -> "SpectralObservable":
-        """Spectral data of a Hermitian matrix, grouping eigenvalues within 1e-9."""
-        vals, vecs = np.linalg.eigh(require_hermitian(matrix))
-        groups: list[list[int]] = [[0]]
-        for k in range(1, len(vals)):
-            if vals[k] - vals[groups[-1][0]] <= 1e-9:
-                groups[-1].append(k)
-            else:
-                groups.append([k])
-        eigenvalues = np.array([np.mean(vals[g]) for g in groups])
-        block_index = np.empty(len(vals), dtype=int)
-        for n, g in enumerate(groups):
-            block_index[g] = n
-        return cls(_Handover(eigenvalues), basis=_Handover(vecs),
-                   block_index=_Handover(block_index))
-
-    @classmethod
     def from_diagonal(cls, values) -> "SpectralObservable":
         """Observable already diagonal in the computational basis.
 
@@ -109,27 +92,6 @@ class SpectralObservable:
     def n_eigenvalues(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def projectors(self) -> list[np.ndarray]:
-        out = []
-        for n in range(self.n_eigenvalues):
-            cols = np.flatnonzero(self.block_index == n)
-            if self.basis is None:
-                p = np.zeros((self.dim, self.dim), dtype=complex)
-                p[cols, cols] = 1.0
-            else:
-                v = self.basis[:, cols]
-                p = v @ v.conj().T
-            out.append(p)
-        return out
-
-    def matrix(self) -> np.ndarray:
-        """The observable as a dense Hermitian matrix."""
-        diag = self.eigenvalues[self.block_index]
-        if self.basis is None:
-            return np.diag(diag.astype(complex))
-        return (self.basis * diag) @ self.basis.conj().T
-
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
         """``matrix`` in the eigenbasis; DimensionMismatch unless it is dim x dim."""
         if len(matrix) != self.dim:
@@ -142,22 +104,6 @@ class SpectralObservable:
         if self.basis is None:
             return matrix
         return self.basis @ matrix @ self.basis.conj().T
-
-    def min_gap(self) -> float:
-        return float(np.min(np.diff(self.eigenvalues)))
-
-    def validate(self) -> None:
-        """The projectors resolve the identity and are orthogonal idempotents, within 1e-10."""
-        projs = self.projectors
-        total = sum(projs)
-        if np.max(np.abs(total - np.eye(self.dim))) > 1e-10:
-            raise InvariantViolation("projectors do not sum to the identity")
-        for m, pm in enumerate(projs):
-            for n, pn in enumerate(projs):
-                prod = pm @ pn
-                ref = pn if m == n else 0.0
-                if np.max(np.abs(prod - ref)) > 1e-10:
-                    raise InvariantViolation(f"projectors {m},{n} not orthogonal/idempotent")
 
 
 # ---------------------------------------------------------------------------

@@ -24,19 +24,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    BasisMismatch,
     ConfigInvalid,
     DimensionMismatch,
     GridTooNarrow,
     InvariantViolation,
-    LeakageBudgetExceeded,
     ShapeMismatch,
     UnsupportedObservable,
 )
 from .grids import TWO_PI, Grid1D, PeriodicGrid, _freeze, _Handover, grid2d_integrate
 from .observables import HERMITIAN_TOLERANCE, KIND_POSITION, ClassicalObservable, hermitian_residue
-
-LEAKAGE_BUDGET = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -65,30 +61,6 @@ class PhaseSpaceDensity:
 
     def p_marginal(self) -> np.ndarray:
         return self.qgrid.weights @ self.values
-
-    def edge_leakage(self) -> float:
-        """Mass inside the outer 5% of either axis."""
-        q, p = self.qgrid.nodes, self.pgrid.nodes
-        qspan, pspan = self.qgrid.hi - self.qgrid.lo, self.pgrid.hi - self.pgrid.lo
-        inner_q = (q >= self.qgrid.lo + 0.05 * qspan) & (q <= self.qgrid.hi - 0.05 * qspan)
-        inner_p = (p >= self.pgrid.lo + 0.05 * pspan) & (p <= self.pgrid.hi - 0.05 * pspan)
-        interior = self.values * inner_q[:, None] * inner_p[None, :]
-        return self.mass() - grid2d_integrate(self.qgrid, self.pgrid, interior)
-
-    def validate(self) -> None:
-        """Non-negative to -1e-12, unit mass within 1e-8, edge leakage within budget."""
-        if float(self.values.min(initial=0.0)) < -1e-12:
-            raise InvariantViolation(
-                f"density has negative values down to {self.values.min():.3e}"
-            )
-        m = self.mass()
-        if abs(m - 1.0) > 1e-8:
-            raise InvariantViolation(f"density mass {m!r} deviates from 1 beyond 1e-08")
-        leak = self.edge_leakage()
-        if leak > LEAKAGE_BUDGET:
-            raise LeakageBudgetExceeded(
-                f"edge-band mass {leak:.3e} exceeds budget {LEAKAGE_BUDGET:.1e}"
-            )
 
     def normalized(self) -> "PhaseSpaceDensity":
         return replace(self, values=_Handover(self.values / self.mass()))
@@ -170,14 +142,6 @@ class AngleActionDensity:
 
     def theta_marginal(self) -> np.ndarray:
         return self.xigrid.weights @ self.values
-
-    def validate(self) -> None:
-        """Non-negative to -1e-12 and unit mass within 1e-8."""
-        if float(self.values.min(initial=0.0)) < -1e-12:
-            raise InvariantViolation("angle-action density has negative values")
-        m = self.mass()
-        if abs(m - 1.0) > 1e-8:
-            raise InvariantViolation(f"angle-action mass {m!r} deviates from 1")
 
     def normalized(self) -> "AngleActionDensity":
         return replace(self, values=_Handover(self.values / self.mass()))
@@ -329,15 +293,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def position_density(self) -> np.ndarray:
-        """Diagonal as a continuum density rho(x, x) on the grid nodes."""
-        if self.grid is None:
-            raise BasisMismatch("position density needs a position-grid basis")
-        return np.real(np.diag(self.matrix)) / self.grid.h
-
     @cached_property
     def hermitian_residue(self) -> float:
         """max |rho - rho^H| (``observables.hermitian_residue``), computed once per state."""
@@ -348,19 +303,6 @@ class DensityOperator:
         if self.hermitian_residue > HERMITIAN_TOLERANCE:
             raise InvariantViolation(f"{what}: max|rho - rho^H| = {self.hermitian_residue:.3e} "
                                      f"exceeds {HERMITIAN_TOLERANCE:.0e}")
-
-    def validate(self) -> None:
-        """Hermitian (``require_hermitian``), unit trace within 1e-10, eigenvalues above -1e-10."""
-        m = self.matrix
-        self.require_hermitian("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > 1e-10:
-            raise InvariantViolation(f"trace {np.trace(m)!r} deviates from 1")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -1e-10:
-            raise InvariantViolation(f"minimum eigenvalue {w.min():.3e} below -1e-10")
-
-    def normalized(self) -> "DensityOperator":
-        return replace(self, matrix=_Handover(self.matrix / np.trace(self.matrix)))
 
 
 def normalized_wavefunction(psi, grid: Grid1D) -> np.ndarray:

@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BasisMismatch, InvariantViolation, ShapeMismatch
-from .grids import Grid1D, _freeze, _Handover, grid2d_integrate
+from .errors import BasisMismatch, ShapeMismatch
+from .grids import Grid1D, _freeze, _Handover
 from .states import DensityOperator
 
 # Momenta per block of ``pure_state_momentum_marginals``' phase product.
@@ -53,24 +53,6 @@ class WignerFunction:
         if v.shape != (self.qgrid.n, self.pgrid.n):
             raise ShapeMismatch("Wigner values do not match the (q, p) grids")
         object.__setattr__(self, "values", v)
-
-    def normalization(self) -> float:
-        """int W dq dp / (2 pi hbar); equals 1 for a unit-trace state."""
-        return grid2d_integrate(self.qgrid, self.pgrid, self.values) / (
-            2.0 * np.pi * self.hbar
-        )
-
-    def q_marginal_density(self) -> np.ndarray:
-        return (self.values @ self.pgrid.weights) / (2.0 * np.pi * self.hbar)
-
-    def p_marginal_density(self) -> np.ndarray:
-        return (self.qgrid.weights @ self.values) / (2.0 * np.pi * self.hbar)
-
-    def validate(self) -> None:
-        """Unit normalization within 1e-6."""
-        n = self.normalization()
-        if abs(n - 1.0) > 1e-6:
-            raise InvariantViolation(f"Wigner normalization {n!r} deviates from 1")
 
 
 def damping(A: Callable[[np.ndarray], np.ndarray], tau: float, q, y, hbar: float) -> np.ndarray:
@@ -156,7 +138,7 @@ def pure_state_momentum_marginals(
     Contract: A is affine in x, so DeltaA(q, y) does not depend on q and the
     channel's factor is one y-profile, ``damping`` read at q = 0.
 
-    ``WignerFunction.p_marginal_density``'s quadrature, summed over q first: with
+    The trapezoid q-quadrature of ``wigner_transform``'s W, summed over q first: with
     r_l = sum_j psi_{j+l} psi*_j, the trapezoid q-sum of anti-diagonal m is
     C_m + i S_m = h^2 r_{2m}, less h^2 (|psi_0|^2 + |psi_{n-1}|^2) / 2 at m = 0,
     the one run that reaches the grid ends. With the fold weights f_m,

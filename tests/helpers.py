@@ -8,13 +8,17 @@ from vnlab import (
     AngleActionDensity,
     DensityOperator,
     Grid1D,
+    InvariantViolation,
     PeriodicGrid,
     PhaseSpaceDensity,
     SpectralObservable,
 )
 from vnlab.cm import ORDER_FLOW_PRODUCT, flow_map, pde_stability_bound
+from vnlab.grids import grid2d_integrate
+from vnlab.observables import require_hermitian
 from vnlab.qm import born_weights
 from vnlab.states import normalized_wavefunction, phase_density_from_values, sample_phase_density
+from vnlab.wigner import WignerFunction
 
 # Every command's tolerances and their defaults, as the runners declare them.
 DEFAULT_TOLERANCES = {
@@ -42,6 +46,129 @@ DEFAULT_TOLERANCES = {
     },
 }
 
+
+# ---------------------------------------------------------------------------
+# Validity checks and derived quantities of the value types. No program path
+# reads them; each check raises InvariantViolation naming what failed.
+# ---------------------------------------------------------------------------
+
+# Largest mass that the outer 5% band of either axis may hold (``validate_phase_density``).
+LEAKAGE_BUDGET = 1e-6
+
+
+def edge_leakage(rho: PhaseSpaceDensity) -> float:
+    """Mass inside the outer 5% of either axis."""
+    q, p = rho.qgrid.nodes, rho.pgrid.nodes
+    qspan, pspan = rho.qgrid.hi - rho.qgrid.lo, rho.pgrid.hi - rho.pgrid.lo
+    inner_q = (q >= rho.qgrid.lo + 0.05 * qspan) & (q <= rho.qgrid.hi - 0.05 * qspan)
+    inner_p = (p >= rho.pgrid.lo + 0.05 * pspan) & (p <= rho.pgrid.hi - 0.05 * pspan)
+    interior = rho.values * inner_q[:, None] * inner_p[None, :]
+    return rho.mass() - grid2d_integrate(rho.qgrid, rho.pgrid, interior)
+
+
+def validate_phase_density(rho: PhaseSpaceDensity) -> None:
+    """Non-negative to -1e-12, unit mass within 1e-8, edge leakage within LEAKAGE_BUDGET."""
+    if float(rho.values.min(initial=0.0)) < -1e-12:
+        raise InvariantViolation(f"density has negative values down to {rho.values.min():.3e}")
+    m = rho.mass()
+    if abs(m - 1.0) > 1e-8:
+        raise InvariantViolation(f"density mass {m!r} deviates from 1 beyond 1e-08")
+    leak = edge_leakage(rho)
+    if leak > LEAKAGE_BUDGET:
+        raise InvariantViolation(f"edge-band mass {leak:.3e} exceeds budget {LEAKAGE_BUDGET:.1e}")
+
+
+def validate_density_operator(rho: DensityOperator) -> None:
+    """Hermitian (``DensityOperator.require_hermitian``), unit trace within 1e-10,
+    eigenvalues above -1e-10."""
+    m = rho.matrix
+    rho.require_hermitian("density matrix is not Hermitian")
+    if abs(np.trace(m) - 1.0) > 1e-10:
+        raise InvariantViolation(f"trace {np.trace(m)!r} deviates from 1")
+    w = np.linalg.eigvalsh(m)
+    if w.min() < -1e-10:
+        raise InvariantViolation(f"minimum eigenvalue {w.min():.3e} below -1e-10")
+
+
+def position_density(rho: DensityOperator) -> np.ndarray:
+    """Diagonal of a position-grid state as a continuum density rho(x, x) on the nodes."""
+    return np.real(np.diag(rho.matrix)) / rho.grid.h
+
+
+def from_hermitian(matrix) -> SpectralObservable:
+    """Spectral data of a Hermitian matrix (``require_hermitian``), grouping
+    eigenvalues within 1e-9."""
+    vals, vecs = np.linalg.eigh(require_hermitian(matrix))
+    groups: list[list[int]] = [[0]]
+    for k in range(1, len(vals)):
+        if vals[k] - vals[groups[-1][0]] <= 1e-9:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    eigenvalues = np.array([np.mean(vals[g]) for g in groups])
+    block_index = np.empty(len(vals), dtype=int)
+    for n, g in enumerate(groups):
+        block_index[g] = n
+    return SpectralObservable(eigenvalues, basis=vecs, block_index=block_index)
+
+
+def observable_matrix(obs: SpectralObservable) -> np.ndarray:
+    """The observable as a dense Hermitian matrix."""
+    diag = obs.eigenvalues[obs.block_index]
+    if obs.basis is None:
+        return np.diag(diag.astype(complex))
+    return (obs.basis * diag) @ obs.basis.conj().T
+
+
+def projectors(obs: SpectralObservable) -> list[np.ndarray]:
+    """The dense spectral projectors, in eigenvalue order."""
+    out = []
+    for n in range(obs.n_eigenvalues):
+        cols = np.flatnonzero(obs.block_index == n)
+        if obs.basis is None:
+            p = np.zeros((obs.dim, obs.dim), dtype=complex)
+            p[cols, cols] = 1.0
+        else:
+            v = obs.basis[:, cols]
+            p = v @ v.conj().T
+        out.append(p)
+    return out
+
+
+def validate_spectral_observable(obs: SpectralObservable) -> None:
+    """The projectors resolve the identity and are orthogonal idempotents, within 1e-10."""
+    projs = projectors(obs)
+    total = sum(projs)
+    if np.max(np.abs(total - np.eye(obs.dim))) > 1e-10:
+        raise InvariantViolation("projectors do not sum to the identity")
+    for m, pm in enumerate(projs):
+        for n, pn in enumerate(projs):
+            prod = pm @ pn
+            ref = pn if m == n else 0.0
+            if np.max(np.abs(prod - ref)) > 1e-10:
+                raise InvariantViolation(f"projectors {m},{n} not orthogonal/idempotent")
+
+
+def wigner_normalization(w: WignerFunction) -> float:
+    """int W dq dp / (2 pi hbar); equals 1 for a unit-trace state."""
+    return grid2d_integrate(w.qgrid, w.pgrid, w.values) / (2.0 * np.pi * w.hbar)
+
+
+def p_marginal_density(w: WignerFunction) -> np.ndarray:
+    """int W dq / (2 pi hbar), the momentum density, on the p grid."""
+    return (w.qgrid.weights @ w.values) / (2.0 * np.pi * w.hbar)
+
+
+def validate_wigner(w: WignerFunction) -> None:
+    """Unit normalization within 1e-6."""
+    n = wigner_normalization(w)
+    if abs(n - 1.0) > 1e-6:
+        raise InvariantViolation(f"Wigner normalization {n!r} deviates from 1")
+
+
+# ---------------------------------------------------------------------------
+# States, observables and oracles
+# ---------------------------------------------------------------------------
 
 def density_from_wavefunction(psi, grid: Grid1D) -> DensityOperator:
     """Pure state h psi psi^H from samples of psi(x) (``normalized_wavefunction``)."""
@@ -71,7 +198,7 @@ def random_density_matrix(
 
 def random_spectral_observable(dim: int, rng: np.random.Generator) -> SpectralObservable:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return SpectralObservable.from_hermitian(g + g.conj().T)
+    return from_hermitian(g + g.conj().T)
 
 
 def random_gaussian_mixture(

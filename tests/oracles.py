@@ -114,7 +114,7 @@ def momentum_marginals(
 
     Oracle of ``vnlab.wigner.pure_state_momentum_marginals``, which reads a
     pure state's wavefunction and an affine A. The quadrature of
-    ``WignerFunction.p_marginal_density`` on ``wigner_transform`` and
+    ``helpers.p_marginal_density`` on ``wigner_transform`` and
     ``evolved_wigner``, summed over q first: with
     C_m + i S_m = sum_i w_i (D[0, m, i] + i D[1, m, i]) and the fold weights
     f_m, P(p) = Re sum_m v_m exp(i p y_m / hbar) / (2 pi hbar), where

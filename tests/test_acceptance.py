@@ -57,6 +57,7 @@ from vnlab.wigner import evolved_wigner
 from helpers import (
     density_from_wavefunction,
     density_variance,
+    p_marginal_density,
     pointer_mean,
     random_density_matrix,
     random_gaussian_mixture,
@@ -141,7 +142,7 @@ def test_c03_lueders_limit():
         dim = int(rng.integers(2, 7))
         rho = random_density_matrix(dim, rng)
         obs = random_spectral_observable(dim, rng)
-        tau = 50.0 / obs.min_gap() ** 2
+        tau = 50.0 / np.diff(obs.eigenvalues).min() ** 2
         strong = reduced_state_post(rho, obs, tau)
         worst = max(worst, trace_distance(strong, lueders_nonselective(rho, obs)))
     bound = np.exp(-50.0) + 1e-12
@@ -199,7 +200,7 @@ def test_c05_variance_growth_law():
     pgrid = Grid1D(-10.0, 10.0, 256)
     rho_qm = density_from_wavefunction(gaussian_wavepacket(xg, sigma_x=sigma_x), xg)
     w = evolved_wigner(rho_qm, lambda x: x, tau, pgrid)
-    var_qm = density_variance(pgrid, w.p_marginal_density())
+    var_qm = density_variance(pgrid, p_marginal_density(w))
     err_qm = abs(var_qm - (s2 + 2 * tau))
 
     rho_cm = build_gaussian_phase_density(xg, pgrid, sigma_x, np.sqrt(s2))

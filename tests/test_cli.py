@@ -756,6 +756,12 @@ class TestMainEntryPoint:
         with pytest.raises(ConfigInvalid, match="'n_x'"):
             cli._require_memory("evolve-qm", {"n_x": 92682})
 
+    def test_evolve_cm_memory_guard_boundary(self):
+        # 28 B x n_q x n_p crosses 4 GiB between 12385^2 and 12386^2 nodes.
+        cli._require_memory("evolve-cm", {"n_q": 12385, "n_p": 12385})
+        with pytest.raises(ConfigInvalid, match="'n_q' and 'n_p'"):
+            cli._require_memory("evolve-cm", {"n_q": 12386, "n_p": 12386})
+
     def test_scenario_memory_guard_boundary(self):
         # 113 B x dim^2 crosses 4 GiB between dim 6165 and 6166; run-scenario's
         # estimate is read from the scenario field.
@@ -764,36 +770,45 @@ class TestMainEntryPoint:
             cli._require_memory("run-scenario", {"scenario": "number_basis", "dim": 6166})
 
     @pytest.mark.parametrize(
-        "command, base, field, power, sizes",
+        "command, base, fields, unit, sizes",
         [
-            ("evolve-qm", {}, "n_x", 2, (1024, 2048)),
-            ("table1-report", {}, "n_x", 2, (1024, 2048)),
+            ("evolve-qm", {}, ("n_x",), ("n_x", "n_x"), (1024, 2048)),
+            ("table1-report", {}, ("n_x",), ("n_x", "n_x"), (1024, 2048)),
+            # Per n_q x n_p node on square grids and along each axis: the linear
+            # terms in n_q and n_p show in the slope along the other's short axis.
+            ("evolve-cm", {}, ("n_q", "n_p"), ("n_q", "n_p"), (1024, 2048)),
+            ("evolve-cm", {"n_p": 128}, ("n_q",), ("n_q", "n_p"), (65536, 131072)),
+            ("evolve-cm", {"n_q": 20}, ("n_p",), ("n_q", "n_p"), (131072, 262144)),
             # The default branch "both": its two branches sample one after the other.
-            ("mc-compare", {}, "n_samples", 1, (200_000, 400_000)),
+            ("mc-compare", {}, ("n_samples",), ("n_samples",), (200_000, 400_000)),
             # bins at few samples, where the histograms set the peak's growth.
-            ("mc-compare", {"n_samples": 2000}, "bins", 1, (400_000, 800_000)),
+            ("mc-compare", {"n_samples": 2000}, ("bins",), ("bins",), (400_000, 800_000)),
         ],
-        ids=["evolve-qm", "table1-report", "mc-compare", "mc-compare-bins"],
+        ids=["evolve-qm", "table1-report", "evolve-cm", "evolve-cm-n_q", "evolve-cm-n_p",
+             "mc-compare", "mc-compare-bins"],
     )
     def test_memory_estimate_is_the_traced_slope_rounded_up(self, tmp_path, command, base,
-                                                             field, power, sizes):
-        # The traced peak's slope in n_x^2 between 1024 and 2048, where table1-report's
-        # size-independent part (about 14 MB at 512) no longer sets the peak, in
-        # n_samples, and in bins. The estimate's slope between the same two configs
-        # may not fall below it, nor round it up by a whole 2 B.
-        # Warmed up first: the first call may trace an import.
+                                                             fields, unit, sizes):
+        # The traced peak's slope per unit of size (the product of the ``unit``
+        # fields) as ``fields`` go from one size to the other: in n_x^2 between 1024
+        # and 2048, where table1-report's size-independent part (about 14 MB at 512)
+        # no longer sets the peak, in n_q x n_p, in n_samples, and in bins. The
+        # estimate's slope between the same two configs may not fall below it, nor
+        # round it up by a whole 2 B. Warmed up first: the first call may trace an
+        # import.
         execute({"command": command, "parameters": base}, tmp_path / "warm")
-        peaks, estimates = [], []
+        peaks, estimates, units = [], [], []
         for n in sizes:
-            config = normalize_config(command, {"parameters": {**base, field: n}})
+            config = normalize_config(command, {"parameters": {**base, **dict.fromkeys(fields, n)}})
             estimates.append(cli.PEAK_BYTES[command][1](config["parameters"]))
+            units.append(math.prod(config["parameters"][field] for field in unit))
             tracemalloc.start()
             try:
                 execute(config, tmp_path / str(n))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        scale = sizes[1] ** power - sizes[0] ** power
+        scale = units[1] - units[0]
         slope = (peaks[1] - peaks[0]) / scale
         assert slope <= (estimates[1] - estimates[0]) / scale < slope + 2.0
 

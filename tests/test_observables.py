@@ -18,34 +18,36 @@ from vnlab import (
 )
 from vnlab.observables import EXP_UNDERFLOW, _normal_density
 
+from helpers import from_hermitian, observable_matrix, projectors, validate_spectral_observable
+
 
 class TestSpectralObservable:
     def test_from_hermitian_passes_projector_suite(self):
         rng = np.random.default_rng(11)
         g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        obs = SpectralObservable.from_hermitian(g + g.conj().T)
-        obs.validate()
+        obs = from_hermitian(g + g.conj().T)
+        validate_spectral_observable(obs)
         assert np.all(np.diff(obs.eigenvalues) > 0)
 
     def test_degenerate_eigenvalues_collapse_to_one_projector(self):
         m = np.diag([1.0, 1.0, 3.0])
-        obs = SpectralObservable.from_hermitian(m)
+        obs = from_hermitian(m)
         assert obs.n_eigenvalues == 2
-        assert np.trace(obs.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
-        obs.validate()
+        assert np.trace(projectors(obs)[0]).real == pytest.approx(2.0, abs=1e-12)
+        validate_spectral_observable(obs)
 
     def test_matrix_reconstruction(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((5, 5))
         m = g + g.T
-        obs = SpectralObservable.from_hermitian(m)
-        assert np.max(np.abs(obs.matrix() - m)) < 1e-12
+        obs = from_hermitian(m)
+        assert np.max(np.abs(observable_matrix(obs) - m)) < 1e-12
 
     def test_from_diagonal_keeps_layout_lazy(self):
         obs = SpectralObservable.from_diagonal(np.linspace(-1, 1, 64))
         assert obs.basis is None
         assert obs.n_eigenvalues == 64
-        p0 = obs.projectors[0]
+        p0 = projectors(obs)[0]
         assert p0[0, 0] == 1.0 and np.sum(np.abs(p0)) == 1.0
 
     def test_caller_arrays_stay_writeable(self):
@@ -59,7 +61,7 @@ class TestSpectralObservable:
         basis = np.array([[0.0, 1.0], [1.0, 0.0]])
         obs = SpectralObservable([0.0, 1.0], basis=basis, block_index=[0, 1])
         basis[:] = 0.0
-        assert np.array_equal(obs.matrix(), [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(observable_matrix(obs), [[1.0, 0.0], [0.0, 0.0]])
         assert basis.flags.writeable and not obs.basis.flags.writeable
 
     def test_unsorted_eigenvalues_rejected(self):

@@ -30,10 +30,15 @@ from vnlab.scenarios import number_basis_initial_state
 
 from helpers import (
     density_from_wavefunction,
+    from_hermitian,
+    observable_matrix,
     pointer_mean,
+    position_density,
+    projectors,
     random_density_matrix,
     random_spectral_observable,
     trace_distance,
+    validate_density_operator,
 )
 from oracles import decoherence_kernel_quadrature
 
@@ -148,12 +153,12 @@ class TestPointerMean:
         g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         unitary = np.linalg.qr(g)[0]
         spectrum = np.array([-1.0, -1.0, 0.5, 2.0, 2.0, 2.0])
-        degenerate = SpectralObservable.from_hermitian((unitary * spectrum) @ unitary.conj().T)
+        degenerate = from_hermitian((unitary * spectrum) @ unitary.conj().T)
         assert degenerate.n_eigenvalues == 3
         diagonal = SpectralObservable.from_diagonal(np.sort(rng.standard_normal(6)))
         rho = random_density_matrix(6, rng)
         for obs in (diagonal, degenerate):
-            dense = coupling.epsilon * np.real(np.trace(rho.matrix @ obs.matrix()))
+            dense = coupling.epsilon * np.real(np.trace(rho.matrix @ observable_matrix(obs)))
             assert abs(pointer_mean(rho, obs, coupling) - dense) < 1e-12
 
     def test_trace_with_matches_matrix_product(self):
@@ -215,7 +220,7 @@ class TestReducedState:
         oracle = decoherence_kernel_quadrature(TWO_LEVEL, coupling)[0, 1]
         assert out.matrix[0, 1] == pytest.approx(c * np.exp(-1.0), abs=1e-14)
         assert out.matrix[0, 1] == pytest.approx(c * oracle, abs=1e-10)
-        out.validate()
+        validate_density_operator(out)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -236,6 +241,27 @@ class TestReducedState:
         two_step = channel(channel(rho, tau1), tau2)
         one_step = channel(rho, tau1 + tau2)
         assert np.max(np.abs(two_step.matrix - one_step.matrix)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dim=st.integers(min_value=2, max_value=7),
+        tau=st.floats(min_value=0.0, max_value=3.0),
+        hbar=st.floats(min_value=0.3, max_value=2.0),
+    )
+    def test_channel_keeps_a_valid_state_and_its_born_weights(self, seed, dim, tau, hbar):
+        # validate_density_operator's bounds: Hermitian to HERMITIAN_TOLERANCE, unit
+        # trace within 1e-10 and eigenvalues above -1e-10. The Born weights are the
+        # eigenbasis diagonal blocks, which the kernel leaves untouched (g_nn = 1),
+        # so only the rotation into the eigenbasis and back rounds them: a few ulp of
+        # sums of at most 7 unit-bounded terms (1.4e-15 at worst over 300 draws).
+        # Bound 1e-12.
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(dim, rng)
+        obs = random_spectral_observable(dim, rng)
+        out = reduced_state_post(rho, obs, tau, hbar)
+        validate_density_operator(out)
+        assert np.max(np.abs(born_weights(out, obs) - born_weights(rho, obs))) <= 1e-12
 
     def test_strong_coupling_matches_pinching(self):
         rng = np.random.default_rng(33)
@@ -283,7 +309,7 @@ class TestReducedState:
         # With a rank-2 projector the whole block is untouched, not only the
         # diagonal: coherences inside an eigenspace survive decoherence.
         m = np.diag([1.0, 1.0, 3.0])
-        obs = SpectralObservable.from_hermitian(m)
+        obs = from_hermitian(m)
         rho = np.array(
             [[0.4, 0.2 + 0.1j, 0.1], [0.2 - 0.1j, 0.35, -0.05j], [0.1, 0.05j, 0.25]]
         )
@@ -292,7 +318,7 @@ class TestReducedState:
         assert np.max(np.abs(out.matrix[:2, :2] - rho.matrix[:2, :2])) < 1e-12
         damp = np.exp(-2.0 * 4.0)
         assert np.max(np.abs(out.matrix[:2, 2] - damp * rho.matrix[:2, 2])) < 1e-12
-        out.validate()
+        validate_density_operator(out)
 
     def test_kernel_limit_at_thirty(self):
         # tau * (min gap)^2 / hbar^2 = 30 already pins the channel to the
@@ -303,7 +329,7 @@ class TestReducedState:
             dim = int(rng.integers(2, 6))
             rho = random_density_matrix(dim, rng)
             obs = random_spectral_observable(dim, rng)
-            tau = 30.0 / obs.min_gap() ** 2
+            tau = 30.0 / np.diff(obs.eigenvalues).min() ** 2
             strong = reduced_state_post(rho, obs, tau)
             pinched = lueders_nonselective(rho, obs)
             worst = max(worst, float(np.max(np.abs(strong.matrix - pinched.matrix))))
@@ -365,12 +391,12 @@ class TestLindblad:
             vals[1] = vals[0]
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             vecs = np.linalg.qr(g)[0]
-            obs = SpectralObservable.from_hermitian((vecs * vals) @ vecs.conj().T)
+            obs = from_hermitian((vecs * vals) @ vecs.conj().T)
             assert obs.n_eigenvalues < dim
         else:
             obs = random_spectral_observable(dim, rng)
         channel = reduced_state_post(rho, obs, tau, hbar)
-        exact = lindblad_evolve(rho, obs.matrix(), tau, hbar)
+        exact = lindblad_evolve(rho, observable_matrix(obs), tau, hbar)
         assert np.max(np.abs(channel.matrix - exact.matrix)) < 1e-12
 
     def test_centered_difference_matches_rhs(self):
@@ -452,7 +478,7 @@ class TestLueders:
 def conditional_oracle(rho, obs, probe, coupling, Q):
     """Direct double sum over projectors, straight from the definition: the pure
     probe's chi_n chi_m, damped by the momentum noise past hbar/2 (hbar = 1)."""
-    projs = obs.projectors
+    projs = projectors(obs)
     a = obs.eigenvalues
     chi = probe.position_wavefunction(Q - coupling.epsilon * a)
     excess = max(0.5 * (coupling.epsilon * probe.sigma_P) ** 2
@@ -481,7 +507,7 @@ class TestConditionalState:
         out = conditional_state(equal_superposition(), TWO_LEVEL, probe, coupling, Q=1.0)
         target = DensityOperator(np.diag([0.0, 1.0]).astype(complex))
         assert trace_distance(out, target) < 1e-3
-        out.validate()
+        validate_density_operator(out)
 
     def test_wide_probe_barely_disturbs(self):
         # A wide, pure probe (sigma_Q sigma_P = hbar/2): no momentum noise past the
@@ -539,7 +565,7 @@ class TestConditionalState:
             out = conditional_state(rho, obs, probe, coupling, Q)
             oracle = conditional_oracle(rho, obs, probe, coupling, Q)
             assert np.max(np.abs(out.matrix - oracle)) < 1e-11
-            out.validate()
+            validate_density_operator(out)
 
     def test_negligible_probability_raises(self):
         probe = ProbeSpec(sigma_Q=0.01, sigma_P=0.5)
@@ -556,5 +582,5 @@ class TestDisturbanceScale:
         rho = density_from_wavefunction(gaussian_wavepacket(g, sigma_x=1.5), g)
         coupling = CouplingParams.from_sigma_P(2.0, 0.3)
         expected = 2.0 * 0.3 * 1.5
-        scale = position_disturbance_scale(g, rho.position_density(), coupling)
+        scale = position_disturbance_scale(g, position_density(rho), coupling)
         assert scale == pytest.approx(expected, abs=1e-6)

@@ -19,6 +19,8 @@ from vnlab.scenarios import (
     scenario_two_delta,
 )
 
+from helpers import validate_density_operator
+
 
 def failed(checks) -> list[dict]:
     """The checks that fail, as dicts, for an assertion's message."""
@@ -125,7 +127,7 @@ class TestNumberBasis:
 
     def test_initial_state_is_valid_density(self):
         rho = number_basis_initial_state(1.0, 1.5, dim=64)
-        rho.validate()
+        validate_density_operator(rho)
 
     def test_mean_occupation_is_the_squeezed_thermal_one(self):
         # The closed form whose lower bound the width refusal uses:
