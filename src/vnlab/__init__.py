@@ -10,19 +10,7 @@ checked numerically.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BasisMismatch,
-    ConfigInvalid,
-    DimensionMismatch,
-    GridTooNarrow,
-    InvariantViolation,
-    NegligibleProbability,
-    NonHermitianObservable,
-    ShapeMismatch,
-    TruncationTooSmall,
-    UnsupportedObservable,
-    VnLabError,
-)
+from .errors import ConfigInvalid, InvariantViolation, VnLabError
 from .grids import Grid1D, PeriodicGrid
 from .observables import (
     ClassicalObservable,

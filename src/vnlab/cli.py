@@ -52,7 +52,7 @@ from .cm import (
     reduced_state_post_cm,
     require_diffusion_resolved,
 )
-from .errors import ConfigInvalid, InvariantViolation, TruncationTooSmall, VnLabError
+from .errors import ConfigInvalid, InvariantViolation, VnLabError
 from .grids import TWO_PI, Grid1D, _Handover
 from .heisenberg import (
     Histogram,
@@ -610,10 +610,8 @@ def run_table1_report(n_x: int = 256, grid_halfwidth: float = 8.0,
     s2 = _momentum_variance(hbar, sigma_x)
     wgrid = _wigner_pgrid(hbar, xgrid, s2, tau, pad=1.0)
     dim = 48  # tail weight ~e^-34 at these widths
-    try:
-        rho_nb = number_basis_initial_state(1.0, 1.4, dim, hbar=hbar)
-    except TruncationTooSmall as exc:
-        raise ConfigInvalid(f"parameter 'hbar' = {hbar!r} leaves row 4's number basis: {exc}") from exc
+    rho_nb = number_basis_initial_state(f"parameter 'hbar' = {hbar!r} (row 4's number basis)",
+                                        1.0, 1.4, dim, hbar=hbar)
     checks: list[ScenarioCheck] = []
     rows = []
 
@@ -764,7 +762,7 @@ def write_table(path: Path, columns: dict[str, np.ndarray]) -> None:
     block of ``TABLE_BLOCK`` rows per write.
     """
     if len({len(c) for c in columns.values()}) != 1:
-        raise VnLabError("table columns must share a length")
+        raise InvariantViolation("table columns must share a length")
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     n_rows = len(next(iter(columns.values())))
     with path.open("w", newline="\n") as fh:

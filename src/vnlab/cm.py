@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, InvariantViolation, NegligibleProbability, UnsupportedObservable
+from .errors import ConfigInvalid, InvariantViolation
 from .grids import TWO_PI, Grid1D, _Handover, grid2d_integrate
 from .observables import (
     KIND_ACTION,
@@ -114,7 +114,7 @@ def flow_map(obs: ClassicalObservable, q, p, s):
         theta = np.arctan2(p, q) + s * obs.dA_dxi(xi)
         r = np.sqrt(2.0 * xi)
         return r * np.cos(theta), r * np.sin(theta)
-    raise UnsupportedObservable("no exact flow map for general observables")
+    raise InvariantViolation("no exact flow map for general observables")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def joint_state_post(
     4-axis array is filled one q-slice at a time.
     """
     if obs.kind == KIND_GENERAL:
-        raise UnsupportedObservable("joint evolution needs a position or action observable")
+        raise InvariantViolation("joint evolution needs a position or action observable")
     if ordering not in (ORDER_FLOW_SYSTEM, ORDER_FLOW_PRODUCT):
         raise InvariantViolation(f"unknown ordering {ordering!r}")
     eps = coupling.epsilon
@@ -320,7 +320,7 @@ def reduced_state_post_cm(rho_s, obs: ClassicalObservable, tau: float):
         return rho_s
     if isinstance(rho_s, AngleActionDensity):
         if obs.kind != KIND_ACTION:
-            raise UnsupportedObservable("angle-action states pair with action observables")
+            raise InvariantViolation("angle-action states pair with action observables")
         return angle_spectral_solve(rho_s, obs, tau)
     if obs.kind == KIND_POSITION:
         pad = kernel_pad(tau, rho_s.pgrid)
@@ -347,7 +347,7 @@ def angle_spectral_solve(
     Mode 0 is untouched, so the xi-marginal is preserved exactly.
     """
     if obs.dA_dxi is None:
-        raise UnsupportedObservable("angle solver needs dA/dxi")
+        raise InvariantViolation("angle solver needs dA/dxi")
     rate = obs.dA_dxi(rho.xigrid.nodes) ** 2
     values = _damp_fourier_modes(rho.values, rho.thetagrid.h, rate, tau)
     values = _monitored_clip(values, "angle spectral solver")
@@ -380,12 +380,12 @@ def conditional_state_cm(
     the diffused conditional at q0.
     """
     if obs.kind != KIND_POSITION:
-        raise UnsupportedObservable("classical conditioning is implemented for A = q")
+        raise InvariantViolation("classical conditioning is implemented for A = q")
     eps = coupling.epsilon
     weight_q = probe.position_density(Q - eps * rho_s.qgrid.nodes)
     denom = float(rho_s.qgrid.weights @ (rho_s.q_marginal() * weight_q))
     if denom < 1e-12:
-        raise NegligibleProbability(f"probe value Q={Q} has density {denom:.3e}")
+        raise InvariantViolation(f"probe value Q={Q} has density {denom:.3e}")
     diffused = reduced_state_post_cm(rho_s, obs, coupling.tau)
     values = diffused.values * weight_q[:, None]
     norm = grid2d_integrate(rho_s.qgrid, rho_s.pgrid, values)

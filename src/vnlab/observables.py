@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation, NonHermitianObservable
+from .errors import ConfigInvalid, InvariantViolation
 from .grids import Grid1D, _freeze, _Handover
 
 ArrayMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -41,10 +41,10 @@ def hermitian_residue(m: np.ndarray) -> float:
 
 
 def require_hermitian(matrix) -> np.ndarray:
-    """``matrix`` as an array; NonHermitianObservable unless square and Hermitian to HERMITIAN_TOLERANCE."""
+    """``matrix`` as an array; InvariantViolation unless square and Hermitian to HERMITIAN_TOLERANCE."""
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or hermitian_residue(m) > HERMITIAN_TOLERANCE:
-        raise NonHermitianObservable(f"matrix is not Hermitian within {HERMITIAN_TOLERANCE:.0e}")
+        raise InvariantViolation(f"matrix is not Hermitian within {HERMITIAN_TOLERANCE:.0e}")
     return m
 
 
@@ -93,9 +93,9 @@ class SpectralObservable:
         return len(self.eigenvalues)
 
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        """``matrix`` in the eigenbasis; DimensionMismatch unless it is dim x dim."""
+        """``matrix`` in the eigenbasis; InvariantViolation unless it is dim x dim."""
         if len(matrix) != self.dim:
-            raise DimensionMismatch("observable and state dimensions differ")
+            raise InvariantViolation("observable and state dimensions differ")
         if self.basis is None:
             return matrix
         return self.basis.conj().T @ matrix @ self.basis
@@ -195,12 +195,22 @@ def _normal_density(x, s2: float) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
+def require_normal_square(name: str, width: float) -> None:
+    """Refuse (ConfigInvalid, naming ``name``) a width whose square is not a normal
+    float: a normal density of that variance divides by zero or overflows."""
+    square = float(width) * float(width)  # inf, not OverflowError, past the floats
+    if not np.finfo(float).tiny <= square < math.inf:
+        raise ConfigInvalid(f"parameter {name!r} = {width!r}: its square {square:.3g} "
+                            "is not a normal float")
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
     """Zero-mean Gaussian probe: position width sigma_Q, momentum width sigma_P.
 
     Position and momentum are statistically independent; both means are fixed
-    at zero.
+    at zero. A positive sigma_Q that ``require_normal_square`` refuses is a
+    ConfigInvalid.
     """
 
     sigma_Q: float
@@ -209,6 +219,7 @@ class ProbeSpec:
     def __post_init__(self):
         if not self.sigma_Q > 0:
             raise InvariantViolation("sigma_Q must be > 0")
+        require_normal_square("sigma_Q", self.sigma_Q)
         if self.sigma_P < 0:
             raise InvariantViolation("sigma_P must be >= 0")
 

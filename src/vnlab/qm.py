@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegligibleProbability
+from .errors import InvariantViolation
 from .grids import Grid1D, _Handover
 from .observables import CouplingParams, ProbeSpec, SpectralObservable, require_hermitian
 from .states import DensityOperator
@@ -82,7 +82,7 @@ def lindblad_evolve(
     """Exact solution at strength tau of drho/dtau = -[A,[A,rho]]/hbar^2."""
     a = require_hermitian(obs_matrix)
     if a.shape != rho_s.matrix.shape:
-        raise DimensionMismatch("observable and state dimensions differ")
+        raise InvariantViolation("observable and state dimensions differ")
     vals, vecs = np.linalg.eigh(a)
     diff = vals[:, None] - vals[None, :]
     g = np.exp(-tau * diff**2 / hbar**2)
@@ -121,7 +121,7 @@ def conditional_state(
     chi = probe.position_wavefunction(Q - coupling.epsilon * a)
     denom = float(np.sum(weights * chi**2))
     if denom < 1e-12:
-        raise NegligibleProbability(f"pointer value Q={Q} has probability {denom:.3e}")
+        raise InvariantViolation(f"pointer value Q={Q} has probability {denom:.3e}")
     excess = max(coupling.tau / hbar**2 - coupling.epsilon**2 / (8.0 * probe.sigma_Q**2), 0.0)
     factors = np.outer(chi, chi) * np.exp(-excess * (a[:, None] - a[None, :]) ** 2)
     out = _kernel_channel(rho_s, obs, factors)

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cm import probe_marginal_Q, strong_coupling_limit_cm
-from .errors import ConfigInvalid, InvariantViolation, TruncationTooSmall
+from .errors import ConfigInvalid, InvariantViolation
 from .grids import TWO_PI, Grid1D, PeriodicGrid, _Handover, grid2d_integrate
 from .observables import (
     CouplingParams,
     ProbeSpec,
     SpectralObservable,
     position_observable,
+    require_normal_square,
 )
 from .qm import lueders_nonselective, reduced_state_post
 from .states import (
@@ -104,7 +105,9 @@ def scenario_two_delta(
     The deltas are represented as Gaussians two grid steps wide, so the probe
     marginal is a pair of Gaussians of variance sigma_Q^2 + (eps*w)^2. The
     bimodality verdict is compared against the resolution criterion
-    sigma_Q/eps versus |q1 - q0|.
+    sigma_Q/eps versus |q1 - q0|. Before the state is built, ConfigInvalid
+    refuses an (eps*w)^2 past the floats, and, where the valley is checked, a
+    Q grid with no node between the two peaks.
     """
     if coupling is None:
         coupling = CouplingParams.from_probe(DEFAULT_EPSILON, probe)
@@ -113,14 +116,24 @@ def scenario_two_delta(
     qgrid = Grid1D(-half, half, n_q)
     pgrid = Grid1D(-8.0, 8.0, 257)
     w = delta_width(qgrid)
+    if not (eps * w) * (eps * w) < math.inf:
+        raise ConfigInvalid(f"'q0', 'q1', 'n_q' and 'epsilon': the peaks' width epsilon * 2 h_q = "
+                            f"{eps * w:.4g} overflows its square")
+    span = max(abs(q0), abs(q1)) * eps + 8.0 * probe.sigma_Q + 8.0 * eps * w
+    Qgrid = Grid1D(-span, span, n_Q)
+    gap = abs(q1 - q0)
+    resolution_ratio = probe.sigma_Q / eps / gap if gap > 0 else np.inf
+    lo, hi = min(eps * q0, eps * q1), max(eps * q0, eps * q1)
+    nodes_between = np.searchsorted(Qgrid.nodes, hi) - np.searchsorted(Qgrid.nodes, lo, "right")
+    if resolution_ratio <= 0.2 and nodes_between < 1:
+        raise ConfigInvalid(f"'q0', 'q1' and 'n_Q': no node of the Q grid (step {Qgrid.h:.4g}) "
+                            f"lies between the peaks at {lo:.6g} and {hi:.6g}, where the valley "
+                            "check reads its minimum")
     gq = np.exp(-0.5 * ((qgrid.nodes - q0) / w) ** 2) + np.exp(
         -0.5 * ((qgrid.nodes - q1) / w) ** 2
     )
     gp = np.exp(-0.5 * pgrid.nodes**2)
     rho_s = phase_density_from_values(qgrid, pgrid, np.outer(gq, gp))
-
-    span = max(abs(q0), abs(q1)) * eps + 8.0 * probe.sigma_Q + 8.0 * eps * w
-    Qgrid = Grid1D(-span, span, n_Q)
     marg = probe_marginal_Q(rho_s, probe, position_observable(), coupling, Qgrid)
 
     sigma_eff = np.sqrt(probe.sigma_Q**2 + (eps * w) ** 2)
@@ -129,7 +142,6 @@ def scenario_two_delta(
         + np.exp(-0.5 * ((Qgrid.nodes - eps * q1) / sigma_eff) ** 2)
     ) / np.sqrt(TWO_PI * sigma_eff**2)
 
-    gap = abs(q1 - q0)
     checks = [
         ScenarioCheck(
             "probe marginal mass", float(Qgrid.integrate(marg)), 1.0, 1e-6, "oracle"
@@ -143,10 +155,7 @@ def scenario_two_delta(
         ),
     ]
     n_peaks = _count_peaks(marg)
-    resolution_ratio = probe.sigma_Q / eps / gap if gap > 0 else np.inf
     if resolution_ratio <= 0.2:
-        lo = min(eps * q0, eps * q1)
-        hi = max(eps * q0, eps * q1)
         between = (Qgrid.nodes > lo) & (Qgrid.nodes < hi)
         valley_ratio = float(np.min(marg[between]) / np.max(marg))
         resolved = n_peaks == 2 and valley_ratio < 0.1
@@ -202,6 +211,7 @@ def scenario_interference(
     if coupling is None:
         coupling = CouplingParams.from_probe(DEFAULT_EPSILON, probe)
     eps = coupling.epsilon
+    require_normal_square("sigma_x", sigma_x)
     half = separation / 2.0 + 8.0 * sigma_x
     xgrid = Grid1D(-half, half, n_x)
     require_resolved("sigma_x", sigma_x, xgrid)
@@ -298,20 +308,21 @@ def _ladder(dim: int) -> np.ndarray:
 
 
 def number_basis_initial_state(
-    sigma_qbar: float, sigma_pbar: float, dim: int, hbar: float = 1.0
+    fields: str, sigma_qbar: float, sigma_pbar: float, dim: int, hbar: float = 1.0
 ) -> DensityOperator:
     """exp of the quadratic form -(pbar^2/sigma_p^2 + qbar^2/sigma_q^2)/2, truncated.
 
     Ladder operators are built at dim+2 and the squared quadratures cut back
     to dim, so every retained matrix element is exact. The state is
-    renormalized after truncation; more than 1e-10 of missing trace, or a
-    trace that is not a number, raises TruncationTooSmall.
+    renormalized after truncation. Every refusal is a ConfigInvalid naming
+    ``fields``, the caller's names for what set these arguments.
 
     Widths that cannot work are refused first, in logarithms so that nothing
     overflows. The state is a squeezed thermal state with mean occupation
     <n> = (coth(x) cosh(l) - 1) / 2, x = hbar / (2 sigma_pbar sigma_qbar) and
-    l = log(sigma_qbar / sigma_pbar). A lower bound on <n> above dim raises
-    TruncationTooSmall; then an x whose sinh overflows raises ConfigInvalid.
+    l = log(sigma_qbar / sigma_pbar). A lower bound on <n> above dim is
+    refused, then an x whose sinh overflows, and last more than 1e-10 of
+    missing trace, or a trace that is not a number.
     """
     log_x = math.log(hbar / 2.0) - math.log(sigma_pbar) - math.log(sigma_qbar)
     squeeze = abs(math.log(sigma_qbar) - math.log(sigma_pbar))
@@ -319,14 +330,11 @@ def number_basis_initial_state(
     log_occupation = (max(0.0, -log_x) + squeeze - math.log(2.0)
                       + math.log1p(math.exp(-2.0 * squeeze)))
     if log_occupation > math.log(2 * dim + 1):
-        raise TruncationTooSmall(
-            f"the mean occupation exceeds dim={dim}: log(2<n> + 1) >= {log_occupation:.4g}"
-        )
+        raise ConfigInvalid(f"{fields}: the mean occupation exceeds dim={dim}: "
+                            f"log(2<n> + 1) >= {log_occupation:.4g}")
     if log_x > math.log(math.log(np.finfo(float).max)):
-        raise ConfigInvalid(
-            f"'sigma_qbar', 'sigma_pbar' and 'hbar': hbar / (2 sigma_pbar sigma_qbar) = "
-            f"exp({log_x:.4g}) overflows its sinh in the normalization"
-        )
+        raise ConfigInvalid(f"{fields}: hbar over twice the product of the widths, "
+                            f"exp({log_x:.4g}), overflows its sinh in the normalization")
     a = _ladder(dim + 2)
     ad = a.T.conj()
     qbar = np.sqrt(hbar / 2.0) * (a + ad)
@@ -338,9 +346,8 @@ def number_basis_initial_state(
     rho = prefactor * (vecs * np.exp(-vals)) @ vecs.conj().T
     trace = float(np.real(np.trace(rho)))
     if not abs(trace - 1.0) <= 1e-10:
-        raise TruncationTooSmall(
-            f"dim={dim} leaves |trace-1| = {abs(trace - 1.0):.3e} before renormalization"
-        )
+        raise ConfigInvalid(f"{fields}: dim={dim} leaves |trace-1| = {abs(trace - 1.0):.3e} "
+                            "before renormalization")
     return DensityOperator(_Handover(rho / trace))
 
 
@@ -358,10 +365,8 @@ def scenario_number_basis(
     function of the measured observable alone, regardless of the initial
     anisotropy.
     """
-    try:
-        rho = number_basis_initial_state(sigma_qbar, sigma_pbar, dim, hbar=hbar)
-    except TruncationTooSmall as exc:
-        raise ConfigInvalid(f"'sigma_qbar', 'sigma_pbar' and 'dim': {exc}") from exc
+    rho = number_basis_initial_state("'hbar', 'sigma_qbar', 'sigma_pbar' and 'dim'",
+                                     sigma_qbar, sigma_pbar, dim, hbar=hbar)
     levels = hbar * (np.arange(dim) + 0.5)
     obs = SpectralObservable.from_diagonal(levels)
     p_n = np.real(np.diag(rho.matrix))

@@ -23,14 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    GridTooNarrow,
-    InvariantViolation,
-    ShapeMismatch,
-    UnsupportedObservable,
-)
+from .errors import ConfigInvalid, InvariantViolation
 from .grids import TWO_PI, Grid1D, PeriodicGrid, _freeze, _Handover, grid2d_integrate
 from .observables import HERMITIAN_TOLERANCE, KIND_POSITION, ClassicalObservable, hermitian_residue
 
@@ -48,7 +41,7 @@ class PhaseSpaceDensity:
     def __post_init__(self):
         v = _freeze(self.values, float)
         if v.shape != (self.qgrid.n, self.pgrid.n):
-            raise ShapeMismatch(
+            raise InvariantViolation(
                 f"values shape {v.shape} != grid shape {(self.qgrid.n, self.pgrid.n)}"
             )
         object.__setattr__(self, "values", v)
@@ -73,11 +66,11 @@ def phase_density_from_values(qgrid, pgrid, values) -> PhaseSpaceDensity:
 
 
 def require_fits(fields: str, center: float, sigma: float, grid: Grid1D) -> None:
-    """Refuse (GridTooNarrow, naming ``fields``) a Gaussian whose center +- 6 sigma
+    """Refuse (ConfigInvalid, naming ``fields``) a Gaussian whose center +- 6 sigma
     leaves ``grid``; inside it, the truncated mass stays near machine level."""
     lo, hi = center - 6 * sigma, center + 6 * sigma
     if lo < grid.lo or hi > grid.hi:
-        raise GridTooNarrow(f"{fields}: the Gaussian's center +- 6 widths [{lo:.4g}, {hi:.4g}] "
+        raise ConfigInvalid(f"{fields}: the Gaussian's center +- 6 widths [{lo:.4g}, {hi:.4g}] "
                             f"leaves its grid [{grid.lo:.4g}, {grid.hi:.4g}]")
 
 
@@ -131,7 +124,7 @@ class AngleActionDensity:
             raise InvariantViolation("xi grid must start at 0")
         v = _freeze(self.values, float)
         if v.shape != (self.xigrid.n, self.thetagrid.n):
-            raise ShapeMismatch("values shape does not match (xi, theta) grids")
+            raise InvariantViolation("values shape does not match (xi, theta) grids")
         object.__setattr__(self, "values", v)
 
     def mass(self) -> float:
@@ -284,9 +277,9 @@ class DensityOperator:
     def __post_init__(self):
         m = _freeze(self.matrix, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeMismatch("density matrix must be square")
+            raise InvariantViolation("density matrix must be square")
         if self.grid is not None and self.grid.n != m.shape[0]:
-            raise ShapeMismatch("matrix dimension does not match the position grid")
+            raise InvariantViolation("matrix dimension does not match the position grid")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -324,13 +317,13 @@ def gaussian_wavepacket(grid: Grid1D, center=0.0, momentum=0.0, sigma_x=1.0, hba
 def superposition_wavefunction(alpha, beta, psi1, psi2, grid: Grid1D) -> np.ndarray:
     """Normalized alpha*psi1 + beta*psi2 on the grid.
 
-    The components must share a shape (DimensionMismatch otherwise). The
+    The components must share a shape (InvariantViolation otherwise). The
     squared norm must be a finite normal float: zero (cancelling or
     underflowing amplitudes), subnormal (too few digits left to normalize) and
     infinite (overflowing amplitudes) norms are refused.
     """
     if np.shape(psi1) != np.shape(psi2):
-        raise DimensionMismatch("component wavefunctions must share a grid")
+        raise InvariantViolation("component wavefunctions must share a grid")
     psi = alpha * np.asarray(psi1) + beta * np.asarray(psi2)
     with np.errstate(over="ignore"):  # an overflow is refused just below
         norm = grid.integrate(np.abs(psi) ** 2)
@@ -346,22 +339,22 @@ def superposition_wavefunction(alpha, beta, psi1, psi2, grid: Grid1D) -> np.ndar
 def distribution_of_A(state, observable: ClassicalObservable) -> tuple[np.ndarray, np.ndarray]:
     """(values a, weights w) of A over a classical state, the one integral of A: <A> = w @ a.
 
-    A(xi) over an angle-action state's xi-marginal (UnsupportedObservable
-    without A(xi)), q over the q-marginal for A = q, else A(q, p) cell by cell.
-    Another state type, or A off the grid's shape, raises ShapeMismatch.
+    A(xi) over an angle-action state's xi-marginal, q over the q-marginal for
+    A = q, else A(q, p) cell by cell. An angle-action state without A(xi),
+    another state type, or A off the grid's shape raises InvariantViolation.
     """
     if isinstance(state, AngleActionDensity):
         if observable.A_of_xi is None:
-            raise UnsupportedObservable("an angle-action state needs A(xi)")
+            raise InvariantViolation("an angle-action state needs A(xi)")
         return observable.A_of_xi(state.xigrid.nodes), state.xigrid.weights * state.xi_marginal()
     if not isinstance(state, PhaseSpaceDensity):
-        raise ShapeMismatch(f"unsupported state type {type(state).__name__}")
+        raise InvariantViolation(f"unsupported state type {type(state).__name__}")
     if observable.kind == KIND_POSITION:
         return state.qgrid.nodes, state.qgrid.weights * state.q_marginal()
     qq, pp = np.meshgrid(state.qgrid.nodes, state.pgrid.nodes, indexing="ij")
     a = np.asarray(observable.eval(qq, pp), dtype=float)
     if a.shape != state.values.shape:
-        raise ShapeMismatch("observable values do not match the state grid")
+        raise InvariantViolation("observable values do not match the state grid")
     cell = np.outer(state.qgrid.weights, state.pgrid.weights) * state.values
     return a.ravel(), cell.ravel()
 
@@ -376,5 +369,5 @@ def trace_with(rho: DensityOperator, op: np.ndarray) -> complex:
     """Tr(rho M) = sum_ij rho_ij M_ji in the state's matrix convention; O(n^2)."""
     op = np.asarray(op)
     if op.shape != rho.matrix.shape:
-        raise ShapeMismatch("operator shape does not match the density matrix")
+        raise InvariantViolation("operator shape does not match the density matrix")
     return complex(np.sum(rho.matrix * op.T))

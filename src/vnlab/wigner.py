@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BasisMismatch, ShapeMismatch
+from .errors import InvariantViolation
 from .grids import Grid1D, _freeze, _Handover
 from .states import DensityOperator
 
@@ -51,7 +51,7 @@ class WignerFunction:
     def __post_init__(self):
         v = _freeze(self.values, float)
         if v.shape != (self.qgrid.n, self.pgrid.n):
-            raise ShapeMismatch("Wigner values do not match the (q, p) grids")
+            raise InvariantViolation("Wigner values do not match the (q, p) grids")
         object.__setattr__(self, "values", v)
 
 
@@ -73,7 +73,7 @@ def _antidiagonals(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     exceeds HERMITIAN_TOLERANCE raises InvariantViolation carrying it.
     """
     if rho.grid is None:
-        raise BasisMismatch("Wigner transform needs a position-grid state")
+        raise InvariantViolation("Wigner transform needs a position-grid state")
     rho.require_hermitian("Wigner transform needs a Hermitian state")
     n = rho.dim
     k = (n - 1) // 2 + 1

@@ -250,6 +250,22 @@ DEFAULT_JOBS = [(command, {}) for command in RUNNERS if command != "run-scenario
 DEFAULT_JOB_IDS = [params.get("scenario", command) for command, params in DEFAULT_JOBS]
 
 
+def _extremes(name, default):
+    """The admitted extremes of one field: a real at 1e-300 and 1e300, a signed one
+    also at -1e300, a non-negative one also at 0, a size at 2; no seed or choice."""
+    if isinstance(default, (Choice, Seed)):
+        return []
+    if isinstance(default, int):
+        return [2]
+    return [1e-300, 1e300, *([-1e300] if isinstance(default, Signed) else []),
+            *([0.0] if name in COUPLING_PAIR or isinstance(default, NonNegative) else [])]
+
+
+# One field at a time at an admitted extreme, every other field at its default.
+EXTREME_CASES = [(command, fixed, name, value) for command, fixed, name, default in _spec_fields()
+                 for value in _extremes(name, default)]
+
+
 class TestExecution:
     def test_evolve_qm_artifacts(self, tmp_path):
         cfg = normalize_config("evolve-qm", {"parameters": {"n_x": 128}})
@@ -498,6 +514,26 @@ def test_mean_std_in_place_is_numpys_bitwise(n, loc, scale, seed):
 
 
 class TestMainEntryPoint:
+    @pytest.mark.parametrize(
+        "command, fixed, name, value",
+        EXTREME_CASES,
+        ids=[f"{f.get('scenario', c)}.{n}={v:g}" for c, f, n, v in EXTREME_CASES],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_admitted_extreme_exits_with_a_status(self, tmp_path, command, fixed, name, value):
+        # Refused (2), failing (1) or passing (0): never a traceback or a RuntimeWarning.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"parameters": {**fixed, name: value}}))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 1, 2)
+
+    def test_table1_number_basis_refusal_names_only_hbar(self, tmp_path, capsys):
+        # Row 4's number basis has fixed widths: of its fields the command has only 'hbar'.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"parameters": {"hbar": 3000.0}}))
+        assert main(["table1-report", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        out = capsys.readouterr().out
+        assert "'hbar'" in out and "sigma_qbar" not in out and "sigma_pbar" not in out
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"parameters": {"sigma_Q": -1}}))
@@ -610,6 +646,9 @@ class TestMainEntryPoint:
             ("table1-report", {"parameters": {"hbar": 1e-170}}, [], "'hbar'"),
             ("table1-report", {"parameters": {"hbar": 1e200}}, [], "'hbar'"),
             ("table1-report", {"parameters": {"hbar": 0.3}}, [], "'hbar'"),
+            # x = hbar / (2 * 1.4) past log(709.8): row 4's sinh overflows. It used to
+            # name 'sigma_qbar' and 'sigma_pbar', which the command does not have.
+            ("table1-report", {"parameters": {"hbar": 3000.0}}, [], "'hbar'"),
             # Probe momentum spreads the p grid cannot hold once diffused.
             ("evolve-cm", {"parameters": {"sigma_P": 3.0}}, [], "'sigma_P' and 'tau'"),
             ("mc-compare", {"parameters": {"sigma_P": 20.0, "branch": "position"}}, [],
@@ -654,6 +693,11 @@ class TestMainEntryPoint:
             ("run-scenario", {"parameters": {"scenario": "gaussian_bessel", "sigma_qbar": 1.0,
                                              "sigma_pbar": 25.0}},
              [], "'sigma_qbar' and 'sigma_pbar'"),
+            # A Q step of 9.8e11 leaves no node between peaks 1 apart: the valley
+            # check took the minimum of an empty slice (ValueError).
+            ("run-scenario", {"parameters": {"scenario": "two_delta", "q0": 1e15,
+                                             "q1": 1e15 + 1}},
+             [], "'q0', 'q1' and 'n_Q'"),
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
@@ -668,6 +712,7 @@ class TestMainEntryPoint:
              "overflowing-widths-gaussian_bessel", "underflowing-hbar-evolve-qm",
              "overflowing-hbar-evolve-qm", "underflowing-hbar-table1",
              "overflowing-hbar-table1", "row4-truncated-hbar-table1",
+             "sinh-overflow-hbar-table1",
              "spilling-sigma_P-evolve-cm", "wide-sigma_P-mc-compare",
              "unresolved-n_p-32-evolve-cm", "unresolved-n_p-36-evolve-cm",
              "unresolved-sigma_p-evolve-cm", "unresolved-sigma_p-mc-compare",
@@ -676,7 +721,7 @@ class TestMainEntryPoint:
              "wide-sigma_q-evolve-cm", "off-centre-evolve-cm", "wide-sigma_x-evolve-qm",
              "off-centre-evolve-qm", "wide-sigma_q-mc-compare", "wide-sigma_p-mc-compare",
              "wide-sigma_x-table1", "off-centre-table1", "narrow-grid-row4-table1",
-             "width-ratio-25-gaussian_bessel"],
+             "width-ratio-25-gaussian_bessel", "no-Q-node-between-peaks-two_delta"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):

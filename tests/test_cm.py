@@ -9,10 +9,8 @@ from vnlab import (
     CouplingParams,
     Grid1D,
     InvariantViolation,
-    NegligibleProbability,
     PeriodicGrid,
     ProbeSpec,
-    UnsupportedObservable,
     action_observable,
     build_gaussian_phase_density,
     expectation,
@@ -295,7 +293,7 @@ class TestJointState:
         rho = build_gaussian_phase_density(g, g, 1.0, 1.0)
         probe = ProbeSpec(sigma_Q=0.4, sigma_P=0.5)
         obs = general_observable(lambda q, p: q * p, lambda q, p: p, lambda q, p: q)
-        with pytest.raises(UnsupportedObservable):
+        with pytest.raises(InvariantViolation, match="needs a position or action observable"):
             joint_state_post(rho, probe, obs, CouplingParams(1.0, 0.1),
                              Grid1D(-1, 1, 4), Grid1D(-1, 1, 4))
 
@@ -883,12 +881,12 @@ class TestConditionalState:
         rho = build_gaussian_phase_density(qg, qg, 1.0, 1.0)
         probe = ProbeSpec(sigma_Q=0.05, sigma_P=0.5)
         coupling = CouplingParams.from_probe(1.0, probe)
-        with pytest.raises(NegligibleProbability):
+        with pytest.raises(InvariantViolation, match="probe value Q=7.9 has density"):
             conditional_state_cm(rho, probe, POSITION, coupling, Q=7.9)
 
     def test_non_position_observable_rejected(self):
         qg = Grid1D(-8.0, 8.0, 64)
         rho = build_gaussian_phase_density(qg, qg, 1.0, 1.0)
         probe = ProbeSpec(sigma_Q=0.1, sigma_P=0.5)
-        with pytest.raises(UnsupportedObservable):
+        with pytest.raises(InvariantViolation, match="implemented for A = q"):
             conditional_state_cm(rho, probe, ACTION_LINEAR, CouplingParams(1.0, 0.1), Q=0.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vnlab import (
+    ConfigInvalid,
     CouplingParams,
     Grid1D,
     InvariantViolation,
@@ -127,6 +128,19 @@ class TestProbeSpec:
         with pytest.raises(InvariantViolation):
             ProbeSpec(sigma_Q=1.0, sigma_P=-0.1)
         ProbeSpec(sigma_Q=1.0, sigma_P=0.0)  # zero momentum spread allowed
+
+    @pytest.mark.parametrize("sigma_Q, refused", [
+        (1e-300, True), (1.4e-154, True), (1.5e-154, False),
+        (1.3e154, False), (1.4e154, True), (1e300, True),
+    ])
+    def test_width_whose_square_is_not_a_normal_float_is_a_config_refusal(self, sigma_Q,
+                                                                           refused):
+        # The square bounds are sqrt(tiny) = 1.49e-154 and sqrt(max) = 1.34e154.
+        if refused:
+            with pytest.raises(ConfigInvalid, match="'sigma_Q' .* is not a normal float"):
+                ProbeSpec(sigma_Q=sigma_Q, sigma_P=0.3)
+        else:
+            ProbeSpec(sigma_Q=sigma_Q, sigma_P=0.3)
 
     def test_position_density_normalized(self):
         probe = ProbeSpec(sigma_Q=0.3, sigma_P=0.5)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from vnlab import (
     CouplingParams,
     DensityOperator,
-    DimensionMismatch,
     Grid1D,
-    NegligibleProbability,
+    InvariantViolation,
     ProbeSpec,
     SpectralObservable,
     trace_with,
@@ -87,7 +86,7 @@ class TestPointerDistribution:
         probe = ProbeSpec(sigma_Q=0.1, sigma_P=0.5)
         coupling = CouplingParams.from_probe(1.0, probe)
         rho3 = DensityOperator(np.eye(3, dtype=complex) / 3.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvariantViolation, match="observable and state dimensions differ"):
             pointer_distribution(rho3, TWO_LEVEL, probe, coupling, Grid1D(-1, 1, 8))
 
     @pytest.mark.parametrize("entry", ["born_weights", "reduced_state_post",
@@ -106,7 +105,7 @@ class TestPointerDistribution:
             "lueders_nonselective": lambda: lueders_nonselective(rho3, obs),
             "conditional_state": lambda: conditional_state(rho3, obs, probe, coupling, 0.0),
         }
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvariantViolation, match="observable and state dimensions differ"):
             calls[entry]()
 
 
@@ -124,7 +123,7 @@ class TestPointerMean:
     def test_thermal_state_mean_occupation(self):
         # Isotropic widths: geometric weights, <n> = 1/(e^(hbar/sigma^2) - 1).
         sigma, hbar, eps = 1.0, 1.0, 1.3
-        rho = number_basis_initial_state(sigma, sigma, dim=64, hbar=hbar)
+        rho = number_basis_initial_state("'sigma'", sigma, sigma, dim=64, hbar=hbar)
         obs = SpectralObservable.from_diagonal(hbar * (np.arange(64) + 0.5))
         nbar = 1.0 / (np.exp(hbar / sigma**2) - 1.0)
         expected = eps * hbar * (nbar + 0.5)
@@ -440,10 +439,8 @@ class TestLindblad:
         assert np.max(np.abs(channel.matrix - ode)) < 1e-8
 
     def test_non_hermitian_observable_rejected(self):
-        from vnlab import NonHermitianObservable
-
         rho = DensityOperator(0.5 * np.eye(2, dtype=complex))
-        with pytest.raises(NonHermitianObservable):
+        with pytest.raises(InvariantViolation, match="not Hermitian within 1e-12"):
             lindblad_evolve(rho, np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
 
 
@@ -570,7 +567,7 @@ class TestConditionalState:
     def test_negligible_probability_raises(self):
         probe = ProbeSpec(sigma_Q=0.01, sigma_P=0.5)
         coupling = CouplingParams.from_probe(1.0, probe)
-        with pytest.raises(NegligibleProbability):
+        with pytest.raises(InvariantViolation, match="pointer value Q=50.0 has probability"):
             conditional_state(equal_superposition(), TWO_LEVEL, probe, coupling, Q=50.0)
 
 

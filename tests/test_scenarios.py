@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vnlab import ProbeSpec, TruncationTooSmall, scenarios
+from vnlab import ProbeSpec, scenarios
 from vnlab.errors import ConfigInvalid
 from vnlab.grids import TWO_PI
 from vnlab.scenarios import (
@@ -104,6 +104,10 @@ class TestInterference:
         assert diff > 0.01
 
 
+# The caller's field names that every number-basis refusal opens with.
+FIELDS = "'sigma_qbar', 'sigma_pbar', 'dim' and 'hbar'"
+
+
 class TestNumberBasis:
     def test_isotropic_widths_geometric(self):
         checks, _, tables = scenario_number_basis(sigma_qbar=1.0, sigma_pbar=1.0, dim=64)
@@ -122,11 +126,11 @@ class TestNumberBasis:
         assert abs(tables["occupation.csv"]["probability"].sum() - 1.0) < 1e-8
 
     def test_truncation_guard(self):
-        with pytest.raises(TruncationTooSmall):
-            number_basis_initial_state(2.0, 2.0, dim=16)
+        with pytest.raises(ConfigInvalid, match=f"^{FIELDS}: dim=16 leaves \\|trace-1\\|"):
+            number_basis_initial_state(FIELDS, 2.0, 2.0, dim=16)
 
     def test_initial_state_is_valid_density(self):
-        rho = number_basis_initial_state(1.0, 1.5, dim=64)
+        rho = number_basis_initial_state(FIELDS, 1.0, 1.5, dim=64)
         validate_density_operator(rho)
 
     def test_mean_occupation_is_the_squeezed_thermal_one(self):
@@ -134,29 +138,29 @@ class TestNumberBasis:
         # <n> = (coth(x) cosh(l) - 1) / 2, x = hbar / (2 sigma_pbar sigma_qbar),
         # l = log(sigma_qbar / sigma_pbar); 1e-8 covers the truncated tail.
         sigma_qbar, sigma_pbar, hbar, dim = 1.2, 0.7, 0.8, 96
-        rho = number_basis_initial_state(sigma_qbar, sigma_pbar, dim=dim, hbar=hbar)
+        rho = number_basis_initial_state(FIELDS, sigma_qbar, sigma_pbar, dim=dim, hbar=hbar)
         x = hbar / (2.0 * sigma_pbar * sigma_qbar)
         expected = (math.cosh(math.log(sigma_qbar / sigma_pbar)) / math.tanh(x) - 1.0) / 2.0
         occupation = float(np.real(np.diag(rho.matrix)) @ np.arange(dim))
         assert occupation == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize(
-        "sigma_qbar, sigma_pbar, hbar, error, match",
+        "sigma_qbar, sigma_pbar, hbar, match",
         [
-            (1e-300, 1.0, 1.0, TruncationTooSmall, "mean occupation exceeds dim=64"),
-            (1e-200, 1e200, 1.0, TruncationTooSmall, "mean occupation exceeds dim=64"),
-            (1e200, 1e200, 1.0, TruncationTooSmall, "mean occupation exceeds dim=64"),
-            (1e-3, 1e-3, 1.0, ConfigInvalid, "'hbar'"),
-            (1.0, 1.0, 1e300, ConfigInvalid, "'hbar'"),
+            (1e-300, 1.0, 1.0, "the mean occupation exceeds dim=64"),
+            (1e-200, 1e200, 1.0, "the mean occupation exceeds dim=64"),
+            (1e200, 1e200, 1.0, "the mean occupation exceeds dim=64"),
+            (1e-3, 1e-3, 1.0, "hbar over twice the product of the widths, .* overflows its sinh"),
+            (1.0, 1.0, 1e300, "hbar over twice the product of the widths, .* overflows its sinh"),
         ],
         ids=["squeezed", "squeezed-beyond-range", "hot", "sinh-overflow", "sinh-overflow-hbar"],
     )
     def test_widths_refused_before_any_array_overflows(self, sigma_qbar, sigma_pbar, hbar,
-                                                        error, match):
+                                                        match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error, match=match):
-                number_basis_initial_state(sigma_qbar, sigma_pbar, dim=64, hbar=hbar)
+            with pytest.raises(ConfigInvalid, match=f"^{FIELDS}: {match}"):
+                number_basis_initial_state(FIELDS, sigma_qbar, sigma_pbar, dim=64, hbar=hbar)
 
 
 class TestGaussianBessel:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnlab import (
-    BasisMismatch,
     DensityOperator,
     Grid1D,
     InvariantViolation,
@@ -90,7 +89,7 @@ class TestWignerTransform:
 
     def test_number_basis_rejected(self):
         rho = DensityOperator(np.diag([0.6, 0.4]).astype(complex))
-        with pytest.raises(BasisMismatch):
+        with pytest.raises(InvariantViolation, match="needs a position-grid state"):
             wigner_transform(rho, PGRID)
 
 
