@@ -299,27 +299,28 @@ def _wigner_pgrid(hbar: float, xgrid: Grid1D, s2: float, tau: float, pad: float 
 
 # A job's estimated peak memory, in bytes, from its size fields, by command or
 # scenario: the slope of its traced peak (tracemalloc) between two sizes, rounded
-# up (evolve-qm's 0.44 to half a byte: its blocked phases hold 0.375 B x n_x^2, the
-# rest is linear; table1-report's 44.6 to 45, its classical phase-space densities:
-# its quantum rows hold no n_x x n_x state; evolve-cm's per n_q x n_p node, 26.8
-# between 1024^2 and 2048^2, 27.1 along n_q (65536 to 131072 at n_p 128) and 27.8
-# along n_p (131072 to 262144 at n_q 20), to 28; mc-compare's 8.0 to 8.5, the sampler's
-# one array of Q, which the action branch overwrites with Q' and its squared
-# deviations, the slope up to 3.2e6 samples too, and its bins term 88.0 to 88.5,
-# both branches' histograms, between 4e5 and 8e5 bins at 2000 samples; two_delta's
-# n_Q term 16.0 to 16.5, two n_Q arrays, as its CSV is formatted a block of rows
-# at a time); for n_x, 1024 and 2048, past the sizes where table1-report's fixed
-# 14 MB still sets its peak; for n_Q, past those where the pointer record's kernel
-# chunks (about 2 MB) still set it. The intercepts, at most 14 MB, are left out.
+# up (evolve-qm's 331.7 to 332 per n_x, between 10925 and 21849, where the chirp-z
+# FFT length is 3 n_x, its largest share; table1-report's 44.6 to 45 per n_x^2, its
+# classical phase-space densities: its quantum rows hold no n_x x n_x state, between
+# 1024 and 2048, past the sizes where its fixed 14 MB still sets its peak;
+# evolve-cm's per n_q x n_p node, 26.8 between 1024^2 and 2048^2, 27.1 along n_q
+# (65536 to 131072 at n_p 128) and 27.8 along n_p (131072 to 262144 at n_q 20), to
+# 28; mc-compare's 8.0 to 8.5, the sampler's one array of Q, which the action branch
+# overwrites with Q' and its squared deviations, the slope up to 3.2e6 samples too,
+# and its bins term 88.0 to 88.5, both branches' histograms, between 4e5 and 8e5
+# bins at 2000 samples; the n_Q terms of two_delta, 48.0 to 48.5, and of
+# interference, 56.0 to 56.5, the scenarios' own curves and checks, six and seven
+# n_Q arrays, past the sizes where the pointer record's kernel chunks set the
+# peak). The intercepts, at most 14 MB, are left out.
 # ``_execute`` refuses an estimate past MEMORY_BUDGET before any array is allocated.
 MEMORY_BUDGET = 4 * 2**30
 PEAK_BYTES = {
-    "evolve-qm": ("'n_x'", lambda p: 0.5 * p["n_x"] * p["n_x"]),
+    "evolve-qm": ("'n_x'", lambda p: 332.0 * p["n_x"]),
     "table1-report": ("'n_x'", lambda p: 45.0 * p["n_x"] * p["n_x"]),
     "evolve-cm": ("'n_q' and 'n_p'", lambda p: 28.0 * p["n_q"] * p["n_p"]),
     "mc-compare": ("'n_samples' and 'bins'", lambda p: 8.5 * p["n_samples"] + 88.5 * p["bins"]),
-    "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 16.5 * p["n_Q"]),
-    "interference": ("'n_x' and 'n_Q'", lambda p: 4200.0 * p["n_x"] + 33.0 * p["n_Q"]),
+    "two_delta": ("'n_q' and 'n_Q'", lambda p: 4200.0 * p["n_q"] + 48.5 * p["n_Q"]),
+    "interference": ("'n_x' and 'n_Q'", lambda p: 4200.0 * p["n_x"] + 56.5 * p["n_Q"]),
     "number_basis": ("'dim'", lambda p: 113.0 * p["dim"] * p["dim"]),
     "gaussian_bessel": ("'n_xi' and 'n_theta'", lambda p: 33.0 * p["n_xi"] * p["n_theta"]),
 }

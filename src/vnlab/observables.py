@@ -177,6 +177,12 @@ def general_observable(eval, dA_dq, dA_dp) -> ClassicalObservable:
 # element and about 1 ns per normal result.
 EXP_UNDERFLOW = -746.0
 
+# The pointer record's band reaches r, as r^2 / (2 sigma_Q^2): first where the
+# kernel has fallen to about the machine epsilon of its peak (e^-36 = 2.3e-16), each
+# next one 2^(1/4) times the last (r grows by 9%), and last the exact-zero reach.
+BAND_EXPONENTS = np.append(36.0 * 2.0 ** (np.arange(18) / 4), -EXP_UNDERFLOW)
+MACHINE_EPSILON = np.finfo(float).eps
+
 
 def _normal_density(x, s2: float) -> np.ndarray:
     """exp(-0.5 * x * x / s2) / sqrt(2 pi s2) in one output buffer, in that order of
@@ -195,12 +201,14 @@ def _normal_density(x, s2: float) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
-def require_normal_square(name: str, width: float) -> None:
-    """Refuse (ConfigInvalid, naming ``name``) a width whose square is not a normal
-    float: a normal density of that variance divides by zero or overflows."""
+def require_normal_square(name: str, width: float, room: float = 1.0) -> None:
+    """Refuse (ConfigInvalid, naming ``name``) a width whose square, times ``room`` and
+    over it, is not a normal float: a normal density of that variance divides by zero
+    or overflows."""
     square = float(width) * float(width)  # inf, not OverflowError, past the floats
-    if not np.finfo(float).tiny <= square < math.inf:
-        raise ConfigInvalid(f"parameter {name!r} = {width!r}: its square {square:.3g} "
+    if not (np.finfo(float).tiny <= square / room and square * room < math.inf):
+        where = f", times and over {room:g}," if room != 1.0 else ""
+        raise ConfigInvalid(f"parameter {name!r} = {width!r}: its square {square:.3g}{where} "
                             "is not a normal float")
 
 
@@ -209,8 +217,11 @@ class ProbeSpec:
     """Zero-mean Gaussian probe: position width sigma_Q, momentum width sigma_P.
 
     Position and momentum are statistically independent; both means are fixed
-    at zero. A positive sigma_Q that ``require_normal_square`` refuses is a
-    ConfigInvalid.
+    at zero. A positive sigma_Q is a ConfigInvalid where ``require_normal_square``
+    refuses it with room -2 EXP_UNDERFLOW: the density is nonzero out to the reach
+    R = sqrt(-2 EXP_UNDERFLOW) sigma_Q, so x * x stays finite out to R, and the
+    exponent -x^2 / (2 sigma_Q^2) stays finite for |x| below about 109, past the
+    distances the jobs' default Q grids reach.
     """
 
     sigma_Q: float
@@ -219,7 +230,7 @@ class ProbeSpec:
     def __post_init__(self):
         if not self.sigma_Q > 0:
             raise InvariantViolation("sigma_Q must be > 0")
-        require_normal_square("sigma_Q", self.sigma_Q)
+        require_normal_square("sigma_Q", self.sigma_Q, -2.0 * EXP_UNDERFLOW)
         if self.sigma_P < 0:
             raise InvariantViolation("sigma_P must be >= 0")
 
@@ -232,21 +243,75 @@ class ProbeSpec:
 
         The distribution of A smeared by the probe position density (Table 1,
         row 1), for both theories. ``Q`` is 1-D; ``weights`` is one vector, or a
-        stack (m, K) sharing each kernel chunk, which gives (m, len(Q)). A chunk
-        holds at most 2^16 kernel values (512 KiB), so it stays in cache, and
-        each vector takes one matrix-vector product per chunk: its values do
-        not depend on how many vectors share the chunk.
+        stack (m, K), which gives (m, len(Q)); each vector's record has the bits
+        it has alone.
+
+        The shifted values are sorted once (stably), and Q is taken in chunks of
+        at most 2^16 // K rows. A chunk evaluates the kernel, ``position_density``'s
+        values, only on a band: the shifts within a reach r of the chunk's Q span,
+        r^2 / (2 sigma_Q^2) one of ``BAND_EXPONENTS``, or every shift. A vector
+        keeps a band where, on every row, twice the bound on its dropped terms is
+        at most the machine epsilon eps times sum_band |w_k rho_k|. That bound is
+        the |w| mass below the band times the kernel at the nearest shift below
+        it, plus the same above: the computed kernel falls with the distance, each
+        of its operations being monotone, and the nearest dropped shift's kernel
+        is at most rho_pi(0) e^(-r^2 / (2 sigma_Q^2)). The factor 2 covers the
+        rounding of the bound. So the dropped terms add at most eps / 2 sum_k
+        |w_k rho_k| to the (K - 1) eps / 2 of any summation order of the K terms
+        (Higham, Accuracy and Stability, 4.2). Past the exact-zero reach sqrt(-2
+        EXP_UNDERFLOW) sigma_Q every dropped term is +0.0, and the band of every
+        shift drops none, so each vector ends. Each starts at the first band and
+        goes next to the first whose bound the magnitude it has found meets: a
+        wider band's magnitude is no smaller. A non-finite weight, value or node
+        bounds nothing, so its record takes every shift: a NaN stays NaN. The band
+        edges and bounds are tabled for 2^10 // m chunks at a time, so the working
+        memory beyond the output stays O(m K) at any len(Q).
         """
         Q = np.asarray(Q, dtype=float)
         shift = epsilon * np.asarray(values, dtype=float)
-        stack = np.atleast_2d(weights)
+        order = np.argsort(shift, kind="stable")
+        shift = shift[order]
+        stack = np.atleast_2d(weights)[:, order]
         out = np.empty((len(stack), Q.size))
         chunk = max(1, 2**16 // shift.size)
+        mass = np.abs(stack)
+        nonnegative = ~np.signbit(stack).any(axis=1)  # then a record is its own magnitude
+        zero = np.zeros((len(mass), 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps nothing
+            below = np.concatenate([zero, np.cumsum(mass, axis=1)], axis=1)  # sum over k < j
+            above = np.concatenate([np.cumsum(mass[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+        reach = self.sigma_Q * np.sqrt(2.0 * BAND_EXPONENTS)[:, None]
+        last = len(reach)  # the band of every shift
+        block = chunk * max(1, 2**10 // len(stack))  # the Q rows whose band tables are held at once
         for start in range(0, Q.size, chunk):
+            c = start % block // chunk
+            if c == 0:  # per chunk: its band per reach, [lo, hi), and each vector's dropped bound
+                span = Q[start:start + block]
+                heads = np.arange(0, span.size, chunk)
+                low, high = np.minimum.reduceat(span, heads), np.maximum.reduceat(span, heads)
+                lo = np.searchsorted(shift, low - reach, "left")
+                hi = np.searchsorted(shift, high + reach, "right")
+                with np.errstate(over="ignore", invalid="ignore"):
+                    edge_below = np.where(lo > 0, self.position_density(low - shift[lo - 1]), 0.0)
+                    above_edge = self.position_density(high - shift[np.minimum(hi, shift.size - 1)])
+                    edge_above = np.where(hi < shift.size, above_edge, 0.0)
+                    dropped = 2.0 * (below[:, lo] * edge_below + above[:, hi] * edge_above)
             rows = slice(start, start + chunk)
-            kernel = self.position_density(Q[rows, None] - shift[None, :])
-            for record, w in zip(out, stack):
-                record[rows] = kernel @ w
+            target = dict.fromkeys(range(len(stack)), 0)  # each pending vector's next band
+            while target:
+                step = min(target.values())
+                cut = slice(lo[step, c], hi[step, c]) if step < last else slice(0, shift.size)
+                kernel = self.position_density(Q[rows, None] - shift[None, cut])
+                for v in [v for v, s in target.items() if s == step]:
+                    record = kernel @ stack[v, cut]
+                    magnitude = record if nonnegative[v] else kernel @ mass[v, cut]
+                    # The bands whose bound this band's magnitude, a lower bound of theirs, meets.
+                    meets = np.flatnonzero(dropped[v, step:, c] <= MACHINE_EPSILON * magnitude.min())
+                    if step == last or (meets.size and meets[0] == 0):
+                        out[v, rows] = record
+                        del target[v]
+                    else:
+                        target[v] = step + meets[0] if meets.size else last
         return out if np.ndim(weights) > 1 else out[0]
 
     def pointer_grid(self, values, epsilon: float, n: int, pad_sigmas: float) -> Grid1D:

@@ -106,8 +106,11 @@ def scenario_two_delta(
     marginal is a pair of Gaussians of variance sigma_Q^2 + (eps*w)^2. The
     bimodality verdict is compared against the resolution criterion
     sigma_Q/eps versus |q1 - q0|. Before the state is built, ConfigInvalid
-    refuses an (eps*w)^2 past the floats, and, where the valley is checked, a
-    Q grid with no node between the two peaks.
+    refuses an (eps*w)^2 past the floats; a Q grid step past 2 sqrt(72) sigma_Q,
+    where the probe kernel could fall between the nodes and the record read all
+    zeros (within that step, the node nearest the heaviest shift reads at least
+    e^-36 of the kernel's peak); and, where the valley is checked, a Q grid with
+    no node between the two peaks.
     """
     if coupling is None:
         coupling = CouplingParams.from_probe(DEFAULT_EPSILON, probe)
@@ -121,6 +124,10 @@ def scenario_two_delta(
                             f"{eps * w:.4g} overflows its square")
     span = max(abs(q0), abs(q1)) * eps + 8.0 * probe.sigma_Q + 8.0 * eps * w
     Qgrid = Grid1D(-span, span, n_Q)
+    if Qgrid.h > 2.0 * math.sqrt(72.0) * probe.sigma_Q:
+        raise ConfigInvalid(f"'q0', 'q1' and 'n_Q': the Q grid's step {Qgrid.h:.4g} exceeds "
+                            f"2 sqrt(72) times the probe's sigma_Q = {probe.sigma_Q:.4g}, so its "
+                            "kernel can fall between the nodes")
     gap = abs(q1 - q0)
     resolution_ratio = probe.sigma_Q / eps / gap if gap > 0 else np.inf
     lo, hi = min(eps * q0, eps * q1), max(eps * q0, eps * q1)

@@ -17,7 +17,10 @@ from scipy.ndimage import convolve1d
 from vnlab import CouplingParams, ProbeSpec, SpectralObservable
 from vnlab.grids import TWO_PI, Grid1D
 from vnlab.states import AngleActionDensity, DensityOperator, PhaseSpaceDensity, _Handover
-from vnlab.wigner import BLOCK, WignerFunction, _antidiagonals, _fold_weights
+from vnlab.wigner import WignerFunction, _antidiagonals, _fold_weights
+
+# Momenta per block of ``momentum_marginals``' phase product.
+BLOCK = 64
 
 
 def pointer_density_loop(

@@ -265,6 +265,19 @@ def _extremes(name, default):
 EXTREME_CASES = [(command, fixed, name, value) for command, fixed, name, default in _spec_fields()
                  for value in _extremes(name, default)]
 
+# Values inside the admitted ranges that the jobs refuse, each with the fields its
+# refusal names. A probe sigma_Q just inside the normal-square bounds overflowed
+# x^2 / (2 sigma_Q^2) or x * x in the probe density; two_delta's q0 far out put the
+# probe kernel between the Q nodes, so its record was all zeros and the valley
+# ratio 0/0.
+NEAR_EXTREME_CASES = [
+    *[(command, fixed, "sigma_Q", value, "'sigma_Q'")
+      for command, fixed, name, _ in _spec_fields() if name == "sigma_Q"
+      for value in (1.5e-154, 8e-154, 3e153, 1.3e154)],
+    *[("run-scenario", {"scenario": "two_delta"}, "q0", value, "'q0', 'q1' and 'n_Q'")
+      for value in (1e6, 1e100)],
+]
+
 
 class TestExecution:
     def test_evolve_qm_artifacts(self, tmp_path):
@@ -694,10 +707,17 @@ class TestMainEntryPoint:
                                              "sigma_pbar": 25.0}},
              [], "'sigma_qbar' and 'sigma_pbar'"),
             # A Q step of 9.8e11 leaves no node between peaks 1 apart: the valley
-            # check took the minimum of an empty slice (ValueError).
+            # check took the minimum of an empty slice (ValueError). The Q-step rule
+            # refuses it first.
             ("run-scenario", {"parameters": {"scenario": "two_delta", "q0": 1e15,
                                              "q1": 1e15 + 1}},
              [], "'q0', 'q1' and 'n_Q'"),
+            # A step of 2.76, inside the Q-step rule's 3.39 at sigma_Q 0.2, with nodes
+            # at 0 and 2.76 and the peaks at 0 and 1 (resolution ratio 0.2).
+            ("run-scenario", {"parameters": {"scenario": "two_delta", "sigma_Q": 0.2, "n_Q": 3}},
+             [], "'q0', 'q1' and 'n_Q'"),
+            *[(command, {"parameters": {**fixed, name: value}}, [], named)
+              for command, fixed, name, value, named in NEAR_EXTREME_CASES],
         ],
         ids=["string-int", "null-parameters", "array-config", "negative-seed",
              "negative-seed-flag", "string-epsilon", "infinite-width", "boolean-int",
@@ -721,7 +741,10 @@ class TestMainEntryPoint:
              "wide-sigma_q-evolve-cm", "off-centre-evolve-cm", "wide-sigma_x-evolve-qm",
              "off-centre-evolve-qm", "wide-sigma_q-mc-compare", "wide-sigma_p-mc-compare",
              "wide-sigma_x-table1", "off-centre-table1", "narrow-grid-row4-table1",
-             "width-ratio-25-gaussian_bessel", "no-Q-node-between-peaks-two_delta"],
+             "width-ratio-25-gaussian_bessel", "no-Q-node-between-peaks-two_delta",
+             "no-Q-node-between-peaks-n_Q-3-two_delta",
+             *[f"{fixed.get('scenario', command)}.{name}={value:g}"
+               for command, fixed, name, value, _ in NEAR_EXTREME_CASES]],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_config_exits_2_naming_field(self, tmp_path, capsys, command, config, extra, named):
@@ -760,7 +783,7 @@ class TestMainEntryPoint:
     @pytest.mark.parametrize(
         "command, sizes, named",
         [
-            ("evolve-qm", {"n_x": 10**8}, "'n_x'"),
+            ("evolve-qm", {"n_x": 10**11}, "'n_x'"),
             ("table1-report", {"n_x": 10**6}, "'n_x'"),
             ("evolve-cm", {"n_q": 10**6, "n_p": 10**6}, "'n_q' and 'n_p'"),
             ("mc-compare", {"n_samples": 10**12}, "'n_samples' and 'bins'"),
@@ -796,10 +819,10 @@ class TestMainEntryPoint:
         assert "Traceback" not in captured.out + captured.err
 
     def test_memory_guard_boundary(self):
-        # 0.5 B x n_x^2 crosses 4 GiB between n_x 92681 and 92682; only the estimate runs.
-        cli._require_memory("evolve-qm", {"n_x": 92681})
+        # 332 B x n_x crosses 4 GiB between n_x 12936648 and 12936649; only the estimate runs.
+        cli._require_memory("evolve-qm", {"n_x": 12936648})
         with pytest.raises(ConfigInvalid, match="'n_x'"):
-            cli._require_memory("evolve-qm", {"n_x": 92682})
+            cli._require_memory("evolve-qm", {"n_x": 12936649})
 
     def test_evolve_cm_memory_guard_boundary(self):
         # 28 B x n_q x n_p crosses 4 GiB between 12385^2 and 12386^2 nodes.
@@ -817,7 +840,8 @@ class TestMainEntryPoint:
     @pytest.mark.parametrize(
         "command, base, fields, unit, sizes",
         [
-            ("evolve-qm", {}, ("n_x",), ("n_x", "n_x"), (1024, 2048)),
+            # Where the chirp-z FFT length is 3 n_x, its largest share of n_x.
+            ("evolve-qm", {}, ("n_x",), ("n_x",), (10925, 21849)),
             ("table1-report", {}, ("n_x",), ("n_x", "n_x"), (1024, 2048)),
             # Per n_q x n_p node on square grids and along each axis: the linear
             # terms in n_q and n_p show in the slope along the other's short axis.
@@ -835,9 +859,9 @@ class TestMainEntryPoint:
     def test_memory_estimate_is_the_traced_slope_rounded_up(self, tmp_path, command, base,
                                                              fields, unit, sizes):
         # The traced peak's slope per unit of size (the product of the ``unit``
-        # fields) as ``fields`` go from one size to the other: in n_x^2 between 1024
-        # and 2048, where table1-report's size-independent part (about 14 MB at 512)
-        # no longer sets the peak, in n_q x n_p, in n_samples, and in bins. The
+        # fields) as ``fields`` go from one size to the other: in n_x, in n_x^2
+        # between 1024 and 2048, where table1-report's size-independent part (about
+        # 14 MB at 512) no longer sets the peak, in n_q x n_p, in n_samples, and in bins. The
         # estimate's slope between the same two configs may not fall below it, nor
         # round it up by a whole 2 B. Warmed up first: the first call may trace an
         # import.
@@ -862,7 +886,8 @@ class TestMainEntryPoint:
         [
             ("two_delta", {}, "n_q", (2048, 4096)),
             # n_Q on a 64-node q grid, past the sizes where the pointer record's
-            # fixed kernel chunks (about 2 MB) set the peak.
+            # kernel chunks set the peak: the scenario's reference curve and checks,
+            # six n_Q arrays in two_delta and seven in interference, set it here.
             ("two_delta", {"n_q": 64}, "n_Q", (45056, 53248)),
             ("interference", {}, "n_x", (2048, 4096)),
             ("interference", {"n_x": 64}, "n_Q", (36864, 45056)),

@@ -1,5 +1,7 @@
 """Spectral and classical observables, probe and coupling parameter types."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from vnlab import (
 from vnlab.observables import EXP_UNDERFLOW, _normal_density
 
 from helpers import from_hermitian, observable_matrix, projectors, validate_spectral_observable
+from oracles import pointer_density_loop
 
 
 class TestSpectralObservable:
@@ -130,12 +133,15 @@ class TestProbeSpec:
         ProbeSpec(sigma_Q=1.0, sigma_P=0.0)  # zero momentum spread allowed
 
     @pytest.mark.parametrize("sigma_Q, refused", [
-        (1e-300, True), (1.4e-154, True), (1.5e-154, False),
-        (1.3e154, False), (1.4e154, True), (1e300, True),
+        (1e-300, True), (1.5e-154, True), (8e-154, True), (5.76e-153, True),
+        (5.77e-153, False), (3.47e152, False), (3.48e152, True), (3e153, True),
+        (1.3e154, True), (1e300, True),
     ])
     def test_width_whose_square_is_not_a_normal_float_is_a_config_refusal(self, sigma_Q,
                                                                            refused):
-        # The square bounds are sqrt(tiny) = 1.49e-154 and sqrt(max) = 1.34e154.
+        # The square must stay normal times and over -2 EXP_UNDERFLOW = 1492, the
+        # density's squared reach in units of sigma_Q^2: the bounds are
+        # sqrt(1492 tiny) = 5.762e-153 and sqrt(max / 1492) = 3.471e152.
         if refused:
             with pytest.raises(ConfigInvalid, match="'sigma_Q' .* is not a normal float"):
                 ProbeSpec(sigma_Q=sigma_Q, sigma_P=0.3)
@@ -205,6 +211,58 @@ class TestProbeSpec:
             assert np.array_equal(out, np.zeros(values.shape)) and not np.signbit(out).any()
         assert all(np.exp(v) == 0.0 for v in below[-5:])
         assert np.exp(EXP_UNDERFLOW + 1.0) > 0.0  # a cut within 1 of the last nonzero
+
+    @pytest.mark.parametrize("case", ["unsorted", "zero-epsilon", "nan-weight", "nan-value",
+                                      "nan-node"])
+    def test_pointer_record_edge_inputs_match_the_loop(self, case):
+        # Shuffled values; epsilon = 0, where every shift is 0 and the rows past
+        # the exact-zero reach (7.7 here) read +0.0; and a NaN, which takes every
+        # shift: a NaN weight or value makes every row NaN, a NaN node its own row.
+        # Within the summation bound of tests/test_pointer_density.py: two orders
+        # of K terms are within 2 (K - 1) eps sum_k |w_k rho_k| of each other.
+        rng = np.random.default_rng(7)
+        probe = ProbeSpec(sigma_Q=0.2, sigma_P=0.5)
+        values = rng.permutation(np.linspace(-2.0, 2.0, 300))
+        weights = rng.random(300) / 300
+        Q = np.linspace(-12.0, 12.0, 500)
+        epsilon = 0.0 if case == "zero-epsilon" else 1.3
+        if case == "nan-weight":
+            weights[17] = np.nan
+        if case == "nan-value":
+            values[17] = np.nan
+        if case == "nan-node":
+            Q[123] = np.nan
+        out = probe.pointer_density(Q, values, weights, epsilon)
+        ref = pointer_density_loop(probe, Q, values, weights, epsilon)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(out), nan)
+        assert nan.all() == (case in ("nan-weight", "nan-value"))
+        magnitude = pointer_density_loop(probe, Q, values, np.abs(weights), epsilon)
+        bound = 2.0 * len(values) * np.finfo(float).eps * magnitude
+        assert np.all(np.abs(out - ref)[~nan] <= bound[~nan])
+        if case == "zero-epsilon":
+            far = np.abs(Q) > np.sqrt(-2.0 * EXP_UNDERFLOW) * probe.sigma_Q
+            assert far.any() and np.all(out[far] == 0.0)
+
+    def test_pointer_record_working_memory_does_not_grow_with_the_nodes(self):
+        # Past K = 2^15 shifts a chunk is one Q row. The band tables are held for a
+        # bounded block of chunks (341 rows for three vectors), so from two blocks
+        # on the traced peak grows by the (m, len(Q)) output, 24 B per node here,
+        # and not by the 20 bands x m vectors of edges and bounds of every chunk
+        # (2.1 kB per node when they were held for all chunks at once).
+        probe = ProbeSpec(sigma_Q=0.1, sigma_P=0.3)
+        values = np.linspace(-5.0, 5.0, 40000)
+        weights = np.random.default_rng(3).random((3, values.size)) / values.size
+        peaks = []
+        for n in (1000, 2000):
+            Q = np.linspace(-6.0, 6.0, n)
+            tracemalloc.start()
+            try:
+                probe.pointer_density(Q, values, weights, 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 48 * 1000
 
     def test_wavefunction_squares_to_density(self):
         probe = ProbeSpec(sigma_Q=0.7, sigma_P=0.5)

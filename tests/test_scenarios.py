@@ -48,6 +48,14 @@ class TestTwoDelta:
         assert scalars["resolved"] is True
         assert scalars["n_peaks"] == 2
 
+    @pytest.mark.parametrize("n_Q", [49, 63])
+    def test_q_steps_wider_than_sigma_Q_still_resolve(self, n_Q):
+        # Steps of 1.30 and 1.01 sigma_Q: the Q-step refusal is for a kernel that can
+        # fall between the nodes, past 2 sqrt(72) sigma_Q, not for a coarse record.
+        checks, scalars, _ = scenario_two_delta(n_Q=n_Q)
+        assert not failed(checks), failed(checks)
+        assert scalars["resolved"] is True
+
     def test_wide_probe_merges(self):
         probe = ProbeSpec(sigma_Q=2.0, sigma_P=0.3)
         checks, scalars, _ = scenario_two_delta(probe=probe)

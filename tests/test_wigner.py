@@ -14,7 +14,6 @@ from vnlab import (
 )
 from vnlab.qm import reduced_state_post
 from vnlab.wigner import (
-    BLOCK,
     WignerFunction,
     _antidiagonals,
     _phase_matrix,
@@ -256,7 +255,7 @@ class TestMomentumMarginals:
             assert np.max(np.abs(got - oracle)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("n", [40, BLOCK, BLOCK + 1, 2049])
+    @pytest.mark.parametrize("n", [40, 64, 65, 2049])
     def test_blocked_phases_match_the_full_phase_matrix(self, n, hbar):
         # Block counts the strategy above never draws: one partial block, one
         # full block, a full block and one node, and 32 blocks and one node. The
@@ -295,16 +294,18 @@ class TestPureStateMarginals:
     the density-matrix oracle ``oracles.momentum_marginals``.
 
     Tolerance 1e-13 of max|P|: the two differ in summation order (the FFT
-    autocorrelation against the gathered anti-diagonals' q-sums) and in where
-    the damping is read (once, at q = 0, against at every q). The largest
-    difference seen over 300 random draws of the range below was 1.3e-15 of
-    max|P|, and 6.1e-16 at the Nyquist edge up to n = 4096.
+    autocorrelation and the chirp-z convolution against the gathered
+    anti-diagonals' q-sums and the blocked phases) and in where the damping is
+    read (once, at q = 0, against at every q). The largest difference seen over
+    300 random draws of the range below was 2.9e-15 of max|P| on the +-6 p grid
+    and 8.5e-15 at the Nyquist edge, and 1.4e-14 at the Nyquist edge up to n = 4096.
     """
 
     @settings(max_examples=80, deadline=None)
     @given(
-        n=st.integers(3, 161),
+        n=st.integers(3, 300),
         p_offset=st.integers(-20, 20),
+        nyquist=st.booleans(),
         center=st.floats(-1.5, 1.5),
         sigma_x=st.floats(0.5, 1.0),
         momentum=st.floats(-2.0, 2.0),
@@ -313,9 +314,12 @@ class TestPureStateMarginals:
         tau=st.floats(0.0, 2.0),
     )
     def test_matches_the_density_matrix_oracle(
-            self, n, p_offset, center, sigma_x, momentum, hbar, observable, tau):
+            self, n, p_offset, nyquist, center, sigma_x, momentum, hbar, observable, tau):
+        # Odd and even n, most not a power of 2, and p grids of other sizes; the
+        # Nyquist-edge grid spans pi hbar / (2h), where the phases p y / hbar are largest.
         grid = Grid1D(-8.0, 8.0, n)
-        pgrid = Grid1D(-6.0, 6.0, max(2, n + p_offset))
+        p_half = np.pi * hbar / (2.0 * grid.h) if nyquist else 6.0
+        pgrid = Grid1D(-p_half, p_half, max(2, n + p_offset))
         psi = gaussian_wavepacket(grid, center=center, momentum=momentum, sigma_x=sigma_x,
                                   hbar=hbar)
         A = AFFINE_OBSERVABLES[observable]
@@ -328,7 +332,7 @@ class TestPureStateMarginals:
             assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("n", [40, BLOCK, BLOCK + 1, 2049, 4096])
+    @pytest.mark.parametrize("n", [40, 64, 65, 2049, 4096])
     def test_matches_the_oracle_at_the_nyquist_edge(self, n, hbar):
         # The p grid spans pi hbar / (2h), where the phases p y / hbar are largest,
         # and n reaches past evolve-qm's benchmark size. Same tolerance.
